@@ -19,6 +19,7 @@ from .hormander import (
     Box,
     CommutatorEntry,
     WeightedSystem,
+    _grid,
     build_Z_system,
     check_span_at,
     enumerate_commutators,
@@ -91,14 +92,8 @@ def _deg_at(entries, p, m) -> tuple[int, CommutatorEntry] | None:
     return best
 
 
-def _probe_offsets(n_tangential: int, radius: float, per_axis: int = 5) -> np.ndarray:
-    axes = [np.linspace(-radius, radius, per_axis)] * n_tangential
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def _boundary_probes(sys: WeightedSystem, xp: np.ndarray, radius: float, per_axis: int = 5) -> np.ndarray:
-    offs = _probe_offsets(sys.n - 1, radius, per_axis)
+    offs = _grid([np.linspace(-radius, radius, per_axis)] * (sys.n - 1))
     pts = np.hstack([xp[:-1] + offs, np.zeros((len(offs), 1))])
     keep = sys.box.contains(pts)
     return pts[keep]
@@ -298,8 +293,7 @@ def build_boundary_system(
 def _neighborhood_grid(sys: WeightedSystem, x0: np.ndarray, radius: float, per_axis: int = 5) -> np.ndarray:
     axes = [np.linspace(c - radius, c + radius, per_axis) for c in x0[:-1]]
     axes.append(np.linspace(0.0, radius, 3))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    pts = _grid(axes)
     return pts[sys.box.contains(pts)]
 
 

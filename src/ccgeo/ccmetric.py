@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flows import _control_velocity, _rk4_step
 from .hormander import WeightedSystem
 
 __all__ = [
@@ -78,12 +78,6 @@ class MetricEstimate:
 
     def midpoint(self) -> float:
         return 0.5 * (self.lower + self.upper)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"lower": self.lower, "upper": self.upper, "method": self.method, "params": self.params},
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -162,18 +156,9 @@ def integrate_controls(
 
     with np.errstate(all="ignore"):
         for k in range(K):
-            a = coeffs[:, k, :] * factors  # (S, r)
-
-            def vel(pts, a=a):
-                w = np.stack([vf.eval_many(pts) for vf in vfs], axis=1)  # (S, r, n)
-                return np.einsum("sr,srn->sn", a, w)
-
+            vel = _control_velocity(vfs, coeffs[:, k, :] * factors)
             for _ in range(steps_per_segment):
-                k1 = vel(y)
-                k2 = vel(y + 0.5 * dt * k1)
-                k3 = vel(y + 0.5 * dt * k2)
-                k4 = vel(y + dt * k3)
-                ynew = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                ynew = _rk4_step(vel, y, dt)
                 ok = np.all(np.isfinite(ynew), axis=1) & box.contains(ynew, inflate=1.25)
                 ynew[~ok] = y[~ok]
                 alive &= ok
@@ -353,16 +338,12 @@ class ReachGraph:
                 if len(f_idx) == 0:
                     break
                 tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
-                A = self.dirs[d_idx] * factors  # (M, r)
-                Y = P[f_idx].copy()
+                vel = _control_velocity(vfs, self.dirs[d_idx] * factors)
+                Y = P[f_idx]
                 dt = (tau * self.speed_scale / 2.0)[:, None]
                 ok = np.ones(len(Y), dtype=bool)
                 for _ in range(2):
-                    k1 = self._batch_vel(Y, A, vfs)
-                    k2 = self._batch_vel(Y + 0.5 * dt * k1, A, vfs)
-                    k3 = self._batch_vel(Y + 0.5 * dt * k2, A, vfs)
-                    k4 = self._batch_vel(Y + dt * k3, A, vfs)
-                    Y = Y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                    Y = _rk4_step(vel, Y, dt)
                     ok &= np.all(np.isfinite(Y), axis=1) & box.contains(Y)
                     if halfspace:
                         ok &= Y[:, -1] >= -BOUNDARY_TOL
@@ -396,11 +377,6 @@ class ReachGraph:
         self.settled = {k: (dist[k], pts[k]) for k in dist}
         self._ran = True
         return False, math.inf
-
-    @staticmethod
-    def _batch_vel(Y, A, vfs):
-        w = np.stack([vf.eval_many(Y) for vf in vfs], axis=1)  # (M, r, n)
-        return np.einsum("mr,mrn->mn", A, w)
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
         """Membership of points in the explored reachable set (cell level).
@@ -456,17 +432,23 @@ def oracle_distance(
     (x 1+resolution) search fails, deflated by the worst-case overhead of
     the restricted control-direction set, with `order` bounding the
     bracket depth the target may need.  Interval width is driven to 10%
-    relative before deflation.
+    relative before deflation.  When y lies within the arrival tolerance
+    (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
+    cannot resolve the distance and the interval is [0, inf].
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     params = {"resolution": resolution, "delta_max": delta_max, "mode": mode, "order": order}
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "oracle", params)
+    arrival_tol = 0.75 * resolution
+    d_eu = float(np.linalg.norm(y - x))
+    if d_eu <= arrival_tol:
+        return MetricEstimate(0.0, math.inf, "oracle", params)
 
     def reach(delta, scale=1.0):
         g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
-        ok, _ = g.run(target=y, arrival_tol=0.75 * resolution)
+        ok, _ = g.run(target=y, arrival_tol=arrival_tol)
         return ok
 
     half_gap = (np.pi / 16.0) if sys.r <= 2 else (np.pi / 4.0)
@@ -475,7 +457,6 @@ def oracle_distance(
     # order (loop quantization); the lower certificate is deflated by both
     overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
 
-    d_eu = float(np.linalg.norm(y - x))
     hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
     hi = min(hi, delta_max)
     while hi <= delta_max and not reach(hi):

@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,9 +90,6 @@ class Scenario:
 
     def boundary_probes(self):
         return [p for p in self.probes if abs(p[-1]) < 1e-12 and self.box.has_boundary]
-
-    def interior_probes(self):
-        return [p for p in self.probes if not (abs(p[-1]) < 1e-12 and self.box.has_boundary)]
 
 
 _FIELD_RE = re.compile(r'^field\s*=\s*"([^"]*)"\s*degree\s*=\s*(\d+)\s*$')
@@ -312,7 +308,7 @@ def _map_for_probe(scn: Scenario, sys_: WeightedSystem, probe, delta, gain, cach
 # -- verify suites --------------------------------------------------------
 
 
-def suite_doubling(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_doubling(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     bound = 2.0 ** (scn.n * scn.order * sys_.max_degree)
     zsys = build_Z_system(sys_, scn.order)
@@ -356,26 +352,25 @@ def suite_doubling(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
     return rows, verdicts
 
 
-def suite_volume(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_volume(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     zsys = build_Z_system(sys_, scn.order)
-    units = [(p, d) for p in scn.probes for d in scn.deltas]
-
-    def one(unit):
-        probe, delta = unit
-        vol = ball_volume(sys_, probe, delta, n_samples=20000, seed=scn.seed)
-        lam = compute_lambda(sys_, probe, delta, scn.order, zsys=zsys)
-        return {
-            "probe": list(probe),
-            "delta": delta,
-            "volume": vol.value,
-            "std_error": vol.std_error,
-            "lambda": lam.value,
-            "ratio": vol.value / lam.value if lam.value > 0 else math.inf,
-            "rel_se": vol.std_error / vol.value if vol.value > 0 else math.inf,
-        }
-
-    rows = _parallel(one, units, jobs)
+    rows = []
+    for probe in scn.probes:
+        for delta in scn.deltas:
+            vol = ball_volume(sys_, probe, delta, n_samples=20000, seed=scn.seed)
+            lam = compute_lambda(sys_, probe, delta, scn.order, zsys=zsys)
+            rows.append(
+                {
+                    "probe": list(probe),
+                    "delta": delta,
+                    "volume": vol.value,
+                    "std_error": vol.std_error,
+                    "lambda": lam.value,
+                    "ratio": vol.value / lam.value if lam.value > 0 else math.inf,
+                    "rel_se": vol.std_error / vol.value if vol.value > 0 else math.inf,
+                }
+            )
     ratios = [r["ratio"] for r in rows]
     cap = scn.threshold("volume.C", 5.0)
     fitted = max(max(ratios), 1.0 / min(ratios)) if ratios else math.inf
@@ -386,7 +381,7 @@ def suite_volume(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
     return rows, verdicts
 
 
-def suite_sandwich(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_sandwich(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     gain = scn.threshold("scale.gain", 1.0)
     xi_floor = scn.threshold("sandwich.xi1", 0.01)
@@ -415,7 +410,7 @@ def suite_sandwich(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
     return rows, verdicts
 
 
-def suite_boundary_metric(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_boundary_metric(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     if not sys_.box.has_boundary:
         raise ScenarioError("boundary-metric suite needs a boundary chart", scn.path, 0)
@@ -468,7 +463,7 @@ def _anisotropic_spread(scn: Scenario, sys_: WeightedSystem, probe, factor: floa
     return np.maximum(np.abs(ends - np.asarray(probe)).max(axis=0) * factor, 1e-3)
 
 
-def suite_equivalence(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_equivalence(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     aug = sys_.augmented((1, 2)) if sys_.r >= 2 else sys_
     cap = scn.threshold("equivalence.C", 3.0)
@@ -479,21 +474,21 @@ def suite_equivalence(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
             scn, per, spread=_anisotropic_spread(scn, sys_, probe), around=probe
         )
 
-    def one(pair):
-        a, b = pair
+    rows = []
+    for a, b in pairs:
         base = cc_distance(sys_, a, b, mode="intrinsic", tol=0.08, seed=scn.seed)
         other = cc_distance(aug, a, b, mode="intrinsic", tol=0.08, seed=scn.seed)
         mid_b, mid_o = base.midpoint(), other.midpoint()
         ratio = max(mid_b / mid_o, mid_o / mid_b) if mid_b > 0 and mid_o > 0 else math.inf
-        return {
-            "pair_a": list(a),
-            "pair_b": list(b),
-            "rho_base": [base.lower, base.upper],
-            "rho_augmented": [other.lower, other.upper],
-            "ratio": ratio,
-        }
-
-    rows = _parallel(one, pairs, jobs)
+        rows.append(
+            {
+                "pair_a": list(a),
+                "pair_b": list(b),
+                "rho_base": [base.lower, base.upper],
+                "rho_augmented": [other.lower, other.upper],
+                "ratio": ratio,
+            }
+        )
     ratios = [r["ratio"] for r in rows]
     verdicts = [
         {
@@ -517,7 +512,7 @@ def suite_equivalence(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
     return rows, verdicts
 
 
-def suite_topology(scn: Scenario, jobs: int = 1) -> tuple[list, list]:
+def suite_topology(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     mode = "intrinsic"
     rows = []
@@ -569,13 +564,6 @@ def _corner_signs(n: int):
     return out
 
 
-def _parallel(fn, units, jobs):
-    if jobs <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, units))
-
-
 _SUITE_FNS = {
     "doubling": suite_doubling,
     "volume": suite_volume,
@@ -591,10 +579,8 @@ _SUITE_FNS = {
 
 def cmd_verify(args) -> int:
     scn = load_scenario(args.scenario)
-    rows, verdicts = _SUITE_FNS[args.suite](scn, jobs=args.jobs)
-    report = make_report(
-        scn, f"verify {args.suite}", {"jobs": args.jobs, "seed": scn.seed}, rows, verdicts
-    )
+    rows, verdicts = _SUITE_FNS[args.suite](scn)
+    report = make_report(scn, f"verify {args.suite}", {"seed": scn.seed}, rows, verdicts)
     emit(report, args.out)
     return 0 if report["pass"] else 2
 
@@ -785,7 +771,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run a verification suite")
     add_common(p)
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("check", help="certify the Hormander condition")

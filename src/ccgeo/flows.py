@@ -4,6 +4,9 @@ All integration is fixed-step RK4 so that repeated runs produce
 byte-identical output; the error budget of the toolkit is dominated by
 sampling, not by the integrator.  Trajectories that leave the guarded
 chart (the domain box inflated by 25%) abort with FlowExcursionError.
+The step `_rk4_step` and the control velocity `_control_velocity` are
+shared with the control integrator and the grid oracle in `ccmetric`,
+each of which keeps its own guard.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hormander import Box, WeightedSystem
+from .hormander import Box
 from .symexpr import VField
 
 __all__ = [
@@ -21,7 +24,6 @@ __all__ = [
     "BracketWordFlow",
     "rk4_flow",
     "exp_flow",
-    "exp_flow_many",
     "commutator_flow_C",
     "flow_D",
     "flow_E",
@@ -51,12 +53,27 @@ class FlowConfig:
         if self.guard_factor <= 0:
             raise ValueError("guard factor must be positive")
 
-    @classmethod
-    def for_system(cls, sys: WeightedSystem, steps_per_unit: int = 256) -> "FlowConfig":
-        return cls(box=sys.box, steps_per_unit=steps_per_unit)
-
     def with_steps(self, steps_per_unit: int) -> "FlowConfig":
         return replace(self, steps_per_unit=steps_per_unit)
+
+
+def _rk4_step(velocity, y: np.ndarray, dt) -> np.ndarray:
+    """One classical RK4 step of y' = velocity(y); dt is a scalar or (B, 1)."""
+    k1 = velocity(y)
+    k2 = velocity(y + 0.5 * dt * k1)
+    k3 = velocity(y + 0.5 * dt * k2)
+    k4 = velocity(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _control_velocity(vfs, a: np.ndarray):
+    """Velocity sum_j a[:, j] W_j(y) of per-row control coefficients a (B, r)."""
+
+    def vel(pts):
+        w = np.stack([vf.eval_many(pts) for vf in vfs], axis=1)  # (B, r, n)
+        return np.einsum("br,brn->bn", a, w)
+
+    return vel
 
 
 def _guard_ok(cfg: FlowConfig, pts: np.ndarray) -> np.ndarray:
@@ -84,11 +101,7 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | No
         n_steps = max(1, math.ceil(tmax * cfg.steps_per_unit))
     dt = (t / n_steps)[:, None]
     for _ in range(n_steps):
-        k1 = velocity(y)
-        k2 = velocity(y + 0.5 * dt * k1)
-        k3 = velocity(y + 0.5 * dt * k2)
-        k4 = velocity(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4_step(velocity, y, dt)
         ok = _guard_ok(cfg, y)
         if not np.all(ok):
             bad = int(np.argmin(ok))
@@ -96,17 +109,9 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | No
     return y[0] if single else y
 
 
-def field_velocity(vf: VField):
-    return lambda pts: vf.eval_many(pts)
-
-
 def exp_flow(X: VField, t: float, p, cfg: FlowConfig) -> np.ndarray:
     """Endpoint of the flow e^{tX} p."""
-    return rk4_flow(field_velocity(X), np.asarray(p, dtype=float), t, cfg)
-
-
-def exp_flow_many(X: VField, times, pts: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    return rk4_flow(field_velocity(X), pts, times, cfg)
+    return rk4_flow(X.eval_many, np.asarray(p, dtype=float), t, cfg)
 
 
 def commutator_flow_C(l: int, t: float, S, p, cfg: FlowConfig) -> np.ndarray:

@@ -70,22 +70,13 @@ class Box:
             if self.has_boundary and i == self.dim - 1:
                 lo = max(lo, 0.0)
             axes.append(np.linspace(lo, hi, per_axis))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _grid(axes)
 
-    def boundary_grid(self, per_axis: int = 11) -> np.ndarray:
-        """Grid on the boundary slice {x_n = 0}."""
-        if not self.has_boundary:
-            raise ValueError("chart has no boundary")
-        axes = [
-            np.linspace(c - h, c + h, per_axis)
-            for h, c in zip(self.half_widths[:-1], self.center[:-1])
-        ]
-        if not axes:
-            return np.zeros((1, 1))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        return np.hstack([pts, np.zeros((len(pts), 1))])
+
+def _grid(axes) -> np.ndarray:
+    """Cartesian product of 1-D coordinate axes, one point per row (last axis fastest)."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -235,25 +226,61 @@ def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
     return WeightedSystem(tuple(kept), sys.box, sys.density, words=tuple(words))
 
 
-def _subset_dets(columns: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """|det| for each column subset; columns has shape (q, ..., n)."""
-    mats = columns[combos]  # (n_combos, n, ..., n)
-    mats = np.moveaxis(mats, 1, -1)  # (..., n, n) with subset as last axis
-    return np.abs(np.linalg.det(mats))
+def _max_subset_det(cols, delta=None, degrees=None, density=1.0, require=None):
+    """Largest density * |det| * delta**(sum of degrees) over n-column subsets.
+
+    cols has shape (q, ..., n): q candidate columns evaluated at a batch of
+    points (the middle axes, possibly none).  Subsets are n-combinations of
+    the columns, each forming the matrix with those columns in increasing
+    index order; with `require`, only subsets containing that column count.
+    Without `delta` the weight is 1.  The scan is exhaustive up to
+    EXHAUSTIVE_LIMIT candidates and greedy above, one point at a time.
+    Returns (best, witness) with shapes (...) and (..., n); the witness is
+    the first maximizing subset in lexicographic order (exhaustive case).
+    """
+    cols = np.asarray(cols, dtype=float)
+    q, n, batch = len(cols), cols.shape[-1], cols.shape[1:-1]
+    if q < n:
+        return np.zeros(batch), np.zeros(batch + (0,), dtype=int)
+    degs = None if delta is None else np.array(degrees)
+
+    def value(c, combo):
+        w = 1.0 if delta is None else float(delta ** degs[combo].sum())
+        return density * np.abs(np.linalg.det(np.moveaxis(c[combo], 0, -1))) * w
+
+    if q > EXHAUSTIVE_LIMIT:
+        colw = np.ones(q) if delta is None else np.array([float(delta**d) for d in degs])
+        best, witness = np.zeros(batch), np.zeros(batch + (n,), dtype=int)
+        for i in np.ndindex(batch):
+            c = cols[(slice(None),) + i]
+            _, witness[i] = _greedy_witness(c * colw[:, None], n, np.random.default_rng(0), require)
+            best[i] = value(c, witness[i])
+        return best, witness
+    combos = np.array(list(itertools.combinations(range(q), n)))
+    if require is not None:
+        combos = combos[(combos == require).any(axis=1)]
+    vals = np.stack([value(cols, c) for c in combos])  # (C, ...)
+    k = np.argmax(vals, axis=0)
+    return np.take_along_axis(vals, k[None], 0)[0], combos[k]
 
 
-def _greedy_witness(cols: np.ndarray, n: int, rng: np.random.Generator) -> tuple[float, tuple[int, ...]]:
-    """Volume-maximizing greedy pivot selection with random restarts."""
+def _greedy_witness(
+    cols: np.ndarray, n: int, rng: np.random.Generator, require: int | None = None
+) -> tuple[float, tuple[int, ...]]:
+    """Volume-maximizing greedy pivot selection with random restarts.
+
+    cols has shape (q, n); a required column is picked first.
+    """
     q = len(cols)
     best_det, best_idx = 0.0, tuple(range(n))
     for restart in range(3):
         order = np.arange(q) if restart == 0 else rng.permutation(q)
         chosen: list[int] = []
         basis = np.zeros((n, 0))
-        for _ in range(n):
+        for step in range(n):
             resid = cols[order].T - basis @ (basis.T @ cols[order].T)
             norms = np.linalg.norm(resid, axis=0)
-            k = int(np.argmax(norms))
+            k = int(np.argmax(norms)) if step or require is None else int(np.flatnonzero(order == require)[0])
             if norms[k] <= 0:
                 break
             chosen.append(int(order[k]))
@@ -286,13 +313,8 @@ def check_span_at(entries: list[CommutatorEntry], p, order: int | None = None) -
     if len(cols) < n:
         return HormanderCertificate(p, order, 0.0, (), False)
     col_scale = float(np.linalg.norm(cols, axis=1).max())
-    if len(cols) <= EXHAUSTIVE_LIMIT:
-        combos = np.array(list(itertools.combinations(range(len(cols)), n)))
-        dets = np.abs(np.linalg.det(cols[combos].transpose(0, 2, 1)))
-        k = int(np.argmax(dets))
-        gamma0, witness = float(dets[k]), tuple(combos[k])
-    else:
-        gamma0, witness = _greedy_witness(cols, n, np.random.default_rng(0))
+    best, witness = _max_subset_det(cols)
+    gamma0 = float(best)
     valid = col_scale > 0 and gamma0 > DET_FLOOR * max(col_scale, 1e-300) ** n
     return HormanderCertificate(p, order, gamma0, tuple(live_idx[i] for i in witness), valid)
 
@@ -318,17 +340,9 @@ def check_hormander(
         n = sys.n
         cols = np.stack([e.field.eval_many(pts) for e in entries])  # (q, P, n)
         col_scale = np.linalg.norm(cols, axis=2).max(axis=0)  # (P,)
-        q = len(entries)
-        if q < n:
+        if len(entries) < n:
             continue
-        best = np.zeros(len(pts))
-        if q <= EXHAUSTIVE_LIMIT:
-            for combo in itertools.combinations(range(q), n):
-                mats = np.stack([cols[j] for j in combo], axis=-1)  # (P, n, n)
-                best = np.maximum(best, np.abs(np.linalg.det(mats)))
-        else:
-            for i, p in enumerate(pts):
-                best[i], _ = _greedy_witness(cols[:, i, :], n, np.random.default_rng(0))
+        best, _ = _max_subset_det(cols)
         ok = best > DET_FLOOR * np.maximum(col_scale, 1e-300) ** n
         if np.all(ok):
             return HormanderReport(True, m, float(best.min()))

@@ -88,9 +88,6 @@ class Expr:
     def subst(self, i: int, value: float) -> "Expr":
         return _subst(self, i, float(value))
 
-    def max_var(self) -> int:
-        return _max_var(self)
-
     def __str__(self) -> str:
         return to_string(self)
 

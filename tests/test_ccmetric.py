@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ccgeo import ccmetric
 from ccgeo.ccmetric import (
     ControlPath,
     cc_distance,
     integrate_control,
+    integrate_controls,
     oracle_distance,
     reach_graph,
     sample_ball,
@@ -67,6 +69,22 @@ def test_integrate_control_grushin_flow():
     np.testing.assert_allclose(end, [0.999, 0.0], atol=1e-10)
 
 
+def test_integrate_controls_freezes_rows_that_leave_the_guard_box():
+    # Box half width 1, guard box 1.25.  Row 0 moves along x1 at speed
+    # 0.9 * 2 = 1.8; RK4 is exact on a constant field, so its steps land on
+    # multiples of 1.8 / 8 = 0.225 and the last one inside the guard box is
+    # 1.125.  Row 1 stays well inside and must finish normally.
+    sys = WeightedSystem(
+        fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, 1", 2), 1)),
+        box=Box((1.0, 1.0)),
+    )
+    coeffs = np.array([[[0.9, 0.0]], [[0.1, 0.1]]])
+    ends, feasible = integrate_controls(sys, (0.0, 0.0), 2.0, coeffs, mode="extrinsic", steps_per_segment=8)
+    assert list(feasible) == [False, True]
+    np.testing.assert_allclose(ends[0], [1.125, 0.0], atol=1e-12)
+    np.testing.assert_allclose(ends[1], [0.2, 0.2], atol=1e-12)
+
+
 def test_integrate_control_rejects_inadmissible():
     sys = elliptic_half_plane()
     with pytest.raises(ValueError):
@@ -122,6 +140,19 @@ def test_oracle_same_point():
     sys = elliptic_half_plane()
     est = oracle_distance(sys, (0.1, 0.2), (0.1, 0.2))
     assert est.lower == est.upper == 0.0
+
+
+def test_oracle_unresolved_when_target_within_arrival_tolerance(monkeypatch):
+    # |x - y| = 0.01 <= 0.75 * resolution: every scale would "reach" y at
+    # cost 0, so the oracle must give the unresolved interval without
+    # building a graph (it used to bisect ~1070 times down to [0, 0]).
+    def no_run(*args, **kwargs):
+        raise AssertionError("no graph search expected")
+
+    monkeypatch.setattr(ccmetric.ReachGraph, "run", no_run)
+    sys = heisenberg_half()
+    est = oracle_distance(sys, (0.0, 0.0, 0.5), (0.0, 0.01, 0.5), mode="extrinsic", resolution=0.02)
+    assert est.lower == 0.0 and est.upper == math.inf
 
 
 def test_oracle_heisenberg_vertical_regression():

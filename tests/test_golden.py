@@ -1,0 +1,40 @@
+"""Byte-identity pins for seeded commands.
+
+Each command runs through `ccgeo.cli.main`; the sha256 of its stdout and
+its exit code are pinned.  The commands pass through the RK4 integrators,
+the subset-determinant scans and the grid builders, so a refactor of any
+of them that moves one digit of a report shows here.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from ccgeo.cli import main
+
+GOLDEN = {
+    "check heisenberg": (0, "d4f97ac04d7059b10cb83f308505a5ea370c3a9a5d831ed68ca65ca989cb8380"),
+    "ball grushin_straightened --x 0.5 0.0 --delta 0.2 --samples 200": (
+        0, "a8b61838f24431798b9aeed4882efd6d1df55da1b9382927eb90ce7a47d7ce88"),
+    "volume elliptic --x 0.0 0.5 --delta 0.1 --samples 2000": (
+        0, "cbacd36865e4cb2bc74bd3e2a65de80486b52ed3814854b0799de0fe60037213"),
+    "volume grushin --x 0.5 0.0 --delta 0.1 --samples 2000": (
+        0, "8df3ab9c16ce69ae39e107595f61f661387ad934b1f765c8afc059ede67d8ac5"),
+    "scale grushin_straightened --x 0.5 0.0 --delta 0.1": (
+        0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
+    "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
+        0, "8ce7f1aeb4517e0e6a9ccabf6f07d9cccaea10f25bf0cc481990f7211080f5e5"),
+    "boundary grushin_straightened --x 0.5 0.0": (
+        0, "0989c430ef1cfc8a67132b4ba1da4f7248e488a032cd90d9e4879dc57841e58f"),
+    "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
+        2, "188089fe9338f027e2edb49002dc2f554823f82c42a3989f8c0dcddbcebd8fae"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_digest(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split())
+    assert (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == GOLDEN[command]

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ccgeo.hormander import (
+    EXHAUSTIVE_LIMIT,
     Box,
     WeightedSystem,
+    _greedy_witness,
+    _max_subset_det,
     build_Z_system,
     check_hormander,
     check_span_at,
@@ -170,11 +175,70 @@ def test_exhaustive_matches_greedy():
         box=Box((1.0, 1.0, 1.0), has_boundary=True),
     )
     entries = [e for e in enumerate_commutators(sys, 2) if not e.is_zero]
-    from ccgeo.hormander import _greedy_witness
-
     rng = np.random.default_rng(0)
     for p in [(0.0, 0.0, 0.0), (0.4, -0.2, 0.7)]:
         cert = check_span_at(entries, p)
         cols = np.array([e.field.eval_at(p) for e in entries])
         g, _ = _greedy_witness(cols, 3, rng)
         assert g == pytest.approx(cert.gamma0, abs=1e-10)
+
+    # Weighted, above EXHAUSTIVE_LIMIT: the scan goes greedy on the
+    # delta^d-scaled columns.  Large high-degree columns win unweighted
+    # but lose to the unit axes once weighted.
+    q = EXHAUSTIVE_LIMIT + 2
+    cols = np.vstack([np.eye(3), 5.0 * rng.standard_normal((q - 3, 3))])
+    degs = [1, 1, 2] + [4] * (q - 3)
+    best, witness = _max_subset_det(cols, 0.1, degs)
+    ref_best, ref_witness = _reference_scan(cols, 0.1, degs)
+    assert tuple(witness) == ref_witness == (0, 1, 2)
+    assert best == ref_best
+    assert tuple(_max_subset_det(cols)[1]) != (0, 1, 2)  # the weights decide
+    assert 5 in _max_subset_det(cols, 0.1, degs, require=5)[1]
+
+
+def _reference_scan(cols, delta=None, degs=None, density=1.0, require=None):
+    """Per-matrix determinants over itertools.combinations, first maximum."""
+    q, n = cols.shape
+    best, arg = -1.0, None
+    for combo in itertools.combinations(range(q), n):
+        if require is not None and require not in combo:
+            continue
+        idx = np.array(combo)
+        w = 1.0 if delta is None else float(delta ** np.array(degs)[idx].sum())
+        val = density * abs(np.linalg.det(cols[idx].T)) * w
+        if val > best:
+            best, arg = val, combo
+    return best, arg
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 5), (3, 4), (3, 7), (4, 9)])
+def test_subset_scan_matches_reference_bit_for_bit(n, q):
+    rng = np.random.default_rng([n, q])
+    for _ in range(20):
+        cols = rng.standard_normal((q, n))
+        best, witness = _max_subset_det(cols)
+        assert (float(best), tuple(witness)) == _reference_scan(cols)
+        degs = rng.integers(1, 4, size=q)
+        delta, h = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.5, 2.0))
+        best, witness = _max_subset_det(cols, delta, degs, density=h)
+        assert (float(best), tuple(witness)) == _reference_scan(cols, delta, degs, h)
+        j = int(rng.integers(q))
+        best, witness = _max_subset_det(cols, delta, degs, require=j)
+        assert (float(best), tuple(witness)) == _reference_scan(cols, delta, degs, require=j)
+
+
+def test_subset_scan_batched_over_points_matches_per_point():
+    rng = np.random.default_rng(5)
+    cols = rng.standard_normal((6, 4, 5, 3))  # q = 6 columns on a 4 x 5 batch in R^3
+    degs = [1, 1, 2, 2, 3, 3]
+    for kw in ({}, {"delta": 0.3, "degrees": degs}):
+        best, witness = _max_subset_det(cols, **kw)
+        assert best.shape == (4, 5) and witness.shape == (4, 5, 3)
+        for i in np.ndindex(4, 5):
+            ref = _reference_scan(cols[(slice(None),) + i], kw.get("delta"), kw.get("degrees"))
+            assert (float(best[i]), tuple(witness[i])) == ref
+
+
+def test_subset_scan_too_few_columns():
+    best, witness = _max_subset_det(np.ones((2, 7, 3)))
+    assert np.all(best == 0.0) and witness.shape == (7, 0)

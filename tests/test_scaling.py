@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,28 @@ def test_select_basis_distinguished_slot_last():
     fields = tang + [(x0f, d0)]
     idx = select_basis(fields, (0.5, 0.0), 0.1, zeta=0.75, distinguished=len(fields) - 1)
     assert idx[-1] == len(fields) - 1
+
+
+def test_select_basis_distinguished_slot_matches_reference():
+    # Constant random fields in R^3 with mixed degrees; the reference scans
+    # itertools.combinations with per-matrix determinants, keeping subsets
+    # that contain the distinguished column.
+    rng = np.random.default_rng(11)
+    for trial in range(10):
+        q = 6
+        cols = rng.standard_normal((q, 3))
+        degs = rng.integers(1, 4, size=q)
+        fields = [(parse_vfield(", ".join(repr(float(v)) for v in c), 3), int(d)) for c, d in zip(cols, degs)]
+        j = trial % q
+        delta = 0.2
+        vals = {}
+        for combo in itertools.combinations(range(q), 3):
+            idx = np.array(combo)
+            vals[combo] = abs(np.linalg.det(cols[idx].T)) * float(delta ** degs[idx].sum())
+        pool = {c: v for c, v in vals.items() if j in c}
+        best = max(pool, key=lambda c: pool[c])
+        idx = select_basis(fields, (0.0, 0.0, 0.0), delta, zeta=1e-6, distinguished=j)
+        assert idx == tuple(i for i in best if i != j) + (j,)
 
 
 def test_select_basis_hysteresis():
