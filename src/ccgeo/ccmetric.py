@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import _control_velocity, _rk4_step
+from .flows import _control_velocity, _field_stack, _rk4_step
 from .hormander import WeightedSystem
 
 __all__ = [
@@ -329,7 +329,7 @@ class ReachGraph:
             while frontier:
                 P = np.array([p for p, _ in frontier])
                 C = np.array([c for _, c in frontier])
-                W = np.stack([vf.eval_many(P) for vf in vfs], axis=1)  # (F, r, n)
+                W = _field_stack(vfs, P)  # (F, r, n)
                 V = np.einsum("dr,frn->fdn", self.dirs, factors[None, :, None] * W)
                 rates = (np.abs(V) / self.res).max(axis=2) * self.speed_scale  # (F, D)
                 remaining = (self.budget - C)[:, None]

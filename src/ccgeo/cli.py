@@ -238,7 +238,7 @@ def make_report(scn: Scenario, command: str, params: dict, rows: list, verdicts:
 
 
 def emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=1, default=float)
+    text = json.dumps(report, sort_keys=True, indent=1, default=lambda v: bool(v) if isinstance(v, np.bool_) else float(v))
     if out is None:
         print(text)
         return
@@ -633,7 +633,7 @@ def cmd_dist(args) -> int:
     if args.oracle:
         orc = oracle_distance(sys_, x, y, mode=args.mode, resolution=args.resolution, order=scn.order)
         rows.append({"x": list(x), "y": list(y), "lower": orc.lower, "upper": orc.upper, "method": orc.method})
-        agree = est.intersects(orc, slack=0.05 * max(1e-9, orc.upper if math.isfinite(orc.upper) else est.upper))
+        agree = math.isfinite(est.upper) and math.isfinite(orc.upper) and est.intersects(orc, slack=0.05 * max(1e-9, orc.upper))
         report = make_report(scn, "dist", _dist_params(args), rows, [{"check": "shooting interval intersects oracle", "pass": agree}])
         emit(report, args.out)
         return 0 if agree else 2

@@ -4,9 +4,9 @@ All integration is fixed-step RK4 so that repeated runs produce
 byte-identical output; the error budget of the toolkit is dominated by
 sampling, not by the integrator.  Trajectories that leave the guarded
 chart (the domain box inflated by 25%) abort with FlowExcursionError.
-The step `_rk4_step` and the control velocity `_control_velocity` are
-shared with the control integrator and the grid oracle in `ccmetric`,
-each of which keeps its own guard.
+The step `_rk4_step`, the field stack `_field_stack` and the control
+velocity `_control_velocity` are shared with the control integrator and
+the grid oracle in `ccmetric`, each of which keeps its own guard.
 """
 from __future__ import annotations
 
@@ -66,12 +66,16 @@ def _rk4_step(velocity, y: np.ndarray, dt) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
+    """The fields W_j at the rows of pts (B, n), stacked as (B, r, n)."""
+    return np.stack([vf.eval_many(pts) for vf in vfs], axis=1)
+
+
 def _control_velocity(vfs, a: np.ndarray):
     """Velocity sum_j a[:, j] W_j(y) of per-row control coefficients a (B, r)."""
 
     def vel(pts):
-        w = np.stack([vf.eval_many(pts) for vf in vfs], axis=1)  # (B, r, n)
-        return np.einsum("br,brn->bn", a, w)
+        return np.einsum("br,brn->bn", a, _field_stack(vfs, pts))
 
     return vel
 

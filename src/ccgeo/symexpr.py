@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +79,11 @@ class Expr:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate on an array of points with shape (..., n)."""
-        points = np.asarray(points, dtype=float)
-        out = _eval_array(self, points)
-        return np.broadcast_to(out, points.shape[:-1]).copy() if np.ndim(out) == 0 else out
+        return self._kernel(np.asarray(points, dtype=float))[..., 0]
+
+    @cached_property
+    def _kernel(self):  # built on first use; not a dataclass field, so eq, hash and str ignore it
+        return _compile((self,))
 
     def diff(self, i: int) -> "Expr":
         return _diff(self, i)
@@ -249,33 +252,49 @@ def _eval_scalar(e: Expr, p: tuple, path: tuple[int, ...]) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _eval_array(e: Expr, pts: np.ndarray):
-    # Vectorized evaluation; domain violations surface as inf/nan and are
-    # handled by callers (integration guards, feasibility masks).
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return pts[..., e.index - 1]
-    if isinstance(e, Unary):
-        v = _eval_array(e.arg, pts)
-        if e.op == "neg":
-            return -v if np.ndim(v) else -float(v)
-        with np.errstate(invalid="ignore"):
-            return _NP_FUNCS[e.op](v)
-    if isinstance(e, Binary):
-        a = _eval_array(e.lhs, pts)
-        b = _eval_array(e.rhs, pts)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return a / b
-    if isinstance(e, Power):
-        return _eval_array(e.base, pts) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+def _compile(exprs):
+    """Generate one numpy kernel P (..., n) -> out (..., len(exprs)).
+
+    Each distinct subtree (signed zeros kept apart) is one local, computed
+    once with the operation a tree walk would use: constant-only subtrees
+    stay Python/numpy scalars (`1/(1-1)` raises ZeroDivisionError), a
+    negated 0-d value is a Python float, and domain errors give inf/nan."""
+    env, lines, names = {"np": np, **_NP_FUNCS}, [], {}
+
+    def emit(e):  # -> (local name, depends on P)
+        code, varying = None, False
+        if isinstance(e, Const):
+            key = ("c", type(e.value), repr(e.value), math.copysign(1.0, e.value))
+        elif isinstance(e, Var):
+            key, code, varying = ("x", e.index), f"P[..., {e.index - 1}]", True
+        elif isinstance(e, Unary):
+            a, varying = emit(e.arg)
+            key, code = (e.op, a), f"{e.op}({a})"
+            if e.op == "neg":
+                code = f"-{a} if nd else -float({a})" if varying else f"-float({a})"
+        elif isinstance(e, Binary):
+            (a, va), (b, vb) = emit(e.lhs), emit(e.rhs)
+            key, code, varying = (e.op, a, b), f"{a} {e.op} {b}", va or vb
+        elif isinstance(e, Power):
+            a, varying = emit(e.base)
+            key, code = ("^", a, e.exponent), f"{a} ** ({e.exponent!r})"
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        if key not in names:
+            name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
+            names[key] = name, varying
+            if code is None:
+                env[name] = e.value
+            else:
+                lines.append(f"        {name} = {code}")
+        return names[key]
+
+    for k, e in enumerate(exprs):
+        lines.append(f"        out[..., {k}] = {emit(e)[0]}")
+    src = (f"def kernel(P):\n    out = np.empty(P.shape[:-1] + ({len(exprs)},))\n    nd = P.ndim > 1\n"
+           '    with np.errstate(all="ignore"):\n' + "\n".join(lines) + "\n    return out")
+    exec(compile(src, "<ccgeo kernel>", "exec"), env)
+    return env["kernel"]
 
 
 # -- differentiation and substitution -----------------------------------
@@ -516,9 +535,11 @@ class VField:
         return np.array([c.eval(point) for c in self.components], dtype=float)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        cols = [np.broadcast_to(_eval_array(c, points), points.shape[:-1]) for c in self.components]
-        return np.stack(cols, axis=-1)
+        return self._kernel(np.asarray(points, dtype=float))
+
+    @cached_property
+    def _kernel(self):  # built on first use; not a dataclass field, so eq, hash and str ignore it
+        return _compile(self.components)
 
     def is_zero(self) -> bool:
         return all(_is_const(c, 0.0) for c in self.components)

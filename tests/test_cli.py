@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ccgeo.cli import ScenarioError, load_scenario, main, parse_scenario_text
+from ccgeo.cli import ScenarioError, emit, load_scenario, main, parse_scenario_text
 
 
 def test_load_packaged_fixtures():
@@ -86,6 +87,22 @@ def test_dist_report_deterministic(tmp_path, capsys):
 
 def test_dist_oracle_cross_check():
     assert main(["dist", "elliptic", "--x", "0", "0.5", "--y", "0.25", "0.5", "--tol", "0.1", "--oracle"]) == 0
+
+
+def test_dist_oracle_cross_check_fails_on_unresolved_interval(capsys):
+    # the pair is within the oracle's arrival tolerance, so its interval is [0, inf]
+    args = ["dist", "heisenberg", "--x", "0", "0", ".5", "--y", "0", ".01", ".5", "--mode", "extrinsic", "--oracle"]
+    assert main(args) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["rows"][1]["upper"] == float("inf")
+    assert report["verdicts"] == [{"check": "shooting interval intersects oracle", "pass": False}]
+
+
+def test_emit_writes_numpy_bools_as_json_booleans(capsys):
+    emit({"pass": np.bool_(True), "fail": np.bool_(False), "x": np.float32(0.5), "n": np.int64(3)}, None)
+    text = capsys.readouterr().out
+    assert json.loads(text) == {"pass": True, "fail": False, "x": 0.5, "n": 3.0}
+    assert '"pass": true' in text and '"n": 3.0' in text
 
 
 def test_boundary_export_round_trips(tmp_path, capsys):

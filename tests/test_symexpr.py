@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccgeo import symexpr
 from ccgeo.symexpr import (
+    UNARY_FUNCS,
+    Binary,
     Const,
     EvalError,
     ParseError,
+    Power,
+    Unary,
+    Var,
     VField,
     lie_bracket,
     parse_expr,
@@ -164,3 +172,153 @@ def test_subst_restricts_boundary():
     e = parse_expr("x1*x2 + x2^2", 2)
     r = e.subst(2, 0.0)
     assert r == Const(0.0)
+
+
+# -- compiled kernels against a reference tree walk ------------------------
+
+_REF_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+
+
+def _ref_eval_array(e, pts):
+    """Per-node tree walk with the numpy/Python-scalar semantics the compiled
+    kernels must reproduce bit for bit."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return pts[..., e.index - 1]
+    if isinstance(e, Unary):
+        v = _ref_eval_array(e.arg, pts)
+        if e.op == "neg":
+            return -v if np.ndim(v) else -float(v)
+        with np.errstate(invalid="ignore"):
+            return _REF_FUNCS[e.op](v)
+    if isinstance(e, Binary):
+        a = _ref_eval_array(e.lhs, pts)
+        b = _ref_eval_array(e.rhs, pts)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a / b
+    if isinstance(e, Power):
+        return _ref_eval_array(e.base, pts) ** e.exponent
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _ref_vfield(vf, pts):
+    cols = [np.broadcast_to(_ref_eval_array(c, pts), pts.shape[:-1]) for c in vf.components]
+    return np.stack(cols, axis=-1)
+
+
+def _ref_expr(e, pts):
+    out = _ref_eval_array(e, pts)
+    return np.broadcast_to(out, pts.shape[:-1]).copy() if np.ndim(out) == 0 else out
+
+
+def _outcome(fn, *args):
+    """(result, None) or (None, exception type); numpy warnings silenced."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args), None
+    except ArithmeticError as exc:
+        return None, type(exc)
+
+
+def _assert_same_outcome(got, want):
+    (a, a_exc), (b, b_exc) = got, want
+    assert a_exc == b_exc
+    if b_exc is None:
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))  # signed zeros, nan bits
+
+
+_N = 3
+# zeros of both signs, negatives under sqrt, values whose powers overflow
+_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e200, float("inf")]
+_consts = st.builds(Const, st.sampled_from(_VALUES) | st.floats(-4.0, 4.0))
+_vars = st.builds(Var, st.integers(1, _N))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Unary, st.sampled_from(("neg",) + UNARY_FUNCS), children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(Power, children, st.integers(-3, 5)),
+    )
+
+
+_exprs = st.recursive(_consts | _vars, _extend, max_leaves=12)
+_coords = st.sampled_from(_VALUES[:7]) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _points(draw):
+    shape = draw(st.sampled_from([(5, _N), (_N,), (2, 3, _N), (0, _N)]))
+    flat = draw(st.lists(_coords, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=_N), _points())
+def test_compiled_vfield_matches_tree_walk_bit_for_bit(comps, pts):
+    comps = comps + [Const(0.0)] * (_N - len(comps))
+    vf = VField(tuple(comps))
+    _assert_same_outcome(_outcome(vf.eval_many, pts), _outcome(_ref_vfield, vf, pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, _points())
+def test_compiled_expr_matches_tree_walk_bit_for_bit(e, pts):
+    _assert_same_outcome(_outcome(e.eval_many, pts), _outcome(_ref_expr, e, pts))
+
+
+_X1 = Var(1)
+_EXAMPLES = [
+    # nested negation; signed zeros that structural equality alone would merge
+    (Unary("neg", Unary("neg", Unary("neg", _X1))), Binary("*", _X1, Const(-0.0)), Binary("*", _X1, Const(0.0))),
+    # division by zeros, sqrt of negatives, negated denominators
+    parse_vfield("1/x1, sqrt(x2-1), (-x1)/(-x2)", _N).components,
+    # shared subtrees, negative powers
+    parse_vfield("(x1+x2)^2 - (x1+x2)^2, sin(x1+x2)*cos(x1+x2), exp(-x3)^-2", _N).components,
+]
+
+
+@pytest.mark.parametrize("comps", _EXAMPLES)
+@pytest.mark.parametrize("pts", [
+    np.array([[0.0, 0.0, 1.0], [-1.0, 0.5, -0.0], [2.0, -3.0, 0.0]]),
+    np.array([0.0, 0.0, 1.0]),
+])
+def test_compiled_vfield_examples(comps, pts):
+    vf = VField(tuple(comps))
+    _assert_same_outcome(_outcome(vf.eval_many, pts), _outcome(_ref_vfield, vf, pts))
+
+
+def test_constant_only_subtree_raises_like_python_scalars():
+    zero_div = Binary("/", Const(1.0), Binary("-", Const(1.0), Const(1.0)))
+    with pytest.raises(ZeroDivisionError):
+        VField((zero_div, Var(1))).eval_many(np.zeros((4, 2)))
+    with pytest.raises(ZeroDivisionError):
+        zero_div.eval_many(np.zeros((4, 2)))
+    # a negated 0-d value is a Python float, as in the tree walk
+    with pytest.raises(ZeroDivisionError):
+        Binary("/", Const(1.0), Unary("neg", Var(1))).eval_many(np.zeros(2))
+
+
+def test_vfield_kernel_built_once_and_invisible(monkeypatch):
+    calls = []
+    real = symexpr._compile
+    monkeypatch.setattr(symexpr, "_compile", lambda exprs: calls.append(exprs) or real(exprs))
+    a = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
+    b = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
+    before = (hash(a), str(a), repr(a))
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
+    first = a.eval_many(pts)
+    assert np.array_equal(a.eval_many(pts), first)
+    a.eval_many(pts[0])
+    assert len(calls) == 1
+    assert a == b and (hash(a), str(a), repr(a)) == before == (hash(b), str(b), repr(b))
