@@ -252,13 +252,25 @@ def _move_directions(r: int) -> np.ndarray:
     return np.array(dirs)
 
 
+def _check_resolution(res, n: int) -> np.ndarray:
+    """Per-axis grid resolution; each must be finite and positive."""
+    res = np.broadcast_to(np.asarray(res, dtype=float), (n,)).copy()
+    if not np.all(np.isfinite(res) & (res > 0)):
+        raise ValueError(f"oracle resolution must be finite and positive, got {res.tolist()}")
+    return res
+
+
 class ReachGraph:
     """Shortest-time search over grid cells with short admissible flows.
 
     Edges flow one control direction at unit budget for the time needed to
-    cross one cell; costs are time.  `settled` maps cell keys to (cost,
-    representative exact point), giving a reusable membership test for the
-    reachable set within the time budget.
+    cross one cell; costs are time.  Cells are keyed by int64 linear
+    indices into the chart box's cell range plus a one-cell margin.  A run
+    that ends without reaching a target leaves `settled`, the sorted keys
+    of the reached cells, with `settled_cost` (their best costs) and
+    `settled_pts` (one representative exact point per cell) aligned to
+    it; this gives a reusable membership test for the reachable set
+    within the time budget.  Before such a run the three are empty.
     """
 
     def __init__(
@@ -276,17 +288,40 @@ class ReachGraph:
         self.x0 = np.asarray(x, dtype=float)
         self.delta = float(delta)
         self.mode = _check_mode(mode)
-        self.res = np.broadcast_to(np.asarray(res, dtype=float), (sys.n,)).copy()
+        self.res = _check_resolution(res, sys.n)
         self.budget = float(budget)
         self.speed_scale = float(speed_scale)
         self.max_cells = max_cells
         self.factors = np.array([delta**d for d in sys.degrees])
         self.dirs = _move_directions(sys.r)
-        self.settled: dict[tuple, tuple[float, np.ndarray]] = {}
-        self._ran = False
+        # arrivals pass Box.contains, so their indices lie in the box's range
+        c = np.asarray(sys.box.center, dtype=float)
+        hw = np.asarray(sys.box.half_widths, dtype=float) + 1e-9
+        self._cells, self._halves = (self._index_range(c - hw, c + hw, s) for s in (1.0, 2.0))
+        self.settled = np.empty(0, dtype=np.int64)
+        self.settled_cost = np.empty(0)
+        self.settled_pts = np.empty((0, sys.n))
 
-    def _cell(self, p: np.ndarray) -> tuple:
-        return tuple(np.floor((p - self.x0) / self.res + 0.5).astype(int))
+    def _index(self, p: np.ndarray, scale: float) -> np.ndarray:
+        """Grid indices (as floats) of points on the 1/scale cell grid."""
+        return np.floor((p - self.x0) / self.res * scale + 0.5)
+
+    def _index_range(self, lo_pt, hi_pt, scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Lowest index and shape of the index range of a box, one-cell margin."""
+        lo = self._index(lo_pt, scale) - 1
+        hi = self._index(hi_pt, scale) + 1
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError(f"oracle grid around {self.x0.tolist()} at resolution {self.res.tolist()} is not finite")
+        shape = tuple(int(v) for v in hi - lo + 1)
+        if math.prod(shape) > np.iinfo(np.int64).max:
+            raise ValueError(f"oracle grid of {shape} cells does not fit int64 keys; coarsen the resolution")
+        return lo, shape
+
+    @staticmethod
+    def _keys(idx: np.ndarray, grid) -> np.ndarray:
+        """Linear int64 keys of in-range grid indices."""
+        lo, shape = grid
+        return np.ravel_multi_index(tuple((idx - lo).astype(np.int64).T), shape)
 
     def _feasible_state(self, p: np.ndarray) -> bool:
         if not np.all(np.isfinite(p)):
@@ -317,18 +352,19 @@ class ReachGraph:
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
 
-        dist: dict[tuple, float] = {self._cell(self.x0): 0.0}
-        pts: dict[tuple, np.ndarray] = {self._cell(self.x0): self.x0}
+        x0 = self.x0[None]
+        cell_keys = self._keys(self._index(x0, 1.0), self._cells)
+        cell_cost, cell_pts = np.zeros(1), x0.copy()
         # expansion frontier: (position, cost) arrivals, deduplicated on a
         # half-cell grid; arrivals within one move quantum of their
         # cell's best cost still expand, so well-positioned but slightly
         # costlier through-paths are not starved by near-corner arrivals
-        frontier: list[tuple[np.ndarray, float]] = [(self.x0, 0.0)]
-        qbest: dict[tuple, float] = {}
+        P, C = x0, np.zeros(1)
+        half_keys, half_cost = np.empty(0, dtype=np.int64), np.empty(0)
+        rounds = 0
         with np.errstate(all="ignore"):
-            while frontier:
-                P = np.array([p for p, _ in frontier])
-                C = np.array([c for _, c in frontier])
+            while len(P):
+                rounds += 1
                 W = _field_stack(vfs, P)  # (F, r, n)
                 V = np.einsum("dr,frn->fdn", self.dirs, factors[None, :, None] * W)
                 rates = (np.abs(V) / self.res).max(axis=2) * self.speed_scale  # (F, D)
@@ -354,28 +390,39 @@ class ReachGraph:
                     hit = ok & (d_target <= tol)
                     if hit.any():
                         return True, float(costs[hit].min())
-                keys = np.floor((Y - self.x0) / self.res + 0.5).astype(int)
-                qpos = np.floor((Y - self.x0) / self.res * 2.0 + 0.5).astype(int)
-                next_frontier: dict[tuple, tuple[np.ndarray, float]] = {}
-                for m in np.nonzero(ok)[0]:
-                    key = tuple(keys[m])
-                    c2 = float(costs[m])
-                    cur = dist.get(key)
-                    if cur is None or c2 < cur - 1e-12:
-                        dist[key] = c2
-                        pts[key] = Y[m]
-                    elif c2 > cur + tau[m] + 1e-12:
-                        continue  # dominated beyond one move quantum
-                    fkey = tuple(qpos[m])
-                    if c2 >= qbest.get(fkey, math.inf) - 1e-12:
-                        continue
-                    qbest[fkey] = c2
-                    next_frontier[fkey] = (Y[m], c2)
-                if len(dist) > self.max_cells:
-                    raise RuntimeError("oracle cell budget exceeded; coarsen the resolution")
-                frontier = list(next_frontier.values())
-        self.settled = {k: (dist[k], pts[k]) for k in dist}
-        self._ran = True
+                m = np.flatnonzero(ok)
+                Y, costs, tau = Y[m], costs[m], tau[m]
+
+                # cells: a cheaper arrival becomes the cell's representative;
+                # one dominated beyond one move quantum does not expand
+                keys, group, ranks = _group(self._keys(self._index(Y, 1.0), self._cells))
+                pos, found, best = _lookup(cell_keys, cell_cost, keys)
+                seen, improved, _, last = _relax(costs, group, ranks, best)
+                expand = np.flatnonzero(improved | ~(costs > seen + tau + 1e-12))
+                cell_keys, (cell_cost, cell_pts) = _merge(
+                    cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, Y[last])
+                )
+
+                # half-cells: an expanding arrival joins the next frontier
+                # when it improves its half-cell's best cost; the frontier
+                # keeps the order of first acceptance and the last accepted
+                # arrival of each half-cell
+                Y, costs = Y[expand], costs[expand]
+                keys, group, ranks = _group(self._keys(self._index(Y, 2.0), self._halves))
+                pos, found, best = _lookup(half_keys, half_cost, keys)
+                _, _, first, last = _relax(costs, group, ranks, best)
+                half_keys, (half_cost,) = _merge(half_keys, (half_cost,), keys, pos, found, last >= 0, (best,))
+                accepted = np.flatnonzero(last >= 0)
+                nxt = last[accepted[np.argsort(first[accepted], kind="stable")]]
+                P, C = Y[nxt], costs[nxt]
+
+                if len(cell_keys) > self.max_cells:
+                    raise RuntimeError(
+                        f"oracle cell budget exceeded: {len(cell_keys)} cells settled, max_cells "
+                        f"{self.max_cells}, after {rounds} frontier rounds at resolution "
+                        f"{self.res.tolist()}; coarsen the resolution"
+                    )
+        self.settled, self.settled_cost, self.settled_pts = cell_keys, cell_cost, cell_pts
         return False, math.inf
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
@@ -385,19 +432,93 @@ class ReachGraph:
         settled, absorbing quantization at the set's surface.
         """
         points = np.asarray(points, dtype=float)
-        keys = np.floor((points - self.x0) / self.res + 0.5).astype(int)
-        out = np.fromiter(
-            (tuple(k) in self.settled for k in keys), count=len(keys), dtype=bool
-        )
+        idx = self._index(points, 1.0)
+        out = self._settled_at(idx)
         if dilate > 0:
-            offsets = list(itertools.product(range(-dilate, dilate + 1), repeat=points.shape[1]))
-            for i in np.nonzero(~out)[0]:
-                base = keys[i]
-                if any(tuple(base + np.array(o)) in self.settled for o in offsets):
-                    out[i] = True
+            miss = np.flatnonzero(~out)
+            for o in itertools.product(range(-dilate, dilate + 1), repeat=points.shape[1]):
+                out[miss] |= self._settled_at(idx[miss] + np.array(o))
         if self.mode == "intrinsic" and self.sys.box.has_boundary:
             out &= points[:, -1] >= -BOUNDARY_TOL
         return out
+
+    def _settled_at(self, idx: np.ndarray) -> np.ndarray:
+        """Whether each cell index (float, any value) is a settled cell."""
+        lo, shape = self._cells
+        inside = np.all((idx >= lo) & (idx < lo + shape), axis=1)
+        out = np.zeros(len(idx), dtype=bool)
+        out[inside] = _lookup(self.settled, self.settled_cost, self._keys(idx[inside], self._cells))[1]
+        return out
+
+
+def _group(keys: np.ndarray):
+    """Group arrivals by key, keeping arrival order within each group.
+
+    Returns the sorted distinct keys, each arrival's group index, and the
+    arrivals split by rank: batch r holds the r-th arrival of every group
+    that has more than r.
+    """
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    new = np.empty(len(sk), dtype=bool)
+    new[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    gs = np.cumsum(new) - 1
+    rank = np.arange(len(sk)) - starts[gs]
+    group = np.empty(len(sk), dtype=np.intp)
+    group[order] = gs
+    counts = np.bincount(rank)
+    ranks = np.split(order[np.argsort(rank, kind="stable")], np.cumsum(counts)[:-1])
+    return sk[starts], group, ranks
+
+
+def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
+    """Positions of keys in a sorted store, their presence, and stored costs (inf if absent)."""
+    pos = np.searchsorted(store_keys, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    inb = pos < len(store_keys)
+    found[inb] = store_keys[pos[inb]] == keys[inb]
+    best = np.full(len(keys), math.inf)
+    best[found] = store_cost[pos[found]]
+    return pos, found, best
+
+
+def _relax(costs: np.ndarray, group: np.ndarray, ranks, best: np.ndarray):
+    """Replay `if c < best - 1e-12: best = c` over arrivals in order, per group.
+
+    Each rank batch holds at most one arrival per group, so one vectorized
+    step per rank sees exactly the best cost the group's earlier arrivals
+    left, as the sequential loop would.  `best` is updated in place.
+    Returns each arrival's best-before and improved flag, and per group the
+    first and last improving arrival (-1 for none).
+    """
+    seen = np.empty(len(costs))
+    improved = np.empty(len(costs), dtype=bool)
+    first = np.full(len(best), -1, dtype=np.intp)
+    last = np.full(len(best), -1, dtype=np.intp)
+    for e in ranks:
+        g, c = group[e], costs[e]
+        b = best[g]
+        up = c < b - 1e-12
+        seen[e], improved[e] = b, up
+        best[g] = np.where(up, c, b)
+        gu, eu = g[up], e[up]
+        fresh = first[gu] < 0
+        first[gu[fresh]] = eu[fresh]
+        last[gu] = eu
+    return seen, improved, first, last
+
+
+def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple):
+    """Write the selected groups' values into a sorted store, inserting new keys."""
+    old, new = sel & found, sel & ~found
+    for col, v in zip(cols, vals):
+        col[pos[old]] = v[old]
+    ins = pos[new]
+    return np.insert(store_keys, ins, keys[new]), tuple(
+        np.insert(col, ins, v[new], axis=0) for col, v in zip(cols, vals)
+    )
 
 
 def reach_graph(
@@ -436,6 +557,7 @@ def oracle_distance(
     (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
     cannot resolve the distance and the interval is [0, inf].
     """
+    _check_resolution(resolution, sys.n)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     params = {"resolution": resolution, "delta_max": delta_max, "mode": mode, "order": order}
@@ -703,7 +825,7 @@ def ball_volume(
     spread = np.abs(pts - x).max(axis=0)
     res = np.maximum(2.0 * spread / resolution_cells, delta * 1e-4)
     graph = reach_graph(sys, x, delta, mode, res=res)
-    reached = np.array([p for _, p in graph.settled.values()])
+    reached = graph.settled_pts
     lo, hi = reached.min(axis=0) - res, reached.max(axis=0) + res
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = np.maximum(half * 1.2, delta * 1e-3)

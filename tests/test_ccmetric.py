@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from ccgeo import ccmetric
 from ccgeo.ccmetric import (
+    BOUNDARY_TOL,
     ControlPath,
+    ReachGraph,
     cc_distance,
     integrate_control,
     integrate_controls,
@@ -13,6 +16,7 @@ from ccgeo.ccmetric import (
     reach_graph,
     sample_ball,
 )
+from ccgeo.flows import _control_velocity, _field_stack, _rk4_step
 from ccgeo.hormander import Box, WeightedSystem
 from ccgeo.symexpr import parse_vfield
 
@@ -233,3 +237,165 @@ def test_degree_reduction_containment():
     graph = reach_graph(weighted, (0.3, 0.0), delta ** 0.5, res=(0.02, 0.02))
     inside = graph.contains(cloud.feasible_endpoints())
     assert inside.mean() >= 0.99
+
+
+# -- ReachGraph against the per-arrival dict loop it replaced --------------
+
+
+def _reference_run(g, target=None, arrival_tol=None):
+    """The old ReachGraph.run: one Python step per arrival over dicts.
+
+    Returns (reached, cost, settled) with settled mapping integer cell
+    tuples to (cost, point), plus the number of arrivals that fell inside
+    one of the 1e-12 tie windows.
+    """
+    target = None if target is None else np.asarray(target, dtype=float)
+    tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(g.res))
+    vfs = g.sys.vfields()
+    factors = g.factors
+    box = g.sys.box
+    halfspace = g.mode == "intrinsic" and box.has_boundary
+    if target is not None and np.linalg.norm(g.x0 - target) <= tol:
+        return True, 0.0, {}, 0
+
+    def cell(p):
+        return tuple(np.floor((p - g.x0) / g.res + 0.5).astype(int))
+
+    ties = 0
+    dist = {cell(g.x0): 0.0}
+    pts = {cell(g.x0): g.x0}
+    frontier = [(g.x0, 0.0)]
+    qbest = {}
+    with np.errstate(all="ignore"):
+        while frontier:
+            P = np.array([p for p, _ in frontier])
+            C = np.array([c for _, c in frontier])
+            W = _field_stack(vfs, P)
+            V = np.einsum("dr,frn->fdn", g.dirs, factors[None, :, None] * W)
+            rates = (np.abs(V) / g.res).max(axis=2) * g.speed_scale
+            remaining = (g.budget - C)[:, None]
+            live = (rates > 1e-14) & (remaining > 1e-12)
+            f_idx, d_idx = np.nonzero(live)
+            if len(f_idx) == 0:
+                break
+            tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
+            vel = _control_velocity(vfs, g.dirs[d_idx] * factors)
+            Y = P[f_idx]
+            dt = (tau * g.speed_scale / 2.0)[:, None]
+            ok = np.ones(len(Y), dtype=bool)
+            for _ in range(2):
+                Y = _rk4_step(vel, Y, dt)
+                ok &= np.all(np.isfinite(Y), axis=1) & box.contains(Y)
+                if halfspace:
+                    ok &= Y[:, -1] >= -BOUNDARY_TOL
+            costs = C[f_idx] + tau
+            ok &= costs <= g.budget + 1e-12
+            if target is not None and ok.any():
+                hit = ok & (np.linalg.norm(Y - target, axis=1) <= tol)
+                if hit.any():
+                    return True, float(costs[hit].min()), {}, ties
+            keys = np.floor((Y - g.x0) / g.res + 0.5).astype(int)
+            qpos = np.floor((Y - g.x0) / g.res * 2.0 + 0.5).astype(int)
+            next_frontier = {}
+            for m in np.nonzero(ok)[0]:
+                key = tuple(keys[m])
+                c2 = float(costs[m])
+                cur = dist.get(key)
+                if cur is not None and cur - 1e-12 <= c2 < cur:
+                    ties += 1
+                if cur is None or c2 < cur - 1e-12:
+                    dist[key] = c2
+                    pts[key] = Y[m]
+                elif c2 > cur + tau[m] + 1e-12:
+                    continue
+                fkey = tuple(qpos[m])
+                qb = qbest.get(fkey, math.inf)
+                if qb - 1e-12 <= c2 < qb:
+                    ties += 1
+                if c2 >= qb - 1e-12:
+                    continue
+                qbest[fkey] = c2
+                next_frontier[fkey] = (Y[m], c2)
+            if len(dist) > g.max_cells:
+                raise RuntimeError("oracle cell budget exceeded; coarsen the resolution")
+            frontier = list(next_frontier.values())
+    return False, math.inf, {k: (dist[k], pts[k]) for k in dist}, ties
+
+
+def _reference_contains(g, settled, points, dilate=0):
+    with np.errstate(invalid="ignore"):
+        keys = np.floor((points - g.x0) / g.res + 0.5).astype(int)
+    out = np.array([tuple(k) in settled for k in keys], dtype=bool)
+    if dilate > 0:
+        offsets = list(itertools.product(range(-dilate, dilate + 1), repeat=points.shape[1]))
+        for i in np.nonzero(~out)[0]:
+            if any(tuple(keys[i] + np.array(o)) in settled for o in offsets):
+                out[i] = True
+    if g.mode == "intrinsic" and g.sys.box.has_boundary:
+        out &= points[:, -1] >= -BOUNDARY_TOL
+    return out
+
+
+def _settled_as_dict(g):
+    lo, shape = g._cells
+    idx = np.stack(np.unravel_index(g.settled, shape), axis=1) + lo.astype(int)
+    return {tuple(int(v) for v in k): (c, p) for k, c, p in zip(idx, g.settled_cost, g.settled_pts)}
+
+
+REFERENCE_CASES = [
+    # (system, x, delta, mode, res, speed_scale)
+    (elliptic_half_plane, (0.0, 0.05), 0.3, "intrinsic", 0.03, 1.0),
+    (elliptic_half_plane, (0.1, 0.5), 0.25, "extrinsic", (0.03, 0.02), 1.03),
+    (grushin_interior, (0.1, 0.0), 0.3, "intrinsic", (0.02, 0.01), 1.0),
+    (grushin_interior, (0.5, 0.2), 0.3, "extrinsic", 0.025, 1.025),
+    (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", (0.05, 0.04, 0.05), 1.0),
+    (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05, 1.05),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_reach_graph_matches_dict_loop_bit_for_bit(case):
+    make, x, delta, mode, res, scale = REFERENCE_CASES[case]
+    sys = make()
+
+    def graph():
+        return ReachGraph(sys, x, delta, mode, res=res, speed_scale=scale)
+
+    g = graph()
+    assert g.run() == (False, math.inf)
+    ref_reached, ref_cost, ref, ties = _reference_run(graph())
+    assert (ref_reached, ref_cost) == (False, math.inf)
+    assert ties > 0  # equal-cost arrivals: the 1e-12 windows decide the frontier
+    got = _settled_as_dict(g)
+    assert len(g.settled) == len(ref) and got.keys() == ref.keys()
+    for k, (c, p) in ref.items():
+        assert got[k][0] == c and np.array_equal(got[k][1], p)
+
+    # targeted runs: an interior settled point, a far one, one out of reach
+    pts = np.array([p for _, p in ref.values()])
+    far = pts[np.argmax(np.linalg.norm(pts - np.asarray(x), axis=1))]
+    for target in (pts[len(pts) // 2], far, np.asarray(x) + 0.9):
+        for tol in (None, 0.5 * float(np.min(res))):
+            reached, cost, _, _ = _reference_run(graph(), target, tol)
+            assert graph().run(target, tol) == (reached, cost)
+
+    rng = np.random.default_rng(case)
+    lo, hi = pts.min(axis=0) - 0.05, pts.max(axis=0) + 0.05
+    probes = np.vstack([lo + (hi - lo) * rng.random((400, sys.n)), pts[:50], [np.full(sys.n, np.nan), np.full(sys.n, 10.0)]])
+    for dilate in (0, 1):
+        assert np.array_equal(g.contains(probes, dilate=dilate), _reference_contains(g, ref, probes, dilate))
+
+
+def test_reach_graph_cell_budget_error_carries_context():
+    sys = elliptic_half_plane()
+    g = ReachGraph(sys, (0.0, 0.5), 0.3, res=0.02, max_cells=50)
+    with pytest.raises(RuntimeError, match=r"cell budget exceeded: \d+ cells settled, max_cells 50, "
+                       r"after \d+ frontier rounds at resolution \[0.02, 0.02\]"):
+        g.run()
+
+
+# 1e-10: the half-cell grid over the 4 x 4 chart would need more than 2^63 keys
+@pytest.mark.parametrize("res", [0.0, -0.02, math.nan, math.inf, (0.02, 0.0), 1e-10])
+def test_reach_graph_rejects_bad_resolution(res):
+    with pytest.raises(ValueError, match="resolution"):
+        ReachGraph(elliptic_half_plane(), (0.0, 0.5), 0.3, res=res)

@@ -98,6 +98,16 @@ def test_dist_oracle_cross_check_fails_on_unresolved_interval(capsys):
     assert report["verdicts"] == [{"check": "shooting interval intersects oracle", "pass": False}]
 
 
+@pytest.mark.parametrize("resolution", ["0", "-0.02", "nan"])
+def test_dist_oracle_rejects_bad_resolution(resolution, capsys):
+    # a non-positive or NaN grid used to give the interval [0, inf] (exit 2)
+    # or a NaN upper end, which is not valid JSON
+    args = ["dist", "elliptic", "--x", "0", "0.5", "--y", "0.05", "0.5", "--K", "4", "--oracle",
+            "--resolution", resolution]
+    assert main(args) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_emit_writes_numpy_bools_as_json_booleans(capsys):
     emit({"pass": np.bool_(True), "fail": np.bool_(False), "x": np.float32(0.5), "n": np.int64(3)}, None)
     text = capsys.readouterr().out

@@ -21,6 +21,8 @@ GOLDEN = {
         0, "cbacd36865e4cb2bc74bd3e2a65de80486b52ed3814854b0799de0fe60037213"),
     "volume grushin --x 0.5 0.0 --delta 0.1 --samples 2000": (
         0, "8df3ab9c16ce69ae39e107595f61f661387ad934b1f765c8afc059ede67d8ac5"),
+    "volume heisenberg --x 0.0 0.0 0.5 --delta 0.1 --samples 2000": (
+        0, "fd43c17ac59cf4e82a734997c023516d996e3264ec806f060046fadf65f99e7a"),
     "scale grushin_straightened --x 0.5 0.0 --delta 0.1": (
         0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
     "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
