@@ -326,7 +326,7 @@ def bracket_closure_residual(bsys: BoundarySystem, per_axis: int = 5) -> float:
     return worst
 
 
-def boundary_metric(bsys: BoundarySystem, xp, yp, tol: float = 0.05, **kwargs) -> MetricEstimate:
+def boundary_metric(bsys: BoundarySystem, xp, yp, tol: float = 0.05) -> MetricEstimate:
     """CC distance on the boundary driven by the restricted system."""
     xp = np.asarray(xp, dtype=float)
     yp = np.asarray(yp, dtype=float)
@@ -335,7 +335,7 @@ def boundary_metric(bsys: BoundarySystem, xp, yp, tol: float = 0.05, **kwargs) -
         if abs(xp[-1]) > 1e-12 or abs(yp[-1]) > 1e-12:
             raise ValueError("boundary points must have x_n = 0")
         xp, yp = xp[: n - 1], yp[: n - 1]
-    return cc_distance(bsys.v_system, xp, yp, mode="intrinsic", tol=tol, **kwargs)
+    return cc_distance(bsys.v_system, xp, yp, mode="intrinsic", tol=tol)
 
 
 def export_scenario(bsys: BoundarySystem, name: str, deltas=(0.2, 0.1, 0.05), seed: int = 7) -> str:

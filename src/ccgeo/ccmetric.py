@@ -5,7 +5,7 @@ of unit-time absolutely continuous paths driven by controls with
 sup-in-time L2 norm strictly below one, against the scaled fields
 delta^{d_j} W_j.  Two estimators are provided: a brute-force grid-graph
 oracle that certifies intervals up to its discretization, and a faster
-multi-start direct-shooting estimator cross-checked against the oracle.
+deterministic direct-shooting estimator cross-checked against the oracle.
 Intrinsic mode confines paths to the chart (x_n >= 0 when the chart has
 boundary); extrinsic mode allows the whole box.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class MetricEstimate:
     lower: float
     upper: float
     method: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lower < 0 or (math.isfinite(self.upper) and self.upper < self.lower - 1e-12):
@@ -142,6 +141,8 @@ def integrate_controls(
     _check_mode(mode)
     coeffs = np.asarray(coeffs, dtype=float)
     S, K, r = coeffs.shape
+    if K < 1:
+        raise ValueError(f"controls need at least one segment, got K = {K}")
     if r != sys.r:
         raise ValueError("control arity does not match the system")
     n = sys.n
@@ -560,13 +561,12 @@ def oracle_distance(
     _check_resolution(resolution, sys.n)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    params = {"resolution": resolution, "delta_max": delta_max, "mode": mode, "order": order}
     if np.array_equal(x, y):
-        return MetricEstimate(0.0, 0.0, "oracle", params)
+        return MetricEstimate(0.0, 0.0, "oracle")
     arrival_tol = 0.75 * resolution
     d_eu = float(np.linalg.norm(y - x))
     if d_eu <= arrival_tol:
-        return MetricEstimate(0.0, math.inf, "oracle", params)
+        return MetricEstimate(0.0, math.inf, "oracle")
 
     def reach(delta, scale=1.0):
         g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
@@ -584,7 +584,7 @@ def oracle_distance(
     while hi <= delta_max and not reach(hi):
         hi *= 2.0
     if hi > delta_max:
-        return MetricEstimate(0.0, math.inf, "oracle", params)
+        return MetricEstimate(0.0, math.inf, "oracle")
     lo = 0.0
     while hi - lo > 0.1 * hi:
         mid = 0.5 * (lo + hi)
@@ -601,10 +601,15 @@ def oracle_distance(
             lo_cert = probe
             break
         probe *= 0.7
-    return MetricEstimate(lo_cert / overhead, hi, "oracle", params)
+    return MetricEstimate(lo_cert / overhead, hi, "oracle")
 
 
 # -- direct shooting ------------------------------------------------------
+
+#: largest scale the shooting search tries
+SHOOT_DELTA_MAX = 2.0
+#: RK4 steps per control segment in shooting
+SHOOT_STEPS = 4
 
 
 def _project_controls(cand: np.ndarray) -> np.ndarray:
@@ -613,7 +618,7 @@ def _project_controls(cand: np.ndarray) -> np.ndarray:
     return np.where(over, cand * (0.995 / np.maximum(seg_norm, 1e-300)), cand)
 
 
-def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, steps, miss_tol, iters=6, kappa=10.0):
+def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol, iters=6, kappa=10.0):
     """Local refinement of a control by damped Gauss-Newton on the endpoint.
 
     The residual carries the boundary-violation depth as an extra
@@ -630,7 +635,7 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, steps, miss_tol, iters=6,
         return np.concatenate([ends - y[None, :], kappa * depth[:, None]], axis=1)
 
     ends, feas, depth = integrate_controls(
-        sys, x, delta, p.reshape(1, K, r), mode, steps, return_violation=True
+        sys, x, delta, p.reshape(1, K, r), mode, SHOOT_STEPS, return_violation=True
     )
     best_pen = float(np.linalg.norm(full_resid(ends, depth)[0]))
     best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
@@ -643,14 +648,14 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, steps, miss_tol, iters=6,
         batch = np.tile(p, (m + 1, 1))
         batch[1:] += np.eye(m) * h
         ends, feas, depth = integrate_controls(
-            sys, x, delta, _project_controls(batch.reshape(m + 1, K, r)), mode, steps,
+            sys, x, delta, _project_controls(batch.reshape(m + 1, K, r)), mode, SHOOT_STEPS,
             return_violation=True,
         )
         resid = full_resid(ends, depth)
         jac = (resid[1:] - resid[0]).T / h  # (n+1, m)
         step, *_ = np.linalg.lstsq(jac, -resid[0], rcond=None)
         cands = _project_controls((p[None] + scales[:, None] * step[None]).reshape(len(scales), K, r))
-        e2, f2, d2 = integrate_controls(sys, x, delta, cands, mode, steps, return_violation=True)
+        e2, f2, d2 = integrate_controls(sys, x, delta, cands, mode, SHOOT_STEPS, return_violation=True)
         pen2 = np.linalg.norm(full_resid(e2, d2), axis=1)
         k = int(np.argmin(pen2))
         if pen2[k] >= best_pen - 1e-15:
@@ -664,15 +669,14 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, steps, miss_tol, iters=6,
     return best_miss, best_ctrl.reshape(K, r)
 
 
-def _shoot(sys, x, y, delta, mode, K, rng, pop, iters, miss_tol, steps_per_segment, init_ctrl=None):
-    """Multi-start search over K-segment controls; returns the best miss.
+def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
+    """Deterministic shooting at one scale; returns the best miss and its control.
 
-    A least-squares constant control (and an optional warm start) seeds a
-    Gauss-Newton refinement; when that converges far from the target the
-    miss is returned directly, otherwise a cross-entropy population search
-    explores more broadly and its best candidate is polished the same way.
+    The warm start, when given, and then a least-squares constant control
+    each seed a Gauss-Newton refinement; the first that lands within
+    miss_tol ends the search.  When no refinement reaches a feasible
+    endpoint the miss is inf and the warm start comes back unchanged.
     """
-    r = sys.r
     factors = np.array([delta**d for d in sys.degrees])
     mid = 0.5 * (np.asarray(x) + np.asarray(y))
     cols = np.stack([vf.eval_at(mid) for vf in sys.vfields()], axis=1) * factors
@@ -682,53 +686,11 @@ def _shoot(sys, x, y, delta, mode, K, rng, pop, iters, miss_tol, steps_per_segme
         a0 *= 0.9 / nrm
     informed = np.tile(a0, (K, 1))
     seeds = [informed] if init_ctrl is None else [init_ctrl, informed]
-    best_miss, best_ctrl = math.inf, None
+    best_miss, best_ctrl = math.inf, init_ctrl
     for seed_ctrl in seeds:
-        m, c = _gauss_newton_polish(sys, x, y, delta, mode, seed_ctrl, steps_per_segment, miss_tol)
+        m, c = _gauss_newton_polish(sys, x, y, delta, mode, seed_ctrl, miss_tol)
         if m < best_miss:
             best_miss, best_ctrl = m, c
-        if best_miss <= miss_tol:
-            return best_miss, best_ctrl
-    if best_miss > 5.0 * miss_tol and best_ctrl is not None:
-        # refined seeds converged well short of the target: population
-        # search is very unlikely to close a gap this wide
-        return best_miss, best_ctrl
-    for start in range(2):
-        if start == 0:
-            mean = best_ctrl.copy() if best_ctrl is not None else informed.copy()
-        else:
-            mean = np.zeros((K, r))
-        std = np.full((K, r), 0.35)
-        stale = 0
-        for _ in range(iters):
-            cand = mean[None] + std[None] * rng.standard_normal((pop, K, r))
-            cand[0] = mean
-            cand = _project_controls(cand)
-            ends, feas, depth = integrate_controls(
-                sys, x, delta, cand, mode, steps_per_segment, return_violation=True
-            )
-            miss = np.linalg.norm(ends - np.asarray(y), axis=1)
-            # infeasible candidates are ranked by how deeply they violate the
-            # halfspace, so the population climbs back into the chart
-            score = np.where(feas, miss, 5.0 + miss + 50.0 * depth)
-            order = np.argsort(score, kind="stable")
-            if feas[order[0]] and miss[order[0]] < best_miss * 0.98:
-                best_miss = float(miss[order[0]])
-                best_ctrl = cand[order[0]].copy()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= 3:
-                    break
-            elite = cand[order[: max(4, pop // 8)]]
-            mean = elite.mean(axis=0)
-            std = elite.std(axis=0) + 0.01
-        if best_ctrl is not None:
-            pol_miss, pol_ctrl = _gauss_newton_polish(
-                sys, x, y, delta, mode, best_ctrl, steps_per_segment, miss_tol
-            )
-            if pol_miss < best_miss:
-                best_miss, best_ctrl = pol_miss, pol_ctrl
         if best_miss <= miss_tol:
             break
     return best_miss, best_ctrl
@@ -740,58 +702,48 @@ def cc_distance(
     y,
     mode: str = "intrinsic",
     tol: float = 0.05,
-    seed: int = 0,
     K: int = 32,
-    pop: int = 64,
-    iters: int = 10,
-    delta_max: float = 2.0,
-    steps_per_segment: int = 4,
 ) -> MetricEstimate:
-    """Multi-start direct-shooting estimate of the CC distance.
+    """Direct-shooting estimate of the CC distance.
 
-    At each trial scale, K-segment controls minimizing the endpoint miss
-    are optimized; the scale is bisected to relative width `tol`.  The
-    lower end is the largest scale at which the optimizer failed, so it
-    is heuristic; on regression scenarios the interval is cross-checked
-    against oracle_distance.
+    At each trial scale `_shoot` refines K-segment controls toward y,
+    warm-started from the previous scale's control; the scale doubles
+    from |x - y| until a control lands and is then bisected to relative
+    width `tol`.  Shooting is deterministic: there is no random draw.
+    The upper end is a scale at which a feasible control reached y
+    within the miss tolerance.  The lower end is the largest scale at
+    which the optimizer failed, so it is heuristic, not a certificate;
+    on regression scenarios the interval is cross-checked against
+    oracle_distance.  No hit up to scale SHOOT_DELTA_MAX gives [0, inf].
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must be in (0, 0.5)")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    params = {"tol": tol, "K": K, "seed": seed, "mode": mode}
     if np.array_equal(x, y):
-        return MetricEstimate(0.0, 0.0, "shooting", params)
+        return MetricEstimate(0.0, 0.0, "shooting")
     d_eu = float(np.linalg.norm(y - x))
     miss_tol = max(5e-4, 0.005 * d_eu)
-    warm: dict[str, np.ndarray | None] = {"ctrl": None}
+    warm = None
 
-    def hits(delta, attempt):
-        rng = np.random.default_rng([seed, attempt])
-        miss, ctrl = _shoot(
-            sys, x, y, delta, mode, K, rng, pop, iters, miss_tol, steps_per_segment,
-            init_ctrl=warm["ctrl"],
-        )
-        if ctrl is not None:
-            warm["ctrl"] = ctrl
+    def hits(delta):
+        nonlocal warm
+        miss, warm = _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=warm)
         return miss <= miss_tol
 
-    hi = min(delta_max, max(1e-3, d_eu))
-    attempt = 0
-    while hi <= delta_max and not hits(hi, attempt):
+    hi = min(SHOOT_DELTA_MAX, max(1e-3, d_eu))
+    while hi <= SHOOT_DELTA_MAX and not hits(hi):
         hi *= 2.0
-        attempt += 1
-    if hi > delta_max:
-        return MetricEstimate(0.0, math.inf, "shooting", params)
+    if hi > SHOOT_DELTA_MAX:
+        return MetricEstimate(0.0, math.inf, "shooting")
     lo = 0.0
     while hi - lo > tol * hi:
-        attempt += 1
         mid = 0.5 * (lo + hi)
-        if hits(mid, attempt):
+        if hits(mid):
             hi = mid
         else:
             lo = mid
-    return MetricEstimate(lo, hi, "shooting", params)
+    return MetricEstimate(lo, hi, "shooting")
 
 
 # -- Monte-Carlo volume ---------------------------------------------------

@@ -420,8 +420,8 @@ def suite_boundary_metric(scn: Scenario) -> tuple[list, list]:
         bsys = build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
         pairs = _pairs_from_probes(scn, 4, spread=min(0.2, bsys.radius * 0.6), boundary=True, around=probe)
         for a, b in pairs:
-            v = boundary_metric(bsys, a[:-1], b[:-1], tol=0.05, seed=scn.seed)
-            w = cc_distance(sys_, a, b, mode="intrinsic", tol=0.05, seed=scn.seed)
+            v = boundary_metric(bsys, a[:-1], b[:-1], tol=0.05)
+            w = cc_distance(sys_, a, b, mode="intrinsic", tol=0.05)
             if v.midpoint() <= 0 or w.midpoint() <= 0:
                 continue
             ratio = max(v.midpoint() / w.midpoint(), w.midpoint() / v.midpoint())
@@ -476,8 +476,8 @@ def suite_equivalence(scn: Scenario) -> tuple[list, list]:
 
     rows = []
     for a, b in pairs:
-        base = cc_distance(sys_, a, b, mode="intrinsic", tol=0.08, seed=scn.seed)
-        other = cc_distance(aug, a, b, mode="intrinsic", tol=0.08, seed=scn.seed)
+        base = cc_distance(sys_, a, b, mode="intrinsic", tol=0.08)
+        other = cc_distance(aug, a, b, mode="intrinsic", tol=0.08)
         mid_b, mid_o = base.midpoint(), other.midpoint()
         ratio = max(mid_b / mid_o, mid_o / mid_b) if mid_b > 0 and mid_o > 0 else math.inf
         rows.append(
@@ -623,12 +623,10 @@ def cmd_bracket(args) -> int:
 
 def cmd_dist(args) -> int:
     scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x", "y")
     sys_ = scn.system()
     x, y = tuple(args.x), tuple(args.y)
-    est = cc_distance(
-        sys_, x, y, mode=args.mode, tol=args.tol, K=args.K,
-        seed=args.seed if args.seed is not None else scn.seed,
-    )
+    est = cc_distance(sys_, x, y, mode=args.mode, tol=args.tol, K=args.K)
     rows = [{"x": list(x), "y": list(y), "lower": est.lower, "upper": est.upper, "method": est.method}]
     if args.oracle:
         orc = oracle_distance(sys_, x, y, mode=args.mode, resolution=args.resolution, order=scn.order)
@@ -642,12 +640,18 @@ def cmd_dist(args) -> int:
     return 0
 
 
+def _check_points(scn: Scenario, args, *options: str) -> None:
+    """Usage error unless each named point option has one value per coordinate."""
+    for opt in options:
+        if len(getattr(args, opt)) != scn.n:
+            raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
+
+
 def _dist_params(args) -> dict:
     return {
         "mode": args.mode,
         "tol": args.tol,
         "K": args.K,
-        "seed": args.seed,
         "oracle": args.oracle,
         "resolution": args.resolution,
     }
@@ -655,6 +659,7 @@ def _dist_params(args) -> dict:
 
 def cmd_ball(args) -> int:
     scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)
@@ -669,6 +674,7 @@ def cmd_ball(args) -> int:
 
 def cmd_volume(args) -> int:
     scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     vol = ball_volume(sys_, tuple(args.x), args.delta, mode=args.mode, n_samples=args.samples, seed=seed)
@@ -691,6 +697,7 @@ def cmd_volume(args) -> int:
 
 def cmd_scale(args) -> int:
     scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x")
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     cache: dict = {}
@@ -730,6 +737,7 @@ def cmd_scale(args) -> int:
 
 def cmd_boundary(args) -> int:
     scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x")
     sys_ = scn.system()
     bsys = build_boundary_system(sys_, tuple(args.x), scn.order, probe_radius=args.radius)
     rows = [
@@ -791,7 +799,6 @@ def main(argv=None) -> int:
     p.add_argument("--mode", choices=("intrinsic", "extrinsic"), default="intrinsic")
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument("--K", type=int, default=32, help="control segments for the shooting estimator")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
     p.add_argument("--resolution", type=float, default=0.02)
     p.set_defaults(fn=cmd_dist)

@@ -117,7 +117,7 @@ def test_criterion_04_elliptic_metric_identity():
     ok = True
     for a, b in pairs:
         d_eu = float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-        est = cc_distance(sys_, a, b, mode="intrinsic", tol=0.02, seed=scn.seed)
+        est = cc_distance(sys_, a, b, mode="intrinsic", tol=0.02)
         ok &= est.lower * 0.98 <= d_eu <= est.upper * 1.02
         ok &= est.upper <= d_eu * 1.05
     _report(4, "intrinsic CC distance equals Euclidean within 2% on 20 pairs", ok)
@@ -245,8 +245,8 @@ def test_criterion_11_intrinsic_vs_extrinsic():
         probe = scn.boundary_probes()[0]
         pairs = _pairs_from_probes(scn, 5, spread=spread, around=probe)
         for a, b in pairs:
-            i = cc_distance(sys_, a, b, mode="intrinsic", tol=0.08, seed=scn.seed)
-            e = cc_distance(sys_, a, b, mode="extrinsic", tol=0.08, seed=scn.seed)
+            i = cc_distance(sys_, a, b, mode="intrinsic", tol=0.08)
+            e = cc_distance(sys_, a, b, mode="extrinsic", tol=0.08)
             ok &= e.upper <= i.upper * 1.08 + 1e-9
             if e.midpoint() > 0:
                 fitted = max(fitted, i.midpoint() / e.midpoint())
@@ -264,8 +264,8 @@ def test_criterion_12_weak_equivalence_invariance():
     pairs = _pairs_from_probes(scn, 20, spread=(0.25, 0.08))
     ratios = []
     for a, b in pairs:
-        base = cc_distance(sys_, a, b, mode="intrinsic", tol=0.1, seed=scn.seed, K=16, pop=48, iters=8)
-        other = cc_distance(aug, a, b, mode="intrinsic", tol=0.1, seed=scn.seed, K=16, pop=48, iters=8)
+        base = cc_distance(sys_, a, b, mode="intrinsic", tol=0.1, K=16)
+        other = cc_distance(aug, a, b, mode="intrinsic", tol=0.1, K=16)
         if base.midpoint() > 0 and other.midpoint() > 0:
             ratios.append(max(base.midpoint() / other.midpoint(), other.midpoint() / base.midpoint()))
     fitted = max(ratios)

@@ -181,29 +181,29 @@ def test_oracle_triangle_inequality():
 
 def test_cc_distance_elliptic_straight():
     sys = elliptic_half_plane()
-    est = cc_distance(sys, (0.0, 0.5), (0.3, 0.5), tol=0.05, seed=0)
+    est = cc_distance(sys, (0.0, 0.5), (0.3, 0.5), tol=0.05)
     assert 0.27 <= est.lower <= 0.3
     assert 0.29 <= est.upper <= 0.33
 
 
 def test_cc_distance_grushin_near_x_one():
     sys = grushin_interior()
-    est = cc_distance(sys, (1.0, 0.0), (1.0, 0.05), tol=0.1, seed=0)
+    est = cc_distance(sys, (1.0, 0.0), (1.0, 0.05), tol=0.1)
     assert est.upper <= 0.1
     assert est.lower >= 0.02
 
 
 def test_cc_distance_symmetry_overlap():
     sys = grushin_interior()
-    a = cc_distance(sys, (0.2, 0.0), (0.5, 0.1), tol=0.08, seed=1)
-    b = cc_distance(sys, (0.5, 0.1), (0.2, 0.0), tol=0.08, seed=2)
+    a = cc_distance(sys, (0.2, 0.0), (0.5, 0.1), tol=0.08)
+    b = cc_distance(sys, (0.5, 0.1), (0.2, 0.0), tol=0.08)
     assert a.intersects(b, slack=0.05 * max(a.upper, b.upper))
 
 
 def test_cc_distance_intersects_oracle():
     sys = elliptic_half_plane()
     x, y = (0.0, 0.5), (0.25, 0.62)
-    sh = cc_distance(sys, x, y, tol=0.05, seed=0)
+    sh = cc_distance(sys, x, y, tol=0.05)
     orc = oracle_distance(sys, x, y, resolution=0.02, order=1)
     assert sh.intersects(orc, slack=0.05)
 
@@ -212,8 +212,8 @@ def test_extrinsic_never_exceeds_intrinsic():
     sys = elliptic_half_plane()
     pairs = [((0.0, 0.1), (0.4, 0.1)), ((-0.2, 0.0), (0.2, 0.3))]
     for x, y in pairs:
-        i = cc_distance(sys, x, y, mode="intrinsic", tol=0.05, seed=0)
-        e = cc_distance(sys, x, y, mode="extrinsic", tol=0.05, seed=0)
+        i = cc_distance(sys, x, y, mode="intrinsic", tol=0.05)
+        e = cc_distance(sys, x, y, mode="extrinsic", tol=0.05)
         assert e.upper <= i.upper * 1.05 + 1e-6
 
 

@@ -108,6 +108,34 @@ def test_dist_oracle_rejects_bad_resolution(resolution, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dist", "elliptic", "--x", "0", "0.5", "--y", "0.1", "--K", "4"],
+        ["dist", "elliptic", "--x", "0", "0.5", "--y", "0.1", "--K", "4", "--oracle"],
+        ["dist", "elliptic", "--x", "0", "0.5", "0", "--y", "0.1", "0.5", "--K", "4"],
+        ["ball", "elliptic", "--x", "0.5", "--delta", "0.1", "--samples", "10"],
+        ["volume", "elliptic", "--x", "0.5", "--delta", "0.1", "--samples", "100"],
+        ["scale", "heisenberg", "--x", "0.0", "0.5", "--delta", "0.1"],
+        ["boundary", "grushin_straightened", "--x", "0.5"],
+    ],
+)
+def test_points_of_the_wrong_dimension_are_usage_errors(args, capsys):
+    # dist used to broadcast a short point and exit 0; the others raised
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dist", "ball"])
+def test_zero_control_segments_are_numeric_errors(command, capsys):
+    # K = 0 used to escape with a ZeroDivisionError in integrate_controls
+    where = ["--y", "0.1", "0.5"] if command == "dist" else ["--delta", "0.1", "--samples", "10"]
+    assert main([command, "elliptic", "--x", "0", "0.5", *where, "--K", "0"]) == 3
+    assert "at least one segment" in capsys.readouterr().err
+
+
 def test_emit_writes_numpy_bools_as_json_booleans(capsys):
     emit({"pass": np.bool_(True), "fail": np.bool_(False), "x": np.float32(0.5), "n": np.int64(3)}, None)
     text = capsys.readouterr().out

@@ -2,8 +2,8 @@
 
 Each command runs through `ccgeo.cli.main`; the sha256 of its stdout and
 its exit code are pinned.  The commands pass through the RK4 integrators,
-the subset-determinant scans and the grid builders, so a refactor of any
-of them that moves one digit of a report shows here.
+the subset-determinant scans, the grid builders and the shooting search,
+so a refactor of any of them that moves one digit of a report shows here.
 """
 import contextlib
 import hashlib
@@ -30,7 +30,11 @@ GOLDEN = {
     "boundary grushin_straightened --x 0.5 0.0": (
         0, "0989c430ef1cfc8a67132b4ba1da4f7248e488a032cd90d9e4879dc57841e58f"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
-        2, "188089fe9338f027e2edb49002dc2f554823f82c42a3989f8c0dcddbcebd8fae"),
+        2, "455238601d4b57639e8cd05ac93e0fff90a0e7dcddc16fa76b6fbc3e4879978a"),
+    "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4": (
+        0, "b61e499bf6b79769a47b5b64eff35963d61903a983fe6c3112e6ef819b46aea6"),
+    "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4": (
+        0, "0e238b96e881d8b9da3276a3ee62a4251920c7457ba55bb9f11b5e0c8a9a3e31"),
 }
 
 
