@@ -77,9 +77,9 @@ class BoundarySystem:
     span_floor: float
 
 
-def _nontangent(entry_field: VField, p, rtol: float = TANGENCY_RTOL) -> bool:
+def _nontangent(entry_field: VField, p) -> bool:
     v = entry_field.eval_at(p)
-    return abs(v[-1]) > rtol * max(1.0, float(np.linalg.norm(v)))
+    return abs(v[-1]) > TANGENCY_RTOL * max(1.0, float(np.linalg.norm(v)))
 
 
 def _deg_at(entries, p, m) -> tuple[int, CommutatorEntry] | None:
@@ -99,13 +99,7 @@ def _boundary_probes(sys: WeightedSystem, xp: np.ndarray, radius: float, per_axi
     return pts[keep]
 
 
-def deg_boundary(
-    sys: WeightedSystem,
-    xp,
-    m: int,
-    probe_radius: float = 0.05,
-    per_axis: int = 5,
-) -> BoundaryDegreeReport:
+def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) -> BoundaryDegreeReport:
     """Minimal transversal commutator degree at a boundary point.
 
     The witness is the entry of minimal degree whose n-th component at xp
@@ -131,7 +125,7 @@ def deg_boundary(
     witness = max(candidates, key=ratio)
     probe_degs = []
     locally_constant = True
-    for q in _boundary_probes(sys, xp, probe_radius, per_axis):
+    for q in _boundary_probes(sys, xp, probe_radius):
         b = _deg_at(entries, q, m)
         if b is None:
             locally_constant = False
@@ -151,13 +145,7 @@ def deg_boundary(
     )
 
 
-def build_boundary_system(
-    sys: WeightedSystem,
-    x0,
-    m: int,
-    probe_radius: float = 0.05,
-    per_axis: int = 5,
-) -> BoundarySystem:
+def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float = 0.05) -> BoundarySystem:
     """Run the correction procedure at a non-characteristic boundary point.
 
     Steps: derive the capped commutator system, pick the distinguished
@@ -168,7 +156,7 @@ def build_boundary_system(
     if sys.n < 2:
         raise ValueError("boundary construction needs dimension >= 2")
     x0 = np.asarray(x0, dtype=float)
-    report = deg_boundary(sys, x0, m, probe_radius, per_axis)
+    report = deg_boundary(sys, x0, m, probe_radius)
     if not report.noncharacteristic:
         raise CharacteristicError(
             f"{tuple(x0)} is characteristic: boundary degree is not locally constant "
@@ -197,7 +185,7 @@ def build_boundary_system(
     entries_all = enumerate_commutators(sys, m)
     radius = probe_radius
     while True:
-        probes = _boundary_probes(sys, x0, radius, per_axis)
+        probes = _boundary_probes(sys, x0, radius)
         x0n = np.array([X0.eval_at(q)[-1] for q in probes])
         floor = max(1e-10, 0.05 * abs(x0n_val))
         degs_ok = all(
@@ -290,21 +278,22 @@ def build_boundary_system(
     )
 
 
-def _neighborhood_grid(sys: WeightedSystem, x0: np.ndarray, radius: float, per_axis: int = 5) -> np.ndarray:
-    axes = [np.linspace(c - radius, c + radius, per_axis) for c in x0[:-1]]
+def _neighborhood_grid(sys: WeightedSystem, x0: np.ndarray, radius: float) -> np.ndarray:
+    axes = [np.linspace(c - radius, c + radius, 5) for c in x0[:-1]]
     axes.append(np.linspace(0.0, radius, 3))
     pts = _grid(axes)
     return pts[sys.box.contains(pts)]
 
 
-def bracket_closure_residual(bsys: BoundarySystem, per_axis: int = 5) -> float:
+def bracket_closure_residual(bsys: BoundarySystem) -> float:
     """Worst residual of [V_j, V_k] against span{V_l : d_l <= d_j + d_k}.
 
     The weak form of the closure identity for the boundary fields; exact
-    coefficients are not computed, only representability at grid points.
+    coefficients are not computed, only representability at the points
+    of a 5-per-axis grid.
     """
     fields = bsys.v_system.fields
-    grid = bsys.v_system.box.grid(per_axis)
+    grid = bsys.v_system.box.grid(5)
     worst = 0.0
     for j, (vj, dj) in enumerate(fields):
         for k2, (vk, dk) in enumerate(fields):
@@ -326,8 +315,8 @@ def bracket_closure_residual(bsys: BoundarySystem, per_axis: int = 5) -> float:
     return worst
 
 
-def boundary_metric(bsys: BoundarySystem, xp, yp, tol: float = 0.05) -> MetricEstimate:
-    """CC distance on the boundary driven by the restricted system."""
+def boundary_metric(bsys: BoundarySystem, xp, yp) -> MetricEstimate:
+    """CC distance on the boundary driven by the restricted system (shooting, tol 0.05)."""
     xp = np.asarray(xp, dtype=float)
     yp = np.asarray(yp, dtype=float)
     n = bsys.parent.n
@@ -335,11 +324,15 @@ def boundary_metric(bsys: BoundarySystem, xp, yp, tol: float = 0.05) -> MetricEs
         if abs(xp[-1]) > 1e-12 or abs(yp[-1]) > 1e-12:
             raise ValueError("boundary points must have x_n = 0")
         xp, yp = xp[: n - 1], yp[: n - 1]
-    return cc_distance(bsys.v_system, xp, yp, mode="intrinsic", tol=tol)
+    return cc_distance(bsys.v_system, xp, yp, mode="intrinsic", tol=0.05)
 
 
-def export_scenario(bsys: BoundarySystem, name: str, deltas=(0.2, 0.1, 0.05), seed: int = 7) -> str:
-    """Boundary system as scenario text, re-ingestable by the CLI loader."""
+def export_scenario(bsys: BoundarySystem, name: str) -> str:
+    """Boundary system as scenario text, re-ingestable by the CLI loader.
+
+    The scenario probes the box center on the delta ladder 0.2 0.1 0.05
+    with seed 7.
+    """
     v = bsys.v_system
     lines = [
         f"# boundary restriction of a {bsys.parent.n}-dimensional system at x0 = {bsys.x0}",
@@ -355,6 +348,6 @@ def export_scenario(bsys: BoundarySystem, name: str, deltas=(0.2, 0.1, 0.05), se
         lines.append(f'field = "{comps}" degree = {d}')
     lines.append(f'density = "{to_string(v.density)}"')
     lines.append("probe = " + " ".join(repr(float(c)) for c in v.box.center))
-    lines.append("delta = " + " ".join(repr(float(d)) for d in deltas))
-    lines.append(f"seed = {seed}")
+    lines.append("delta = 0.2 0.1 0.05")
+    lines.append("seed = 7")
     return "\n".join(lines) + "\n"

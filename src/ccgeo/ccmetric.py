@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import _control_velocity, _field_stack, _rk4_step
+from .flows import GUARD_FACTOR, _control_velocity, _field_stack, _rk4_step
 from .hormander import WeightedSystem
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 
 #: absolute slack below {x_n = 0} tolerated by intrinsic feasibility
 BOUNDARY_TOL = 1e-9
+#: largest scale the oracle and the shooting search try
+DELTA_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -83,25 +85,19 @@ class MetricEstimate:
 class ReachSample:
     """Endpoint cloud of sampled admissible controls at one (x, delta)."""
 
-    x: tuple[float, ...]
-    delta: float
     endpoints: np.ndarray  # (S, n)
     feasible: np.ndarray  # (S,) bool
-    K: int
-    n_samples: int
-    seed: int
-    mode: str
 
     def feasible_endpoints(self) -> np.ndarray:
         return self.endpoints[self.feasible]
 
-    def to_csv(self, fileobj=None) -> str:
-        buf = fileobj or io.StringIO()
+    def to_csv(self) -> str:
+        buf = io.StringIO()
         n = self.endpoints.shape[1]
         buf.write(",".join(f"x{i + 1}" for i in range(n)) + ",feasible\n")
         for row, ok in zip(self.endpoints, self.feasible):
             buf.write(",".join(repr(float(v)) for v in row) + f",{int(ok)}\n")
-        return buf.getvalue() if fileobj is None else ""
+        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def integrate_controls(
             vel = _control_velocity(vfs, coeffs[:, k, :] * factors)
             for _ in range(steps_per_segment):
                 ynew = _rk4_step(vel, y, dt)
-                ok = np.all(np.isfinite(ynew), axis=1) & box.contains(ynew, inflate=1.25)
+                ok = np.all(np.isfinite(ynew), axis=1) & box.contains(ynew, inflate=GUARD_FACTOR)
                 ynew[~ok] = y[~ok]
                 alive &= ok
                 y = ynew
@@ -183,12 +179,11 @@ def integrate_control(
     delta: float,
     path: ControlPath,
     mode: str = "intrinsic",
-    steps_per_segment: int = 8,
 ) -> tuple[np.ndarray, bool]:
     """Endpoint and feasibility of a single admissible control path."""
     if not path.is_admissible():
         raise ValueError("control path is not admissible (sup-norm of |a|^2 must be < 1)")
-    ends, feas = integrate_controls(sys, x, delta, path.coeffs[None], mode, steps_per_segment)
+    ends, feas = integrate_controls(sys, x, delta, path.coeffs[None], mode)
     return ends[0], bool(feas[0])
 
 
@@ -213,10 +208,11 @@ def sample_ball(
     K: int = 16,
     seed: int = 0,
     mode: str = "intrinsic",
-    steps_per_segment: int = 8,
 ) -> ReachSample:
     """Monte-Carlo endpoint cloud of the ball B(x, delta)."""
     _check_mode(mode)
+    if n_samples < 1:
+        raise ValueError(f"a ball sample needs at least one control, got n_samples = {n_samples}")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     coeffs = sample_controls(rng, n_samples, K, sys.r)
@@ -224,8 +220,8 @@ def sample_ball(
         ends = np.tile(x, (n_samples, 1))
         feas = np.ones(n_samples, dtype=bool)
     else:
-        ends, feas = integrate_controls(sys, x, delta, coeffs, mode, steps_per_segment)
-    return ReachSample(tuple(x), float(delta), ends, feas, K, n_samples, seed, mode)
+        ends, feas = integrate_controls(sys, x, delta, coeffs, mode)
+    return ReachSample(ends, feas)
 
 
 # -- grid-graph oracle ----------------------------------------------------
@@ -522,17 +518,9 @@ def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tup
     )
 
 
-def reach_graph(
-    sys: WeightedSystem,
-    x,
-    delta: float,
-    mode: str = "intrinsic",
-    res=0.02,
-    budget: float = 1.0,
-    speed_scale: float = 1.0,
-) -> ReachGraph:
+def reach_graph(sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02) -> ReachGraph:
     """Fully explored reachable set of B(x, delta) at cell resolution `res`."""
-    g = ReachGraph(sys, x, delta, mode, res, budget, speed_scale)
+    g = ReachGraph(sys, x, delta, mode, res)
     g.run(target=None)
     return g
 
@@ -543,7 +531,6 @@ def oracle_distance(
     y,
     mode: str = "intrinsic",
     resolution: float = 0.02,
-    delta_max: float = 2.0,
     order: int = 2,
 ) -> MetricEstimate:
     """Brute-force interval estimate of the CC distance.
@@ -556,7 +543,8 @@ def oracle_distance(
     bracket depth the target may need.  Interval width is driven to 10%
     relative before deflation.  When y lies within the arrival tolerance
     (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
-    cannot resolve the distance and the interval is [0, inf].
+    cannot resolve the distance and the interval is [0, inf]; so is it
+    when no scale up to DELTA_MAX reaches y.
     """
     _check_resolution(resolution, sys.n)
     x = np.asarray(x, dtype=float)
@@ -580,10 +568,10 @@ def oracle_distance(
     overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
 
     hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
-    hi = min(hi, delta_max)
-    while hi <= delta_max and not reach(hi):
+    hi = min(hi, DELTA_MAX)
+    while hi <= DELTA_MAX and not reach(hi):
         hi *= 2.0
-    if hi > delta_max:
+    if hi > DELTA_MAX:
         return MetricEstimate(0.0, math.inf, "oracle")
     lo = 0.0
     while hi - lo > 0.1 * hi:
@@ -606,8 +594,6 @@ def oracle_distance(
 
 # -- direct shooting ------------------------------------------------------
 
-#: largest scale the shooting search tries
-SHOOT_DELTA_MAX = 2.0
 #: RK4 steps per control segment in shooting
 SHOOT_STEPS = 4
 
@@ -618,13 +604,13 @@ def _project_controls(cand: np.ndarray) -> np.ndarray:
     return np.where(over, cand * (0.995 / np.maximum(seg_norm, 1e-300)), cand)
 
 
-def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol, iters=6, kappa=10.0):
+def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol):
     """Local refinement of a control by damped Gauss-Newton on the endpoint.
 
-    The residual carries the boundary-violation depth as an extra
-    component, so the iteration can slide along an active halfspace
-    constraint instead of stalling at it; only feasible iterates count as
-    results.
+    The residual carries the boundary-violation depth, weighted by 10, as
+    an extra component, so the iteration (at most six steps) can slide
+    along an active halfspace constraint instead of stalling at it; only
+    feasible iterates count as results.
     """
     y = np.asarray(y, dtype=float)
     K, r = ctrl.shape
@@ -632,7 +618,7 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol, iters=6, kappa=
     p = _project_controls(np.asarray(ctrl, dtype=float)).reshape(-1).copy()
 
     def full_resid(ends, depth):
-        return np.concatenate([ends - y[None, :], kappa * depth[:, None]], axis=1)
+        return np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
 
     ends, feas, depth = integrate_controls(
         sys, x, delta, p.reshape(1, K, r), mode, SHOOT_STEPS, return_violation=True
@@ -642,7 +628,7 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol, iters=6, kappa=
     best_ctrl = p.copy()
     h = 1e-4
     scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
-    for _ in range(iters):
+    for _ in range(6):
         if best_miss <= miss_tol:
             break
         batch = np.tile(p, (m + 1, 1))
@@ -714,7 +700,7 @@ def cc_distance(
     within the miss tolerance.  The lower end is the largest scale at
     which the optimizer failed, so it is heuristic, not a certificate;
     on regression scenarios the interval is cross-checked against
-    oracle_distance.  No hit up to scale SHOOT_DELTA_MAX gives [0, inf].
+    oracle_distance.  No hit up to scale DELTA_MAX gives [0, inf].
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must be in (0, 0.5)")
@@ -731,10 +717,10 @@ def cc_distance(
         miss, warm = _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=warm)
         return miss <= miss_tol
 
-    hi = min(SHOOT_DELTA_MAX, max(1e-3, d_eu))
-    while hi <= SHOOT_DELTA_MAX and not hits(hi):
+    hi = min(DELTA_MAX, max(1e-3, d_eu))
+    while hi <= DELTA_MAX and not hits(hi):
         hi *= 2.0
-    if hi > SHOOT_DELTA_MAX:
+    if hi > DELTA_MAX:
         return MetricEstimate(0.0, math.inf, "shooting")
     lo = 0.0
     while hi - lo > tol * hi:
@@ -756,26 +742,24 @@ def ball_volume(
     mode: str = "intrinsic",
     n_samples: int = 20000,
     seed: int = 0,
-    resolution_cells: int | None = None,
-    probe_samples: int = 1500,
-    K: int = 8,
 ) -> VolumeEstimate:
     """Monte-Carlo ball volume against the system density.
 
-    A sampled endpoint cloud fixes the grid resolution; the oracle's
+    A sampled endpoint cloud (1500 controls of 8 segments) fixes the grid
+    resolution at 1/32 of its extent (1/22 above dimension 2); the oracle's
     reachable set then provides both the bounding box (its own extents
     plus a one-cell margin, inflated by 1.2) and the membership test for
     uniform box samples, over which the density is averaged.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if resolution_cells is None:
-        resolution_cells = 32 if sys.n <= 2 else 22
+    if n_samples < 2:
+        raise ValueError(f"a volume estimate needs at least two samples, got n_samples = {n_samples}")
     x = np.asarray(x, dtype=float)
-    cloud = sample_ball(sys, x, delta, probe_samples, K=K, seed=seed, mode=mode)
+    cloud = sample_ball(sys, x, delta, 1500, K=8, seed=seed, mode=mode)
     pts = np.vstack([cloud.feasible_endpoints(), x[None]])
     spread = np.abs(pts - x).max(axis=0)
-    res = np.maximum(2.0 * spread / resolution_cells, delta * 1e-4)
+    res = np.maximum(2.0 * spread / (32 if sys.n <= 2 else 22), delta * 1e-4)
     graph = reach_graph(sys, x, delta, mode, res=res)
     reached = graph.settled_pts
     lo, hi = reached.min(axis=0) - res, reached.max(axis=0) + res

@@ -390,7 +390,7 @@ def suite_sandwich(scn: Scenario) -> tuple[list, list]:
     for probe in scn.probes:
         for delta in scn.deltas:
             smap = _map_for_probe(scn, sys_, probe, delta, gain, cache)
-            rep = verify_sandwich(sys_, smap, eta1=0.25, seed=scn.seed)
+            rep = verify_sandwich(sys_, smap, seed=scn.seed)
             rows.append(
                 {
                     "probe": list(probe),
@@ -420,7 +420,7 @@ def suite_boundary_metric(scn: Scenario) -> tuple[list, list]:
         bsys = build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
         pairs = _pairs_from_probes(scn, 4, spread=min(0.2, bsys.radius * 0.6), boundary=True, around=probe)
         for a, b in pairs:
-            v = boundary_metric(bsys, a[:-1], b[:-1], tol=0.05)
+            v = boundary_metric(bsys, a[:-1], b[:-1])
             w = cc_distance(sys_, a, b, mode="intrinsic", tol=0.05)
             if v.midpoint() <= 0 or w.midpoint() <= 0:
                 continue
@@ -454,13 +454,13 @@ def suite_boundary_metric(scn: Scenario) -> tuple[list, list]:
     return rows, verdicts
 
 
-def _anisotropic_spread(scn: Scenario, sys_: WeightedSystem, probe, factor: float = 0.6):
-    """Per-axis pair spread from the sampled ball extents at the top scale."""
+def _anisotropic_spread(scn: Scenario, sys_: WeightedSystem, probe):
+    """Per-axis pair spread: 0.6 of the sampled ball extents at the top scale."""
     cloud = sample_ball(sys_, probe, scn.deltas[0], 600, K=8, seed=scn.seed, mode="intrinsic")
     ends = cloud.feasible_endpoints()
     if len(ends) == 0:
         return np.full(scn.n, 0.1)
-    return np.maximum(np.abs(ends - np.asarray(probe)).max(axis=0) * factor, 1e-3)
+    return np.maximum(np.abs(ends - np.asarray(probe)).max(axis=0) * 0.6, 1e-3)
 
 
 def suite_equivalence(scn: Scenario) -> tuple[list, list]:
@@ -587,8 +587,12 @@ def cmd_verify(args) -> int:
 
 def cmd_check(args) -> int:
     scn = load_scenario(args.scenario)
+    for opt, value in (("m-max", args.m_max), ("grid", args.grid)):
+        if value is not None and value < 1:
+            raise ScenarioError(f"--{opt} must be at least 1, got {value}", scn.path, 0)
     sys_ = scn.system()
-    rep = check_hormander(sys_, args.m_max or max(scn.order, 3), per_axis=args.grid)
+    m_max = args.m_max if args.m_max is not None else max(scn.order, 3)
+    rep = check_hormander(sys_, m_max, per_axis=args.grid)
     rows = [
         {
             "ok": rep.ok,
@@ -608,8 +612,11 @@ def cmd_check(args) -> int:
 def cmd_bracket(args) -> int:
     scn = load_scenario(args.scenario)
     sys_ = scn.system()
-    entries = enumerate_commutators(sys_, len(args.word))
     word = tuple(args.word)
+    for i in word:
+        if not 1 <= i <= sys_.r:
+            raise ScenarioError(f"bracket word index {i} is outside 1..{sys_.r}", scn.path, 0)
+    entries = enumerate_commutators(sys_, len(word))
     match = [e for e in entries if e.word == word]
     # antisymmetric duplicates collapse onto the canonical word
     e = match[0] if match else bracket_entry(sys_, word)

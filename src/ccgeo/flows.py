@@ -11,7 +11,7 @@ the grid oracle in `ccmetric`, each of which keeps its own guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,9 @@ __all__ = [
     "map_F",
 ]
 
+#: guarded integration domain: the chart box inflated by this factor
+GUARD_FACTOR = 1.25
+
 
 class FlowExcursionError(RuntimeError):
     """Trajectory left the guarded domain or became non-finite."""
@@ -45,16 +48,10 @@ class FlowConfig:
 
     box: Box
     steps_per_unit: int = 256
-    guard_factor: float = 1.25
 
     def __post_init__(self):
         if self.steps_per_unit < 16:
             raise ValueError("steps_per_unit must be >= 16")
-        if self.guard_factor <= 0:
-            raise ValueError("guard factor must be positive")
-
-    def with_steps(self, steps_per_unit: int) -> "FlowConfig":
-        return replace(self, steps_per_unit=steps_per_unit)
 
 
 def _rk4_step(velocity, y: np.ndarray, dt) -> np.ndarray:
@@ -82,7 +79,7 @@ def _control_velocity(vfs, a: np.ndarray):
 
 def _guard_ok(cfg: FlowConfig, pts: np.ndarray) -> np.ndarray:
     finite = np.all(np.isfinite(pts), axis=-1)
-    inside = cfg.box.contains(pts, inflate=cfg.guard_factor)
+    inside = cfg.box.contains(pts, inflate=GUARD_FACTOR)
     return finite & inside
 
 

@@ -55,12 +55,12 @@ class Box:
     def dim(self) -> int:
         return len(self.half_widths)
 
-    def contains(self, points: np.ndarray, inflate: float = 1.0, tol: float = 1e-9) -> np.ndarray:
-        """Per-point box membership; the half-space cut is checked separately."""
+    def contains(self, points: np.ndarray, inflate: float = 1.0) -> np.ndarray:
+        """Per-point box membership to within 1e-9; the half-space cut is checked separately."""
         points = np.asarray(points, dtype=float)
         hw = np.asarray(self.half_widths) * inflate
         c = np.asarray(self.center)
-        return np.all(np.abs(points - c) <= hw + tol, axis=-1)
+        return np.all(np.abs(points - c) <= hw + 1e-9, axis=-1)
 
     def grid(self, per_axis: int = 11) -> np.ndarray:
         """Uniform grid over the chart (restricted to x_n >= 0 if bounded)."""
@@ -120,8 +120,8 @@ class WeightedSystem:
     def density_at(self, points: np.ndarray) -> np.ndarray:
         return self.density.eval_many(np.asarray(points, dtype=float))
 
-    def validate_density(self, per_axis: int = 9) -> None:
-        vals = self.density.eval_many(self.box.grid(per_axis))
+    def validate_density(self) -> None:
+        vals = self.density.eval_many(self.box.grid(9))
         if not np.all(np.isfinite(vals)) or vals.min() <= 0:
             raise ValueError(f"density is not strictly positive on the chart (min {vals.min()})")
 
@@ -199,8 +199,8 @@ def enumerate_commutators(sys: WeightedSystem, m: int) -> list[CommutatorEntry]:
     return out
 
 
-def _numerically_zero(vf: VField, box: Box, scale: float, per_axis: int = 7) -> bool:
-    vals = vf.eval_many(box.grid(per_axis))
+def _numerically_zero(vf: VField, box: Box, scale: float) -> bool:
+    vals = vf.eval_many(box.grid(7))
     vals = vals[np.all(np.isfinite(vals), axis=-1)]
     return len(vals) > 0 and np.abs(vals).max() <= 1e-12 * max(1.0, scale)
 
@@ -293,12 +293,13 @@ def _greedy_witness(
     return best_det, best_idx
 
 
-def check_span_at(entries: list[CommutatorEntry], p, order: int | None = None) -> HormanderCertificate:
+def check_span_at(entries: list[CommutatorEntry], p) -> HormanderCertificate:
     """Certificate that the entry fields span R^n at p.
 
     gamma0 is the maximal |det| over n-column subsets (exhaustive when the
     candidate count is at most EXHAUSTIVE_LIMIT, greedy pivoting above) and
-    the verdict uses a scale-aware floor.
+    the verdict uses a scale-aware floor; the certificate's order is the
+    longest entry word.
     """
     if not entries:
         raise ValueError("no entries")
@@ -307,7 +308,7 @@ def check_span_at(entries: list[CommutatorEntry], p, order: int | None = None) -
     p = tuple(float(v) for v in p)
     if len(p) != n:
         raise ValueError("point dimension mismatch")
-    order = order if order is not None else max((len(e.word) for e in entries), default=1)
+    order = max(len(e.word) for e in entries)
     cols = np.array([e.field.eval_at(p) for e in live], dtype=float)
     live_idx = [i for i, e in enumerate(entries) if not e.is_zero]
     if len(cols) < n:
@@ -319,19 +320,14 @@ def check_span_at(entries: list[CommutatorEntry], p, order: int | None = None) -
     return HormanderCertificate(p, order, gamma0, tuple(live_idx[i] for i in witness), valid)
 
 
-def check_hormander(
-    sys: WeightedSystem,
-    m_max: int,
-    grid: np.ndarray | None = None,
-    per_axis: int = 11,
-) -> HormanderReport:
-    """Smallest order m <= m_max certified at every grid point.
+def check_hormander(sys: WeightedSystem, m_max: int, per_axis: int = 11) -> HormanderReport:
+    """Smallest order m <= m_max certified on the chart's per_axis grid.
 
     Returns the grid minimum of gamma0 at that order (the uniform spanning
     constant); on failure, reports the points where the largest tried order
     still fails.
     """
-    pts = sys.box.grid(per_axis) if grid is None else np.asarray(grid, dtype=float)
+    pts = sys.box.grid(per_axis)
     failures: list[tuple[float, ...]] = []
     for m in range(1, m_max + 1):
         entries = [e for e in enumerate_commutators(sys, m) if not e.is_zero]

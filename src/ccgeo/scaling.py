@@ -41,6 +41,17 @@ __all__ = [
     "verify_uniform_hormander",
 ]
 
+#: largest scale a scaling map is built at
+DELTA_CAP = 0.5
+#: finite-difference step of the numerical Lie bracket
+BRACKET_H = 1e-4
+#: half side of the parameter cube whose image the sandwich check tests
+ETA1 = 0.25
+#: trial inner-cube ratios xi of the sandwich check, largest first
+XI_LADDER = tuple(ETA1 * f for f in (1.0, 0.5, 0.25, 0.125, 0.0625))
+#: share of points that must pass a sandwich containment test
+MIN_FRACTION = 0.99
+
 
 @dataclass(frozen=True)
 class LambdaReport:
@@ -156,9 +167,7 @@ class ScalingMap:
     distinguished: tuple[VField, int] | None
     omega: int
     cfg: FlowConfig
-    zeta: float
     indices: tuple[int, ...]
-    gain: float = 1.0
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -219,7 +228,7 @@ class ScalingMap:
             self._cache[key] = out
         return out[0] if single else out
 
-    def invert(self, y: np.ndarray, max_iter: int = 50, tol: float = 1e-10):
+    def invert(self, y: np.ndarray):
         """Damped Newton inversion from t = 0; returns (t, converged)."""
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
@@ -228,7 +237,7 @@ class ScalingMap:
         T = np.zeros((B, n))
         ok = np.ones(B, dtype=bool)
         res = self._eval(T) - Y
-        for _ in range(max_iter):
+        for _ in range(50):
             norms = np.linalg.norm(res, axis=1)
             active = ok & (norms > 1e-12)
             if not active.any():
@@ -257,7 +266,7 @@ class ScalingMap:
             T[active] = tact
             res[active] = ract
             ok[active] &= done_step | (np.linalg.norm(ract, axis=1) <= 1e-12)
-            if np.abs(step).max() <= tol:
+            if np.abs(step).max() <= 1e-10:
                 break
         converged = ok & (np.linalg.norm(res, axis=1) <= 1e-7 * max(1.0, self.delta))
         return (T[0], bool(converged[0])) if single else (T, converged)
@@ -268,11 +277,6 @@ def build_scaling_map(
     x,
     delta: float,
     m: int | None = None,
-    zeta: float = 0.75,
-    cfg: FlowConfig | None = None,
-    delta_cap: float = 0.5,
-    prev: tuple[int, ...] | None = None,
-    steps_per_unit: int = 128,
     gain: float = 1.0,
 ) -> ScalingMap:
     """Scaling map at (x, delta) from a weighted or boundary system.
@@ -287,60 +291,37 @@ def build_scaling_map(
     identities hold for the stored basis exactly as stated.
     """
     x = np.asarray(x, dtype=float)
-    if delta <= 0 or delta > delta_cap:
-        raise ValueError(f"delta must be in (0, {delta_cap}]")
+    if delta <= 0 or delta > DELTA_CAP:
+        raise ValueError(f"delta must be in (0, {DELTA_CAP}]")
     if not 0.0 < gain <= 1.0:
         raise ValueError("gain must be in (0, 1]")
+
+    def scaled(vf: VField) -> VField:
+        return vf.scaled(gain) if gain != 1.0 else vf
+
     if isinstance(source, BoundarySystem):
         if abs(x[-1]) > 1e-12:
             raise ValueError("near-boundary maps are anchored at boundary points")
-        parent = source.parent
-        cfg = cfg or FlowConfig(parent.box, steps_per_unit=steps_per_unit)
         x0f, d0 = source.distinguished
-        omega = source.omega
-        denom = mul(Const(float(omega)), x0f.nth)
-        x0norm = VField(tuple(div(c, denom) for c in x0f.components))
-        if gain != 1.0:
-            x0norm = x0norm.scaled(gain)
-        tang = [(vf, d) for vf, d, w, z in source.x_entries if not z]
-        fields = tang + [(x0f, d0)]
-        idx = select_basis(fields, x, delta, zeta, distinguished=len(fields) - 1, prev=prev)
-        basis = tuple(
-            (fields[i][0].scaled(gain) if gain != 1.0 else fields[i][0], fields[i][1])
-            for i in idx[:-1]
-        )
-        smap = ScalingMap(
-            kind="near_boundary",
-            x=x,
-            delta=float(delta),
-            basis=basis,
-            distinguished=(x0norm, d0),
-            omega=omega,
-            cfg=cfg,
-            zeta=zeta,
-            indices=idx,
-            gain=gain,
-        )
+        denom = mul(Const(float(source.omega)), x0f.nth)
+        distinguished = (scaled(VField(tuple(div(c, denom) for c in x0f.components))), d0)
+        fields = [(vf, d) for vf, d, w, z in source.x_entries if not z] + [(x0f, d0)]
+        idx = select_basis(fields, x, delta, distinguished=len(fields) - 1)
+        kind, box, omega, slots = "near_boundary", source.parent.box, source.omega, idx[:-1]
     else:
-        zsys = source if source.words is not None else build_Z_system(source, m if m else 2)
-        cfg = cfg or FlowConfig(source.box, steps_per_unit=steps_per_unit)
-        idx = select_basis(zsys.fields, x, delta, zeta, prev=prev)
-        basis = tuple(
-            (zsys.fields[i][0].scaled(gain) if gain != 1.0 else zsys.fields[i][0], zsys.fields[i][1])
-            for i in idx
-        )
-        smap = ScalingMap(
-            kind="interior",
-            x=x,
-            delta=float(delta),
-            basis=basis,
-            distinguished=None,
-            omega=1,
-            cfg=cfg,
-            zeta=zeta,
-            indices=idx,
-            gain=gain,
-        )
+        fields = (source if source.words is not None else build_Z_system(source, m if m else 2)).fields
+        idx = select_basis(fields, x, delta)
+        kind, box, omega, slots, distinguished = "interior", source.box, 1, idx, None
+    smap = ScalingMap(
+        kind=kind,
+        x=x,
+        delta=float(delta),
+        basis=tuple((scaled(fields[i][0]), fields[i][1]) for i in slots),
+        distinguished=distinguished,
+        omega=omega,
+        cfg=FlowConfig(box, steps_per_unit=128),
+        indices=idx,
+    )
     if not np.allclose(smap(np.zeros(len(x))), x, atol=1e-10):
         raise RuntimeError("scaling map does not fix the base point")
     j0 = smap.jacobian(np.zeros(len(x)))
@@ -369,7 +350,7 @@ def pullback_field(smap: ScalingMap, V, scale: float):
     return pulled
 
 
-def numeric_bracket(F, G, h: float = 1e-4):
+def numeric_bracket(F, G):
     """Finite-difference Lie bracket of two numerical vector fields."""
 
     def jac(fn, U):
@@ -377,8 +358,8 @@ def numeric_bracket(F, G, h: float = 1e-4):
         cols = []
         for i in range(n):
             e = np.zeros(n)
-            e[i] = h
-            cols.append((fn(U + e) - fn(U - e)) / (2 * h))
+            e[i] = BRACKET_H
+            cols.append((fn(U + e) - fn(U - e)) / (2 * BRACKET_H))
         return np.stack(cols, axis=-1)  # (B, n, n)
 
     def br(U):
@@ -410,29 +391,20 @@ class SandwichReport:
         return self.outer_pass and self.xi1 > 0.0
 
 
-def verify_sandwich(
-    sys: WeightedSystem,
-    smap: ScalingMap,
-    eta1: float = 0.25,
-    n_outer: int = 256,
-    n_inner: int = 256,
-    xi_ladder=None,
-    seed: int = 0,
-    tol: float = 0.1,
-    oracle_cells: int = 24,
-    min_fraction: float = 0.99,
-) -> SandwichReport:
+def verify_sandwich(sys: WeightedSystem, smap: ScalingMap, seed: int = 0) -> SandwichReport:
     """Two-sided ball/cube containment check for one scaling map.
 
-    Outer: psi-images of the eta1-cube must lie in the intrinsic ball at
-    delta (1 + tol), tested by oracle reachability dilated by one grid
-    cell (the oracle's own surface quantization).  Inner: extrinsic ball
-    samples at trial xi * delta, intersected with the chart, must invert
-    into the eta1-cube; the largest passing xi is reported.
+    Outer: psi-images of 256 points of the ETA1-cube must lie in the
+    intrinsic ball at 1.1 delta, tested by oracle reachability at 1/24 of
+    the sampled ball's extent, dilated by one grid cell (the oracle's own
+    surface quantization).  Inner: 256 extrinsic ball samples at each
+    trial xi * delta of XI_LADDER, intersected with the chart, must invert
+    into the ETA1-cube; the largest xi where MIN_FRACTION pass is reported.
     """
     x = smap.x
     delta = smap.delta
     n = smap.n
+    outer = delta * 1.1
     rng = np.random.default_rng([seed, 17])
     c0 = 0.0 if smap.kind == "near_boundary" else -1.0
     if smap.kind == "interior" and sys.box.has_boundary:
@@ -442,26 +414,24 @@ def verify_sandwich(
                 "interior map ball touches the boundary; anchor the map at a boundary point"
             )
 
-    U = rng.uniform(-eta1, eta1, size=(n_outer, n))
+    U = rng.uniform(-ETA1, ETA1, size=(256, n))
     if c0 > -1.0:
-        U[:, -1] = np.abs(U[:, -1]) * (1.0 - c0) + c0 * eta1  # t_n in [c0*eta1, eta1]
+        U[:, -1] = np.abs(U[:, -1]) * (1.0 - c0) + c0 * ETA1  # t_n in [c0*ETA1, ETA1]
     pts = smap(U)
-    cloud = sample_ball(sys, x, delta * (1 + tol), 512, K=8, seed=seed + 1, mode="intrinsic")
+    cloud = sample_ball(sys, x, outer, 512, K=8, seed=seed + 1, mode="intrinsic")
     ref = np.vstack([cloud.feasible_endpoints(), x[None]])
     extent = np.maximum(ref.max(axis=0) - ref.min(axis=0), 1e-6)
-    graph = reach_graph(sys, x, delta * (1 + tol), mode="intrinsic", res=extent * 1.3 / oracle_cells)
+    graph = reach_graph(sys, x, outer, mode="intrinsic", res=extent * 1.3 / 24)
     member = graph.contains(pts, dilate=1)
     outer_fraction = float(member.mean())
-    outer_pass = outer_fraction >= min_fraction
+    outer_pass = outer_fraction >= MIN_FRACTION
     counterexamples = tuple(tuple(p) for p in pts[~member][:5])
 
-    if xi_ladder is None:
-        xi_ladder = [eta1 * f for f in (1.0, 0.5, 0.25, 0.125, 0.0625)]
     inner_fractions = []
     xi1 = 0.0
     failures = 0
-    for xi in xi_ladder:
-        ball = sample_ball(sys, x, xi * delta, n_inner, K=8, seed=seed + 2, mode="extrinsic")
+    for xi in XI_LADDER:
+        ball = sample_ball(sys, x, xi * delta, 256, K=8, seed=seed + 2, mode="extrinsic")
         ends = ball.feasible_endpoints()
         if sys.box.has_boundary:
             ends = ends[ends[:, -1] >= -BOUNDARY_TOL]
@@ -474,17 +444,17 @@ def verify_sandwich(
         if len(Tc) == 0:
             inner_fractions.append((xi, 0.0))
             continue
-        inside = np.all(np.abs(Tc) <= eta1 * (1 + 1e-6), axis=1)
+        inside = np.all(np.abs(Tc) <= ETA1 * (1 + 1e-6), axis=1)
         if c0 > -1.0:
-            inside &= Tc[:, -1] >= c0 * eta1 - 1e-6
+            inside &= Tc[:, -1] >= c0 * ETA1 - 1e-6
         frac = float(inside.mean())
         inner_fractions.append((xi, frac))
-        if frac >= min_fraction and xi > xi1:
+        if frac >= MIN_FRACTION and xi > xi1:
             xi1 = xi
     return SandwichReport(
         x=tuple(x),
         delta=delta,
-        eta1=eta1,
+        eta1=ETA1,
         c0=c0,
         xi1=xi1,
         outer_fraction=outer_fraction,
@@ -503,25 +473,19 @@ class UniformHormanderReport:
     order: int
 
 
-def verify_uniform_hormander(
-    maps,
-    sys: WeightedSystem,
-    m: int,
-    grid_half: float = 0.5,
-    per_axis: int = 3,
-    bracket_h: float = 1e-4,
-) -> UniformHormanderReport:
+def verify_uniform_hormander(maps, sys: WeightedSystem, m: int) -> UniformHormanderReport:
     """Uniform spanning of pulled-back generators across scaling maps.
 
     For each map the generators are pulled back, bracketed numerically up
-    to order m, and the min-over-grid max-subset determinant recorded; the
+    to order m, and the max-subset determinant's minimum over a 3-point
+    per-axis grid of [-0.5, 0.5]^n recorded; the
     report carries the min over all maps (the uniformity floor) and the
     sup of the pulled-back field magnitudes (boundedness clause).
     """
     floors = []
     sup_mag = 0.0
     for smap in maps:
-        grid = _grid([np.linspace(-grid_half, grid_half, per_axis)] * smap.n)
+        grid = _grid([np.linspace(-0.5, 0.5, 3)] * smap.n)
         base = [
             pullback_field(smap, vf, smap.delta**d)
             for vf, d in sys.fields
@@ -534,7 +498,7 @@ def verify_uniform_hormander(
                 for tag, g in prev:
                     if order == 2 and tag <= i:
                         continue  # self and antisymmetric duplicates
-                    br = numeric_bracket(bi, g, h=bracket_h)
+                    br = numeric_bracket(bi, g)
                     fields.append(br)
                     new.append((i, br))
             prev = new

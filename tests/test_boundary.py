@@ -109,7 +109,7 @@ def test_build_rejects_characteristic_point():
 
 def test_boundary_metric_euclidean_along_dx():
     bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2, probe_radius=0.3)
-    est = boundary_metric(bsys, (0.4,), (0.55,), tol=0.05)
+    est = boundary_metric(bsys, (0.4,), (0.55,))
     assert est.lower <= 0.152
     assert est.upper >= 0.148
     assert est.upper <= 0.18
@@ -123,7 +123,7 @@ def test_boundary_metric_same_point():
 
 def test_boundary_metric_elliptic():
     bsys = build_boundary_system(elliptic_half(3), (0.0, 0.0, 0.0), m=1, probe_radius=0.4)
-    est = boundary_metric(bsys, (0.0, 0.0), (0.2, 0.1), tol=0.05)
+    est = boundary_metric(bsys, (0.0, 0.0), (0.2, 0.1))
     d = np.hypot(0.2, 0.1)
     assert est.lower <= d * 1.05
     assert est.upper >= d * 0.95
@@ -167,7 +167,7 @@ def test_metric_sandwich_two_sided():
     pairs = [((0.4,), (0.55,)), ((0.35,), (0.5,)), ((0.45,), (0.6,))]
     worst = 1.0
     for a, b in pairs:
-        v = boundary_metric(bsys, a, b, tol=0.05)
+        v = boundary_metric(bsys, a, b)
         w = cc_distance(sys, (a[0], 0.0), (b[0], 0.0), mode="intrinsic", tol=0.05)
         mid_v, mid_w = v.midpoint(), w.midpoint()
         assert mid_v > 0 and mid_w > 0

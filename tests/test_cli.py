@@ -136,6 +136,44 @@ def test_zero_control_segments_are_numeric_errors(command, capsys):
     assert "at least one segment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ball", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "0"],
+        ["volume", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "0"],
+        ["volume", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "1"],
+    ],
+)
+def test_unusable_sample_counts_are_numeric_errors(args, capsys):
+    # zero samples used to escape with an IndexError (ball) or a
+    # ZeroDivisionError (volume); one volume sample printed a NaN std_error
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bracket", "elliptic", "0"],
+        ["bracket", "elliptic", "1", "2", "-1"],
+        ["bracket", "elliptic", "3"],
+        ["check", "elliptic", "--m-max", "0"],
+        ["check", "elliptic", "--m-max", "-1"],
+        ["check", "elliptic", "--grid", "0"],
+    ],
+)
+def test_out_of_range_bracket_and_check_options_are_usage_errors(args, capsys):
+    # index 0 or -1 read the last generator and exited 0, index 3 raised;
+    # --m-max 0 ran the default order, -1 reported "not certified" and
+    # --grid 0 failed on an empty reduction
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_emit_writes_numpy_bools_as_json_booleans(capsys):
     emit({"pass": np.bool_(True), "fail": np.bool_(False), "x": np.float32(0.5), "n": np.int64(3)}, None)
     text = capsys.readouterr().out

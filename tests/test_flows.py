@@ -93,7 +93,7 @@ def test_commutator_flow_order_three_exact_nilpotent():
 def test_step_halving_convergence_order():
     vf = parse_vfield("x2*x2+1, 0-x1", 2)
     p = np.array([0.3, 0.2])
-    ends = [exp_flow(vf, 1.0, p, CFG2.with_steps(s)) for s in (32, 64, 128)]
+    ends = [exp_flow(vf, 1.0, p, FlowConfig(CFG2.box, steps_per_unit=s)) for s in (32, 64, 128)]
     e1 = np.linalg.norm(ends[0] - ends[2])
     e2 = np.linalg.norm(ends[1] - ends[2])
     order = math.log2(e1 / e2)

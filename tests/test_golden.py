@@ -2,7 +2,8 @@
 
 Each command runs through `ccgeo.cli.main`; the sha256 of its stdout and
 its exit code are pinned.  The commands pass through the RK4 integrators,
-the subset-determinant scans, the grid builders and the shooting search,
+the subset-determinant scans, the grid builders, the shooting search and
+both kinds of scaling map with their sandwich check and Newton inversion,
 so a refactor of any of them that moves one digit of a report shows here.
 """
 import contextlib
@@ -35,6 +36,10 @@ GOLDEN = {
         0, "b61e499bf6b79769a47b5b64eff35963d61903a983fe6c3112e6ef819b46aea6"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4": (
         0, "0e238b96e881d8b9da3276a3ee62a4251920c7457ba55bb9f11b5e0c8a9a3e31"),
+    "verify elliptic --suite sandwich": (
+        0, "1359f44669b60175fb316d6521d822f2cce8957bf5916621410b36616b0e6848"),
+    "verify grushin_straightened --suite sandwich": (
+        0, "170495ddb016ec5b157494b05d1af00dcc38983387b8b9092dcd59d5a3145fca"),
 }
 
 

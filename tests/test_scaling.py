@@ -253,7 +253,7 @@ def test_sandwich_elliptic_xi_equals_eta():
     sys = elliptic(boundary=True)
     bsys = build_boundary_system(sys, (0.0, 0.0), m=1, probe_radius=0.4)
     smap = build_scaling_map(bsys, (0.0, 0.0), 0.3)
-    rep = verify_sandwich(sys, smap, eta1=0.25, seed=0)
+    rep = verify_sandwich(sys, smap, seed=0)
     assert rep.passed
     assert rep.c0 == 0.0
     # isometric scaling: the eta1-ball fits exactly in the eta1-cube image
@@ -263,7 +263,7 @@ def test_sandwich_elliptic_xi_equals_eta():
 def test_sandwich_grushin_interior_origin():
     sys = grushin()
     smap = build_scaling_map(sys, (0.0, 0.0), 0.2, m=2, gain=0.3)
-    rep = verify_sandwich(sys, smap, eta1=0.25, seed=1)
+    rep = verify_sandwich(sys, smap, seed=1)
     assert rep.outer_pass
     assert rep.xi1 >= 0.01
 
@@ -273,7 +273,7 @@ def test_sandwich_xi_stable_across_small_delta():
     xis = []
     for delta in (0.2, 0.1, 0.05):
         smap = build_scaling_map(sys, (0.0, 0.0), delta, m=2, gain=0.3)
-        rep = verify_sandwich(sys, smap, eta1=0.25, seed=2)
+        rep = verify_sandwich(sys, smap, seed=2)
         assert rep.outer_pass
         xis.append(rep.xi1)
     assert min(xis) > 0
