@@ -213,6 +213,8 @@ def sample_ball(
     _check_mode(mode)
     if n_samples < 1:
         raise ValueError(f"a ball sample needs at least one control, got n_samples = {n_samples}")
+    if delta < 0:
+        raise ValueError(f"ball radius must be non-negative, got delta = {delta}")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     coeffs = sample_controls(rng, n_samples, K, sys.r)

@@ -33,6 +33,7 @@ from .flows import FlowExcursionError
 from .hormander import (
     Box,
     WeightedSystem,
+    _grid,
     bracket_entry,
     build_Z_system,
     check_hormander,
@@ -42,7 +43,7 @@ from .scaling import (
     build_scaling_map,
     compute_lambda,
     doubling_ratio,
-    pullback_field,
+    pullback,
     verify_sandwich,
     verify_uniform_hormander,
 )
@@ -526,10 +527,7 @@ def suite_topology(scn: Scenario) -> tuple[list, list]:
             graph = reach_graph(sys_, probe, delta, mode=mode, res=ext * 1.3 / cells)
             inner_r = 0.0
             for k in range(1, 7):
-                r_try = ext * 2.0**-k
-                corners = np.asarray(probe) + np.array(
-                    [[sx * r_try[i] for i, sx in enumerate(signs)] for signs in _corner_signs(scn.n)]
-                )
+                corners = np.asarray(probe) + _grid([(-1.0, 1.0)] * scn.n) * (ext * 2.0**-k)
                 keep = sys_.box.contains(corners)
                 if sys_.box.has_boundary:
                     keep &= corners[:, -1] >= -1e-12
@@ -557,13 +555,6 @@ def suite_topology(scn: Scenario) -> tuple[list, list]:
     return rows, verdicts
 
 
-def _corner_signs(n: int):
-    out = []
-    for mask in range(2**n):
-        out.append([1.0 if mask & (1 << i) else -1.0 for i in range(n)])
-    return out
-
-
 _SUITE_FNS = {
     "doubling": suite_doubling,
     "volume": suite_volume,
@@ -579,6 +570,8 @@ _SUITE_FNS = {
 
 def cmd_verify(args) -> int:
     scn = load_scenario(args.scenario)
+    if not scn.probes:
+        raise ScenarioError("verify suites need at least one probe", scn.path, 0)
     rows, verdicts = _SUITE_FNS[args.suite](scn)
     report = make_report(scn, f"verify {args.suite}", {"seed": scn.seed}, rows, verdicts)
     emit(report, args.out)
@@ -722,13 +715,11 @@ def cmd_scale(args) -> int:
             "psi0": [float(v) for v in smap(np.zeros(scn.n))],
         }
     ]
+    J, P = smap.jacobian(U), smap(U)
     residuals = []
-    for vf, d in sys_.fields:
-        pulled = pullback_field(smap, vf, smap.delta**d)
-        w = pulled(U)
-        J = smap.jacobian(U)
+    for (vf, d), w in zip(sys_.fields, pullback(smap, sys_.fields, U)):
         lhs = np.einsum("bij,bj->bi", J, w)
-        rhs = vf.eval_many(smap(U)) * smap.delta**d
+        rhs = vf.eval_many(P) * smap.delta**d
         residuals.append(float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())))
     rows.append({"pullback_identity_residuals": residuals})
     uni = verify_uniform_hormander([smap], sys_, scn.order)

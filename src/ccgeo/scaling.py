@@ -5,11 +5,14 @@ commutators; it is comparable to the ball volume and exactly controls
 doubling.  The scaling map composes exponentials of a zeta-maximal
 commutator basis, with the distinguished transversal field straightened
 to +/- d/dt_n near the boundary; pulled-back generators stay uniformly
-Hormander across scales, which is verified numerically on cube grids.
+Hormander across scales, which is verified on cube grids.  Pullback
+commutes with the Lie bracket, psi*[X, Y] = [psi*X, psi*Y], so the
+pulled-back brackets are the pullbacks of the exact symbolic brackets,
+all from one psi and one d psi per map.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,16 +38,13 @@ __all__ = [
     "doubling_ratio",
     "select_basis",
     "build_scaling_map",
-    "pullback_field",
-    "numeric_bracket",
+    "pullback",
     "verify_sandwich",
     "verify_uniform_hormander",
 ]
 
 #: largest scale a scaling map is built at
 DELTA_CAP = 0.5
-#: finite-difference step of the numerical Lie bracket
-BRACKET_H = 1e-4
 #: half side of the parameter cube whose image the sandwich check tests
 ETA1 = 0.25
 #: trial inner-cube ratios xi of the sandwich check, largest first
@@ -150,7 +150,7 @@ def select_basis(
     return order(idx)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalingMap:
     """Composition of exponentials turning the delta-ball into a unit cube.
 
@@ -168,7 +168,6 @@ class ScalingMap:
     omega: int
     cfg: FlowConfig
     indices: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -177,14 +176,7 @@ class ScalingMap:
     def __call__(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         single = t.ndim == 1
-        T = t[None] if single else t
-        key = ("eval", T.tobytes())
-        out = self._cache.get(key)
-        if out is None:
-            out = self._eval(T)
-            if len(self._cache) > 256:
-                self._cache.clear()
-            self._cache[key] = out
+        out = self._eval(t[None] if single else t)
         return out[0] if single else out
 
     def _eval(self, T: np.ndarray) -> np.ndarray:
@@ -207,25 +199,21 @@ class ScalingMap:
         u = np.asarray(u, dtype=float)
         single = u.ndim == 1
         U = u[None] if single else u
-        key = ("jac", U.tobytes())
-        out = self._cache.get(key)
-        if out is None:
-            B, n = U.shape
-            h = 1e-5 * (1.0 + np.abs(U).max(axis=1))  # (B,)
-            pert = []
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = 1.0
-                pert.append(U + h[:, None] * e)
-                pert.append(U - h[:, None] * e)
-            stacked = self._eval(np.concatenate(pert, axis=0))
-            cols = []
-            for i in range(n):
-                plus = stacked[2 * i * B : (2 * i + 1) * B]
-                minus = stacked[(2 * i + 1) * B : (2 * i + 2) * B]
-                cols.append((plus - minus) / (2 * h[:, None]))
-            out = np.stack(cols, axis=-1)  # (B, n, n)
-            self._cache[key] = out
+        B, n = U.shape
+        h = 1e-5 * (1.0 + np.abs(U).max(axis=1))  # (B,)
+        pert = []
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = 1.0
+            pert.append(U + h[:, None] * e)
+            pert.append(U - h[:, None] * e)
+        stacked = self._eval(np.concatenate(pert, axis=0))
+        cols = []
+        for i in range(n):
+            plus = stacked[2 * i * B : (2 * i + 1) * B]
+            minus = stacked[(2 * i + 1) * B : (2 * i + 2) * B]
+            cols.append((plus - minus) / (2 * h[:, None]))
+        out = np.stack(cols, axis=-1)  # (B, n, n)
         return out[0] if single else out
 
     def invert(self, y: np.ndarray):
@@ -330,47 +318,16 @@ def build_scaling_map(
     return smap
 
 
-def pullback_field(smap: ScalingMap, V, scale: float):
-    """Numerical pullback u -> (d psi(u))^{-1} (scale * V)(psi(u)).
+def pullback(smap: ScalingMap, fields, U) -> np.ndarray:
+    """Pullbacks u -> (d psi(u))^{-1} (delta^d V)(psi(u)) at the rows of U.
 
-    V may be a VField or a callable on point batches; the result is a
-    callable on parameter batches.
+    fields holds (VField, degree) pairs; psi and d psi are evaluated once
+    for all of them.  Returns shape (q, B, n) for q fields and B rows.
     """
-    fn = V.eval_many if isinstance(V, VField) else V
-
-    def pulled(U):
-        U = np.asarray(U, dtype=float)
-        single = U.ndim == 1
-        UU = U[None] if single else U
-        J = smap.jacobian(UU)
-        vals = fn(smap(UU)) * scale
-        out = np.linalg.solve(J, vals[..., None])[..., 0]
-        return out[0] if single else out
-
-    return pulled
-
-
-def numeric_bracket(F, G):
-    """Finite-difference Lie bracket of two numerical vector fields."""
-
-    def jac(fn, U):
-        B, n = U.shape
-        cols = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = BRACKET_H
-            cols.append((fn(U + e) - fn(U - e)) / (2 * BRACKET_H))
-        return np.stack(cols, axis=-1)  # (B, n, n)
-
-    def br(U):
-        U = np.asarray(U, dtype=float)
-        single = U.ndim == 1
-        UU = U[None] if single else U
-        f0, g0 = F(UU), G(UU)
-        out = np.einsum("bij,bj->bi", jac(G, UU), f0) - np.einsum("bij,bj->bi", jac(F, UU), g0)
-        return out[0] if single else out
-
-    return br
+    J = smap.jacobian(U)
+    P = smap(U)
+    vals = np.stack([vf.eval_many(P) * smap.delta**d for vf, d in fields])
+    return np.linalg.solve(J, vals[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -476,34 +433,22 @@ class UniformHormanderReport:
 def verify_uniform_hormander(maps, sys: WeightedSystem, m: int) -> UniformHormanderReport:
     """Uniform spanning of pulled-back generators across scaling maps.
 
-    For each map the generators are pulled back, bracketed numerically up
-    to order m, and the max-subset determinant's minimum over a 3-point
-    per-axis grid of [-0.5, 0.5]^n recorded; the
-    report carries the min over all maps (the uniformity floor) and the
-    sup of the pulled-back field magnitudes (boundedness clause).
+    Pullback commutes with the Lie bracket, psi*[X, Y] = [psi*X, psi*Y],
+    so for each map the fields of build_Z_system(sys, m) (the generators
+    and their exact brackets up to order m, less sign duplicates and zero
+    fields) are pulled back at their degrees, and the max-subset
+    determinant's minimum over a 3-point per-axis grid of [-0.5, 0.5]^n
+    recorded; the report carries the min over all maps (the uniformity
+    floor) and the sup of the pulled-back generator magnitudes
+    (boundedness clause).
     """
+    z = build_Z_system(sys, m)
+    n_gen = sum(len(w) == 1 for w in z.words)
     floors = []
     sup_mag = 0.0
     for smap in maps:
-        grid = _grid([np.linspace(-0.5, 0.5, 3)] * smap.n)
-        base = [
-            pullback_field(smap, vf, smap.delta**d)
-            for vf, d in sys.fields
-        ]
-        fields = list(base)
-        prev = [(i, fn) for i, fn in enumerate(base)]
-        for order in range(2, m + 1):
-            new = []
-            for i, bi in enumerate(base):
-                for tag, g in prev:
-                    if order == 2 and tag <= i:
-                        continue  # self and antisymmetric duplicates
-                    br = numeric_bracket(bi, g)
-                    fields.append(br)
-                    new.append((i, br))
-            prev = new
-        cols = np.stack([fn(grid) for fn in fields])  # (q, P, n)
-        sup_mag = max(sup_mag, float(np.abs(cols[: len(base)]).max()))
+        cols = pullback(smap, z.fields, _grid([np.linspace(-0.5, 0.5, 3)] * smap.n))  # (q, P, n)
+        sup_mag = max(sup_mag, float(np.abs(cols[:n_gen]).max()))
         floors.append(float(_max_subset_det(cols)[0].min()))
     return UniformHormanderReport(
         floors=tuple(floors),

@@ -24,7 +24,7 @@ from ccgeo.hormander import Box, check_hormander
 from ccgeo.scaling import (
     build_scaling_map,
     compute_lambda,
-    pullback_field,
+    pullback,
     verify_uniform_hormander,
 )
 from ccgeo.symexpr import Const, lie_bracket, parse_expr, parse_vfield
@@ -190,8 +190,7 @@ def test_criterion_08_scaling_map_items():
         ok &= np.abs(smap(np.zeros(2)) - np.array([0.5, 0.0])).max() <= 1e-10
         U = np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.25]])
         x0n, d0 = smap.distinguished
-        pulled = pullback_field(smap, x0n, smap.delta**d0)
-        vals = pulled(U)
+        vals = pullback(smap, [(x0n, d0)], U)[0]
         target = np.zeros_like(vals)
         target[:, 1] = smap.omega
         ok &= np.abs(vals - target).max() <= 1e-6
@@ -199,11 +198,10 @@ def test_criterion_08_scaling_map_items():
         for vf, d, w, z in bsys.x_entries:
             if z:
                 continue
-            vals = pullback_field(smap, vf, smap.delta**d)(slice_u)
+            vals = pullback(smap, [(vf, d)], slice_u)[0]
             ok &= np.abs(vals[:, -1]).max() <= 1e-8
         for vf, d in sys_.fields:
-            pw = pullback_field(smap, vf, smap.delta**d)
-            w = pw(U)
+            w = pullback(smap, [(vf, d)], U)[0]
             J = smap.jacobian(U)
             lhs = np.einsum("bij,bj->bi", J, w)
             rhs = vf.eval_many(smap(U)) * smap.delta**d

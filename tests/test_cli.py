@@ -223,3 +223,24 @@ def test_volume_command(tmp_path, capsys):
     row = report["rows"][0]
     assert row["volume"] > 0
     assert row["lambda"] == pytest.approx(0.008, rel=1e-9)
+
+
+@pytest.mark.parametrize("suite", ["doubling", "volume", "sandwich", "boundary-metric", "equivalence", "topology"])
+def test_verify_without_probes_is_usage_error(suite, tmp_path, capsys):
+    # equivalence used to escape with a ZeroDivisionError, volume and
+    # sandwich exited 3, doubling and topology passed with no rows
+    lines = Path(load_scenario("elliptic").path).read_text().splitlines()
+    scn = tmp_path / "noprobe.scn"
+    scn.write_text("\n".join(ln for ln in lines if not ln.startswith(("probe", "characteristic_probe"))) + "\n")
+    assert main(["verify", str(scn), "--suite", suite]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "verify suites need at least one probe" in err and err.count("\n") == 1
+
+
+def test_ball_rejects_negative_delta(capsys):
+    # a negative radius used to print a cloud driven by delta**d
+    assert main(["ball", "elliptic", "--x", "0", "0.5", "--delta", "-0.1", "--samples", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1

@@ -27,7 +27,9 @@ GOLDEN = {
     "scale grushin_straightened --x 0.5 0.0 --delta 0.1": (
         0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
     "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
-        0, "8ce7f1aeb4517e0e6a9ccabf6f07d9cccaea10f25bf0cc481990f7211080f5e5"),
+        0, "2499b70f3ee9c267f73eafbe5476497d852bfd27136decd46eb16b9bc618dd68"),
+    "scale degenerate --x 0.5 0.0 --delta 0.1": (
+        0, "d11e44755d264252af496d393603523b1373757a88b83088fa69ce22e6f26f0c"),
     "boundary grushin_straightened --x 0.5 0.0": (
         0, "0989c430ef1cfc8a67132b4ba1da4f7248e488a032cd90d9e4879dc57841e58f"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (

@@ -10,13 +10,12 @@ from ccgeo.scaling import (
     build_scaling_map,
     compute_lambda,
     doubling_ratio,
-    numeric_bracket,
-    pullback_field,
+    pullback,
     select_basis,
     verify_sandwich,
     verify_uniform_hormander,
 )
-from ccgeo.symexpr import parse_expr, parse_vfield
+from ccgeo.symexpr import lie_bracket, parse_expr, parse_vfield
 
 
 def elliptic(n=2, boundary=False):
@@ -185,8 +184,7 @@ def test_pullback_elliptic_unit_fields():
     sys = elliptic()
     smap = build_scaling_map(sys, (0.0, 0.0), 0.25, m=1)
     for i, (vf, d) in enumerate(sys.fields):
-        pulled = pullback_field(smap, vf, smap.delta**d)
-        vals = pulled(np.array([[0.1, 0.2], [-0.3, 0.4]]))
+        vals = pullback(smap, [(vf, d)], np.array([[0.1, 0.2], [-0.3, 0.4]]))[0]
         expect = np.zeros((2, 2))
         expect[:, i] = 1.0
         np.testing.assert_allclose(np.abs(vals), expect, atol=1e-6)
@@ -196,9 +194,8 @@ def test_pullback_distinguished_is_unit_tn():
     bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2, probe_radius=0.3)
     smap = build_scaling_map(bsys, (0.5, 0.0), 0.2)
     x0n, d0 = smap.distinguished
-    pulled = pullback_field(smap, x0n, smap.delta**d0)
     U = np.array([[0.0, 0.0], [0.3, -0.4], [-0.5, 0.25], [0.2, 0.6]])
-    vals = pulled(U)
+    vals = pullback(smap, [(x0n, d0)], U)[0]
     target = np.zeros_like(vals)
     target[:, 1] = smap.omega
     np.testing.assert_allclose(vals, target, atol=1e-6)
@@ -211,8 +208,7 @@ def test_pullback_tangential_no_tn_component_on_slice():
     for vf, d, w, z in bsys.x_entries:
         if z:
             continue
-        pulled = pullback_field(smap, vf, smap.delta**d)
-        vals = pulled(U)
+        vals = pullback(smap, [(vf, d)], U)[0]
         assert np.abs(vals[:, -1]).max() <= 1e-8
 
 
@@ -220,9 +216,8 @@ def test_pullback_identity_residual():
     sys = grushin()
     smap = build_scaling_map(sys, (0.3, 0.0), 0.2, m=2)
     vf, d = sys.fields[1]
-    pulled = pullback_field(smap, vf, smap.delta**d)
     U = np.array([[0.25, -0.3], [0.5, 0.5], [-0.6, 0.1]])
-    w = pulled(U)
+    w = pullback(smap, [(vf, d)], U)[0]
     J = smap.jacobian(U)
     lhs = np.einsum("bij,bj->bi", J, w)
     rhs = vf.eval_many(smap(U)) * smap.delta**d
@@ -240,13 +235,35 @@ def test_invert_round_trip():
     np.testing.assert_allclose(T2, T, atol=1e-7)
 
 
-def test_numeric_bracket_matches_symbolic():
-    sys = grushin()
-    f1 = lambda U: sys.fields[0][0].eval_many(U)
-    f2 = lambda U: sys.fields[1][0].eval_many(U)
-    br = numeric_bracket(f1, f2)
-    U = np.array([[0.3, 0.1], [-0.2, 0.5]])
-    np.testing.assert_allclose(br(U), np.tile([0.0, 1.0], (2, 1)), atol=1e-8)
+def heisenberg():
+    return WeightedSystem(
+        fields=((parse_vfield("0, 0-x1/2, 1", 3), 1), (parse_vfield("1, x3/2, 0", 3), 1)),
+        box=Box((1.5, 1.5, 1.5), has_boundary=True),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, x, delta, gain",
+    [
+        (heisenberg, (0.0, 0.0, 0.5), 0.2, 0.1),
+        (heisenberg, (0.0, 0.0, 0.5), 0.1, 0.1),
+        (grushin, (0.0, 0.0), 0.2, 0.3),
+    ],
+)
+def test_pulled_back_bracket_and_floor_closed_form(make, x, delta, gain):
+    # psi is a dilation composed with exponential coordinates (linear on
+    # Grushin at x1 = 0), with [X1, X2] the last basis slot: the pulled-back
+    # bracket at degree 2 is gain^-1 e_n and the span floor is gain^-n
+    sys = make()
+    n = sys.n
+    smap = build_scaling_map(sys, x, delta, m=2, gain=gain)
+    U = np.array([[0.0] * n, [0.3, -0.2, 0.4][:n], [-0.5, 0.5, -0.25][:n]])
+    br = pullback(smap, [(lie_bracket(sys.fields[0][0], sys.fields[1][0]), 2)], U)[0]
+    target = np.zeros((len(U), n))
+    target[:, -1] = 1.0 / gain
+    np.testing.assert_allclose(br, target, rtol=0, atol=1e-6 / gain)
+    rep = verify_uniform_hormander([smap], sys, m=2)
+    assert rep.overall_floor == pytest.approx(gain**-n, rel=1e-6)
 
 
 def test_sandwich_elliptic_xi_equals_eta():
