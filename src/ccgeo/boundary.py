@@ -78,7 +78,7 @@ class BoundarySystem:
 
 
 def _nontangent(entry_field: VField, p) -> bool:
-    v = entry_field.eval_at(p)
+    v = entry_field.eval_many(p)
     return abs(v[-1]) > TANGENCY_RTOL * max(1.0, float(np.linalg.norm(v)))
 
 
@@ -114,12 +114,12 @@ def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) ->
     entries = enumerate_commutators(sys, m)
     best = _deg_at(entries, xp, m)
     if best is None:
-        raise CharacteristicError(f"no transversal commutator up to order {m} at {tuple(xp)}")
+        raise CharacteristicError(f"no transversal commutator up to order {m} at {tuple(xp.tolist())}")
     deg = best[0]
     candidates = [e for e in entries if not e.is_zero and e.degree == deg and _nontangent(e.field, xp)]
 
     def ratio(e):
-        v = e.field.eval_at(xp)
+        v = e.field.eval_many(xp)
         return abs(v[-1]) / max(np.linalg.norm(v), 1e-300)
 
     witness = max(candidates, key=ratio)
@@ -159,7 +159,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     report = deg_boundary(sys, x0, m, probe_radius)
     if not report.noncharacteristic:
         raise CharacteristicError(
-            f"{tuple(x0)} is characteristic: boundary degree is not locally constant "
+            f"{tuple(x0.tolist())} is characteristic: boundary degree is not locally constant "
             f"(probe degrees {report.probe_degs})"
         )
     n = sys.n
@@ -170,23 +170,23 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     ]
     if not candidates:
         raise CharacteristicError(
-            f"no generator of degree {report.deg} is transversal at {tuple(x0)}"
+            f"no generator of degree {report.deg} is transversal at {tuple(x0.tolist())}"
         )
 
     def ratio(j):
-        v = sys.fields[j][0].eval_at(x0)
+        v = sys.fields[j][0].eval_many(x0)
         return abs(v[-1]) / max(np.linalg.norm(v), 1e-300)
 
     j0 = max(candidates, key=ratio)
     X0, d0 = sys.fields[j0]
-    x0n_val = float(X0.eval_at(x0)[-1])
+    x0n_val = float(X0.eval_many(x0)[-1])
     omega = 1 if x0n_val > 0 else -1
 
     entries_all = enumerate_commutators(sys, m)
     radius = probe_radius
     while True:
         probes = _boundary_probes(sys, x0, radius)
-        x0n = np.array([X0.eval_at(q)[-1] for q in probes])
+        x0n = np.array([X0.eval_many(q)[-1] for q in probes])
         floor = max(1e-10, 0.05 * abs(x0n_val))
         degs_ok = all(
             (b := _deg_at(entries_all, q, m)) is not None and b[0] == report.deg for q in probes
@@ -196,7 +196,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         radius *= 0.5
         if radius < 1e-3:
             raise CharacteristicError(
-                f"distinguished component vanishes arbitrarily close to {tuple(x0)}"
+                f"distinguished component vanishes arbitrarily close to {tuple(x0.tolist())}"
             )
 
     zsys = build_Z_system(sys, m)
@@ -249,7 +249,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         cert = check_span_at(pseudo, q)
         span_floor = min(span_floor, cert.gamma0)
         if not cert.valid:
-            raise CharacteristicError(f"boundary fields do not span at {tuple(q)}")
+            raise CharacteristicError(f"boundary fields do not span at {tuple(q.tolist())}")
 
     xbox = Box(
         half_widths=tuple([radius] * (n - 1) + [radius]),
@@ -304,12 +304,12 @@ def bracket_closure_residual(bsys: BoundarySystem) -> float:
                 continue
             cols_fields = [vf for vf, d in fields if d <= dj + dk]
             for q in grid:
-                target = br.eval_at(q)
+                target = br.eval_many(q)
                 scale = max(1.0, float(np.linalg.norm(target)))
                 if not cols_fields:
                     worst = max(worst, float(np.linalg.norm(target)) / scale)
                     continue
-                a = np.stack([vf.eval_at(q) for vf in cols_fields], axis=1)
+                a = np.stack([vf.eval_many(q) for vf in cols_fields], axis=1)
                 coef, *_ = np.linalg.lstsq(a, target, rcond=None)
                 worst = max(worst, float(np.linalg.norm(a @ coef - target)) / scale)
     return worst

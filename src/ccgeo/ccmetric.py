@@ -520,6 +520,23 @@ def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tup
     )
 
 
+def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:
+    """Double hi until `hits` holds, then bisect [0, hi] to relative width
+    `width`; [0, inf] when no scale up to DELTA_MAX hits."""
+    while hi <= DELTA_MAX and not hits(hi):
+        hi *= 2.0
+    if hi > DELTA_MAX:
+        return 0.0, math.inf
+    lo = 0.0
+    while hi - lo > width * hi:
+        mid = 0.5 * (lo + hi)
+        if hits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def reach_graph(sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02) -> ReachGraph:
     """Fully explored reachable set of B(x, delta) at cell resolution `res`."""
     g = ReachGraph(sys, x, delta, mode, res)
@@ -570,18 +587,7 @@ def oracle_distance(
     overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
 
     hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
-    hi = min(hi, DELTA_MAX)
-    while hi <= DELTA_MAX and not reach(hi):
-        hi *= 2.0
-    if hi > DELTA_MAX:
-        return MetricEstimate(0.0, math.inf, "oracle")
-    lo = 0.0
-    while hi - lo > 0.1 * hi:
-        mid = 0.5 * (lo + hi)
-        if reach(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _scale_search(reach, min(hi, DELTA_MAX), 0.1)
     lo_cert = 0.0
     probe = lo
     for _ in range(3):
@@ -667,7 +673,9 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     """
     factors = np.array([delta**d for d in sys.degrees])
     mid = 0.5 * (np.asarray(x) + np.asarray(y))
-    cols = np.stack([vf.eval_at(mid) for vf in sys.vfields()], axis=1) * factors
+    cols = np.stack([vf.eval_many(mid) for vf in sys.vfields()], axis=1) * factors
+    if not np.isfinite(cols).all():
+        raise ValueError(f"generator fields are not finite at the midpoint {tuple(mid.tolist())}")
     a0, *_ = np.linalg.lstsq(cols, np.asarray(y) - np.asarray(x), rcond=None)
     nrm = np.linalg.norm(a0)
     if nrm > 0.9:
@@ -719,19 +727,7 @@ def cc_distance(
         miss, warm = _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=warm)
         return miss <= miss_tol
 
-    hi = min(DELTA_MAX, max(1e-3, d_eu))
-    while hi <= DELTA_MAX and not hits(hi):
-        hi *= 2.0
-    if hi > DELTA_MAX:
-        return MetricEstimate(0.0, math.inf, "shooting")
-    lo = 0.0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if hits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return MetricEstimate(lo, hi, "shooting")
+    return MetricEstimate(*_scale_search(hits, min(DELTA_MAX, max(1e-3, d_eu)), tol), "shooting")
 
 
 # -- Monte-Carlo volume ---------------------------------------------------

@@ -309,7 +309,7 @@ def check_span_at(entries: list[CommutatorEntry], p) -> HormanderCertificate:
     if len(p) != n:
         raise ValueError("point dimension mismatch")
     order = max(len(e.word) for e in entries)
-    cols = np.array([e.field.eval_at(p) for e in live], dtype=float)
+    cols = np.array([e.field.eval_many(p) for e in live], dtype=float)
     live_idx = [i for i, e in enumerate(entries) if not e.is_zero]
     if len(cols) < n:
         return HormanderCertificate(p, order, 0.0, (), False)

@@ -62,7 +62,7 @@ class LambdaReport:
 
 
 def _entry_columns(fields, x) -> np.ndarray:
-    return np.stack([vf.eval_at(x) for vf, _ in fields])  # (q, n)
+    return np.stack([vf.eval_many(x) for vf, _ in fields])  # (q, n)
 
 
 def compute_lambda(
@@ -82,10 +82,10 @@ def compute_lambda(
     pseudo = [CommutatorEntry(vf, d, (i + 1,)) for i, (vf, d) in enumerate(z.fields)]
     cert = check_span_at(pseudo, x)
     if not cert.valid:
-        raise ValueError(f"Hormander certificate invalid at {tuple(x)} (gamma0 = {cert.gamma0})")
+        raise ValueError(f"Hormander certificate invalid at {tuple(x.tolist())} (gamma0 = {cert.gamma0})")
     if delta == 0.0:
         return LambdaReport(tuple(x), 0.0, 0.0, ())
-    h = float(sys.density.eval(x))
+    h = float(sys.density.eval_many(x))
     best, idx = _max_subset_det(_entry_columns(z.fields, x), delta, z.degrees, density=h)
     # value stays a numpy float: the volume suite's verdicts compare with it
     # and their numpy bools are written to reports as 1.0

@@ -1,9 +1,11 @@
 """Symbolic scalar expressions and coordinate vector fields.
 
-Expression trees support exact differentiation, scalar and batched numpy
-evaluation, and printing that round-trips through the parser.  Vector
-fields are n-tuples of expressions (coefficients of the coordinate
-derivations) with an exact Lie bracket.
+Expression trees support exact differentiation, evaluation and printing
+that round-trips through the parser.  Vector fields are n-tuples of
+expressions (coefficients of the coordinate derivations) with an exact
+Lie bracket.  Every evaluation, at one point or a batch, runs one
+compiled numpy kernel in float64: a domain error (division by zero,
+sqrt of a negative, overflow) gives inf or nan and never raises.
 
 Simplification is limited to constant folding and 0/1 absorption; no
 general rewriting is attempted, so brackets stay exact without risking
@@ -28,7 +30,6 @@ __all__ = [
     "VField",
     "ExprError",
     "ParseError",
-    "EvalError",
     "parse_expr",
     "parse_vfield",
     "lie_bracket",
@@ -56,15 +57,6 @@ class ParseError(ExprError):
         self.offset = offset
 
 
-class EvalError(ExprError):
-    """Domain error during evaluation; `path` locates the failing node."""
-
-    def __init__(self, message: str, path: tuple[int, ...]):
-        pretty = "root" + "".join(f".{i}" for i in path)
-        super().__init__(f"{message} at node {pretty}")
-        self.path = path
-
-
 UNARY_FUNCS = ("sin", "cos", "exp", "sqrt")
 
 _NP_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
@@ -74,11 +66,8 @@ _MATH_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.s
 class Expr:
     """Base class for expression nodes.  Nodes are immutable and hashable."""
 
-    def eval(self, point) -> float:
-        return _eval_scalar(self, tuple(point), ())
-
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of points with shape (..., n)."""
+        """Evaluate at points of shape (..., n); one point (n,) gives a 0-d array."""
         return self._kernel(np.asarray(points, dtype=float))[..., 0]
 
     @cached_property
@@ -221,77 +210,42 @@ def func(name: str, arg: Expr) -> Expr:
 # -- evaluation ---------------------------------------------------------
 
 
-def _eval_scalar(e: Expr, p: tuple, path: tuple[int, ...]) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(p):
-            raise EvalError(f"point has arity {len(p)}, expression uses x{e.index}", path)
-        return float(p[e.index - 1])
-    if isinstance(e, Unary):
-        v = _eval_scalar(e.arg, p, path + (0,))
-        if e.op == "neg":
-            return -v
-        if e.op == "sqrt" and v < 0.0:
-            raise EvalError(f"sqrt of negative value {v}", path)
-        return _MATH_FUNCS[e.op](v)
-    if isinstance(e, Binary):
-        a = _eval_scalar(e.lhs, p, path + (0,))
-        b = _eval_scalar(e.rhs, p, path + (1,))
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalError("division by zero", path)
-        return a / b
-    if isinstance(e, Power):
-        return _eval_scalar(e.base, p, path + (0,)) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _compile(exprs):
     """Generate one numpy kernel P (..., n) -> out (..., len(exprs)).
 
     Each distinct subtree (signed zeros kept apart) is one local, computed
-    once with the operation a tree walk would use: constant-only subtrees
-    stay Python/numpy scalars (`1/(1-1)` raises ZeroDivisionError), a
-    negated 0-d value is a Python float, and domain errors give inf/nan."""
+    once in float64: constants are bound as np.float64, so constant-only
+    subtrees follow numpy too, and domain errors give inf/nan."""
     env, lines, names = {"np": np, **_NP_FUNCS}, [], {}
 
-    def emit(e):  # -> (local name, depends on P)
-        code, varying = None, False
+    def emit(e):  # -> local name
+        code = None
         if isinstance(e, Const):
-            key = ("c", type(e.value), repr(e.value), math.copysign(1.0, e.value))
+            key = ("c", repr(e.value))
         elif isinstance(e, Var):
-            key, code, varying = ("x", e.index), f"P[..., {e.index - 1}]", True
+            key, code = ("x", e.index), f"P[..., {e.index - 1}]"
         elif isinstance(e, Unary):
-            a, varying = emit(e.arg)
-            key, code = (e.op, a), f"{e.op}({a})"
-            if e.op == "neg":
-                code = f"-{a} if nd else -float({a})" if varying else f"-float({a})"
+            a = emit(e.arg)
+            key, code = (e.op, a), f"-{a}" if e.op == "neg" else f"{e.op}({a})"
         elif isinstance(e, Binary):
-            (a, va), (b, vb) = emit(e.lhs), emit(e.rhs)
-            key, code, varying = (e.op, a, b), f"{a} {e.op} {b}", va or vb
+            a, b = emit(e.lhs), emit(e.rhs)
+            key, code = (e.op, a, b), f"{a} {e.op} {b}"
         elif isinstance(e, Power):
-            a, varying = emit(e.base)
+            a = emit(e.base)
             key, code = ("^", a, e.exponent), f"{a} ** ({e.exponent!r})"
         else:
             raise TypeError(f"not an expression node: {e!r}")
         if key not in names:
-            name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
-            names[key] = name, varying
+            names[key] = name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
             if code is None:
-                env[name] = e.value
+                env[name] = np.float64(e.value)
             else:
                 lines.append(f"        {name} = {code}")
         return names[key]
 
     for k, e in enumerate(exprs):
-        lines.append(f"        out[..., {k}] = {emit(e)[0]}")
-    src = (f"def kernel(P):\n    out = np.empty(P.shape[:-1] + ({len(exprs)},))\n    nd = P.ndim > 1\n"
+        lines.append(f"        out[..., {k}] = {emit(e)}")
+    src = (f"def kernel(P):\n    out = np.empty(P.shape[:-1] + ({len(exprs)},))\n"
            '    with np.errstate(all="ignore"):\n' + "\n".join(lines) + "\n    return out")
     exec(compile(src, "<ccgeo kernel>", "exec"), env)
     return env["kernel"]
@@ -530,9 +484,6 @@ class VField:
     def nth(self) -> Expr:
         """Last component, used for tangency tests against {x_n = 0}."""
         return self.components[-1]
-
-    def eval_at(self, point) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components], dtype=float)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         return self._kernel(np.asarray(points, dtype=float))

@@ -65,10 +65,10 @@ def test_criterion_01_bracket_and_derivative_correctness():
                 step = np.eye(2)[i - 1]
 
                 def fd(hh):
-                    return (e.eval(p + step * hh) - e.eval(p - step * hh)) / (2 * hh)
+                    return (e.eval_many(p + step * hh) - e.eval_many(p - step * hh)) / (2 * hh)
 
                 rich = (4 * fd(h / 2) - fd(h)) / 3
-                exact = e.diff(i).eval(p)
+                exact = e.diff(i).eval_many(p)
                 ok &= abs(rich - exact) <= 1e-6 * max(1.0, abs(exact))
     _report(1, "bracket antisymmetry/Jacobi at 1e-9 and AD vs FD at 1e-6", ok)
 
@@ -103,7 +103,7 @@ def test_criterion_03_flow_commutator_limits():
     g1 = parse_vfield("x2, 0", 2)
     word = BracketWordFlow.make((g0, g1), (1, 0))
     q = np.array([0.3, 0.1])
-    y = word.target.eval_at(q)
+    y = word.target.eval_many(q)
     for t in (2.0**-10, -(2.0**-10)):
         quot = (flow_E(word, t, q, cfg) - q) / t
         ok &= np.linalg.norm(quot - y) <= 0.05 * max(1.0, np.linalg.norm(y))

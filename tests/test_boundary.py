@@ -45,7 +45,7 @@ def test_deg_grushin_noncharacteristic_at_half():
     assert rep.deg == 1
     assert rep.noncharacteristic
     # the most-normal degree-1 witness is x d/dy, not dx - 2x dy
-    np.testing.assert_allclose(rep.witness.field.eval_at((0.5, 0.0)), [0.0, 0.5])
+    np.testing.assert_allclose(rep.witness.field.eval_many((0.5, 0.0)), [0.0, 0.5])
 
 
 def test_deg_grushin_characteristic_at_zero():
@@ -78,7 +78,7 @@ def test_build_grushin_btilde_is_quotient():
     bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2)
     # b~ for dx - 2x dy is (-2x)/x, kept as an explicit quotient
     b = bsys.btilde[0]
-    assert b.eval((0.4, 0.9)) == pytest.approx(-2.0)
+    assert b.eval_many((0.4, 0.9)) == pytest.approx(-2.0)
 
 
 def test_build_elliptic_coordinate_fields():

@@ -191,8 +191,47 @@ def test_boundary_export_round_trips(tmp_path, capsys):
     assert sys_.box.center == (0.5,)
 
 
-def test_boundary_characteristic_is_numeric_error():
+def test_boundary_characteristic_is_numeric_error(capsys):
     assert main(["boundary", "grushin_straightened", "--x", "0", "0"]) == 3
+    # the point prints as plain floats, not numpy scalar reprs
+    assert "(0.0, 0.0) is characteristic" in capsys.readouterr().err
+
+
+_POLE = 'field = "1, 0" degree = 1\nfield = "0, 1/(x1-0.25)" degree = 1\n'
+_SINGULAR = {
+    "pole": _POLE,
+    "pole_boundary": "boundary = true\n" + _POLE,
+    "constdiv": 'field = "1/(1-1), 0" degree = 1\nfield = "0, 1" degree = 1\n',
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, args, code",
+    [
+        ("pole", ["volume", "--x", "0.25", "0.5", "--delta", "0.1"], 3),
+        ("pole", ["dist", "--x", "0.25", "0.5", "--y", "0.25", "0.6"], 3),
+        ("pole", ["scale", "--x", "0.25", "0.5", "--delta", "0.1"], 3),
+        ("pole_boundary", ["boundary", "--x", "0.25", "0.0"], 3),
+        ("pole_boundary", ["scale", "--x", "0.25", "0.0", "--delta", "0.1"], 3),
+        ("constdiv", ["volume", "--x", "0.0", "0.5", "--delta", "0.1"], 3),
+        ("constdiv", ["dist", "--x", "0.0", "0.5", "--y", "0.1", "0.5"], 3),
+        ("constdiv", ["check"], 2),
+    ],
+)
+def test_singular_fields_fail_with_the_documented_code(scenario, args, code, tmp_path, capfd):
+    # a pole at the query point, or a constant 1/(1-1), used to escape
+    # with an EvalError or ZeroDivisionError traceback (exit 1); the
+    # file-descriptor capture also sees text LAPACK prints on bad input
+    path = tmp_path / f"{scenario}.scn"
+    path.write_text(f"name = {scenario}\ndim = 2\nbox = 1.0 1.0\nm = 1\ndelta = 0.2 0.1\n" + _SINGULAR[scenario])
+    assert main([args[0], str(path), *args[1:]]) == code
+    out, err = capfd.readouterr()
+    assert "Traceback" not in err
+    if code == 3:
+        assert out == ""
+        assert err.startswith("numeric error:") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["pass"] is False  # the report and nothing else
 
 
 def test_verify_doubling_elliptic(tmp_path):

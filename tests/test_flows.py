@@ -144,7 +144,7 @@ def test_flow_D_single_letter_is_exp():
 def test_flow_D_sign_flips_leading_term():
     bwf = _word_flow()
     p = np.array([0.0, 0.1])
-    y = bwf.target.eval_at(p)
+    y = bwf.target.eval_many(p)
 
     def coeff(sign, t):
         return (flow_D(bwf, sign, t, p, CFG2) - p) / t**2
@@ -166,7 +166,7 @@ def test_flow_E_one_sided_derivative():
     # of E is only O(sqrt(t)), hence the t-dependent slack.
     bwf = _word_flow()
     p = np.array([0.3, 0.0])
-    y = bwf.target.eval_at(p)
+    y = bwf.target.eval_many(p)
     ladder = [2.0**-k for k in range(6, 11)]
     for t in ladder:
         q_plus = (flow_E(bwf, t, p, CFG2) - p) / t
@@ -201,6 +201,6 @@ def test_map_F_jacobian_columns():
         tm = -tp
         cols.append((map_F(y, basis, tp, CFG2) - map_F(y, basis, tm, CFG2)) / (2 * h))
     jac = np.stack(cols, axis=-1)
-    expected = np.stack([basis[0].target.eval_at(y), basis[1].target.eval_at(y)], axis=-1)
+    expected = np.stack([basis[0].target.eval_many(y), basis[1].target.eval_many(y)], axis=-1)
     assert np.linalg.det(jac) == pytest.approx(np.linalg.det(expected), abs=1e-4)
     np.testing.assert_allclose(jac, expected, atol=5e-3)

@@ -64,7 +64,7 @@ def test_enumerate_grushin_contains_bracket():
     e = words[(1, 2)]
     assert e.degree == 2
     assert not e.is_zero
-    np.testing.assert_allclose(e.field.eval_at((0.3, 0.7)), [0.0, 1.0])
+    np.testing.assert_allclose(e.field.eval_many((0.3, 0.7)), [0.0, 1.0])
 
 
 def test_enumerate_order_one_is_generators():
@@ -178,7 +178,7 @@ def test_exhaustive_matches_greedy():
     rng = np.random.default_rng(0)
     for p in [(0.0, 0.0, 0.0), (0.4, -0.2, 0.7)]:
         cert = check_span_at(entries, p)
-        cols = np.array([e.field.eval_at(p) for e in entries])
+        cols = np.array([e.field.eval_many(p) for e in entries])
         g, _ = _greedy_witness(cols, 3, rng)
         assert g == pytest.approx(cert.gamma0, abs=1e-10)
 
