@@ -19,9 +19,10 @@ from .hormander import (
     Box,
     CommutatorEntry,
     WeightedSystem,
+    _field_columns,
     _grid,
-    build_Z_system,
-    check_span_at,
+    _span_certificate,
+    _z_system,
     enumerate_commutators,
 )
 from .symexpr import Const, Expr, VField, div, lie_bracket, mul, sub, to_string
@@ -47,12 +48,9 @@ class CharacteristicError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoundaryDegreeReport:
-    point: tuple[float, ...]
     deg: int
     witness: CommutatorEntry
-    locally_constant: bool
-    noncharacteristic: bool
-    probe_radius: float
+    noncharacteristic: bool  # the degree is the same at every probe
     probe_degs: tuple[int, ...]
 
 
@@ -72,24 +70,33 @@ class BoundarySystem:
     btilde: tuple[Expr, ...]
     v_entries: tuple[tuple[VField, int, bool], ...]  # boundary fields with zero flags
     v_system: WeightedSystem  # nonzero boundary fields on the (n-1)-chart
-    x_system: WeightedSystem  # X_0 followed by the nonzero tangent fields
     tangency_residual: float
     span_floor: float
 
 
-def _nontangent(entry_field: VField, p) -> bool:
-    v = entry_field.eval_many(p)
-    return abs(v[-1]) > TANGENCY_RTOL * max(1.0, float(np.linalg.norm(v)))
+def _transversal_degrees(entries, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Least degree of an entry transversal to {x_n = 0} at each row of pts.
+
+    entries are (VField, degree) pairs; an entry is transversal where its
+    n-th component exceeds TANGENCY_RTOL * max(1, |value|).  Returns the
+    degrees (P,), -1 where no entry is transversal, and each entry's normal
+    share |v_n| / |v| (q, P), zero where it is tangent.
+    """
+    vals = _field_columns([vf for vf, _ in entries], pts)  # (q, P, n)
+    vn = np.abs(vals[..., -1])
+    norm = np.linalg.norm(vals, axis=-1)
+    across = vn > TANGENCY_RTOL * np.maximum(1.0, norm)
+    share = np.where(across, vn / np.maximum(norm, 1e-300), 0.0)
+    degs = np.array([d for _, d in entries])
+    least = np.where(across, degs[:, None], np.iinfo(degs.dtype).max).min(axis=0)
+    return np.where(across.any(axis=0), least, -1), share
 
 
-def _deg_at(entries, p, m) -> tuple[int, CommutatorEntry] | None:
-    best: tuple[int, CommutatorEntry] | None = None
-    for e in entries:
-        if e.is_zero or not _nontangent(e.field, p):
-            continue
-        if best is None or e.degree < best[0]:
-            best = (e.degree, e)
-    return best
+def _most_normal(degrees, share: np.ndarray, deg: int) -> int | None:
+    """First index of the largest normal share among the transversal entries of degree deg."""
+    masked = np.where(np.asarray(degrees) == deg, share, -1.0)
+    k = int(np.argmax(masked))
+    return k if masked[k] > 0 else None
 
 
 def _boundary_probes(sys: WeightedSystem, xp: np.ndarray, radius: float, per_axis: int = 5) -> np.ndarray:
@@ -106,49 +113,32 @@ def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) ->
     is largest relative to the field's size; the degree is probed on a
     tangential grid of the given radius to decide local constancy.
     """
+    return _boundary_degree(sys, xp, m, probe_radius)[0]
+
+
+def _boundary_degree(sys: WeightedSystem, xp, m: int, probe_radius: float):
+    """deg_boundary's report and the bracket entries it scanned."""
     if not sys.box.has_boundary:
         raise ValueError("system chart has no boundary")
     xp = np.asarray(xp, dtype=float)
     if abs(xp[-1]) > 1e-12:
         raise ValueError("point is not on the boundary {x_n = 0}")
     entries = enumerate_commutators(sys, m)
-    best = _deg_at(entries, xp, m)
-    if best is None:
+    pairs = [(e.field, e.degree) for e in entries]
+    degs, share = _transversal_degrees(pairs, np.vstack([xp, _boundary_probes(sys, xp, probe_radius)]))
+    deg = int(degs[0])
+    if deg < 0:
         raise CharacteristicError(f"no transversal commutator up to order {m} at {tuple(xp.tolist())}")
-    deg = best[0]
-    candidates = [e for e in entries if not e.is_zero and e.degree == deg and _nontangent(e.field, xp)]
-
-    def ratio(e):
-        v = e.field.eval_many(xp)
-        return abs(v[-1]) / max(np.linalg.norm(v), 1e-300)
-
-    witness = max(candidates, key=ratio)
-    probe_degs = []
-    locally_constant = True
-    for q in _boundary_probes(sys, xp, probe_radius):
-        b = _deg_at(entries, q, m)
-        if b is None:
-            locally_constant = False
-            probe_degs.append(-1)
-            continue
-        probe_degs.append(b[0])
-        if b[0] != deg:
-            locally_constant = False
-    return BoundaryDegreeReport(
-        point=tuple(xp),
-        deg=deg,
-        witness=witness,
-        locally_constant=locally_constant,
-        noncharacteristic=locally_constant,
-        probe_radius=probe_radius,
-        probe_degs=tuple(probe_degs),
-    )
+    witness = entries[_most_normal([d for _, d in pairs], share[:, 0], deg)]
+    probe_degs = tuple(int(d) for d in degs[1:])
+    report = BoundaryDegreeReport(deg, witness, all(d == deg for d in probe_degs), probe_degs)
+    return report, entries
 
 
 def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float = 0.05) -> BoundarySystem:
     """Run the correction procedure at a non-characteristic boundary point.
 
-    Steps: derive the capped commutator system, pick the distinguished
+    Steps: derive the commutator system, pick the distinguished
     minimal-degree transversal generator X_0, subtract b~_j X_0 from each
     entry so it becomes boundary tangent (b~ constant in x_n), and restrict
     the tangential parts to the boundary slice.
@@ -156,42 +146,29 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     if sys.n < 2:
         raise ValueError("boundary construction needs dimension >= 2")
     x0 = np.asarray(x0, dtype=float)
-    report = deg_boundary(sys, x0, m, probe_radius)
+    report, entries = _boundary_degree(sys, x0, m, probe_radius)
     if not report.noncharacteristic:
         raise CharacteristicError(
             f"{tuple(x0.tolist())} is characteristic: boundary degree is not locally constant "
             f"(probe degrees {report.probe_degs})"
         )
     n = sys.n
-    candidates = [
-        j
-        for j, (vf, d) in enumerate(sys.fields)
-        if d == report.deg and _nontangent(vf, x0)
-    ]
-    if not candidates:
+    j0 = _most_normal(sys.degrees, _transversal_degrees(sys.fields, x0[None])[1][:, 0], report.deg)
+    if j0 is None:
         raise CharacteristicError(
             f"no generator of degree {report.deg} is transversal at {tuple(x0.tolist())}"
         )
-
-    def ratio(j):
-        v = sys.fields[j][0].eval_many(x0)
-        return abs(v[-1]) / max(np.linalg.norm(v), 1e-300)
-
-    j0 = max(candidates, key=ratio)
     X0, d0 = sys.fields[j0]
     x0n_val = float(X0.eval_many(x0)[-1])
     omega = 1 if x0n_val > 0 else -1
 
-    entries_all = enumerate_commutators(sys, m)
+    pairs = [(e.field, e.degree) for e in entries]
     radius = probe_radius
     while True:
         probes = _boundary_probes(sys, x0, radius)
-        x0n = np.array([X0.eval_many(q)[-1] for q in probes])
+        x0n = X0.eval_many(probes)[:, -1]
         floor = max(1e-10, 0.05 * abs(x0n_val))
-        degs_ok = all(
-            (b := _deg_at(entries_all, q, m)) is not None and b[0] == report.deg for q in probes
-        )
-        if np.abs(x0n).min() >= floor and degs_ok:
+        if np.abs(x0n).min() >= floor and np.all(_transversal_degrees(pairs, probes)[0] == report.deg):
             break
         radius *= 0.5
         if radius < 1e-3:
@@ -199,7 +176,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
                 f"distinguished component vanishes arbitrarily close to {tuple(x0.tolist())}"
             )
 
-    zsys = build_Z_system(sys, m)
+    zsys = _z_system(sys, entries)
     den = X0.nth.subst(n, 0.0)
     x_entries: list[tuple[VField, int, tuple[int, ...], bool]] = []
     btilde: list[Expr] = []
@@ -243,21 +220,10 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         raise CharacteristicError("all boundary fields vanish; nothing spans the boundary")
     v_system = WeightedSystem(v_fields, vbox, density=sys.density.subst(n, 0.0))
 
-    span_floor = np.inf
-    pseudo = [CommutatorEntry(vf, d, (i + 1,)) for i, (vf, d) in enumerate(v_fields)]
-    for q in bdry[:, : n - 1]:
-        cert = check_span_at(pseudo, q)
-        span_floor = min(span_floor, cert.gamma0)
-        if not cert.valid:
-            raise CharacteristicError(f"boundary fields do not span at {tuple(q.tolist())}")
-
-    xbox = Box(
-        half_widths=tuple([radius] * (n - 1) + [radius]),
-        center=tuple(float(c) for c in x0[: n - 1]) + (0.0,),
-        has_boundary=True,
-    )
-    x_fields = ((X0, d0),) + tuple((xf, d) for xf, d, w, z in x_entries if not z)
-    x_system = WeightedSystem(x_fields, xbox, density=sys.density)
+    gamma0, valid, _ = _span_certificate(_field_columns([vf for vf, _ in v_fields], bdry[:, : n - 1]))
+    if not valid.all():
+        q = bdry[np.argmin(valid), : n - 1]
+        raise CharacteristicError(f"boundary fields do not span at {tuple(q.tolist())}")
 
     return BoundarySystem(
         parent=sys,
@@ -272,9 +238,8 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         btilde=tuple(btilde),
         v_entries=tuple(v_entries),
         v_system=v_system,
-        x_system=x_system,
         tangency_residual=tangency,
-        span_floor=float(span_floor),
+        span_floor=float(gamma0.min()),
     )
 
 

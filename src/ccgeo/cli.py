@@ -266,9 +266,9 @@ def _csv_cell(v) -> str:
 
 
 def _pairs_from_probes(scn: Scenario, count: int, spread: float = 0.3, boundary: bool = False, around=None):
-    """Deterministic point pairs near the probes for metric suites."""
+    """Deterministic point pairs near `around`, or near each probe in turn (tangential offsets with `boundary`)."""
     rng = np.random.default_rng([scn.seed, 23])
-    probes = [around] if around is not None else (scn.boundary_probes() if boundary else list(scn.probes))
+    probes = [around] if around is not None else list(scn.probes)
     box = scn.box
     pairs = []
     guard = 0
@@ -699,8 +699,7 @@ def cmd_scale(args) -> int:
     _check_points(scn, args, "x")
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
-    cache: dict = {}
-    smap = _map_for_probe(scn, sys_, tuple(args.x), args.delta, gain, cache)
+    smap = _map_for_probe(scn, sys_, tuple(args.x), args.delta, gain, {})
     rng = np.random.default_rng(scn.seed)
     U = rng.uniform(-0.5, 0.5, size=(16, scn.n))
     rows = [

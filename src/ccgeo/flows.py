@@ -106,7 +106,7 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | No
         ok = _guard_ok(cfg, y)
         if not np.all(ok):
             bad = int(np.argmin(ok))
-            raise FlowExcursionError(f"trajectory left guarded domain at {y[bad]}", y[bad])
+            raise FlowExcursionError(f"trajectory left guarded domain at {tuple(y[bad].tolist())}", y[bad])
     return y[0] if single else y
 
 

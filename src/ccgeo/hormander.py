@@ -199,31 +199,45 @@ def enumerate_commutators(sys: WeightedSystem, m: int) -> list[CommutatorEntry]:
     return out
 
 
-def _numerically_zero(vf: VField, box: Box, scale: float) -> bool:
+def _numerically_zero(vf: VField, box: Box) -> bool:
     vals = vf.eval_many(box.grid(7))
     vals = vals[np.all(np.isfinite(vals), axis=-1)]
-    return len(vals) > 0 and np.abs(vals).max() <= 1e-12 * max(1.0, scale)
+    return len(vals) > 0 and np.abs(vals).max() <= 1e-12
 
 
 def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
-    """Derived system of commutators with degree <= m * max formal degree.
+    """Derived system of the commutators of order <= m.
 
     Contains the generators themselves; duplicates (up to sign) and fields
     that vanish identically on the chart are dropped.
     """
-    cap = m * sys.max_degree
-    entries = enumerate_commutators(sys, m)
-    scale = 1.0
+    return _z_system(sys, enumerate_commutators(sys, m))
+
+
+def _z_system(sys: WeightedSystem, entries: list[CommutatorEntry]) -> WeightedSystem:
+    """build_Z_system from brackets already enumerated."""
     kept: list[tuple[VField, int]] = []
     words: list[tuple[int, ...]] = []
     for e in entries:
-        if e.degree > cap or e.is_zero:
-            continue
-        if len(e.word) > 1 and _numerically_zero(e.field, sys.box, scale):
+        if e.is_zero or (len(e.word) > 1 and _numerically_zero(e.field, sys.box)):
             continue
         kept.append((e.field, e.degree))
         words.append(e.word)
     return WeightedSystem(tuple(kept), sys.box, sys.density, words=tuple(words))
+
+
+def _field_columns(vfs, pts) -> np.ndarray:
+    """The q fields at one point (n,) or at the rows of pts (P, n): shape (q, n) or (q, P, n).
+
+    Raises ValueError naming the first point where a field is not finite.
+    """
+    pts = np.asarray(pts, dtype=float)
+    cols = np.stack([vf.eval_many(pts) for vf in vfs])
+    bad = ~np.isfinite(cols).all(axis=(0, -1))
+    if bad.any():
+        p = pts if pts.ndim == 1 else pts[np.argmax(bad)]
+        raise ValueError(f"generator fields are not finite at {tuple(p.tolist())}")
+    return cols
 
 
 def _max_subset_det(cols, delta=None, degrees=None, density=1.0, require=None):
@@ -293,31 +307,41 @@ def _greedy_witness(
     return best_det, best_idx
 
 
-def check_span_at(entries: list[CommutatorEntry], p) -> HormanderCertificate:
-    """Certificate that the entry fields span R^n at p.
+def _span_certificate(cols):
+    """Hormander span certificate of q columns at a batch of points.
 
-    gamma0 is the maximal |det| over n-column subsets (exhaustive when the
-    candidate count is at most EXHAUSTIVE_LIMIT, greedy pivoting above) and
-    the verdict uses a scale-aware floor; the certificate's order is the
-    longest entry word.
+    cols has shape (q, ..., n).  gamma0 is the maximal |det| over n-column
+    subsets and the witness its first maximizing subset (_max_subset_det);
+    the verdict is gamma0 > DET_FLOOR * (largest column norm)**n.  Where a
+    column is not finite, gamma0 is nan and the verdict False.  Returns
+    (gamma0, verdict, witness) with shapes (...), (...) and (..., n).
+    """
+    cols = np.asarray(cols, dtype=float)
+    n = cols.shape[-1]
+    finite = np.isfinite(cols).all(axis=(0, -1))
+    cols = np.where(finite[..., None], cols, 0.0)
+    best, witness = _max_subset_det(cols)
+    col_scale = np.linalg.norm(cols, axis=-1).max(axis=0, initial=0.0)
+    valid = finite & (best > DET_FLOOR * np.maximum(col_scale, 1e-300) ** n)
+    return np.where(finite, best, np.nan), valid, witness
+
+
+def check_span_at(entries: list[CommutatorEntry], p) -> HormanderCertificate:
+    """Certificate that the entry fields span R^n at p (see _span_certificate).
+
+    The certificate's order is the longest entry word.
     """
     if not entries:
         raise ValueError("no entries")
-    live = [e for e in entries if not e.is_zero]
-    n = live[0].field.dim if live else entries[0].field.dim
+    n = entries[0].field.dim
     p = tuple(float(v) for v in p)
     if len(p) != n:
         raise ValueError("point dimension mismatch")
     order = max(len(e.word) for e in entries)
-    cols = np.array([e.field.eval_many(p) for e in live], dtype=float)
-    live_idx = [i for i, e in enumerate(entries) if not e.is_zero]
-    if len(cols) < n:
-        return HormanderCertificate(p, order, 0.0, (), False)
-    col_scale = float(np.linalg.norm(cols, axis=1).max())
-    best, witness = _max_subset_det(cols)
-    gamma0 = float(best)
-    valid = col_scale > 0 and gamma0 > DET_FLOOR * max(col_scale, 1e-300) ** n
-    return HormanderCertificate(p, order, gamma0, tuple(live_idx[i] for i in witness), valid)
+    live = [i for i, e in enumerate(entries) if not e.is_zero]
+    cols = np.array([entries[i].field.eval_many(p) for i in live], dtype=float).reshape(len(live), n)
+    gamma0, valid, witness = _span_certificate(cols)
+    return HormanderCertificate(p, order, float(gamma0), tuple(live[i] for i in witness), bool(valid))
 
 
 def check_hormander(sys: WeightedSystem, m_max: int, per_axis: int = 11) -> HormanderReport:
@@ -331,17 +355,11 @@ def check_hormander(sys: WeightedSystem, m_max: int, per_axis: int = 11) -> Horm
     failures: list[tuple[float, ...]] = []
     for m in range(1, m_max + 1):
         entries = [e for e in enumerate_commutators(sys, m) if not e.is_zero]
-        if not entries:
+        if len(entries) < sys.n:
             continue
-        n = sys.n
-        cols = np.stack([e.field.eval_many(pts) for e in entries])  # (q, P, n)
-        col_scale = np.linalg.norm(cols, axis=2).max(axis=0)  # (P,)
-        if len(entries) < n:
-            continue
-        best, _ = _max_subset_det(cols)
-        ok = best > DET_FLOOR * np.maximum(col_scale, 1e-300) ** n
+        gamma0, ok, _ = _span_certificate(np.stack([e.field.eval_many(pts) for e in entries]))
         if np.all(ok):
-            return HormanderReport(True, m, float(best.min()))
+            return HormanderReport(True, m, float(gamma0.min()))
         if m == m_max:
             failures = [tuple(p) for p in pts[~ok][:16]]
     return HormanderReport(False, None, 0.0, tuple(failures))

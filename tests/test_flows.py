@@ -51,7 +51,8 @@ def test_exp_flow_group_law_and_reversibility():
 
 
 def test_exp_flow_excursion_guard():
-    with pytest.raises(FlowExcursionError):
+    # the point prints as a plain tuple of floats, not an ndarray repr
+    with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(5\.00390625, 0\.0\)$"):
         exp_flow(DX, 100.0, (0.0, 0.0), CFG2)
 
 

@@ -32,6 +32,12 @@ GOLDEN = {
         0, "d11e44755d264252af496d393603523b1373757a88b83088fa69ce22e6f26f0c"),
     "boundary grushin_straightened --x 0.5 0.0": (
         0, "0989c430ef1cfc8a67132b4ba1da4f7248e488a032cd90d9e4879dc57841e58f"),
+    "boundary heat --x 0.2 0.0": (
+        0, "0e27181a95c63ac0eef3515074b84c346e22c7670bfffabbdd10eaa5ca5f60db"),
+    "boundary heisenberg --x 0.0 0.0 0.0": (
+        0, "940d10ff726598b80b84fe36730d466abcefb958233da46ebc10f53e575466ba"),
+    "check degenerate": (
+        2, "d3c6e9e60443ee709ba8bab3ddca27b61fa2f285088d2400e99a56b4b99c0d45"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
         2, "455238601d4b57639e8cd05ac93e0fff90a0e7dcddc16fa76b6fbc3e4879978a"),
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4": (
