@@ -646,6 +646,12 @@ def _check_points(scn: Scenario, args, *options: str) -> None:
             raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
 
 
+def _check_in_chart(scn: Scenario, x) -> None:
+    """Numeric error, as ReachGraph.run gives, unless the base point is in the chart box."""
+    if not scn.box.contains(np.asarray(x, dtype=float)[None])[0]:
+        raise ValueError("base point is not in the chart")
+
+
 def _dist_params(args) -> dict:
     return {
         "mode": args.mode,
@@ -697,6 +703,7 @@ def cmd_volume(args) -> int:
 def cmd_scale(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
+    _check_in_chart(scn, args.x)
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     smap = _map_for_probe(scn, sys_, tuple(args.x), args.delta, gain, {})
@@ -735,6 +742,7 @@ def cmd_scale(args) -> int:
 def cmd_boundary(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
+    _check_in_chart(scn, args.x)
     sys_ = scn.system()
     bsys = build_boundary_system(sys_, tuple(args.x), scn.order, probe_radius=args.radius)
     rows = [

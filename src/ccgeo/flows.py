@@ -4,17 +4,22 @@ All integration is fixed-step RK4 so that repeated runs produce
 byte-identical output; the error budget of the toolkit is dominated by
 sampling, not by the integrator.  Trajectories that leave the guarded
 chart (the domain box inflated by 25%) abort with FlowExcursionError.
-The step `_rk4_step`, the field stack `_field_stack` and the control
-velocity `_control_velocity` are shared with the control integrator and
-the grid oracle in `ccmetric`, each of which keeps its own guard.
+The step `_rk4_step` and the control velocity `_control_velocity` are
+shared with the control integrator and the grid oracle in `ccmetric`,
+each of which keeps its own guard.  The velocity is one compiled kernel
+per field tuple (the weighted form of `symexpr._compile`), so an RK4
+stage makes one call, not one per field plus a stack and a contraction;
+the field stack `_field_stack` serves only the oracle's move rates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import symexpr
 from .hormander import Box
 from .symexpr import VField
 
@@ -68,13 +73,16 @@ def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
     return np.stack([vf.eval_many(pts) for vf in vfs], axis=1)
 
 
+@functools.lru_cache(maxsize=256)
+def _velocity_kernel(vfs: tuple[VField, ...]):
+    """The fused velocity kernel (P, A) of a field tuple, compiled once per tuple."""
+    return symexpr._compile(tuple(vf.components for vf in vfs), weighted=True)
+
+
 def _control_velocity(vfs, a: np.ndarray):
     """Velocity sum_j a[:, j] W_j(y) of per-row control coefficients a (B, r)."""
-
-    def vel(pts):
-        return np.einsum("br,brn->bn", a, _field_stack(vfs, pts))
-
-    return vel
+    kernel = _velocity_kernel(tuple(vfs))
+    return lambda pts: kernel(pts, a)
 
 
 def _guard_ok(cfg: FlowConfig, pts: np.ndarray) -> np.ndarray:

@@ -221,13 +221,16 @@ class ScalingMap:
         T = np.zeros((B, n))
         ok = np.ones(B, dtype=bool)
         res = self._eval(T) - Y
-        for _ in range(50):
+        for it in range(50):
             norms = np.linalg.norm(res, axis=1)
             active = ok & (norms > 1e-12)
             if not active.any():
                 break
             try:
-                J = self.jacobian(T[active])
+                if it == 0:  # every row sits at t = 0: one dpsi(0) serves them all
+                    J = np.broadcast_to(self.jacobian(T[:1]), (int(active.sum()), n, n))
+                else:
+                    J = self.jacobian(T[active])
                 step = np.linalg.solve(J, (-res[active])[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 ok[active] = False

@@ -5,7 +5,9 @@ that round-trips through the parser.  Vector fields are n-tuples of
 expressions (coefficients of the coordinate derivations) with an exact
 Lie bracket.  Every evaluation, at one point or a batch, runs one
 compiled numpy kernel in float64: a domain error (division by zero,
-sqrt of a negative, overflow) gives inf or nan and never raises.
+sqrt of a negative, overflow) gives inf or nan and never raises.  The
+same compiler builds the control velocity sum_j a_j W_j of a field tuple
+as one kernel, which `flows` caches per tuple.
 
 Simplification is limited to constant folding and 0/1 absorption; no
 general rewriting is attempted, so brackets stay exact without risking
@@ -210,12 +212,21 @@ def func(name: str, arg: Expr) -> Expr:
 # -- evaluation ---------------------------------------------------------
 
 
-def _compile(exprs):
+def _compile(exprs, weighted=False):
     """Generate one numpy kernel P (..., n) -> out (..., len(exprs)).
 
-    Each distinct subtree (signed zeros kept apart) is one local, computed
-    once in float64: constants are bound as np.float64, so constant-only
-    subtrees follow numpy too, and domain errors give inf/nan."""
+    With weighted=True, exprs holds the component tuples of r fields W_j,
+    and the kernel (P, A) returns the velocity
+    out[..., k] = sum_j A[..., j] * W_jk(P) for weights A (..., r).  A
+    term whose component is the constant 0 is skipped, the constant 1
+    contributes A[..., j] itself, and the sum runs left to right in j
+    from +0.0, each term the left operand, as einsum("br,brn->bn") adds:
+    for finite A and n >= 2 the two agree bit for bit.
+
+    Each distinct subtree (signed zeros kept apart), across all the
+    expressions, is one local, computed once in float64: constants are
+    bound as np.float64, so constant-only subtrees follow numpy too, and
+    domain errors give inf/nan."""
     env, lines, names = {"np": np, **_NP_FUNCS}, [], {}
 
     def emit(e):  # -> local name
@@ -243,9 +254,22 @@ def _compile(exprs):
                 lines.append(f"        {name} = {code}")
         return names[key]
 
-    for k, e in enumerate(exprs):
-        lines.append(f"        out[..., {k}] = {emit(e)}")
-    src = (f"def kernel(P):\n    out = np.empty(P.shape[:-1] + ({len(exprs)},))\n"
+    if not weighted:
+        for k, e in enumerate(exprs):
+            lines.append(f"        out[..., {k}] = {emit(e)}")
+        head, width = "P", len(exprs)
+    else:
+        lines += [f"        a{j} = A[..., {j}]" for j in range(len(exprs))]
+        for k, comps in enumerate(zip(*exprs)):
+            terms = [f"a{j}" if _is_const(e, 1.0) else f"a{j} * {emit(e)}"
+                     for j, e in enumerate(comps) if not _is_const(e, 0.0)]
+            acc = terms[0] if terms else "0.0"
+            for term in terms[1:]:
+                acc = f"{term} + ({acc})"
+            lines.append(f"        out[..., {k}] = {acc}")
+        lines.append("        out += 0.0")  # einsum's +0.0 start: a sum of -0.0 terms is +0.0
+        head, width = "P, A", len(exprs[0])
+    src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
            '    with np.errstate(all="ignore"):\n' + "\n".join(lines) + "\n    return out")
     exec(compile(src, "<ccgeo kernel>", "exec"), env)
     return env["kernel"]

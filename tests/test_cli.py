@@ -293,3 +293,19 @@ def test_ball_rejects_negative_delta(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["boundary", "elliptic", "--x", "5", "0"],
+        ["scale", "elliptic", "--x", "5", "5", "--delta", "0.1"],
+        ["volume", "elliptic", "--x", "5", "5", "--delta", "0.1", "--samples", "3"],
+    ],
+)
+def test_base_point_outside_the_chart_is_numeric_error(args, capsys):
+    # boundary used to fail on an empty reduction, scale only at its first flow
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: base point is not in the chart\n"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ccgeo import flows, symexpr
+from ccgeo.cli import fixtures_dir, load_scenario
 from ccgeo.flows import (
     BracketWordFlow,
     FlowConfig,
@@ -13,7 +15,7 @@ from ccgeo.flows import (
     flow_E,
     map_F,
 )
-from ccgeo.hormander import Box
+from ccgeo.hormander import Box, build_Z_system
 from ccgeo.symexpr import parse_vfield
 
 
@@ -205,3 +207,52 @@ def test_map_F_jacobian_columns():
     expected = np.stack([basis[0].target.eval_many(y), basis[1].target.eval_many(y)], axis=-1)
     assert np.linalg.det(jac) == pytest.approx(np.linalg.det(expected), abs=1e-4)
     np.testing.assert_allclose(jac, expected, atol=5e-3)
+
+
+# -- the fused control velocity against einsum over the stacked fields ---
+
+
+def _fixture_field_tuples():
+    for path in sorted(fixtures_dir().glob("*.scn")):
+        scn = load_scenario(path.stem)
+        sys_ = scn.system()
+        yield pytest.param(sys_.vfields(), sys_.n, id=f"{scn.name}-generators")
+        yield pytest.param(build_Z_system(sys_, scn.order).vfields(), sys_.n, id=f"{scn.name}-Z")
+
+
+@pytest.mark.parametrize("vfs, n", list(_fixture_field_tuples()))
+@pytest.mark.parametrize("B", [0, 1, 65, 2000])
+def test_control_velocity_matches_einsum_bit_for_bit(vfs, n, B):
+    rng = np.random.default_rng([B, n, len(vfs)])
+    P = rng.uniform(-1.5, 1.5, size=(B, n))
+    P[::3, 0] = 0.0
+    P[1::4, -1] = -0.0
+    # zero and negative controls: a zero times a negative field value is
+    # -0.0, and a sum of -0.0 terms is +0.0 in einsum
+    a = rng.standard_normal((B, len(vfs))) * rng.integers(0, 2, size=(B, len(vfs)))
+    a[::5] = -0.0
+    a[2::7] = 0.0
+    got = flows._control_velocity(vfs, a)(P)
+    with np.errstate(all="ignore"):
+        want = np.einsum("br,brn->bn", a, np.stack([vf.eval_many(P) for vf in vfs], axis=1))
+    assert got.shape == want.shape == (B, n)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_control_velocity_kernel_built_once_per_field_tuple(monkeypatch):
+    flows._velocity_kernel.cache_clear()
+    calls = []
+    real = symexpr._compile
+    monkeypatch.setattr(symexpr, "_compile", lambda exprs, **kw: calls.append(exprs) or real(exprs, **kw))
+    fields = ("1, x1*x2 - sin(x1*x2)", "x2, 0")
+    a = tuple(parse_vfield(f, 2) for f in fields)
+    b = [parse_vfield(f, 2) for f in fields]
+    before = [(hash(vf), str(vf), repr(vf)) for vf in a]
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
+    coeffs = np.random.default_rng(4).uniform(-1, 1, size=(7, 2))
+    first = flows._control_velocity(a, coeffs)(pts)
+    assert np.array_equal(flows._control_velocity(b, coeffs)(pts), first)
+    assert np.array_equal(flows._control_velocity(a, coeffs[:1])(pts[:1]), first[:1])
+    assert len(calls) == 1
+    assert [(hash(vf), str(vf), repr(vf)) for vf in a] == before
+    assert all("_kernel" not in vars(vf) for vf in a)  # the per-field kernels are not built

@@ -312,3 +312,31 @@ def test_vfield_kernel_built_once_and_invisible(monkeypatch):
     a.eval_many(pts[0])
     assert len(calls) == 1
     assert a == b and (hash(a), str(a), repr(a)) == before == (hash(b), str(b), repr(b))
+
+
+# -- the weighted (control-velocity) kernel against einsum ---------------
+
+_components = _exprs | st.sampled_from([Const(0.0), Const(-0.0), Const(1.0)])
+_fields = st.lists(st.lists(_components, min_size=_N, max_size=_N).map(tuple), min_size=1, max_size=4)
+_weights = st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 1e-300]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _points_and_weights(draw, r):
+    B = draw(st.sampled_from([0, 1, 5]))
+    P = np.array(draw(st.lists(_coords, min_size=B * _N, max_size=B * _N)), dtype=float).reshape(B, _N)
+    A = np.array(draw(st.lists(_weights, min_size=B * r, max_size=B * r)), dtype=float).reshape(B, r)
+    return P, A
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weighted_kernel_matches_einsum_bit_for_bit(data):
+    fields = data.draw(_fields)
+    P, A = data.draw(_points_and_weights(len(fields)))
+    with np.errstate(all="raise"):
+        got = symexpr._compile(tuple(fields), weighted=True)(P, A)
+    with np.errstate(all="ignore"):
+        W = np.stack([_ref_vfield(VField(f), P) for f in fields], axis=1)
+        want = np.einsum("br,brn->bn", A, W)
+    _assert_bit_identical(got, want)
