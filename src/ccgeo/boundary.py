@@ -10,6 +10,7 @@ Lipschitz equivalent to the restricted ambient one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,7 @@ class BoundarySystem:
     j0: int  # index of the distinguished generator in parent.fields
     omega: int  # sign of the distinguished n-th component at x0
     distinguished: tuple[VField, int]  # (X_0, d_0)
+    zsys: WeightedSystem  # build_Z_system(parent, order), from the scanned brackets
     x_entries: tuple[tuple[VField, int, tuple[int, ...], bool], ...]  # ambient X_j
     btilde: tuple[Expr, ...]
     v_entries: tuple[tuple[VField, int, bool], ...]  # boundary fields with zero flags
@@ -145,6 +147,8 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     """
     if sys.n < 2:
         raise ValueError("boundary construction needs dimension >= 2")
+    if not 0.0 < probe_radius < math.inf:
+        raise ValueError(f"probe radius must be positive and finite, got radius = {probe_radius}")
     x0 = np.asarray(x0, dtype=float)
     report, entries = _boundary_degree(sys, x0, m, probe_radius)
     if not report.noncharacteristic:
@@ -234,6 +238,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         j0=j0,
         omega=omega,
         distinguished=(X0, d0),
+        zsys=zsys,
         x_entries=tuple(x_entries),
         btilde=tuple(btilde),
         v_entries=tuple(v_entries),

@@ -218,8 +218,8 @@ def sample_ball(
     _check_mode(mode)
     if n_samples < 1:
         raise ValueError(f"a ball sample needs at least one control, got n_samples = {n_samples}")
-    if delta < 0:
-        raise ValueError(f"ball radius must be non-negative, got delta = {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"ball radius must be finite and non-negative, got delta = {delta}")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     coeffs = sample_controls(rng, n_samples, K, sys.r)
@@ -350,6 +350,8 @@ class ReachGraph:
         factors = self.factors
         box = self.sys.box
         halfspace = self.mode == "intrinsic" and box.has_boundary
+        # Box.contains from one |y - c| per step; a nan or inf coordinate fails it
+        edge, c = np.asarray(box.half_widths) + 1e-9, np.asarray(box.center)
 
         if not self._feasible_state(self.x0):
             raise ValueError("base point is not in the chart")
@@ -384,7 +386,7 @@ class ReachGraph:
                 ok = np.ones(len(Y), dtype=bool)
                 for _ in range(2):
                     Y = _rk4_step(vel, Y, dt)
-                    ok &= np.all(np.isfinite(Y), axis=1) & box.contains(Y)
+                    ok &= np.all(np.abs(Y - c) <= edge, axis=1)
                     if halfspace:
                         ok &= Y[:, -1] >= -BOUNDARY_TOL
                 costs = C[f_idx] + tau
@@ -754,8 +756,8 @@ def ball_volume(
     plus a one-cell margin, inflated by 1.2) and the membership test for
     uniform box samples, over which the density is averaged.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got delta = {delta}")
     if n_samples < 2:
         raise ValueError(f"a volume estimate needs at least two samples, got n_samples = {n_samples}")
     x = np.asarray(x, dtype=float)

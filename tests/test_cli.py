@@ -309,3 +309,66 @@ def test_base_point_outside_the_chart_is_numeric_error(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: base point is not in the chart\n"
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        (["ball", "elliptic", "--x", "0", "0.5", "--delta", "nan", "--samples", "3"], "delta = nan"),
+        (["ball", "elliptic", "--x", "0", "0.5", "--delta", "inf", "--samples", "3"], "delta = inf"),
+        (["scale", "elliptic", "--x", "0", "0.5", "--delta", "nan"], "delta = nan"),
+        (["volume", "elliptic", "--x", "0", "0.5", "--delta", "nan", "--samples", "3"], "delta = nan"),
+        (["boundary", "heat", "--x", "0.2", "0.0", "--radius", "nan"], "radius = nan"),
+        (["boundary", "heat", "--x", "0.2", "0.0", "--radius", "inf"], "radius = inf"),
+        (["boundary", "heat", "--x", "0.2", "0.0", "--radius", "0"], "radius = 0.0"),
+        (["boundary", "heat", "--x", "0.2", "0.0", "--radius", "-0.1"], "radius = -0.1"),
+    ],
+)
+def test_non_finite_or_non_positive_scales_are_numeric_errors(args, value, capsys):
+    # ball printed the base point as infeasible samples and exited 0, scale
+    # called the map singular, volume blamed the oracle resolution, and
+    # boundary failed on an empty reduction or named the boundary box
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert value in err
+
+
+def _count_calls(monkeypatch, func, modules):
+    """Count the calls of func through each module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        # one stacked pass of the combined exponential
+        (["scale", "heisenberg", "--x", "0.0", "0.0", "0.5", "--delta", "0.1"], 1),
+        # psi(0)'s zero-time distinguished flow, then the pass's two flows
+        (["scale", "grushin_straightened", "--x", "0.5", "0.0", "--delta", "0.1"], 3),
+    ],
+)
+def test_scale_integrates_its_map_in_one_pass(args, expected, monkeypatch, capsys):
+    from ccgeo import flows, scaling
+
+    calls = _count_calls(monkeypatch, flows.rk4_flow, (flows, scaling))
+    assert main(args) == 0
+    assert len(calls) == expected
+
+
+def test_scale_enumerates_brackets_once(monkeypatch, capsys):
+    # the near-boundary map's Z system also serves the span floor
+    from ccgeo import boundary, cli, hormander
+
+    calls = _count_calls(monkeypatch, hormander.enumerate_commutators, (hormander, boundary, cli))
+    assert main(["scale", "heisenberg", "--x", "0.0", "0.0", "0.0", "--delta", "0.1"]) == 0
+    assert len(calls) == 1

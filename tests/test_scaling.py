@@ -5,6 +5,7 @@ import pytest
 
 from ccgeo.boundary import build_boundary_system
 from ccgeo.ccmetric import ball_volume
+from ccgeo.cli import _map_for_probe, load_scenario
 from ccgeo.hormander import Box, WeightedSystem, build_Z_system
 from ccgeo.scaling import (
     build_scaling_map,
@@ -223,6 +224,62 @@ def test_pullback_identity_residual():
     rhs = vf.eval_many(smap(U)) * smap.delta**d
     scale = max(1.0, np.abs(rhs).max())
     assert np.abs(lhs - rhs).max() <= 1e-6 * scale
+
+
+def _reference_jacobian(smap, U):
+    """The central differences of the jacobian that stacked only the perturbed rows."""
+    B, n = U.shape
+    h = 1e-5 * (1.0 + np.abs(U).max(axis=1))
+    pert = []
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = 1.0
+        pert.append(U + h[:, None] * e)
+        pert.append(U - h[:, None] * e)
+    stacked = smap._eval(np.concatenate(pert, axis=0))
+    cols = []
+    for i in range(n):
+        plus = stacked[2 * i * B : (2 * i + 1) * B]
+        minus = stacked[(2 * i + 1) * B : (2 * i + 2) * B]
+        cols.append((plus - minus) / (2 * h[:, None]))
+    return np.stack(cols, axis=-1)
+
+
+def _fixture_maps():
+    # every probe of every packaged fixture at the two smallest rungs of its
+    # delta ladder: near-boundary maps at boundary probes, interior elsewhere
+    for name in ("elliptic", "heat", "heisenberg", "grushin", "grushin_straightened", "degenerate"):
+        scn = load_scenario(name)
+        for probe in scn.probes:
+            for delta in scn.deltas[-2:]:
+                yield pytest.param(name, probe, delta, id=f"{name}-{'-'.join(map(str, probe))}-{delta}")
+
+
+@pytest.mark.parametrize("name, probe, delta", list(_fixture_maps()))
+def test_jet_matches_call_and_reference_jacobian_bit_for_bit(name, probe, delta):
+    scn = load_scenario(name)
+    sys_ = scn.system()
+    smap, _ = _map_for_probe(scn, sys_, probe, delta, scn.threshold("scale.gain", 1.0), {})
+    U = np.random.default_rng(scn.seed).uniform(-0.5, 0.5, size=(16, scn.n))
+    psi, dpsi = smap.jet(U)
+    assert psi.view(np.int64).tolist() == smap(U).view(np.int64).tolist()
+    assert dpsi.view(np.int64).tolist() == _reference_jacobian(smap, U).view(np.int64).tolist()
+    assert dpsi.view(np.int64).tolist() == smap.jacobian(U).view(np.int64).tolist()
+    p0, j0 = smap.jet(U[3])
+    assert p0.shape == (scn.n,) and j0.shape == (scn.n, scn.n)
+
+
+def test_interior_map_rows_do_not_depend_on_their_batch():
+    # the combined exponential takes 128 steps on every row, whatever the batch
+    sys = grushin()
+    smap = build_scaling_map(sys, (0.5, 0.0), 0.2, m=2)
+    U = np.random.default_rng(4).uniform(-0.5, 0.5, size=(12, 2))
+    psi, dpsi = smap.jet(U)
+    for order in (np.arange(12)[::-1], [5], [7, 8, 0, 1, 2]):
+        p, j = smap.jet(np.vstack([U[order], 0.1 * U]))  # other rows share the batch
+        k = len(order)
+        assert p[:k].view(np.int64).tolist() == psi[order].view(np.int64).tolist()
+        assert j[:k].view(np.int64).tolist() == dpsi[order].view(np.int64).tolist()
 
 
 def test_invert_round_trip():
