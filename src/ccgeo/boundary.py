@@ -232,7 +232,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     return BoundarySystem(
         parent=sys,
         order=m,
-        x0=tuple(x0),
+        x0=tuple(x0.tolist()),
         radius=radius,
         deg=report.deg,
         j0=j0,

@@ -275,6 +275,13 @@ class ReachGraph:
     `settled_pts` (one representative exact point per cell) aligned to
     it; this gives a reusable membership test for the reachable set
     within the time budget.  Before such a run the three are empty.
+
+    A frontier round settles its arrivals in cells, then the expanding
+    ones in half-cells, with the same costs, points and frontier, bit for
+    bit, as a loop over the arrivals in order.  Best costs only fall
+    within a round, so an arrival that its key's stored best cost already
+    rules out can change nothing: `_sift` drops it before the rest are
+    grouped by key and relaxed in one numpy batch per arrival rank.
     """
 
     def __init__(
@@ -371,9 +378,16 @@ class ReachGraph:
         with np.errstate(all="ignore"):
             while len(P):
                 rounds += 1
-                W = _field_stack(vfs, P)  # (F, r, n)
-                V = np.einsum("dr,frn->fdn", self.dirs, factors[None, :, None] * W)
-                rates = (np.abs(V) / self.res).max(axis=2) * self.speed_scale  # (F, D)
+                # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
+                # summed left to right in j; up to the sign of a zero, which
+                # abs drops, this is einsum("dr,frn->fdn") bit for bit.  With
+                # the directions last, the max over the n coordinates runs
+                # over rows of D values, not over D * F rows of n values
+                W = (factors[:, None] * _field_stack(vfs, P)).transpose(0, 2, 1)  # (F, n, r)
+                V = W[..., 0, None] * self.dirs[:, 0]
+                for j in range(1, W.shape[2]):
+                    V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
+                rates = (np.abs(V) / self.res[:, None]).max(axis=1) * self.speed_scale  # (F, D)
                 remaining = (self.budget - C)[:, None]
                 live = (rates > 1e-14) & (remaining > 1e-12)
                 f_idx, d_idx = np.nonzero(live)
@@ -382,7 +396,8 @@ class ReachGraph:
                 tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
                 vel = _control_velocity(vfs, self.dirs[d_idx] * factors)
                 Y = P[f_idx]
-                dt = (tau * self.speed_scale / 2.0)[:, None]
+                # full width, so the RK4 products need no broadcast
+                dt = np.repeat((tau * self.speed_scale / 2.0)[:, None], Y.shape[1], axis=1)
                 ok = np.ones(len(Y), dtype=bool)
                 for _ in range(2):
                     Y = _rk4_step(vel, Y, dt)
@@ -399,27 +414,13 @@ class ReachGraph:
                 m = np.flatnonzero(ok)
                 Y, costs, tau = Y[m], costs[m], tau[m]
 
-                # cells: a cheaper arrival becomes the cell's representative;
-                # one dominated beyond one move quantum does not expand
-                keys, group, ranks = _group(self._keys(self._index(Y, 1.0), self._cells))
-                pos, found, best = _lookup(cell_keys, cell_cost, keys)
-                seen, improved, _, last = _relax(costs, group, ranks, best)
-                expand = np.flatnonzero(improved | ~(costs > seen + tau + 1e-12))
-                cell_keys, (cell_cost, cell_pts) = _merge(
-                    cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, Y[last])
+                keys = self._keys(self._index(Y, 1.0), self._cells)
+                cell_keys, cell_cost, cell_pts, expand = _settle_cells(
+                    cell_keys, cell_cost, cell_pts, keys, costs, tau, Y
                 )
-
-                # half-cells: an expanding arrival joins the next frontier
-                # when it improves its half-cell's best cost; the frontier
-                # keeps the order of first acceptance and the last accepted
-                # arrival of each half-cell
                 Y, costs = Y[expand], costs[expand]
-                keys, group, ranks = _group(self._keys(self._index(Y, 2.0), self._halves))
-                pos, found, best = _lookup(half_keys, half_cost, keys)
-                _, _, first, last = _relax(costs, group, ranks, best)
-                half_keys, (half_cost,) = _merge(half_keys, (half_cost,), keys, pos, found, last >= 0, (best,))
-                accepted = np.flatnonzero(last >= 0)
-                nxt = last[accepted[np.argsort(first[accepted], kind="stable")]]
+                keys = self._keys(self._index(Y, 2.0), self._halves)
+                half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
                 P, C = Y[nxt], costs[nxt]
 
                 if len(cell_keys) > self.max_cells:
@@ -460,9 +461,11 @@ class ReachGraph:
 def _group(keys: np.ndarray):
     """Group arrivals by key, keeping arrival order within each group.
 
-    Returns the sorted distinct keys, each arrival's group index, and the
-    arrivals split by rank: batch r holds the r-th arrival of every group
-    that has more than r.
+    Returns each group's first arrival, in sorted key order; each
+    arrival's group index; and the arrivals split by rank: batch r holds
+    the r-th arrival of every group that has more than r, in no set
+    order.  With the groups ordered by size once, batch r is the r-th
+    arrival of a prefix of them.
     """
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
@@ -470,13 +473,29 @@ def _group(keys: np.ndarray):
     new[:1] = True
     np.not_equal(sk[1:], sk[:-1], out=new[1:])
     starts = np.flatnonzero(new)
-    gs = np.cumsum(new) - 1
-    rank = np.arange(len(sk)) - starts[gs]
     group = np.empty(len(sk), dtype=np.intp)
-    group[order] = gs
-    counts = np.bincount(rank)
-    ranks = np.split(order[np.argsort(rank, kind="stable")], np.cumsum(counts)[:-1])
-    return sk[starts], group, ranks
+    group[order] = np.cumsum(new) - 1
+    counts = np.diff(starts, append=len(sk))
+    by_count = starts[np.argsort(-counts)]
+    more = len(starts) - np.cumsum(np.bincount(counts))  # groups with more than r arrivals
+    ranks = [order[by_count[: more[r]] + r] for r in range(len(more) - 1)]
+    return order[starts], group, ranks
+
+
+def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep):
+    """Drop the arrivals their key's stored best cost rules out, then group the rest.
+
+    `keep(stored)` flags the arrivals that may still act given their
+    key's stored cost (inf if absent).  Returns the kept arrivals'
+    indices s; their groups and rank batches (see `_group`); and per
+    group its first kept arrival (an index into s), key, store position,
+    presence and stored cost (see `_lookup`).
+    """
+    pos, found, stored = _lookup(store_keys, store_cost, keys)
+    s = np.flatnonzero(keep(stored))
+    first, group, ranks = _group(keys[s])
+    f = s[first]
+    return s, group, ranks, first, (keys[f], pos[f], found[f], stored[f])
 
 
 def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
@@ -497,23 +516,58 @@ def _relax(costs: np.ndarray, group: np.ndarray, ranks, best: np.ndarray):
     step per rank sees exactly the best cost the group's earlier arrivals
     left, as the sequential loop would.  `best` is updated in place.
     Returns each arrival's best-before and improved flag, and per group the
-    first and last improving arrival (-1 for none).
+    last improving arrival (-1 for none).
     """
     seen = np.empty(len(costs))
     improved = np.empty(len(costs), dtype=bool)
-    first = np.full(len(best), -1, dtype=np.intp)
     last = np.full(len(best), -1, dtype=np.intp)
     for e in ranks:
         g, c = group[e], costs[e]
         b = best[g]
         up = c < b - 1e-12
         seen[e], improved[e] = b, up
-        best[g] = np.where(up, c, b)
-        gu, eu = g[up], e[up]
-        fresh = first[gu] < 0
-        first[gu[fresh]] = eu[fresh]
-        last[gu] = eu
-    return seen, improved, first, last
+        gu = g[up]
+        best[gu] = c[up]
+        last[gu] = e[up]
+    return seen, improved, last
+
+
+def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
+    """Settle one round's arrivals in their cells.
+
+    Bit for bit the loop over arrivals in order: one cheaper than its
+    cell's best by more than 1e-12 becomes the cell's cost and point, and
+    one costlier than the best it saw by more than its move quantum tau
+    (plus 1e-12) does not expand.  Returns the updated sorted store and
+    the indices of the expanding arrivals, in order.
+    """
+    s, group, ranks, _, (keys, pos, found, best) = _sift(
+        cell_keys, cell_cost, keys, lambda b: ~(costs > b + tau + 1e-12)
+    )
+    costs, tau = costs[s], tau[s]
+    seen, improved, last = _relax(costs, group, ranks, best)
+    expand = s[improved | ~(costs > seen + tau + 1e-12)]
+    cell_keys, (cell_cost, cell_pts) = _merge(
+        cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, pts[s[last]])
+    )
+    return cell_keys, cell_cost, cell_pts, expand
+
+
+def _settle_halves(half_keys, half_cost, keys, costs):
+    """Settle one round's expanding arrivals in their half-cells.
+
+    Bit for bit the loop over arrivals in order: one cheaper than its
+    half-cell's best by more than 1e-12 is accepted and becomes the
+    best.  Returns the updated sorted store and the next frontier: per
+    accepted half-cell its last accepted arrival, in the order of first
+    acceptance.  After the sift every group's first arrival is accepted.
+    """
+    s, group, ranks, first, (keys, pos, found, best) = _sift(
+        half_keys, half_cost, keys, lambda b: costs < b - 1e-12
+    )
+    _, _, last = _relax(costs[s], group, ranks, best)
+    half_keys, (half_cost,) = _merge(half_keys, (half_cost,), keys, pos, found, last >= 0, (best,))
+    return half_keys, half_cost, s[last[np.argsort(first)]]
 
 
 def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple):

@@ -226,7 +226,10 @@ def _compile(exprs, weighted=False):
     Each distinct subtree (signed zeros kept apart), across all the
     expressions, is one local, computed once in float64: constants are
     bound as np.float64, so constant-only subtrees follow numpy too, and
-    domain errors give inf/nan."""
+    domain errors give inf/nan.  The plain kernel ignores numpy's
+    floating-point errors itself; the weighted one runs inside RK4 loops
+    and leaves that to its caller, which enters np.errstate once per
+    integration rather than once per stage."""
     env, lines, names = {"np": np, **_NP_FUNCS}, [], {}
 
     def emit(e):  # -> local name
@@ -251,26 +254,28 @@ def _compile(exprs, weighted=False):
             if code is None:
                 env[name] = np.float64(e.value)
             else:
-                lines.append(f"        {name} = {code}")
+                lines.append(f"{name} = {code}")
         return names[key]
 
     if not weighted:
         for k, e in enumerate(exprs):
-            lines.append(f"        out[..., {k}] = {emit(e)}")
+            lines.append(f"out[..., {k}] = {emit(e)}")
         head, width = "P", len(exprs)
+        guard, pad = '    with np.errstate(all="ignore"):\n', " " * 8
     else:
-        lines += [f"        a{j} = A[..., {j}]" for j in range(len(exprs))]
+        lines += [f"a{j} = A[..., {j}]" for j in range(len(exprs))]
         for k, comps in enumerate(zip(*exprs)):
             terms = [f"a{j}" if _is_const(e, 1.0) else f"a{j} * {emit(e)}"
                      for j, e in enumerate(comps) if not _is_const(e, 0.0)]
             acc = terms[0] if terms else "0.0"
             for term in terms[1:]:
                 acc = f"{term} + ({acc})"
-            lines.append(f"        out[..., {k}] = {acc}")
-        lines.append("        out += 0.0")  # einsum's +0.0 start: a sum of -0.0 terms is +0.0
+            lines.append(f"out[..., {k}] = {acc}")
+        lines.append("out += 0.0")  # einsum's +0.0 start: a sum of -0.0 terms is +0.0
         head, width = "P, A", len(exprs[0])
+        guard, pad = "", " " * 4
     src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
-           '    with np.errstate(all="ignore"):\n' + "\n".join(lines) + "\n    return out")
+           + guard + "".join(f"{pad}{line}\n" for line in lines) + "    return out")
     exec(compile(src, "<ccgeo kernel>", "exec"), env)
     return env["kernel"]
 

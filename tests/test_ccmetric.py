@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgeo import ccmetric
 from ccgeo.ccmetric import (
@@ -41,6 +43,18 @@ def heisenberg_half():
         fields=(
             (parse_vfield("0, 0-x1/2, 1", 3), 1),
             (parse_vfield("1, x3/2, 0", 3), 1),
+        ),
+        box=Box((1.5, 1.5, 1.5), has_boundary=True),
+    )
+
+
+def heisenberg_frame_half():
+    # the left-invariant frame X, Y, T: r = 3, so the oracle moves along axes
+    return WeightedSystem(
+        fields=(
+            (parse_vfield("1, 0, x2/2", 3), 1),
+            (parse_vfield("0, 1, 0-x1/2", 3), 1),
+            (parse_vfield("0, 0, 1", 3), 1),
         ),
         box=Box((1.5, 1.5, 1.5), has_boundary=True),
     )
@@ -350,6 +364,7 @@ REFERENCE_CASES = [
     (grushin_interior, (0.5, 0.2), 0.3, "extrinsic", 0.025, 1.025),
     (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", (0.05, 0.04, 0.05), 1.0),
     (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05, 1.05),
+    (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03), 1.0),
 ]
 
 
@@ -384,6 +399,60 @@ def test_reach_graph_matches_dict_loop_bit_for_bit(case):
     probes = np.vstack([lo + (hi - lo) * rng.random((400, sys.n)), pts[:50], [np.full(sys.n, np.nan), np.full(sys.n, 10.0)]])
     for dilate in (0, 1):
         assert np.array_equal(g.contains(probes, dilate=dilate), _reference_contains(g, ref, probes, dilate))
+
+
+# costs on a grid finer than the 1e-12 tie windows, around two base costs
+_tie_costs = st.builds(lambda b, k: b + k * 4e-13, st.sampled_from([0.25, 0.5]), st.integers(-5, 5))
+
+
+@st.composite
+def _round(draw):
+    """A sorted store over a few keys and a round of arrivals with many duplicate keys."""
+    universe = draw(st.integers(1, 6))
+    store_keys = np.array(sorted(draw(st.sets(st.integers(0, universe - 1)))), dtype=np.int64)
+    store_cost = np.array(draw(st.lists(_tie_costs, min_size=len(store_keys), max_size=len(store_keys))))
+    N = draw(st.integers(0, 30))
+    keys = np.array(draw(st.lists(st.integers(0, universe - 1), min_size=N, max_size=N)), dtype=np.int64)
+    costs = np.array(draw(st.lists(_tie_costs, min_size=N, max_size=N)))
+    tau = np.array(draw(st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 0.1]), min_size=N, max_size=N)))
+    return store_keys, store_cost, keys, costs, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_round())
+def test_settle_matches_sequential_replay(rnd):
+    store_keys, store_cost, keys, costs, tau = rnd
+    # cells: representative points are arrival indices, stored ones -1
+    store_pts = np.full((len(store_keys), 1), -1.0)
+    pts = np.arange(len(keys), dtype=float)[:, None]
+    best = dict(zip(store_keys.tolist(), store_cost.tolist()))
+    rep = dict.fromkeys(best, -1.0)
+    expand = []
+    for i, (k, c, t) in enumerate(zip(keys.tolist(), costs.tolist(), tau.tolist())):
+        cur = best.get(k, math.inf)
+        if c < cur - 1e-12:
+            best[k], rep[k] = c, float(i)
+        elif c > cur + t + 1e-12:
+            continue
+        expand.append(i)
+    got_keys, got_cost, got_pts, got_expand = ccmetric._settle_cells(
+        store_keys, store_cost.copy(), store_pts.copy(), keys, costs, tau, pts
+    )
+    assert got_keys.tolist() == sorted(best)
+    assert got_cost.tolist() == [best[k] for k in sorted(best)]
+    assert got_pts[:, 0].tolist() == [rep[k] for k in sorted(best)]
+    assert got_expand.tolist() == expand
+
+    # half-cells: accepted arrivals in order of first acceptance, the last one kept
+    qbest = dict(zip(store_keys.tolist(), store_cost.tolist()))
+    frontier = {}
+    for i, (k, c) in enumerate(zip(keys.tolist(), costs.tolist())):
+        if c < qbest.get(k, math.inf) - 1e-12:
+            qbest[k], frontier[k] = c, i
+    got_keys, got_cost, nxt = ccmetric._settle_halves(store_keys, store_cost.copy(), keys, costs)
+    assert got_keys.tolist() == sorted(qbest)
+    assert got_cost.tolist() == [qbest[k] for k in sorted(qbest)]
+    assert nxt.tolist() == list(frontier.values())
 
 
 def test_reach_graph_cell_budget_error_carries_context():

@@ -31,11 +31,11 @@ GOLDEN = {
     "scale degenerate --x 0.5 0.0 --delta 0.1": (
         0, "d11e44755d264252af496d393603523b1373757a88b83088fa69ce22e6f26f0c"),
     "boundary grushin_straightened --x 0.5 0.0": (
-        0, "0989c430ef1cfc8a67132b4ba1da4f7248e488a032cd90d9e4879dc57841e58f"),
+        0, "9ddc382ae018b7601ceed7324b82e77c9b617789d017ed3b93c365f77ac9e97e"),
     "boundary heat --x 0.2 0.0": (
-        0, "0e27181a95c63ac0eef3515074b84c346e22c7670bfffabbdd10eaa5ca5f60db"),
+        0, "36ea855ed01ecfa21235c929f91844a261e23d03df89fd9c4e5d904fcc86af6b"),
     "boundary heisenberg --x 0.0 0.0 0.0": (
-        0, "940d10ff726598b80b84fe36730d466abcefb958233da46ebc10f53e575466ba"),
+        0, "7a6157d39fdc5449b48bf3e77fcf49790146dfdb135da94a7e6e0584802fd766"),
     "check degenerate": (
         2, "d3c6e9e60443ee709ba8bab3ddca27b61fa2f285088d2400e99a56b4b99c0d45"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
