@@ -11,6 +11,7 @@ boundary); extrinsic mode allows the whole box.
 """
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -130,9 +131,14 @@ def integrate_controls(
     """Batched endpoint map for piecewise-constant controls.
 
     coeffs has shape (S, K, r); returns endpoints (S, n) and per-path
-    feasibility (plus the boundary violation depth when requested).  Rows
-    that leave the guarded box are frozen in place and marked infeasible
-    rather than aborting the batch.
+    feasibility (plus the boundary violation depth when requested).  A
+    step that would take a row out of the guarded box leaves it in place
+    and marks it infeasible rather than aborting the batch.  Rows are
+    independent: `dt` is a scalar, RK4 is elementwise and every guard is
+    per row, so a row gives the same bits in any batch, which lets
+    shooting stack several batches into one call.  A step with every row
+    inside the box changes no flag, and then only the lowest x_n, the
+    one figure intrinsic mode on a chart with boundary reads, is updated.
     """
     _check_mode(mode)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -151,7 +157,9 @@ def integrate_controls(
     hw = np.asarray(box.half_widths)
     guard, edge, c = hw * GUARD_FACTOR + 1e-9, hw + 1e-9, np.asarray(box.center)
     alive = np.ones(S, dtype=bool)
+    all_alive = True
     inside = np.ones(S, dtype=bool)
+    halfspace = mode == "intrinsic" and box.has_boundary
     min_xn = np.full(S, y[0, n - 1])
     dt = (1.0 / K) / steps_per_segment
 
@@ -161,16 +169,24 @@ def integrate_controls(
             for _ in range(steps_per_segment):
                 ynew = _rk4_step(vel, y, dt)
                 dev = np.abs(ynew - c)
+                if (dev <= edge).all():
+                    # every row is inside the box, so inside the guard
+                    y = ynew
+                    if halfspace:
+                        xn = y[:, n - 1] if all_alive else np.where(alive, y[:, n - 1], min_xn)
+                        min_xn = np.minimum(min_xn, xn)
+                    continue
                 ok = np.all(dev <= guard, axis=1)
                 ynew[~ok] = y[~ok]
                 alive &= ok
+                all_alive = bool(alive.all())
                 y = ynew
                 inside &= ~alive | np.all(dev <= edge, axis=1)
                 min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
 
     feasible = alive & inside
     depth = np.zeros(S)
-    if mode == "intrinsic" and box.has_boundary:
+    if halfspace:
         feasible &= min_xn >= -BOUNDARY_TOL
         depth = np.maximum(0.0, -min_xn)
     if return_violation:
@@ -234,8 +250,12 @@ def sample_ball(
 # -- grid-graph oracle ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _move_directions(r: int) -> np.ndarray:
-    """Unit control directions: a half-integer lattice for r <= 2, axes above."""
+    """Unit control directions: a half-integer lattice for r <= 2, axes above.
+
+    Computed once per r and shared, so the array is read-only.
+    """
     if r <= 2:
         vals = (-1.0, -0.5, 0.0, 0.5, 1.0)
         seen: dict[tuple, np.ndarray] = {}
@@ -246,14 +266,17 @@ def _move_directions(r: int) -> np.ndarray:
                 continue
             u = v / nrm
             seen[tuple(np.round(u, 12))] = u
-        return np.array(sorted(seen.values(), key=tuple))
-    dirs = []
-    for j in range(r):
-        for s in (1.0, -1.0):
-            v = np.zeros(r)
-            v[j] = s
-            dirs.append(v)
-    return np.array(dirs)
+        dirs = np.array(sorted(seen.values(), key=tuple))
+    else:
+        rows = []
+        for j in range(r):
+            for s in (1.0, -1.0):
+                v = np.zeros(r)
+                v[j] = s
+                rows.append(v)
+        dirs = np.array(rows)
+    dirs.setflags(write=False)
+    return dirs
 
 
 def _check_resolution(res, n: int) -> np.ndarray:
@@ -680,48 +703,57 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol):
     an extra component, so the iteration (at most six steps) can slide
     along an active halfspace constraint instead of stalling at it; only
     feasible iterates count as results.
+
+    Each step makes one `integrate_controls` call.  It carries the five
+    line-search candidates and, ahead of need, each candidate's m + 1
+    finite-difference rows (m = K r): the next step reads the accepted
+    candidate's rows and integrates nothing itself.  The first call
+    carries the start control and its rows in the same way.  Rows of a
+    batch are independent, so the result has the bits of one call per
+    row set.
     """
     y = np.asarray(y, dtype=float)
     K, r = ctrl.shape
     m = K * r
-    p = _project_controls(np.asarray(ctrl, dtype=float)).reshape(-1).copy()
-
-    def full_resid(ends, depth):
-        return np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
-
-    ends, feas, depth = integrate_controls(
-        sys, x, delta, p.reshape(1, K, r), mode, SHOOT_STEPS, return_violation=True
-    )
-    best_pen = float(np.linalg.norm(full_resid(ends, depth)[0]))
-    best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
-    best_ctrl = p.copy()
     h = 1e-4
     scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+
+    def shoot(heads):
+        """Integrate the controls heads (B, K, r) and each one's projected
+        finite-difference rows in one call.  Returns the heads' ends,
+        feasibility and residuals, and per head the (m + 1) residuals of
+        its finite-difference rows."""
+        B = len(heads)
+        fd = np.repeat(heads.reshape(B, 1, m), m + 1, axis=1)
+        fd[:, 1:] += np.eye(m) * h
+        batch = np.concatenate([heads, _project_controls(fd.reshape(B * (m + 1), K, r))])
+        ends, feas, depth = integrate_controls(sys, x, delta, batch, mode, SHOOT_STEPS, return_violation=True)
+        resid = np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
+        return ends[:B], feas[:B], resid[:B], resid[B:].reshape(B, m + 1, -1)
+
+    p = _project_controls(np.asarray(ctrl, dtype=float))
+    ends, feas, resid, fd = shoot(p[None])
+    best_pen = float(np.linalg.norm(resid[0]))
+    best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
+    best_ctrl, fd = p, fd[0]
     for _ in range(6):
         if best_miss <= miss_tol:
             break
-        batch = np.tile(p, (m + 1, 1))
-        batch[1:] += np.eye(m) * h
-        ends, feas, depth = integrate_controls(
-            sys, x, delta, _project_controls(batch.reshape(m + 1, K, r)), mode, SHOOT_STEPS,
-            return_violation=True,
-        )
-        resid = full_resid(ends, depth)
-        jac = (resid[1:] - resid[0]).T / h  # (n+1, m)
-        step, *_ = np.linalg.lstsq(jac, -resid[0], rcond=None)
-        cands = _project_controls((p[None] + scales[:, None] * step[None]).reshape(len(scales), K, r))
-        e2, f2, d2 = integrate_controls(sys, x, delta, cands, mode, SHOOT_STEPS, return_violation=True)
-        pen2 = np.linalg.norm(full_resid(e2, d2), axis=1)
+        jac = (fd[1:] - fd[0]).T / h  # (n+1, m)
+        step, *_ = np.linalg.lstsq(jac, -fd[0], rcond=None)
+        cands = _project_controls((p.reshape(-1) + scales[:, None] * step[None]).reshape(len(scales), K, r))
+        e2, f2, r2, fd2 = shoot(cands)
+        pen2 = np.linalg.norm(r2, axis=1)
         k = int(np.argmin(pen2))
         if pen2[k] >= best_pen - 1e-15:
             break
         best_pen = float(pen2[k])
-        p = cands[k].reshape(-1)
+        p, fd = cands[k], fd2[k]
         miss2 = float(np.linalg.norm(e2[k] - y))
         if f2[k] and miss2 < best_miss:
             best_miss = miss2
-            best_ctrl = p.copy()
-    return best_miss, best_ctrl.reshape(K, r)
+            best_ctrl = p
+    return best_miss, best_ctrl
 
 
 def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):

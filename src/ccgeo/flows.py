@@ -113,9 +113,8 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | No
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
             y = _rk4_step(velocity, y, dt)
-            ok = np.all(np.abs(y - c) <= guard, axis=-1)
-            if not np.all(ok):
-                bad = int(np.argmin(ok))
+            if not (np.abs(y - c) <= guard).all():
+                bad = int(np.argmin(np.all(np.abs(y - c) <= guard, axis=-1)))
                 raise FlowExcursionError(f"trajectory left guarded domain at {tuple(y[bad].tolist())}", y[bad])
     return y[0] if single else y
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgeo import ccmetric
@@ -18,7 +18,8 @@ from ccgeo.ccmetric import (
     reach_graph,
     sample_ball,
 )
-from ccgeo.flows import _control_velocity, _field_stack, _rk4_step
+from ccgeo.cli import load_scenario
+from ccgeo.flows import GUARD_FACTOR, _control_velocity, _field_stack, _rk4_step
 from ccgeo.hormander import Box, WeightedSystem
 from ccgeo.symexpr import parse_vfield
 
@@ -101,6 +102,107 @@ def test_integrate_controls_freezes_rows_that_leave_the_guard_box():
     assert list(feasible) == [False, True]
     np.testing.assert_allclose(ends[0], [1.125, 0.0], atol=1e-12)
     np.testing.assert_allclose(ends[1], [0.2, 0.2], atol=1e-12)
+
+
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("mode", ["intrinsic", "extrinsic"])
+def test_integrate_controls_rows_do_not_depend_on_their_batch(mode):
+    # Shooting stacks several row sets into one call; each row must give
+    # the same ends, feasibility and depth bits as in a call of its own.
+    # Half width 2, guard 2.5, delta 3: from x1 = -0.1 one row runs to
+    # x1 = 2.87, out of the guard box, and one to 2.177, out of the box
+    # only; from x2 = 0.05 one dips to -0.1 and comes back.
+    sys = elliptic_half_plane()
+    x = (-0.1, 0.05)
+    rng = np.random.default_rng(3)
+    random = ccmetric.sample_controls(rng, 9, 2, 2)
+    guard_leaver = np.array([[[0.99, 0.0], [0.99, 0.0]]])
+    box_leaver = np.array([[[0.759, 0.0], [0.759, 0.0]]])
+    dipper = np.array([[[0.0, -0.1], [0.0, 0.1]]])
+    parts = [random[:4], np.concatenate([guard_leaver, dipper]), np.concatenate([random[4:], box_leaver])]
+    whole = integrate_controls(sys, x, 3.0, np.concatenate(parts), mode, return_violation=True)
+    alone = [integrate_controls(sys, x, 3.0, part, mode, return_violation=True) for part in parts]
+    for got, want in zip(whole, (np.concatenate(col) for col in zip(*alone))):
+        assert _bits(got) == _bits(want)
+    feasible, depth = whole[1], whole[2]
+    assert not feasible[4] and not feasible[-1]  # out of the guard box, out of the box
+    assert feasible[5] == (mode == "extrinsic")
+    assert depth[5] == (pytest.approx(0.1, abs=1e-12) if mode == "intrinsic" else 0.0)
+
+
+def _reference_integrate(sys, x, delta, coeffs, mode, steps_per_segment):
+    """integrate_controls with its per-row guard taken at every step."""
+    S, K, r = coeffs.shape
+    n = sys.n
+    y = np.tile(np.asarray(x, dtype=float), (S, 1))
+    factors = np.array([delta**d for d in sys.degrees])
+    vfs = sys.vfields()
+    hw = np.asarray(sys.box.half_widths)
+    guard, edge, c = hw * GUARD_FACTOR + 1e-9, hw + 1e-9, np.asarray(sys.box.center)
+    alive = np.ones(S, dtype=bool)
+    inside = np.ones(S, dtype=bool)
+    min_xn = np.full(S, y[0, n - 1])
+    dt = (1.0 / K) / steps_per_segment
+    with np.errstate(all="ignore"):
+        for k in range(K):
+            vel = _control_velocity(vfs, coeffs[:, k, :] * factors)
+            for _ in range(steps_per_segment):
+                ynew = _rk4_step(vel, y, dt)
+                dev = np.abs(ynew - c)
+                ok = np.all(dev <= guard, axis=1)
+                ynew[~ok] = y[~ok]
+                alive &= ok
+                y = ynew
+                inside &= ~alive | np.all(dev <= edge, axis=1)
+                min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
+    feasible = alive & inside
+    depth = np.zeros(S)
+    if mode == "intrinsic" and sys.box.has_boundary:
+        feasible &= min_xn >= -BOUNDARY_TOL
+        depth = np.maximum(0.0, -min_xn)
+    return y, feasible, depth
+
+
+def grushin_half():
+    return WeightedSystem(
+        fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, x1", 2), 1)),
+        box=Box((1.0, 1.0), has_boundary=True),
+    )
+
+
+@st.composite
+def _control_batch(draw):
+    """A system, a start point and a batch of controls, often leaving the box."""
+    make = draw(st.sampled_from([elliptic_half_plane, grushin_half, heisenberg_half]))
+    sys = make()
+    hw = np.asarray(sys.box.half_widths)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    x = np.array([draw(unit) for _ in range(sys.n)]) * 0.9 * hw
+    x[-1] = abs(x[-1]) * draw(st.sampled_from([0.0, 0.05, 1.0]))
+    S, K = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    coeffs = np.array(draw(st.lists(unit, min_size=S * K * sys.r, max_size=S * K * sys.r))).reshape(S, K, sys.r)
+    delta = draw(st.sampled_from([0.05, 0.5, 2.0, 4.0]))
+    return sys, x, delta, coeffs, draw(st.sampled_from(["intrinsic", "extrinsic"])), draw(st.integers(1, 4))
+
+
+# row 0 leaves the guard box at x1 = 2.985, is held at 2.49, then comes
+# back into the box and below x2 = 0 while no longer alive: its depth stays 0
+_RETURNING_ROW = (
+    elliptic_half_plane(), np.array([1.5, 0.05]), 4.0,
+    np.array([[[0.99, 0.0], [-0.7, -0.7]], [[0.1, 0.1], [0.0, 0.1]]]), "intrinsic", 4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_control_batch())
+@example(_RETURNING_ROW)
+def test_integrate_controls_guard_fast_path_matches_per_row_guard(batch):
+    sys, x, delta, coeffs, mode, steps = batch
+    got = integrate_controls(sys, x, delta, coeffs, mode, steps, return_violation=True)
+    assert _bits(*got) == _bits(*_reference_integrate(sys, x, delta, coeffs, mode, steps))
 
 
 def test_integrate_control_rejects_inadmissible():
@@ -468,3 +570,104 @@ def test_reach_graph_cell_budget_error_carries_context():
 def test_reach_graph_rejects_bad_resolution(res):
     with pytest.raises(ValueError, match="resolution"):
         ReachGraph(elliptic_half_plane(), (0.0, 0.5), 0.3, res=res)
+
+
+# -- Gauss-Newton polish against the two-call loop it replaced ----------
+
+
+def _reference_polish(sys, x, y, delta, mode, ctrl, miss_tol):
+    """The old _gauss_newton_polish: a finite-difference call and a
+    line-search call per step."""
+    y = np.asarray(y, dtype=float)
+    K, r = ctrl.shape
+    m = K * r
+    p = ccmetric._project_controls(np.asarray(ctrl, dtype=float)).reshape(-1).copy()
+
+    def full_resid(ends, depth):
+        return np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
+
+    def integrate(coeffs):
+        return ccmetric.integrate_controls(sys, x, delta, coeffs, mode, ccmetric.SHOOT_STEPS, return_violation=True)
+
+    ends, feas, depth = integrate(p.reshape(1, K, r))
+    best_pen = float(np.linalg.norm(full_resid(ends, depth)[0]))
+    best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
+    best_ctrl = p.copy()
+    h = 1e-4
+    scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+    for _ in range(6):
+        if best_miss <= miss_tol:
+            break
+        batch = np.tile(p, (m + 1, 1))
+        batch[1:] += np.eye(m) * h
+        ends, feas, depth = integrate(ccmetric._project_controls(batch.reshape(m + 1, K, r)))
+        resid = full_resid(ends, depth)
+        jac = (resid[1:] - resid[0]).T / h
+        step, *_ = np.linalg.lstsq(jac, -resid[0], rcond=None)
+        cands = ccmetric._project_controls((p[None] + scales[:, None] * step[None]).reshape(len(scales), K, r))
+        e2, f2, d2 = integrate(cands)
+        pen2 = np.linalg.norm(full_resid(e2, d2), axis=1)
+        k = int(np.argmin(pen2))
+        if pen2[k] >= best_pen - 1e-15:
+            break
+        best_pen = float(pen2[k])
+        p = cands[k].reshape(-1)
+        miss2 = float(np.linalg.norm(e2[k] - y))
+        if f2[k] and miss2 < best_miss:
+            best_miss = miss2
+            best_ctrl = p.copy()
+    return best_miss, best_ctrl.reshape(K, r)
+
+
+# (fixture, mode, x, y): pairs of the dist benchmark's strata
+POLISH_PAIRS = [
+    ("elliptic", "intrinsic", (-0.34, 0.01), (-0.04, 0.022)),
+    ("heat", "intrinsic", (0.25, 0.6), (-0.05, 0.45)),
+    ("grushin_straightened", "intrinsic", (0.4, 0.03), (0.65, 0.02)),
+    ("heisenberg", "extrinsic", (-0.09, 0.0, 0.48), (-0.09, 0.02, 0.48)),
+]
+
+
+@pytest.mark.parametrize("K", [4, 32])
+@pytest.mark.parametrize("case", range(len(POLISH_PAIRS)))
+def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
+    # every polish of a cc_distance run, with its warm starts, against the
+    # two-call reference on the same inputs: the same (miss, ctrl) bits
+    # from one integrate_controls call per Gauss-Newton step
+    fixture, mode, x, y = POLISH_PAIRS[case]
+    sys = load_scenario(fixture).system()
+    fused = ccmetric._gauss_newton_polish
+    calls = []
+    integrate = ccmetric.integrate_controls
+    steps = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    def both(*args):
+        start = len(calls)
+        got = fused(*args)
+        mid = len(calls)
+        want = _reference_polish(*args)
+        new, old = mid - start, len(calls) - mid
+        assert old == 2 * new - 1  # the start call, then one call per step, not two
+        steps.append(new - 1)
+        assert got[0] == want[0]
+        assert _bits(got[1]) == _bits(want[1])
+        return got
+
+    monkeypatch.setattr(ccmetric, "integrate_controls", counted)
+    monkeypatch.setattr(ccmetric, "_gauss_newton_polish", both)
+    cc_distance(sys, x, y, mode=mode, tol=0.2, K=K)
+    assert max(steps) >= 2  # a step read the rows the step before computed
+
+
+def test_move_directions_are_computed_once_and_read_only():
+    for r in (2, 3):
+        dirs = ccmetric._move_directions(r)
+        assert ccmetric._move_directions(r) is dirs
+        assert not dirs.flags.writeable
+    g = ReachGraph(heisenberg_frame_half(), (0.0, 0.0, 0.3), 0.3)
+    assert g.dirs is ccmetric._move_directions(3)
+    assert g.dirs.tolist() == [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]

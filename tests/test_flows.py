@@ -52,6 +52,13 @@ def test_exp_flow_group_law_and_reversibility():
     np.testing.assert_allclose(back, p, atol=1e-9 * 0.7)
 
 
+def test_rk4_flow_excursion_names_the_first_row_out():
+    # rows 1 and 2 both leave the guard box (half width 5) at the first step
+    with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(6\.0, 0\.0\)$") as err:
+        flows.rk4_flow(DX.eval_many, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), [0.1, 5.0, 5.0], CFG2, n_steps=1)
+    assert err.value.point.tolist() == [6.0, 0.0]
+
+
 def test_exp_flow_excursion_guard():
     # the point prints as a plain tuple of floats, not an ndarray repr
     with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(5\.00390625, 0\.0\)$"):
