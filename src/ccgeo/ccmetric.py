@@ -137,8 +137,9 @@ def integrate_controls(
     independent: `dt` is a scalar, RK4 is elementwise and every guard is
     per row, so a row gives the same bits in any batch, which lets
     shooting stack several batches into one call.  A step with every row
-    inside the box changes no flag, and then only the lowest x_n, the
-    one figure intrinsic mode on a chart with boundary reads, is updated.
+    inside the box changes no flag, so it skips the per-row guard.  The
+    lowest x_n is tracked only in intrinsic mode on a chart with
+    boundary, the one case that reads it.
     """
     _check_mode(mode)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -157,7 +158,6 @@ def integrate_controls(
     hw = np.asarray(box.half_widths)
     guard, edge, c = hw * GUARD_FACTOR + 1e-9, hw + 1e-9, np.asarray(box.center)
     alive = np.ones(S, dtype=bool)
-    all_alive = True
     inside = np.ones(S, dtype=bool)
     halfspace = mode == "intrinsic" and box.has_boundary
     min_xn = np.full(S, y[0, n - 1])
@@ -169,20 +169,15 @@ def integrate_controls(
             for _ in range(steps_per_segment):
                 ynew = _rk4_step(vel, y, dt)
                 dev = np.abs(ynew - c)
-                if (dev <= edge).all():
-                    # every row is inside the box, so inside the guard
-                    y = ynew
-                    if halfspace:
-                        xn = y[:, n - 1] if all_alive else np.where(alive, y[:, n - 1], min_xn)
-                        min_xn = np.minimum(min_xn, xn)
-                    continue
-                ok = np.all(dev <= guard, axis=1)
-                ynew[~ok] = y[~ok]
-                alive &= ok
-                all_alive = bool(alive.all())
+                # with every row inside the box (so inside the guard) no flag changes
+                if not (dev <= edge).all():
+                    ok = np.all(dev <= guard, axis=1)
+                    ynew[~ok] = y[~ok]
+                    alive &= ok
+                    inside &= np.all(dev <= edge, axis=1)
                 y = ynew
-                inside &= ~alive | np.all(dev <= edge, axis=1)
-                min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
+                if halfspace:
+                    min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
 
     feasible = alive & inside
     depth = np.zeros(S)
