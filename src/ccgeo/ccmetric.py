@@ -132,14 +132,16 @@ def integrate_controls(
 
     coeffs has shape (S, K, r); returns endpoints (S, n) and per-path
     feasibility (plus the boundary violation depth when requested).  A
-    step that would take a row out of the guarded box leaves it in place
-    and marks it infeasible rather than aborting the batch.  Rows are
+    row whose step would take it out of the guarded box is marked
+    infeasible and stays frozen at its last point inside the guard for
+    the rest of the path, rather than aborting the batch.  Rows are
     independent: `dt` is a scalar, RK4 is elementwise and every guard is
     per row, so a row gives the same bits in any batch, which lets
-    shooting stack several batches into one call.  A step with every row
-    inside the box changes no flag, so it skips the per-row guard.  The
-    lowest x_n is tracked only in intrinsic mode on a chart with
-    boundary, the one case that reads it.
+    shooting stack several batches into one call.  While no row is
+    frozen, a step with every row inside the box changes no flag, so it
+    skips the per-row guard.  The lowest x_n is tracked only in
+    intrinsic mode on a chart with boundary, the one case that reads it;
+    a frozen row's point was already counted.
     """
     _check_mode(mode)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -162,6 +164,7 @@ def integrate_controls(
     halfspace = mode == "intrinsic" and box.has_boundary
     min_xn = np.full(S, y[0, n - 1])
     dt = (1.0 / K) / steps_per_segment
+    frozen = False  # whether some row has left the guard box
 
     with np.errstate(all="ignore"):
         for k in range(K):
@@ -170,14 +173,14 @@ def integrate_controls(
                 ynew = _rk4_step(vel, y, dt)
                 dev = np.abs(ynew - c)
                 # with every row inside the box (so inside the guard) no flag changes
-                if not (dev <= edge).all():
-                    ok = np.all(dev <= guard, axis=1)
-                    ynew[~ok] = y[~ok]
-                    alive &= ok
+                if frozen or not (dev <= edge).all():
+                    alive &= np.all(dev <= guard, axis=1)
                     inside &= np.all(dev <= edge, axis=1)
+                    ynew[~alive] = y[~alive]
+                    frozen = not alive.all()
                 y = ynew
                 if halfspace:
-                    min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
+                    min_xn = np.minimum(min_xn, y[:, n - 1])
 
     feasible = alive & inside
     depth = np.zeros(S)
@@ -589,14 +592,25 @@ def _settle_halves(half_keys, half_cost, keys, costs):
 
 
 def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple):
-    """Write the selected groups' values into a sorted store, inserting new keys."""
+    """Write the selected groups' values into a sorted store, inserting new keys.
+
+    The groups come in key order, so the i-th new key lands at its store
+    position plus i; the merged positions are found once for every column.
+    """
     old, new = sel & found, sel & ~found
     for col, v in zip(cols, vals):
         col[pos[old]] = v[old]
-    ins = pos[new]
-    return np.insert(store_keys, ins, keys[new]), tuple(
-        np.insert(col, ins, v[new], axis=0) for col, v in zip(cols, vals)
-    )
+    at = pos[new] + np.arange(np.count_nonzero(new))
+    kept = np.ones(len(store_keys) + len(at), dtype=bool)
+    kept[at] = False
+
+    def merged(col, v):
+        out = np.empty((len(kept),) + col.shape[1:], dtype=col.dtype)
+        out[kept] = col
+        out[at] = v[new]
+        return out
+
+    return merged(store_keys, keys), tuple(merged(col, v) for col, v in zip(cols, vals))
 
 
 def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:
@@ -642,7 +656,10 @@ def oracle_distance(
     relative before deflation.  When y lies within the arrival tolerance
     (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
     cannot resolve the distance and the interval is [0, inf]; so is it
-    when no scale up to DELTA_MAX reaches y.
+    when no scale up to DELTA_MAX reaches y.  Each (delta, speed scale)
+    pair is searched at most once per query: after a failed doubling
+    step the bisection's first midpoint is that step's scale, and its
+    answer is reused.
     """
     _check_resolution(resolution, sys.n)
     x = np.asarray(x, dtype=float)
@@ -654,6 +671,7 @@ def oracle_distance(
     if d_eu <= arrival_tol:
         return MetricEstimate(0.0, math.inf, "oracle")
 
+    @functools.cache
     def reach(delta, scale=1.0):
         g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
         ok, _ = g.run(target=y, arrival_tol=arrival_tol)
@@ -672,7 +690,7 @@ def oracle_distance(
     for _ in range(3):
         if probe <= 0:
             break
-        if not reach(probe, scale=1.0 + resolution):
+        if not reach(probe, 1.0 + resolution):
             lo_cert = probe
             break
         probe *= 0.7
@@ -691,21 +709,21 @@ def _project_controls(cand: np.ndarray) -> np.ndarray:
     return np.where(over, cand * (0.995 / np.maximum(seg_norm, 1e-300)), cand)
 
 
-def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol):
-    """Local refinement of a control by damped Gauss-Newton on the endpoint.
+def _gauss_newton_polish(y, ctrl, miss_tol):
+    """Local refinement of one control by damped Gauss-Newton on the endpoint.
 
     The residual carries the boundary-violation depth, weighted by 10, as
     an extra component, so the iteration (at most six steps) can slide
     along an active halfspace constraint instead of stalling at it; only
     feasible iterates count as results.
 
-    Each step makes one `integrate_controls` call.  It carries the five
-    line-search candidates and, ahead of need, each candidate's m + 1
-    finite-difference rows (m = K r): the next step reads the accepted
-    candidate's rows and integrates nothing itself.  The first call
-    carries the start control and its rows in the same way.  Rows of a
-    batch are independent, so the result has the bits of one call per
-    row set.
+    A stepper that integrates nothing itself: it yields control rows
+    (S, K, r), is sent back their `integrate_controls` ends, feasibility
+    and violation depths, and returns (best miss, best control).  Each
+    step yields one batch: the five line-search candidates and, ahead of
+    need, each candidate's m + 1 finite-difference rows (m = K r); the
+    next step reads the accepted candidate's rows.  The first batch
+    carries the start control and its rows in the same way.
     """
     y = np.asarray(y, dtype=float)
     K, r = ctrl.shape
@@ -713,21 +731,21 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol):
     h = 1e-4
     scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
 
-    def shoot(heads):
-        """Integrate the controls heads (B, K, r) and each one's projected
-        finite-difference rows in one call.  Returns the heads' ends,
-        feasibility and residuals, and per head the (m + 1) residuals of
-        its finite-difference rows."""
+    def rows(heads):
+        """The controls heads (B, K, r), then each one's projected finite-difference rows."""
         B = len(heads)
         fd = np.repeat(heads.reshape(B, 1, m), m + 1, axis=1)
         fd[:, 1:] += np.eye(m) * h
-        batch = np.concatenate([heads, _project_controls(fd.reshape(B * (m + 1), K, r))])
-        ends, feas, depth = integrate_controls(sys, x, delta, batch, mode, SHOOT_STEPS, return_violation=True)
+        return np.concatenate([heads, _project_controls(fd.reshape(B * (m + 1), K, r))])
+
+    def split(B, ends, feas, depth):
+        """The heads' ends, feasibility and residuals, and per head the
+        (m + 1) residuals of its finite-difference rows."""
         resid = np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
         return ends[:B], feas[:B], resid[:B], resid[B:].reshape(B, m + 1, -1)
 
     p = _project_controls(np.asarray(ctrl, dtype=float))
-    ends, feas, resid, fd = shoot(p[None])
+    ends, feas, resid, fd = split(1, *(yield rows(p[None])))
     best_pen = float(np.linalg.norm(resid[0]))
     best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
     best_ctrl, fd = p, fd[0]
@@ -737,7 +755,7 @@ def _gauss_newton_polish(sys, x, y, delta, mode, ctrl, miss_tol):
         jac = (fd[1:] - fd[0]).T / h  # (n+1, m)
         step, *_ = np.linalg.lstsq(jac, -fd[0], rcond=None)
         cands = _project_controls((p.reshape(-1) + scales[:, None] * step[None]).reshape(len(scales), K, r))
-        e2, f2, r2, fd2 = shoot(cands)
+        e2, f2, r2, fd2 = split(len(cands), *(yield rows(cands)))
         pen2 = np.linalg.norm(r2, axis=1)
         k = int(np.argmin(pen2))
         if pen2[k] >= best_pen - 1e-15:
@@ -755,9 +773,14 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     """Deterministic shooting at one scale; returns the best miss and its control.
 
     The warm start, when given, and then a least-squares constant control
-    each seed a Gauss-Newton refinement; the first that lands within
-    miss_tol ends the search.  When no refinement reaches a feasible
-    endpoint the miss is inf and the warm start comes back unchanged.
+    each seed a Gauss-Newton refinement; the result is the sequential
+    rule's: the first refinement that lands within miss_tol, else the one
+    with the smallest miss, earlier seeds winning ties.  The refinements
+    run in lockstep, each step's rows of every unfinished seed in one
+    `integrate_controls` call, until that rule's outcome is known.  Rows
+    of a batch are independent, so each seed's result has the bits of a
+    run on its own.  When no refinement reaches a feasible endpoint the
+    miss is inf and the warm start comes back unchanged.
     """
     factors = np.array([delta**d for d in sys.degrees])
     mid = 0.5 * (np.asarray(x) + np.asarray(y))
@@ -770,14 +793,30 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
         a0 *= 0.9 / nrm
     informed = np.tile(a0, (K, 1))
     seeds = [informed] if init_ctrl is None else [init_ctrl, informed]
-    best_miss, best_ctrl = math.inf, init_ctrl
-    for seed_ctrl in seeds:
-        m, c = _gauss_newton_polish(sys, x, y, delta, mode, seed_ctrl, miss_tol)
-        if m < best_miss:
-            best_miss, best_ctrl = m, c
-        if best_miss <= miss_tol:
-            break
-    return best_miss, best_ctrl
+    steppers = [_gauss_newton_polish(y, seed_ctrl, miss_tol) for seed_ctrl in seeds]
+    batches = [next(g) for g in steppers]
+    results = [None] * len(steppers)
+    while True:
+        best_miss, best_ctrl = math.inf, init_ctrl
+        for res in results:
+            if res is None:  # the outcome waits on this seed
+                break
+            if res[0] < best_miss:
+                best_miss, best_ctrl = res
+            if best_miss <= miss_tol:
+                return best_miss, best_ctrl
+        else:
+            return best_miss, best_ctrl
+        live = [i for i, res in enumerate(results) if res is None]
+        out = integrate_controls(
+            sys, x, delta, np.concatenate([batches[i] for i in live]), mode, SHOOT_STEPS, return_violation=True
+        )
+        cuts = np.cumsum([len(batches[i]) for i in live])[:-1]
+        for i, part in zip(live, zip(*(np.split(a, cuts) for a in out))):
+            try:
+                batches[i] = steppers[i].send(part)
+            except StopIteration as stop:
+                results[i] = stop.value
 
 
 def cc_distance(

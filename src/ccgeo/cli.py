@@ -627,6 +627,8 @@ def cmd_bracket(args) -> int:
 def cmd_dist(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x", "y")
+    _check_in_chart(scn, args.x)
+    _check_in_chart(scn, args.y, "target")
     sys_ = scn.system()
     x, y = tuple(args.x), tuple(args.y)
     est = cc_distance(sys_, x, y, mode=args.mode, tol=args.tol, K=args.K)
@@ -650,10 +652,10 @@ def _check_points(scn: Scenario, args, *options: str) -> None:
             raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
 
 
-def _check_in_chart(scn: Scenario, x) -> None:
-    """Numeric error, as ReachGraph.run gives, unless the base point is in the chart box."""
+def _check_in_chart(scn: Scenario, x, point: str = "base") -> None:
+    """Numeric error, as ReachGraph.run gives, unless the point is in the chart box."""
     if not scn.box.contains(np.asarray(x, dtype=float)[None])[0]:
-        raise ValueError("base point is not in the chart")
+        raise ValueError(f"{point} point is not in the chart")
 
 
 def _dist_params(args) -> dict:
@@ -669,6 +671,7 @@ def _dist_params(args) -> dict:
 def cmd_ball(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
+    _check_in_chart(scn, args.x)
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)

@@ -134,7 +134,8 @@ def test_integrate_controls_rows_do_not_depend_on_their_batch(mode):
 
 
 def _reference_integrate(sys, x, delta, coeffs, mode, steps_per_segment):
-    """integrate_controls with its per-row guard taken at every step."""
+    """integrate_controls with its per-row guard taken at every step; a
+    row that would leave the guard box stays frozen at its last point."""
     S, K, r = coeffs.shape
     n = sys.n
     y = np.tile(np.asarray(x, dtype=float), (S, 1))
@@ -152,9 +153,8 @@ def _reference_integrate(sys, x, delta, coeffs, mode, steps_per_segment):
             for _ in range(steps_per_segment):
                 ynew = _rk4_step(vel, y, dt)
                 dev = np.abs(ynew - c)
-                ok = np.all(dev <= guard, axis=1)
-                ynew[~ok] = y[~ok]
-                alive &= ok
+                alive &= np.all(dev <= guard, axis=1)
+                ynew[~alive] = y[~alive]
                 y = ynew
                 inside &= ~alive | np.all(dev <= edge, axis=1)
                 min_xn = np.minimum(min_xn, np.where(alive, y[:, n - 1], min_xn))
@@ -188,10 +188,12 @@ def _control_batch(draw):
     return sys, x, delta, coeffs, draw(st.sampled_from(["intrinsic", "extrinsic"])), draw(st.integers(1, 4))
 
 
-# row 0 leaves the guard box at x1 = 2.985, is held at 2.49, then comes
-# back into the box and below x2 = 0 while no longer alive: its depth stays 0
+# row 0 leaves the box at x1 = 2.095 and would leave the guard box at 2.59,
+# so it is frozen at 2.095; from there its second segment would step back
+# into the box and below x2 = 0, on steps where every other row is inside
+# the box too, so the row must end where it was frozen, with depth 0
 _RETURNING_ROW = (
-    elliptic_half_plane(), np.array([1.5, 0.05]), 4.0,
+    elliptic_half_plane(), np.array([1.6, 0.05]), 4.0,
     np.array([[[0.99, 0.0], [-0.7, -0.7]], [[0.1, 0.1], [0.0, 0.1]]]), "intrinsic", 4,
 )
 
@@ -203,6 +205,14 @@ def test_integrate_controls_guard_fast_path_matches_per_row_guard(batch):
     sys, x, delta, coeffs, mode, steps = batch
     got = integrate_controls(sys, x, delta, coeffs, mode, steps, return_violation=True)
     assert _bits(*got) == _bits(*_reference_integrate(sys, x, delta, coeffs, mode, steps))
+
+
+def test_integrate_controls_row_that_leaves_the_guard_box_stays_frozen():
+    sys, x, delta, coeffs, mode, steps = _RETURNING_ROW
+    ends, feasible, depth = integrate_controls(sys, x, delta, coeffs, mode, steps, return_violation=True)
+    np.testing.assert_allclose(ends[0], [2.095, 0.05], atol=1e-12)
+    assert not feasible[0] and depth[0] == 0.0
+    assert feasible[1]
 
 
 def test_integrate_control_rejects_inadmissible():
@@ -572,11 +582,11 @@ def test_reach_graph_rejects_bad_resolution(res):
         ReachGraph(elliptic_half_plane(), (0.0, 0.5), 0.3, res=res)
 
 
-# -- Gauss-Newton polish against the two-call loop it replaced ----------
+# -- lockstep shooting against sequential two-call polishes -------------
 
 
 def _reference_polish(sys, x, y, delta, mode, ctrl, miss_tol):
-    """The old _gauss_newton_polish: a finite-difference call and a
+    """The two-call Gauss-Newton polish: a finite-difference call and a
     line-search call per step."""
     y = np.asarray(y, dtype=float)
     K, r = ctrl.shape
@@ -619,6 +629,36 @@ def _reference_polish(sys, x, y, delta, mode, ctrl, miss_tol):
     return best_miss, best_ctrl.reshape(K, r)
 
 
+def _reference_shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl, counted):
+    """Shooting with one seed after the other, each by the two-call polish.
+
+    `counted` grows by one per integrate_controls call.  Returns the
+    result and, per seed run, the calls one call per step would make:
+    s + 1 where the two-call polish of s steps makes 2s + 1.
+    """
+    factors = np.array([delta**d for d in sys.degrees])
+    mid = 0.5 * (np.asarray(x) + np.asarray(y))
+    cols = np.stack([vf.eval_many(mid) for vf in sys.vfields()], axis=1) * factors
+    a0, *_ = np.linalg.lstsq(cols, np.asarray(y) - np.asarray(x), rcond=None)
+    nrm = np.linalg.norm(a0)
+    if nrm > 0.9:
+        a0 *= 0.9 / nrm
+    seeds = [np.tile(a0, (K, 1))] if init_ctrl is None else [init_ctrl, np.tile(a0, (K, 1))]
+    best_miss, best_ctrl = math.inf, init_ctrl
+    calls = []
+    for seed_ctrl in seeds:
+        start = len(counted)
+        m, c = _reference_polish(sys, x, y, delta, mode, seed_ctrl, miss_tol)
+        two_call = len(counted) - start
+        assert two_call % 2 == 1
+        calls.append((two_call + 1) // 2)
+        if m < best_miss:
+            best_miss, best_ctrl = m, c
+        if best_miss <= miss_tol:
+            break
+    return (best_miss, best_ctrl), calls
+
+
 # (fixture, mode, x, y): pairs of the dist benchmark's strata
 POLISH_PAIRS = [
     ("elliptic", "intrinsic", (-0.34, 0.01), (-0.04, 0.022)),
@@ -631,36 +671,85 @@ POLISH_PAIRS = [
 @pytest.mark.parametrize("K", [4, 32])
 @pytest.mark.parametrize("case", range(len(POLISH_PAIRS)))
 def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
-    # every polish of a cc_distance run, with its warm starts, against the
-    # two-call reference on the same inputs: the same (miss, ctrl) bits
-    # from one integrate_controls call per Gauss-Newton step
+    # every scale of a cc_distance run, with its warm start, against one
+    # seed after the other by the two-call polish: the same (miss, ctrl)
+    # bits, from max(a, b) integrate_controls calls where one seed after
+    # the other at one call per step makes a + b
     fixture, mode, x, y = POLISH_PAIRS[case]
     sys = load_scenario(fixture).system()
-    fused = ccmetric._gauss_newton_polish
-    calls = []
+    lockstep = ccmetric._shoot
     integrate = ccmetric.integrate_controls
-    steps = []
+    counted = []
+    both_ran = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counting(*args, **kwargs):
+        counted.append(1)
         return integrate(*args, **kwargs)
 
-    def both(*args):
-        start = len(calls)
-        got = fused(*args)
-        mid = len(calls)
-        want = _reference_polish(*args)
-        new, old = mid - start, len(calls) - mid
-        assert old == 2 * new - 1  # the start call, then one call per step, not two
-        steps.append(new - 1)
+    def both(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
+        start = len(counted)
+        got = lockstep(sys, x, y, delta, mode, K, miss_tol, init_ctrl)
+        made = len(counted) - start
+        want, calls = _reference_shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl, counted)
         assert got[0] == want[0]
         assert _bits(got[1]) == _bits(want[1])
+        assert made == max(calls)
+        if len(calls) == 2:
+            both_ran.append(sum(calls) - made)
         return got
 
-    monkeypatch.setattr(ccmetric, "integrate_controls", counted)
-    monkeypatch.setattr(ccmetric, "_gauss_newton_polish", both)
+    monkeypatch.setattr(ccmetric, "integrate_controls", counting)
+    monkeypatch.setattr(ccmetric, "_shoot", both)
     cc_distance(sys, x, y, mode=mode, tol=0.2, K=K)
-    assert max(steps) >= 2  # a step read the rows the step before computed
+    assert both_ran and max(both_ran) >= 2  # both seeds stepped together
+
+
+def _uncached_oracle(sys, x, y, mode, resolution, order):
+    """oracle_distance with a grid search at every probe, repeats included."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    d_eu = float(np.linalg.norm(y - x))
+
+    def reach(delta, scale=1.0):
+        g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
+        return g.run(target=y, arrival_tol=0.75 * resolution)[0]
+
+    half_gap = (np.pi / 16.0) if sys.r <= 2 else (np.pi / 4.0)
+    overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
+    hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
+    lo, hi = ccmetric._scale_search(reach, min(hi, ccmetric.DELTA_MAX), 0.1)
+    lo_cert, probe = 0.0, lo
+    for _ in range(3):
+        if probe <= 0:
+            break
+        if not reach(probe, scale=1.0 + resolution):
+            lo_cert = probe
+            break
+        probe *= 0.7
+    return lo_cert / overhead, hi
+
+
+def test_oracle_searches_each_scale_once(monkeypatch):
+    # the first doubling step fails, so the bisection's first midpoint is
+    # that step's scale; it must not be searched again
+    sys = grushin_interior()
+    x, y = (0.0, 0.0), (0.0, 0.2)
+    run = ReachGraph.run
+    probes = []
+
+    def recorded(g, *args, **kwargs):
+        reached, cost = run(g, *args, **kwargs)
+        probes.append(((g.delta, g.speed_scale), reached))
+        return reached, cost
+
+    monkeypatch.setattr(ReachGraph, "run", recorded)
+    est = oracle_distance(sys, x, y, resolution=0.02, order=2)
+    keys = [key for key, _ in probes]
+    assert len(keys) == len(set(keys))
+    assert not probes[0][1]  # the first doubling step failed
+    assert probes[1][0][0] == 2 * probes[0][0][0]
+    del probes[:]
+    assert (est.lower, est.upper) == _uncached_oracle(sys, x, y, "intrinsic", 0.02, 2)
+    assert len(probes) == len(keys) + 1  # the uncached run searches one scale twice
 
 
 def test_move_directions_are_computed_once_and_read_only():

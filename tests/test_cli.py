@@ -301,14 +301,26 @@ def test_ball_rejects_negative_delta(capsys):
         ["boundary", "elliptic", "--x", "5", "0"],
         ["scale", "elliptic", "--x", "5", "5", "--delta", "0.1"],
         ["volume", "elliptic", "--x", "5", "5", "--delta", "0.1", "--samples", "3"],
+        ["dist", "elliptic", "--x", "5", "0", "--y", "0", "0.5"],
+        ["ball", "elliptic", "--x", "5", "0", "--delta", "0.1", "--samples", "3"],
     ],
 )
 def test_base_point_outside_the_chart_is_numeric_error(args, capsys):
-    # boundary used to fail on an empty reduction, scale only at its first flow
+    # boundary used to fail on an empty reduction, scale only at its first
+    # flow; dist reported [0, inf] as a pass and ball a cloud of infeasible rows
     assert main(args) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: base point is not in the chart\n"
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_dist_target_outside_the_chart_is_numeric_error(oracle, capsys):
+    # the oracle run used to exit 2, shooting alone 0 with [0, inf]
+    assert main(["dist", "elliptic", "--x", "0", "0.5", "--y", "5", "0.5", *oracle]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: target point is not in the chart\n"
 
 
 @pytest.mark.parametrize(
