@@ -44,7 +44,17 @@ TANGENCY_RTOL = 1e-10
 
 
 class CharacteristicError(RuntimeError):
-    pass
+    """The boundary construction cannot proceed at this point.
+
+    When the boundary degree is not locally constant, probe_degs holds the
+    degrees at the tangential probes and radius the probe radius they were
+    taken at; every other failure leaves both None.
+    """
+
+    def __init__(self, message: str, probe_degs: tuple[int, ...] | None = None, radius: float | None = None):
+        super().__init__(message)
+        self.probe_degs = probe_degs
+        self.radius = radius
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,9 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     if not report.noncharacteristic:
         raise CharacteristicError(
             f"{tuple(x0.tolist())} is characteristic: boundary degree is not locally constant "
-            f"(probe degrees {report.probe_degs})"
+            f"(probe degrees {report.probe_degs})",
+            probe_degs=report.probe_degs,
+            radius=probe_radius,
         )
     n = sys.n
     j0 = _most_normal(sys.degrees, _transversal_degrees(sys.fields, x0[None])[1][:, 0], report.deg)

@@ -11,6 +11,7 @@ flow error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -81,11 +82,18 @@ class Scenario:
     path: str = "<memory>"
 
     def system(self) -> WeightedSystem:
-        fields = tuple(
-            (parse_vfield(comps, self.n), d) for comps, d in self.field_specs
-        )
-        sys_ = WeightedSystem(fields, self.box, density=parse_expr(self.density_str, self.n))
-        sys_.validate_density()
+        """The weighted system, built and validated once per scenario.
+
+        parse_scenario_text builds it to validate the fields, and every
+        later call, by any command, reuses that system."""
+        sys_ = self.__dict__.get("_system")
+        if sys_ is None:
+            fields = tuple(
+                (parse_vfield(comps, self.n), d) for comps, d in self.field_specs
+            )
+            sys_ = WeightedSystem(fields, self.box, density=parse_expr(self.density_str, self.n))
+            sys_.validate_density()
+            object.__setattr__(self, "_system", sys_)  # frozen: the cache is not a field
         return sys_
 
     def threshold(self, key: str, default: float) -> float:
@@ -214,7 +222,12 @@ def fixtures_dir() -> Path:
 
 
 def load_scenario(path_or_name: str) -> Scenario:
-    """Load a scenario file; bare names resolve to packaged fixtures."""
+    """Load a scenario file; bare names resolve to packaged fixtures.
+
+    The file is read on every call, and a process parses each (text,
+    path) once: an unchanged file gives the same Scenario, and so the
+    same system, while an edited one is parsed again.  A text that fails
+    to parse is not kept, so it fails the same way every time."""
     p = Path(path_or_name)
     if not p.exists():
         candidate = fixtures_dir() / f"{path_or_name}.scn"
@@ -222,7 +235,12 @@ def load_scenario(path_or_name: str) -> Scenario:
             p = candidate
         else:
             raise ScenarioError(f"no such scenario file or fixture {path_or_name!r}", path_or_name, 0)
-    return parse_scenario_text(p.read_text(), str(p))
+    return _parse_once(p.read_text(), str(p))
+
+
+@functools.lru_cache(maxsize=64)
+def _parse_once(text: str, path: str) -> Scenario:
+    return parse_scenario_text(text, path)
 
 
 # -- report plumbing ------------------------------------------------------
@@ -769,7 +787,12 @@ def cmd_boundary(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It records each command's name, not its function: main looks up
+    cmd_<command> when it dispatches, so a rebound command is honoured."""
     parser = argparse.ArgumentParser(
         prog="ccgeo",
         description="Carnot-Caratheodory geometry toolkit for weighted Hormander systems",
@@ -784,18 +807,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run a verification suite")
     add_common(p)
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("check", help="certify the Hormander condition")
     add_common(p)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--grid", type=int, default=11)
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("bracket", help="evaluate an iterated bracket word")
     add_common(p)
     p.add_argument("word", type=int, nargs="+", help="1-based generator indices")
-    p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("dist", help="CC distance between two points")
     add_common(p)
@@ -806,7 +826,6 @@ def main(argv=None) -> int:
     p.add_argument("--K", type=int, default=32, help="control segments for the shooting estimator")
     p.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
     p.add_argument("--resolution", type=float, default=0.02)
-    p.set_defaults(fn=cmd_dist)
 
     p = sub.add_parser("ball", help="sample a reachable-set endpoint cloud as CSV")
     add_common(p)
@@ -816,7 +835,6 @@ def main(argv=None) -> int:
     p.add_argument("--K", type=int, default=16)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("intrinsic", "extrinsic"), default="intrinsic")
-    p.set_defaults(fn=cmd_ball)
 
     p = sub.add_parser("volume", help="Monte-Carlo ball volume and Lambda")
     add_common(p)
@@ -825,28 +843,29 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("intrinsic", "extrinsic"), default="intrinsic")
-    p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("scale", help="build a scaling map and report pullbacks")
     add_common(p)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--gain", type=float, default=None)
-    p.set_defaults(fn=cmd_scale)
 
     p = sub.add_parser("boundary", help="construct and export the boundary system")
     add_common(p)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.add_argument("--radius", type=float, default=0.3)
     p.add_argument("--report", default=None)
-    p.set_defaults(fn=cmd_boundary)
 
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ScenarioError, ParseError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

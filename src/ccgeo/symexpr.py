@@ -229,8 +229,12 @@ def _compile(exprs, weighted=False):
     domain errors give inf/nan.  The plain kernel ignores numpy's
     floating-point errors itself; the weighted one runs inside RK4 loops
     and leaves that to its caller, which enters np.errstate once per
-    integration rather than once per stage."""
-    env, lines, names = {"np": np, **_NP_FUNCS}, [], {}
+    integration rather than once per stage.
+
+    A process compiles each kernel once: a kernel is reused for any
+    expressions that generate the same source and bind constants of the
+    same repr, so Const(0.0) and Const(-0.0) never share one."""
+    env, lines, names, consts = {"np": np, **_NP_FUNCS}, [], {}, []
 
     def emit(e):  # -> local name
         code = None
@@ -253,6 +257,7 @@ def _compile(exprs, weighted=False):
             names[key] = name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
             if code is None:
                 env[name] = np.float64(e.value)
+                consts.append(repr(e.value))
             else:
                 lines.append(f"{name} = {code}")
         return names[key]
@@ -276,8 +281,19 @@ def _compile(exprs, weighted=False):
         guard, pad = "", " " * 4
     src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
            + guard + "".join(f"{pad}{line}\n" for line in lines) + "    return out")
-    exec(compile(src, "<ccgeo kernel>", "exec"), env)
-    return env["kernel"]
+    key = (src, tuple(consts))
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        exec(compile(src, "<ccgeo kernel>", "exec"), env)
+        kernel = _KERNELS[key] = env["kernel"]
+        if len(_KERNELS) > _KERNEL_CACHE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]  # the oldest
+    return kernel
+
+
+#: compiled kernels kept per process, keyed on source and constant reprs
+_KERNEL_CACHE_SIZE = 1024
+_KERNELS: dict[tuple[str, tuple[str, ...]], object] = {}
 
 
 # -- differentiation and substitution -----------------------------------

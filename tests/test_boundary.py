@@ -10,6 +10,7 @@ from ccgeo.boundary import (
     export_scenario,
 )
 from ccgeo.ccmetric import cc_distance
+from ccgeo.cli import load_scenario
 from ccgeo.hormander import Box, WeightedSystem
 from ccgeo.symexpr import Const, parse_vfield
 
@@ -105,6 +106,20 @@ def test_build_heat_type():
 def test_build_rejects_characteristic_point():
     with pytest.raises(CharacteristicError):
         build_boundary_system(grushin_straightened(), (0.0, 0.0), m=2)
+
+
+def test_characteristic_error_carries_probe_degrees_and_radius():
+    scn = load_scenario("grushin_straightened")
+    (cp,) = scn.char_probes
+    with pytest.raises(CharacteristicError, match="boundary degree is not locally constant") as info:
+        build_boundary_system(scn.system(), cp, scn.order, probe_radius=0.3)
+    assert (info.value.probe_degs, info.value.radius) == ((1, 1, 2, 1, 1), 0.3)
+    assert str(info.value) == "(0.0, 0.0) is characteristic: boundary degree is not locally constant (probe degrees (1, 1, 2, 1, 1))"
+    # the other failures carry neither
+    tangent = WeightedSystem(fields=((parse_vfield("1, 0", 2), 1),), box=Box((1.0, 1.0), has_boundary=True))
+    with pytest.raises(CharacteristicError, match="no transversal commutator") as info:
+        build_boundary_system(tangent, (0.0, 0.0), m=2, probe_radius=0.3)
+    assert (info.value.probe_degs, info.value.radius) == (None, None)
 
 
 def test_boundary_metric_euclidean_along_dx():

@@ -384,3 +384,67 @@ def test_scale_enumerates_brackets_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, hormander.enumerate_commutators, (hormander, boundary, cli))
     assert main(["scale", "heisenberg", "--x", "0.0", "0.0", "0.0", "--delta", "0.1"]) == 0
     assert len(calls) == 1
+
+
+# -- what a process reuses across main calls -------------------------------
+
+_ELLIPTIC = (Path(__file__).parents[1] / "src" / "ccgeo" / "fixtures" / "elliptic.scn").read_text()
+
+
+def test_edited_scenario_file_is_parsed_again(tmp_path, capsys):
+    path = tmp_path / "plane.scn"
+    args = ["dist", str(path), "--x", "0", "0.5", "--y", "0.2", "0.5", "--tol", "0.1"]
+    path.write_text(_ELLIPTIC)
+    assert main(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    path.write_text(_ELLIPTIC.replace("name = elliptic", "name = faster").replace('"1, 0"', '"2, 0"'))
+    assert main(args) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert (first["scenario"], second["scenario"]) == ("elliptic", "faster")
+    # twice the speed along x1 halves the distance
+    assert second["rows"][0]["upper"] < 0.6 * first["rows"][0]["lower"]
+
+
+def test_scenario_that_fails_to_parse_fails_every_time(tmp_path, capsys):
+    path = tmp_path / "bad.scn"
+    path.write_text(_ELLIPTIC.replace("density = \"1\"", "density = \"x3\""))
+    errors = []
+    for _ in range(2):
+        assert main(["scale", str(path), "--x", "0", "0.5", "--delta", "0.1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith("error: unknown variable 'x3'")
+
+
+def test_command_rebound_after_the_first_call_is_dispatched(monkeypatch):
+    from ccgeo import cli
+
+    assert main(["bracket", "grushin", "1", "2"]) == 0  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scale", lambda args: seen.append(args.delta) or 7)
+    assert main(["scale", "elliptic", "--x", "0", "0.5", "--delta", "0.1"]) == 7
+    assert seen == [0.1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dist", "heisenberg", "--x", "0", "0", "0.5", "--y", "0.1", "0", "0.5", "--K", "8", "--oracle"],
+        ["volume", "grushin", "--x", "0.5", "0", "--delta", "0.1", "--samples", "500"],
+        ["scale", "grushin_straightened", "--x", "0.5", "0.0", "--delta", "0.1"],
+        ["boundary", "heat", "--x", "0.2", "0.0"],
+    ],
+)
+def test_repeated_commands_print_identical_bytes(args, capsys):
+    from ccgeo import cli, symexpr
+
+    outs = []
+    for clear in (True, False, False):
+        if clear:  # the first call parses, builds and compiles everything afresh
+            cli._parser.cache_clear()
+            cli._parse_once.cache_clear()
+            symexpr._KERNELS.clear()
+        main(args)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs[0] == outs[1] == outs[2]

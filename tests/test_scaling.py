@@ -269,6 +269,28 @@ def test_jet_matches_call_and_reference_jacobian_bit_for_bit(name, probe, delta)
     assert p0.shape == (scn.n,) and j0.shape == (scn.n, scn.n)
 
 
+def _jacobian_cases():
+    # every probe of every packaged fixture at every rung of its delta
+    # ladder, and the near-boundary maps also at delta 0.3 and 0.5
+    for name in ("elliptic", "heat", "heisenberg", "grushin", "grushin_straightened", "degenerate"):
+        scn = load_scenario(name)
+        for probe in scn.probes:
+            near = scn.box.has_boundary and abs(probe[-1]) < 1e-12
+            for delta in dict.fromkeys(scn.deltas + ((0.3, 0.5) if near else ())):
+                yield pytest.param(name, probe, delta, id=f"{name}-{'-'.join(map(str, probe))}-{delta}")
+
+
+@pytest.mark.parametrize("name, probe, delta", list(_jacobian_cases()))
+def test_jacobian_is_the_jet_jacobian_bit_for_bit(name, probe, delta):
+    # jacobian integrates only the perturbed rows; jet stacks psi's rows too
+    scn = load_scenario(name)
+    smap, _ = _map_for_probe(scn, scn.system(), probe, delta, scn.threshold("scale.gain", 1.0), {})
+    U = np.random.default_rng(scn.seed).uniform(-0.5, 0.5, size=(16, scn.n))
+    for rows in (U, U[5:6], np.zeros((1, scn.n))):
+        assert smap.jacobian(rows).view(np.int64).tolist() == smap.jet(rows)[1].view(np.int64).tolist()
+    assert smap.jacobian(U[3]).view(np.int64).tolist() == smap.jet(U[3])[1].view(np.int64).tolist()
+
+
 def test_interior_map_rows_do_not_depend_on_their_batch():
     # the combined exponential takes 128 steps on every row, whatever the batch
     sys = grushin()

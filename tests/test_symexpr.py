@@ -314,6 +314,32 @@ def test_vfield_kernel_built_once_and_invisible(monkeypatch):
     assert a == b and (hash(a), str(a), repr(a)) == before == (hash(b), str(b), repr(b))
 
 
+def test_kernels_that_differ_in_a_signed_zero_keep_their_own_bits():
+    pts = np.array([[-0.0, 2.0], [1.0, -0.0], [-3.0, 0.5]])
+    pos, neg_ = (VField((Binary("+", _X1, Const(z)), Binary("*", Var(2), Const(z)))) for z in (0.0, -0.0))
+    # structurally equal, so only the kernel's constants can tell them apart
+    assert pos == neg_
+    got_pos, got_neg = pos.eval_many(pts), neg_.eval_many(pts)
+    with np.errstate(all="ignore"):
+        _assert_bit_identical(got_pos, _ref_vfield(pos, pts))
+        _assert_bit_identical(got_neg, _ref_vfield(neg_, pts))
+    assert got_pos.view(np.int64).tolist() != got_neg.view(np.int64).tolist()
+    assert symexpr._compile(pos.components) is not symexpr._compile(neg_.components)
+    # a rebuilt expression with the same constants reuses the kernel
+    again = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
+    assert symexpr._compile(again.components) is parse_vfield("1, x1*x2 - sin(x1*x2)", 2)._kernel
+
+
+def test_kernel_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(symexpr, "_KERNELS", {})
+    monkeypatch.setattr(symexpr, "_KERNEL_CACHE_SIZE", 3)
+    kernels = [symexpr._compile((Binary("*", _X1, Const(float(k))),)) for k in range(5)]
+    assert len(symexpr._KERNELS) == 3
+    # the oldest went first; the newest are still served from the cache
+    assert symexpr._compile((Binary("*", _X1, Const(4.0)),)) is kernels[4]
+    assert symexpr._compile((Binary("*", _X1, Const(0.0)),)) is not kernels[0]
+
+
 # -- the weighted (control-velocity) kernel against einsum ---------------
 
 _components = _exprs | st.sampled_from([Const(0.0), Const(-0.0), Const(1.0)])
