@@ -4,6 +4,7 @@ Each command runs through `ccgeo.cli.main`; the sha256 of its stdout and
 its exit code are pinned.  The commands pass through the RK4 integrators,
 the subset-determinant scans, the grid builders, the shooting search and
 both kinds of scaling map with their sandwich check and Newton inversion,
+the boundary system and its metric, and the Monte-Carlo doubling check,
 so a refactor of any of them that moves one digit of a report shows here.
 """
 import contextlib
@@ -48,6 +49,12 @@ GOLDEN = {
         0, "1359f44669b60175fb316d6521d822f2cce8957bf5916621410b36616b0e6848"),
     "verify grushin_straightened --suite sandwich": (
         0, "170495ddb016ec5b157494b05d1af00dcc38983387b8b9092dcd59d5a3145fca"),
+    "verify grushin --suite equivalence": (
+        0, "aebf913aee472c842d5ec409da194aa732fc70d87bce1d0307742b4a47873c09"),
+    "verify grushin_straightened --suite boundary-metric": (
+        0, "efebdd71e6d72a3bf75b41b4d9a22c066852b13d9a3d3bfc98bdd831d29a322f"),
+    "verify heat --suite doubling": (
+        0, "4ed04ae2790b663df2503c307a95242f58b98cef5337c2dd570f078ad18325ae"),
 }
 
 
