@@ -23,11 +23,9 @@ from .flows import GUARD_FACTOR, _control_velocity, _field_stack, _rk4_step
 from .hormander import WeightedSystem
 
 __all__ = [
-    "ControlPath",
     "ReachSample",
     "MetricEstimate",
     "VolumeEstimate",
-    "integrate_control",
     "integrate_controls",
     "sample_controls",
     "sample_ball",
@@ -41,26 +39,8 @@ __all__ = [
 BOUNDARY_TOL = 1e-9
 #: largest scale the oracle and the shooting search try
 DELTA_MAX = 2.0
-
-
-@dataclass(frozen=True)
-class ControlPath:
-    """Piecewise-constant control on [0,1]: K segments of coefficients in R^r."""
-
-    coeffs: np.ndarray  # (K, r)
-
-    def __post_init__(self):
-        a = np.asarray(self.coeffs, dtype=float)
-        if a.ndim != 2 or a.shape[0] < 1:
-            raise ValueError("coeffs must have shape (K, r) with K >= 1")
-        object.__setattr__(self, "coeffs", a)
-
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[0]
-
-    def is_admissible(self) -> bool:
-        return float((self.coeffs**2).sum(axis=1).max()) < 1.0
+#: most cells one oracle search may settle
+MAX_CELLS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -126,15 +106,15 @@ def integrate_controls(
     coeffs: np.ndarray,
     mode: str = "intrinsic",
     steps_per_segment: int = 8,
-    return_violation: bool = False,
 ):
     """Batched endpoint map for piecewise-constant controls.
 
-    coeffs has shape (S, K, r); returns endpoints (S, n) and per-path
-    feasibility (plus the boundary violation depth when requested).  A
-    row whose step would take it out of the guarded box is marked
-    infeasible and stays frozen at its last point inside the guard for
-    the rest of the path, rather than aborting the batch.  Rows are
+    coeffs has shape (S, K, r); returns endpoints (S, n), per-path
+    feasibility and the boundary violation depth (zero unless intrinsic
+    on a chart with boundary).  A row whose step would take it out of
+    the guarded box is marked infeasible and stays frozen at its last
+    point inside the guard for the rest of the path, rather than
+    aborting the batch.  Rows are
     independent: `dt` is a scalar, RK4 is elementwise and every guard is
     per row, so a row gives the same bits in any batch, which lets
     shooting stack several batches into one call.  While no row is
@@ -187,23 +167,7 @@ def integrate_controls(
     if halfspace:
         feasible &= min_xn >= -BOUNDARY_TOL
         depth = np.maximum(0.0, -min_xn)
-    if return_violation:
-        return y, feasible, depth
-    return y, feasible
-
-
-def integrate_control(
-    sys: WeightedSystem,
-    x,
-    delta: float,
-    path: ControlPath,
-    mode: str = "intrinsic",
-) -> tuple[np.ndarray, bool]:
-    """Endpoint and feasibility of a single admissible control path."""
-    if not path.is_admissible():
-        raise ValueError("control path is not admissible (sup-norm of |a|^2 must be < 1)")
-    ends, feas = integrate_controls(sys, x, delta, path.coeffs[None], mode)
-    return ends[0], bool(feas[0])
+    return y, feasible, depth
 
 
 def sample_controls(rng: np.random.Generator, n_samples: int, K: int, r: int) -> np.ndarray:
@@ -241,7 +205,7 @@ def sample_ball(
         ends = np.tile(x, (n_samples, 1))
         feas = np.ones(n_samples, dtype=bool)
     else:
-        ends, feas = integrate_controls(sys, x, delta, coeffs, mode)
+        ends, feas, _ = integrate_controls(sys, x, delta, coeffs, mode)
     return ReachSample(ends, feas)
 
 
@@ -312,18 +276,14 @@ class ReachGraph:
         delta: float,
         mode: str = "intrinsic",
         res=0.02,
-        budget: float = 1.0,
         speed_scale: float = 1.0,
-        max_cells: int = 2_000_000,
     ):
         self.sys = sys
         self.x0 = np.asarray(x, dtype=float)
         self.delta = float(delta)
         self.mode = _check_mode(mode)
         self.res = _check_resolution(res, sys.n)
-        self.budget = float(budget)
         self.speed_scale = float(speed_scale)
-        self.max_cells = max_cells
         self.factors = np.array([delta**d for d in sys.degrees])
         self.dirs = _move_directions(sys.r)
         # arrivals pass Box.contains, so their indices lie in the box's range
@@ -409,7 +369,7 @@ class ReachGraph:
                 for j in range(1, W.shape[2]):
                     V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
                 rates = (np.abs(V) / self.res[:, None]).max(axis=1) * self.speed_scale  # (F, D)
-                remaining = (self.budget - C)[:, None]
+                remaining = (1.0 - C)[:, None]
                 live = (rates > 1e-14) & (remaining > 1e-12)
                 f_idx, d_idx = np.nonzero(live)
                 if len(f_idx) == 0:
@@ -426,7 +386,7 @@ class ReachGraph:
                     if halfspace:
                         ok &= Y[:, -1] >= -BOUNDARY_TOL
                 costs = C[f_idx] + tau
-                ok &= costs <= self.budget + 1e-12
+                ok &= costs <= 1.0 + 1e-12
                 if target is not None and ok.any():
                     d_target = np.linalg.norm(Y - target, axis=1)
                     hit = ok & (d_target <= tol)
@@ -444,10 +404,10 @@ class ReachGraph:
                 half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
                 P, C = Y[nxt], costs[nxt]
 
-                if len(cell_keys) > self.max_cells:
+                if len(cell_keys) > MAX_CELLS:
                     raise RuntimeError(
                         f"oracle cell budget exceeded: {len(cell_keys)} cells settled, max_cells "
-                        f"{self.max_cells}, after {rounds} frontier rounds at resolution "
+                        f"{MAX_CELLS}, after {rounds} frontier rounds at resolution "
                         f"{self.res.tolist()}; coarsen the resolution"
                     )
         self.settled, self.settled_cost, self.settled_pts = cell_keys, cell_cost, cell_pts
@@ -673,7 +633,7 @@ def oracle_distance(
 
     @functools.cache
     def reach(delta, scale=1.0):
-        g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
+        g = ReachGraph(sys, x, delta, mode, res=resolution, speed_scale=scale)
         ok, _ = g.run(target=y, arrival_tol=arrival_tol)
         return ok
 
@@ -808,9 +768,7 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
         else:
             return best_miss, best_ctrl
         live = [i for i, res in enumerate(results) if res is None]
-        out = integrate_controls(
-            sys, x, delta, np.concatenate([batches[i] for i in live]), mode, SHOOT_STEPS, return_violation=True
-        )
+        out = integrate_controls(sys, x, delta, np.concatenate([batches[i] for i in live]), mode, SHOOT_STEPS)
         cuts = np.cumsum([len(batches[i]) for i in live])[:-1]
         for i, part in zip(live, zip(*(np.split(a, cuts) for a in out))):
             try:

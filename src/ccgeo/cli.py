@@ -32,7 +32,7 @@ from .boundary import (
     deg_boundary,
     export_scenario,
 )
-from .ccmetric import ball_volume, cc_distance, oracle_distance, reach_graph, sample_ball
+from .ccmetric import BOUNDARY_TOL, ball_volume, cc_distance, oracle_distance, reach_graph, sample_ball
 from .flows import FlowExcursionError
 from .hormander import (
     Box,
@@ -50,7 +50,7 @@ from .scaling import (
     doubling_ratio,
     verify_sandwich,
 )
-from .symexpr import ParseError, parse_expr, parse_vfield, to_string
+from .symexpr import ParseError, parse_expr, parse_vfield
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "main"]
 
@@ -69,11 +69,8 @@ class Scenario:
     """Parsed scenario: a weighted system plus the experiment parameters."""
 
     name: str
-    n: int
-    box: Box
+    weighted: WeightedSystem  # built and validated by parse_scenario_text
     order: int
-    field_specs: tuple[tuple[str, int], ...]
-    density_str: str
     probes: tuple[tuple[float, ...], ...]
     deltas: tuple[float, ...]
     seed: int
@@ -81,20 +78,17 @@ class Scenario:
     char_probes: tuple[tuple[float, ...], ...] = ()
     path: str = "<memory>"
 
-    def system(self) -> WeightedSystem:
-        """The weighted system, built and validated once per scenario.
+    @property
+    def n(self) -> int:
+        return self.weighted.n
 
-        parse_scenario_text builds it to validate the fields, and every
-        later call, by any command, reuses that system."""
-        sys_ = self.__dict__.get("_system")
-        if sys_ is None:
-            fields = tuple(
-                (parse_vfield(comps, self.n), d) for comps, d in self.field_specs
-            )
-            sys_ = WeightedSystem(fields, self.box, density=parse_expr(self.density_str, self.n))
-            sys_.validate_density()
-            object.__setattr__(self, "_system", sys_)  # frozen: the cache is not a field
-        return sys_
+    @property
+    def box(self) -> Box:
+        return self.weighted.box
+
+    def system(self) -> WeightedSystem:
+        """The weighted system every command of this scenario uses."""
+        return self.weighted
 
     def threshold(self, key: str, default: float) -> float:
         return self.thresholds.get(key, default)
@@ -118,6 +112,13 @@ def _strip_comment(line: str) -> str:
 
 
 def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
+    """Parse and check a scenario, and build and validate its weighted system.
+
+    A malformed file fails here as a ScenarioError naming its line,
+    where the line is known: dim in 1..9; box, center, probe and
+    characteristic_probe lengths of dim; positive half widths; probes
+    in the chart, characteristic probes on its boundary x_n = 0; a
+    non-empty, positive, strictly decreasing delta ladder; m >= 1."""
     data: dict[str, object] = {
         "probes": [],
         "fields": [],
@@ -129,18 +130,20 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
         "density": "1",
         "char_probes": [],
     }
+    lines: dict[str, int] = {}  # the line each single-valued key was last set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
         fm = _FIELD_RE.match(line)
         if fm:
-            data["fields"].append((fm.group(1), int(fm.group(2))))
+            data["fields"].append((fm.group(1), int(fm.group(2)), lineno))
             continue
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {line!r}", path, lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        lines[key] = lineno
         try:
             if key == "name":
                 data["name"] = value
@@ -157,9 +160,9 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
             elif key == "density":
                 data["density"] = value.strip('"')
             elif key == "probe":
-                data["probes"].append(tuple(float(v) for v in value.split()))
+                data["probes"].append((tuple(float(v) for v in value.split()), lineno))
             elif key == "characteristic_probe":
-                data["char_probes"].append(tuple(float(v) for v in value.split()))
+                data["char_probes"].append((tuple(float(v) for v in value.split()), lineno))
             elif key == "delta":
                 data["deltas"] = tuple(float(v) for v in value.split())
             elif key == "seed":
@@ -179,42 +182,57 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
     if not data["fields"]:
         raise ScenarioError("no field stanzas", path, 0)
     n = data["dim"]
-    for comps, d in data["fields"]:
+    if not 1 <= n <= 9:
+        raise ScenarioError(f"dim must be in 1..9, got {n}", path, lines["dim"])
+    for comps, d, lineno in data["fields"]:
         if d < 1:
-            raise ScenarioError(f"degree must be >= 1, got {d}", path, 0)
+            raise ScenarioError(f"degree must be >= 1, got {d}", path, lineno)
         if len(comps.split(",")) != n:
-            raise ScenarioError(f"field {comps!r} does not have {n} components", path, 0)
+            raise ScenarioError(f"field {comps!r} does not have {n} components", path, lineno)
+    for key in ("box", "center"):
+        if data[key] is not None and len(data[key]) != n:
+            raise ScenarioError(f"{key} needs {n} values, got {len(data[key])}", path, lines[key])
+    if not all(h > 0 for h in data["box"]):
+        raise ScenarioError(f"box half widths must be positive, got {data['box']}", path, lines["box"])
     deltas = data["deltas"]
+    if not deltas:
+        raise ScenarioError("delta ladder is empty", path, lines["delta"])
+    if not all(0 < d < math.inf for d in deltas):
+        raise ScenarioError(f"delta rungs must be positive and finite, got {deltas}", path, lines["delta"])
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
-        raise ScenarioError("delta ladder must be strictly decreasing", path, 0)
+        raise ScenarioError("delta ladder must be strictly decreasing", path, lines["delta"])
+    if data["m"] < 1:
+        raise ScenarioError(f"m must be at least 1, got {data['m']}", path, lines["m"])
     box = Box(
         half_widths=data["box"],
         center=data["center"] or (0.0,) * n,
         has_boundary=data["boundary"],
     )
-    scn = Scenario(
+    for kind, points in (("probe", data["probes"]), ("characteristic probe", data["char_probes"])):
+        for p, lineno in points:
+            if len(p) != n:
+                raise ScenarioError(f"{kind} {p} has wrong dimension", path, lineno)
+            if not box.contains(np.asarray(p)[None])[0]:
+                raise ScenarioError(f"{kind} {p} outside the chart", path, lineno)
+            if box.has_boundary and p[-1] < -1e-12:
+                raise ScenarioError(f"{kind} {p} below the boundary", path, lineno)
+    for p, lineno in data["char_probes"]:
+        if not (box.has_boundary and abs(p[-1]) < 1e-12):
+            raise ScenarioError(f"characteristic probe {p} is not on the boundary x_n = 0", path, lineno)
+    fields = tuple((parse_vfield(comps, n), d) for comps, d, _ in data["fields"])
+    weighted = WeightedSystem(fields, box, density=parse_expr(data["density"], n))
+    weighted.validate_density()
+    return Scenario(
         name=data["name"],
-        n=n,
-        box=box,
+        weighted=weighted,
         order=data["m"],
-        field_specs=tuple(data["fields"]),
-        density_str=data["density"],
-        probes=tuple(data["probes"]),
+        probes=tuple(p for p, _ in data["probes"]),
         deltas=deltas,
         seed=data["seed"],
         thresholds=dict(data["thresholds"]),
-        char_probes=tuple(data["char_probes"]),
+        char_probes=tuple(p for p, _ in data["char_probes"]),
         path=path,
     )
-    for p in scn.probes:
-        if len(p) != n:
-            raise ScenarioError(f"probe {p} has wrong dimension", path, 0)
-        if not box.contains(np.asarray(p)[None])[0]:
-            raise ScenarioError(f"probe {p} outside the chart", path, 0)
-        if box.has_boundary and p[-1] < -1e-12:
-            raise ScenarioError(f"probe {p} below the boundary", path, 0)
-    scn.system()  # validates fields, arity, and density positivity
-    return scn
 
 
 def fixtures_dir() -> Path:
@@ -645,8 +663,9 @@ def cmd_bracket(args) -> int:
 def cmd_dist(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x", "y")
-    _check_in_chart(scn, args.x)
-    _check_in_chart(scn, args.y, "target")
+    intrinsic = args.mode == "intrinsic"
+    _check_in_chart(scn, args.x, halfspace=intrinsic)
+    _check_in_chart(scn, args.y, halfspace=intrinsic, point="target")
     sys_ = scn.system()
     x, y = tuple(args.x), tuple(args.y)
     est = cc_distance(sys_, x, y, mode=args.mode, tol=args.tol, K=args.K)
@@ -670,9 +689,12 @@ def _check_points(scn: Scenario, args, *options: str) -> None:
             raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
 
 
-def _check_in_chart(scn: Scenario, x, point: str = "base") -> None:
-    """Numeric error, as ReachGraph.run gives, unless the point is in the chart box."""
-    if not scn.box.contains(np.asarray(x, dtype=float)[None])[0]:
+def _check_in_chart(scn: Scenario, x, halfspace: bool, point: str = "base") -> None:
+    """Numeric error, as ReachGraph.run gives, unless the point is in the chart box
+    and, with `halfspace` on a chart with boundary, not below {x_n = 0}."""
+    x = np.asarray(x, dtype=float)
+    below = halfspace and scn.box.has_boundary and x[-1] < -BOUNDARY_TOL
+    if below or not scn.box.contains(x[None])[0]:
         raise ValueError(f"{point} point is not in the chart")
 
 
@@ -689,7 +711,7 @@ def _dist_params(args) -> dict:
 def cmd_ball(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x)
+    _check_in_chart(scn, args.x, halfspace=args.mode == "intrinsic")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)
@@ -705,6 +727,7 @@ def cmd_ball(args) -> int:
 def cmd_volume(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
+    _check_in_chart(scn, args.x, halfspace=args.mode == "intrinsic")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     vol = ball_volume(sys_, tuple(args.x), args.delta, mode=args.mode, n_samples=args.samples, seed=seed)
@@ -728,7 +751,7 @@ def cmd_volume(args) -> int:
 def cmd_scale(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x)
+    _check_in_chart(scn, args.x, halfspace=True)
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     smap, zsys = _map_for_probe(scn, sys_, tuple(args.x), args.delta, gain, {})
@@ -760,7 +783,7 @@ def cmd_scale(args) -> int:
 def cmd_boundary(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x)
+    _check_in_chart(scn, args.x, halfspace=False)
     sys_ = scn.system()
     bsys = build_boundary_system(sys_, tuple(args.x), scn.order, probe_radius=args.radius)
     rows = [

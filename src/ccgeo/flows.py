@@ -88,11 +88,12 @@ def _control_velocity(vfs, a: np.ndarray):
     return lambda pts: kernel(pts, a)
 
 
-def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | None = None) -> np.ndarray:
+def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
     """Integrate y' = velocity(y) from rows of p0 over per-row times.
 
     velocity maps an array of shape (B, n) to velocities of the same
-    shape; `times` is a scalar or a length-B array.  Raises
+    shape; `times` is a scalar or a length-B array.  Every row takes
+    ceil(max |times| * cfg.steps_per_unit) steps.  Raises
     FlowExcursionError if any row leaves the guarded box.
     """
     y = np.array(p0, dtype=float)
@@ -103,8 +104,7 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig, n_steps: int | No
     tmax = float(np.abs(t).max())
     if tmax == 0.0:
         return y[0].copy() if single else y
-    if n_steps is None:
-        n_steps = max(1, math.ceil(tmax * cfg.steps_per_unit))
+    n_steps = max(1, math.ceil(tmax * cfg.steps_per_unit))
     dt = (t / n_steps)[:, None]
     # Box.contains at GUARD_FACTOR from one |y - c| per step; a nan or inf coordinate fails it
     guard = np.asarray(cfg.box.half_widths) * GUARD_FACTOR + 1e-9

@@ -19,12 +19,10 @@ __all__ = [
     "Box",
     "WeightedSystem",
     "CommutatorEntry",
-    "HormanderCertificate",
     "HormanderReport",
     "bracket_entry",
     "enumerate_commutators",
     "build_Z_system",
-    "check_span_at",
     "check_hormander",
 ]
 
@@ -55,10 +53,10 @@ class Box:
     def dim(self) -> int:
         return len(self.half_widths)
 
-    def contains(self, points: np.ndarray, inflate: float = 1.0) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Per-point box membership to within 1e-9; the half-space cut is checked separately."""
         points = np.asarray(points, dtype=float)
-        hw = np.asarray(self.half_widths) * inflate
+        hw = np.asarray(self.half_widths)
         c = np.asarray(self.center)
         return np.all(np.abs(points - c) <= hw + 1e-9, axis=-1)
 
@@ -139,15 +137,6 @@ class CommutatorEntry:
     degree: int
     word: tuple[int, ...]
     is_zero: bool = False
-
-
-@dataclass(frozen=True)
-class HormanderCertificate:
-    point: tuple[float, ...]
-    order: int
-    gamma0: float
-    witness: tuple[int, ...]  # column indices into the entry list
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -324,24 +313,6 @@ def _span_certificate(cols):
     col_scale = np.linalg.norm(cols, axis=-1).max(axis=0, initial=0.0)
     valid = finite & (best > DET_FLOOR * np.maximum(col_scale, 1e-300) ** n)
     return np.where(finite, best, np.nan), valid, witness
-
-
-def check_span_at(entries: list[CommutatorEntry], p) -> HormanderCertificate:
-    """Certificate that the entry fields span R^n at p (see _span_certificate).
-
-    The certificate's order is the longest entry word.
-    """
-    if not entries:
-        raise ValueError("no entries")
-    n = entries[0].field.dim
-    p = tuple(float(v) for v in p)
-    if len(p) != n:
-        raise ValueError("point dimension mismatch")
-    order = max(len(e.word) for e in entries)
-    live = [i for i, e in enumerate(entries) if not e.is_zero]
-    cols = np.array([entries[i].field.eval_many(p) for i in live], dtype=float).reshape(len(live), n)
-    gamma0, valid, witness = _span_certificate(cols)
-    return HormanderCertificate(p, order, float(gamma0), tuple(live[i] for i in witness), bool(valid))
 
 
 def check_hormander(sys: WeightedSystem, m_max: int, per_axis: int = 11) -> HormanderReport:

@@ -46,6 +46,8 @@ __all__ = [
 
 #: largest scale a scaling map is built at
 DELTA_CAP = 0.5
+#: a scaling map's basis has scaled determinant at least ZETA times the maximal one
+ZETA = 0.75
 #: half side of the parameter cube whose image the sandwich check tests
 ETA1 = 0.25
 #: trial inner-cube ratios xi of the sandwich check, largest first
@@ -101,50 +103,30 @@ def doubling_ratio(sys: WeightedSystem, x, delta: float, m: int, zsys=None) -> f
     return hi.value / lo.value
 
 
-def select_basis(
-    fields,
-    x,
-    delta: float,
-    zeta: float = 0.75,
-    distinguished: int | None = None,
-    prev: tuple[int, ...] | None = None,
-) -> tuple[int, ...]:
-    """Indices of an n-column basis with scaled determinant >= zeta * max.
+def select_basis(fields, x, delta: float, distinguished: int | None = None) -> tuple[int, ...]:
+    """Indices of an n-column basis with scaled determinant >= ZETA * max.
 
     With a distinguished index, only subsets containing it qualify and it
-    is reported last; a previous selection is kept while it stays within
-    the zeta margin (hysteresis across delta ladders).
+    is reported last.
     """
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must be in (0, 1]")
     fields = list(fields)
     x = np.asarray(x, dtype=float)
-    n = len(x)
     cols = _field_columns([vf for vf, _ in fields], x)
     degs = np.array([d for _, d in fields])
     max_val = float(_max_subset_det(cols, delta, degs)[0])
     if max_val <= 0:
         raise ValueError("no spanning subset")
-
-    def order(combo):
-        combo = tuple(int(i) for i in combo)
-        if distinguished is None:
-            return combo
-        rest = tuple(i for i in combo if i != distinguished)
-        return rest + (distinguished,)
-
-    key = sorted(prev) if prev is not None else []
-    if len(key) == len(set(key)) == n and set(key) <= set(range(len(fields))):
-        if _max_subset_det(cols[key], delta, degs[key])[0] >= zeta * max_val:
-            return order(key)
     best, idx = _max_subset_det(cols, delta, degs, require=distinguished)
     best = float(best)
-    if best < zeta * max_val:
+    if best < ZETA * max_val:
         raise ValueError(
-            f"no subset within zeta = {zeta} of the maximal determinant "
+            f"no subset within zeta = {ZETA} of the maximal determinant "
             f"({best:.3e} vs {max_val:.3e})"
         )
-    return order(idx)
+    idx = tuple(int(i) for i in idx)
+    if distinguished is None:
+        return idx
+    return tuple(i for i in idx if i != distinguished) + (distinguished,)
 
 
 @dataclass(frozen=True)
@@ -192,7 +174,7 @@ class ScalingMap:
         coeff = T[:, :k_slots] * np.array([self.delta**d for _, d in self.basis])
         if np.any(coeff):
             vel = _control_velocity([vf for vf, _ in self.basis], coeff)
-            P = rk4_flow(vel, P, 1.0, self.cfg, n_steps=self.cfg.steps_per_unit)
+            P = rk4_flow(vel, P, 1.0, self.cfg)
         if self.distinguished is not None:
             x0f, d0 = self.distinguished
             times = T[:, n - 1] * self.omega * self.delta**d0
@@ -381,10 +363,6 @@ class SandwichReport:
     inner_fractions: tuple[tuple[float, float], ...]  # (xi, pass fraction)
     newton_failures: int
     counterexamples: tuple[tuple[float, ...], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.outer_pass and self.xi1 > 0.0
 
 
 def verify_sandwich(sys: WeightedSystem, smap: ScalingMap, seed: int = 0) -> SandwichReport:

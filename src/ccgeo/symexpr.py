@@ -35,8 +35,6 @@ __all__ = [
     "parse_expr",
     "parse_vfield",
     "lie_bracket",
-    "const",
-    "var",
     "add",
     "sub",
     "mul",
@@ -122,16 +120,6 @@ ONE = Const(1.0)
 def _C(v: float) -> Const:
     # +0.0 normalizes -0.0 so structurally-equal trees print identically
     return Const(float(v) + 0.0)
-
-
-def const(v: float) -> Const:
-    return _C(v)
-
-
-def var(i: int) -> Var:
-    if i < 1:
-        raise ValueError("variable index must be >= 1")
-    return Var(i)
 
 
 def _is_const(e: Expr, v: float | None = None) -> bool:

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from ccgeo import ccmetric
 from ccgeo.ccmetric import (
     BOUNDARY_TOL,
-    ControlPath,
     ReachGraph,
     cc_distance,
-    integrate_control,
     integrate_controls,
     oracle_distance,
     reach_graph,
@@ -64,28 +62,26 @@ def heisenberg_frame_half():
 def test_integrate_control_straight_line():
     sys = elliptic_half_plane()
     eps = 1e-3
-    path = ControlPath(np.array([[1.0 - eps, 0.0]]))
-    end, feasible = integrate_control(sys, (0.0, 0.5), 0.3, path)
-    assert feasible
-    np.testing.assert_allclose(end, [0.3 * (1 - eps), 0.5], atol=1e-10)
+    ends, feasible, _ = integrate_controls(sys, (0.0, 0.5), 0.3, np.array([[[1.0 - eps, 0.0]]]))
+    assert feasible[0]
+    np.testing.assert_allclose(ends[0], [0.3 * (1 - eps), 0.5], atol=1e-10)
 
 
 def test_integrate_control_boundary_crossing_modes():
     sys = elliptic_half_plane()
     eps = 1e-3
-    path = ControlPath(np.array([[0.0, -1.0 + eps]]))
-    end_i, feas_i = integrate_control(sys, (0.0, 0.5), 1.0, path, mode="intrinsic")
-    end_e, feas_e = integrate_control(sys, (0.0, 0.5), 1.0, path, mode="extrinsic")
-    assert not feas_i and feas_e
-    np.testing.assert_allclose(end_e, [0.0, 0.5 - (1 - eps)], atol=1e-10)
+    coeffs = np.array([[[0.0, -1.0 + eps]]])
+    _, feas_i, _ = integrate_controls(sys, (0.0, 0.5), 1.0, coeffs, mode="intrinsic")
+    end_e, feas_e, _ = integrate_controls(sys, (0.0, 0.5), 1.0, coeffs, mode="extrinsic")
+    assert not feas_i[0] and feas_e[0]
+    np.testing.assert_allclose(end_e[0], [0.0, 0.5 - (1 - eps)], atol=1e-10)
 
 
 def test_integrate_control_grushin_flow():
     sys = grushin_interior()
-    path = ControlPath(np.array([[0.999, 0.0]]))
-    end, feasible = integrate_control(sys, (0.0, 0.0), 1.0, path)
-    assert feasible
-    np.testing.assert_allclose(end, [0.999, 0.0], atol=1e-10)
+    ends, feasible, _ = integrate_controls(sys, (0.0, 0.0), 1.0, np.array([[[0.999, 0.0]]]))
+    assert feasible[0]
+    np.testing.assert_allclose(ends[0], [0.999, 0.0], atol=1e-10)
 
 
 def test_integrate_controls_freezes_rows_that_leave_the_guard_box():
@@ -98,7 +94,7 @@ def test_integrate_controls_freezes_rows_that_leave_the_guard_box():
         box=Box((1.0, 1.0)),
     )
     coeffs = np.array([[[0.9, 0.0]], [[0.1, 0.1]]])
-    ends, feasible = integrate_controls(sys, (0.0, 0.0), 2.0, coeffs, mode="extrinsic", steps_per_segment=8)
+    ends, feasible, _ = integrate_controls(sys, (0.0, 0.0), 2.0, coeffs, mode="extrinsic", steps_per_segment=8)
     assert list(feasible) == [False, True]
     np.testing.assert_allclose(ends[0], [1.125, 0.0], atol=1e-12)
     np.testing.assert_allclose(ends[1], [0.2, 0.2], atol=1e-12)
@@ -123,8 +119,8 @@ def test_integrate_controls_rows_do_not_depend_on_their_batch(mode):
     box_leaver = np.array([[[0.759, 0.0], [0.759, 0.0]]])
     dipper = np.array([[[0.0, -0.1], [0.0, 0.1]]])
     parts = [random[:4], np.concatenate([guard_leaver, dipper]), np.concatenate([random[4:], box_leaver])]
-    whole = integrate_controls(sys, x, 3.0, np.concatenate(parts), mode, return_violation=True)
-    alone = [integrate_controls(sys, x, 3.0, part, mode, return_violation=True) for part in parts]
+    whole = integrate_controls(sys, x, 3.0, np.concatenate(parts), mode)
+    alone = [integrate_controls(sys, x, 3.0, part, mode) for part in parts]
     for got, want in zip(whole, (np.concatenate(col) for col in zip(*alone))):
         assert _bits(got) == _bits(want)
     feasible, depth = whole[1], whole[2]
@@ -203,22 +199,16 @@ _RETURNING_ROW = (
 @example(_RETURNING_ROW)
 def test_integrate_controls_guard_fast_path_matches_per_row_guard(batch):
     sys, x, delta, coeffs, mode, steps = batch
-    got = integrate_controls(sys, x, delta, coeffs, mode, steps, return_violation=True)
+    got = integrate_controls(sys, x, delta, coeffs, mode, steps)
     assert _bits(*got) == _bits(*_reference_integrate(sys, x, delta, coeffs, mode, steps))
 
 
 def test_integrate_controls_row_that_leaves_the_guard_box_stays_frozen():
     sys, x, delta, coeffs, mode, steps = _RETURNING_ROW
-    ends, feasible, depth = integrate_controls(sys, x, delta, coeffs, mode, steps, return_violation=True)
+    ends, feasible, depth = integrate_controls(sys, x, delta, coeffs, mode, steps)
     np.testing.assert_allclose(ends[0], [2.095, 0.05], atol=1e-12)
     assert not feasible[0] and depth[0] == 0.0
     assert feasible[1]
-
-
-def test_integrate_control_rejects_inadmissible():
-    sys = elliptic_half_plane()
-    with pytest.raises(ValueError):
-        integrate_control(sys, (0.0, 0.5), 0.3, ControlPath(np.array([[1.0, 0.5]])))
 
 
 def test_sample_ball_elliptic_radius_bound():
@@ -399,7 +389,7 @@ def _reference_run(g, target=None, arrival_tol=None):
             W = _field_stack(vfs, P)
             V = np.einsum("dr,frn->fdn", g.dirs, factors[None, :, None] * W)
             rates = (np.abs(V) / g.res).max(axis=2) * g.speed_scale
-            remaining = (g.budget - C)[:, None]
+            remaining = (1.0 - C)[:, None]
             live = (rates > 1e-14) & (remaining > 1e-12)
             f_idx, d_idx = np.nonzero(live)
             if len(f_idx) == 0:
@@ -415,7 +405,7 @@ def _reference_run(g, target=None, arrival_tol=None):
                 if halfspace:
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
             costs = C[f_idx] + tau
-            ok &= costs <= g.budget + 1e-12
+            ok &= costs <= 1.0 + 1e-12
             if target is not None and ok.any():
                 hit = ok & (np.linalg.norm(Y - target, axis=1) <= tol)
                 if hit.any():
@@ -442,7 +432,7 @@ def _reference_run(g, target=None, arrival_tol=None):
                     continue
                 qbest[fkey] = c2
                 next_frontier[fkey] = (Y[m], c2)
-            if len(dist) > g.max_cells:
+            if len(dist) > ccmetric.MAX_CELLS:
                 raise RuntimeError("oracle cell budget exceeded; coarsen the resolution")
             frontier = list(next_frontier.values())
     return False, math.inf, {k: (dist[k], pts[k]) for k in dist}, ties
@@ -567,9 +557,10 @@ def test_settle_matches_sequential_replay(rnd):
     assert nxt.tolist() == list(frontier.values())
 
 
-def test_reach_graph_cell_budget_error_carries_context():
+def test_reach_graph_cell_budget_error_carries_context(monkeypatch):
+    monkeypatch.setattr(ccmetric, "MAX_CELLS", 50)
     sys = elliptic_half_plane()
-    g = ReachGraph(sys, (0.0, 0.5), 0.3, res=0.02, max_cells=50)
+    g = ReachGraph(sys, (0.0, 0.5), 0.3, res=0.02)
     with pytest.raises(RuntimeError, match=r"cell budget exceeded: \d+ cells settled, max_cells 50, "
                        r"after \d+ frontier rounds at resolution \[0.02, 0.02\]"):
         g.run()
@@ -597,7 +588,7 @@ def _reference_polish(sys, x, y, delta, mode, ctrl, miss_tol):
         return np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
 
     def integrate(coeffs):
-        return ccmetric.integrate_controls(sys, x, delta, coeffs, mode, ccmetric.SHOOT_STEPS, return_violation=True)
+        return ccmetric.integrate_controls(sys, x, delta, coeffs, mode, ccmetric.SHOOT_STEPS)
 
     ends, feas, depth = integrate(p.reshape(1, K, r))
     best_pen = float(np.linalg.norm(full_resid(ends, depth)[0]))
@@ -710,7 +701,7 @@ def _uncached_oracle(sys, x, y, mode, resolution, order):
     d_eu = float(np.linalg.norm(y - x))
 
     def reach(delta, scale=1.0):
-        g = ReachGraph(sys, x, delta, mode, res=resolution, budget=1.0, speed_scale=scale)
+        g = ReachGraph(sys, x, delta, mode, res=resolution, speed_scale=scale)
         return g.run(target=y, arrival_tol=0.75 * resolution)[0]
 
     half_gap = (np.pi / 16.0) if sys.r <= 2 else (np.pi / 4.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ccgeo.cli import ScenarioError, emit, fixtures_dir, load_scenario, main, parse_scenario_text
+from ccgeo.symexpr import parse_vfield
 
 
 def test_load_packaged_fixtures():
@@ -19,13 +20,12 @@ def test_fixture_elliptic_shape():
     scn = load_scenario("elliptic")
     assert scn.n == 2
     assert scn.box.has_boundary
-    assert scn.field_specs == (("1, 0", 1), ("0, 1", 1))
+    assert scn.system().fields == ((parse_vfield("1, 0", 2), 1), (parse_vfield("0, 1", 2), 1))
 
 
 def test_fixture_grushin_straightened_shape():
     scn = load_scenario("grushin_straightened")
-    assert scn.field_specs[0] == ("1, 0-2*x1", 1)
-    assert scn.field_specs[1] == ("0, x1", 1)
+    assert scn.system().fields == ((parse_vfield("1, 0-2*x1", 2), 1), (parse_vfield("0, x1", 2), 1))
     assert scn.box.has_boundary
     assert scn.char_probes == ((0.0, 0.0),)
 
@@ -46,6 +46,54 @@ def test_scenario_rejects_probe_outside_chart():
     text = 'name = bad\ndim = 1\nbox = 1.0\nfield = "1" degree = 1\nprobe = 3.0\ndelta = 0.2 0.1\n'
     with pytest.raises(ScenarioError):
         parse_scenario_text(text)
+
+
+_SCENARIO_LINES = [
+    "name = bad",
+    "dim = 2",
+    "box = 1.0 1.0",
+    "boundary = true",
+    'field = "1, 0" degree = 1',
+    'field = "0, 1" degree = 1',
+    "probe = 0.0 0.5",
+    "delta = 0.2 0.1",
+]
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [
+        (2, "dim = 0"),
+        (2, "dim = 10"),
+        (3, "box = 1.0"),
+        (3, "box = 1.0 0.0"),
+        (7, "probe = 0.0"),
+        (8, "delta ="),
+        (8, "delta = 0.2 0.0"),
+        (8, "delta = 0.2 -0.1"),
+        (9, "m = 0"),
+        (9, "center = 0.0"),
+        (9, "characteristic_probe = 0.0"),
+        (9, "characteristic_probe = 5.0 0.0"),
+        (9, "characteristic_probe = 0.0 0.3"),
+    ],
+)
+def test_malformed_scenario_is_rejected_at_parse_time(line, text, tmp_path, capsys):
+    # these used to parse: an empty ladder then escaped main with an
+    # IndexError or exited 3, and the rest failed later, or with exit 3
+    lines = list(_SCENARIO_LINES)
+    if line > len(lines):
+        lines.append(text)
+    else:
+        lines[line - 1] = text
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(path.read_text(), str(path))
+    assert (err.value.path, err.value.line) == (str(path), line)
+    for suite in ("equivalence", "volume"):
+        assert main(["verify", str(path), "--suite", suite]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
 
 def test_unknown_scenario_is_usage_error():
@@ -303,24 +351,45 @@ def test_ball_rejects_negative_delta(capsys):
         ["volume", "elliptic", "--x", "5", "5", "--delta", "0.1", "--samples", "3"],
         ["dist", "elliptic", "--x", "5", "0", "--y", "0", "0.5"],
         ["ball", "elliptic", "--x", "5", "0", "--delta", "0.1", "--samples", "3"],
+        # below {x_n = 0}: off the manifold for scale and in intrinsic mode
+        ["dist", "heat", "--x", "0.1", "-0.1", "--y", "0.1", "0.2"],
+        ["dist", "heat", "--x", "0.1", "-0.1", "--y", "0.1", "0.2", "--oracle"],
+        ["ball", "heat", "--x", "0.1", "-0.1", "--delta", "0.1", "--samples", "3"],
+        ["volume", "heat", "--x", "0.1", "-0.1", "--delta", "0.1", "--samples", "3"],
+        ["scale", "heat", "--x", "0.1", "-0.1", "--delta", "0.1"],
     ],
 )
 def test_base_point_outside_the_chart_is_numeric_error(args, capsys):
     # boundary used to fail on an empty reduction, scale only at its first
-    # flow; dist reported [0, inf] as a pass and ball a cloud of infeasible rows
+    # flow; dist reported [0, inf] as a pass and ball a cloud of infeasible
+    # rows; below the boundary scale built an interior map and passed
     assert main(args) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: base point is not in the chart\n"
 
 
-@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
-def test_dist_target_outside_the_chart_is_numeric_error(oracle, capsys):
+@pytest.mark.parametrize(
+    "oracle, y",
+    [
+        pytest.param([], ["5", "0.5"], id="oracle0"),
+        pytest.param(["--oracle"], ["5", "0.5"], id="oracle1"),
+        # below {x_n = 0}: shooting alone used to exit 0 with [0, inf]
+        pytest.param([], ["0.1", "-0.1"], id="below0"),
+        pytest.param(["--oracle"], ["0.1", "-0.1"], id="below1"),
+    ],
+)
+def test_dist_target_outside_the_chart_is_numeric_error(oracle, y, capsys):
     # the oracle run used to exit 2, shooting alone 0 with [0, inf]
-    assert main(["dist", "elliptic", "--x", "0", "0.5", "--y", "5", "0.5", *oracle]) == 3
+    assert main(["dist", "elliptic", "--x", "0", "0.5", "--y", *y, *oracle]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: target point is not in the chart\n"
+
+
+def test_extrinsic_mode_accepts_points_below_the_boundary(capsys):
+    assert main(["dist", "heat", "--x", "0.1", "-0.1", "--y", "0.1", "0.2", "--mode", "extrinsic", "--K", "4"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

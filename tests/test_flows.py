@@ -53,10 +53,13 @@ def test_exp_flow_group_law_and_reversibility():
 
 
 def test_rk4_flow_excursion_names_the_first_row_out():
-    # rows 1 and 2 both leave the guard box (half width 5) at the first step
-    with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(6\.0, 0\.0\)$") as err:
-        flows.rk4_flow(DX.eval_many, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), [0.1, 5.0, 5.0], CFG2, n_steps=1)
-    assert err.value.point.tolist() == [6.0, 0.0]
+    # one step (time 1/16 at 16 steps per unit): rows 1 and 2 both leave
+    # the guard box (half width 5) at it
+    cfg = FlowConfig(CFG2.box, steps_per_unit=16)
+    p0 = np.array([[0.0, 0.0], [4.96875, 0.0], [4.984375, 0.0]])
+    with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(5\.03125, 0\.0\)$") as err:
+        flows.rk4_flow(DX.eval_many, p0, 0.0625, cfg)
+    assert err.value.point.tolist() == [5.03125, 0.0]
 
 
 def test_exp_flow_excursion_guard():
