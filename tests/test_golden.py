@@ -29,6 +29,8 @@ GOLDEN = {
         0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
     "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
         0, "2499b70f3ee9c267f73eafbe5476497d852bfd27136decd46eb16b9bc618dd68"),
+    "scale heisenberg --x 0.0 0.0 0.0 --delta 0.1": (
+        0, "fc7f0e11bee6b1434006d7f3b9bb3aab6ccc3ba6db53daa6079dbe55c215c395"),
     "scale degenerate --x 0.5 0.0 --delta 0.1": (
         0, "d11e44755d264252af496d393603523b1373757a88b83088fa69ce22e6f26f0c"),
     "boundary grushin_straightened --x 0.5 0.0": (
@@ -53,6 +55,8 @@ GOLDEN = {
         0, "aebf913aee472c842d5ec409da194aa732fc70d87bce1d0307742b4a47873c09"),
     "verify grushin_straightened --suite boundary-metric": (
         0, "efebdd71e6d72a3bf75b41b4d9a22c066852b13d9a3d3bfc98bdd831d29a322f"),
+    "verify grushin --suite volume": (
+        0, "3e8b163241bee5c8393841f2462571a9c68eac859dc4715e1ff096ef0d09d125"),
     "verify heat --suite doubling": (
         0, "4ed04ae2790b663df2503c307a95242f58b98cef5337c2dd570f078ad18325ae"),
 }
