@@ -23,7 +23,7 @@ from .hormander import (
     _field_columns,
     _grid,
     _span_certificate,
-    _z_system,
+    build_Z_system,
     enumerate_commutators,
 )
 from .symexpr import Const, Expr, VField, div, lie_bracket, mul, sub, to_string
@@ -77,7 +77,6 @@ class BoundarySystem:
     j0: int  # index of the distinguished generator in parent.fields
     omega: int  # sign of the distinguished n-th component at x0
     distinguished: tuple[VField, int]  # (X_0, d_0)
-    zsys: WeightedSystem  # build_Z_system(parent, order), from the scanned brackets
     x_entries: tuple[tuple[VField, int, tuple[int, ...], bool], ...]  # ambient X_j
     btilde: tuple[Expr, ...]
     v_entries: tuple[tuple[VField, int, bool], ...]  # boundary fields with zero flags
@@ -125,11 +124,6 @@ def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) ->
     is largest relative to the field's size; the degree is probed on a
     tangential grid of the given radius to decide local constancy.
     """
-    return _boundary_degree(sys, xp, m, probe_radius)[0]
-
-
-def _boundary_degree(sys: WeightedSystem, xp, m: int, probe_radius: float):
-    """deg_boundary's report and the bracket entries it scanned."""
     if not sys.box.has_boundary:
         raise ValueError("system chart has no boundary")
     xp = np.asarray(xp, dtype=float)
@@ -143,8 +137,7 @@ def _boundary_degree(sys: WeightedSystem, xp, m: int, probe_radius: float):
         raise CharacteristicError(f"no transversal commutator up to order {m} at {tuple(xp.tolist())}")
     witness = entries[_most_normal([d for _, d in pairs], share[:, 0], deg)]
     probe_degs = tuple(int(d) for d in degs[1:])
-    report = BoundaryDegreeReport(deg, witness, all(d == deg for d in probe_degs), probe_degs)
-    return report, entries
+    return BoundaryDegreeReport(deg, witness, all(d == deg for d in probe_degs), probe_degs)
 
 
 def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float = 0.05) -> BoundarySystem:
@@ -160,7 +153,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     if not 0.0 < probe_radius < math.inf:
         raise ValueError(f"probe radius must be positive and finite, got radius = {probe_radius}")
     x0 = np.asarray(x0, dtype=float)
-    report, entries = _boundary_degree(sys, x0, m, probe_radius)
+    report = deg_boundary(sys, x0, m, probe_radius)
     if not report.noncharacteristic:
         raise CharacteristicError(
             f"{tuple(x0.tolist())} is characteristic: boundary degree is not locally constant "
@@ -178,7 +171,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     x0n_val = float(X0.eval_many(x0)[-1])
     omega = 1 if x0n_val > 0 else -1
 
-    pairs = [(e.field, e.degree) for e in entries]
+    pairs = [(e.field, e.degree) for e in enumerate_commutators(sys, m)]
     radius = probe_radius
     while True:
         probes = _boundary_probes(sys, x0, radius)
@@ -192,12 +185,12 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
                 f"distinguished component vanishes arbitrarily close to {tuple(x0.tolist())}"
             )
 
-    zsys = _z_system(sys, entries)
+    z = build_Z_system(sys, m)
     den = X0.nth.subst(n, 0.0)
     x_entries: list[tuple[VField, int, tuple[int, ...], bool]] = []
     btilde: list[Expr] = []
     grid2d = _neighborhood_grid(sys, x0, radius)
-    for (zf, zd), word in zip(zsys.fields, zsys.words):
+    for (zf, zd), word in zip(z.fields, z.words):
         if zd < d0:
             b: Expr = Const(0.0)
         else:
@@ -250,7 +243,6 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
         j0=j0,
         omega=omega,
         distinguished=(X0, d0),
-        zsys=zsys,
         x_entries=tuple(x_entries),
         btilde=tuple(btilde),
         v_entries=tuple(v_entries),

@@ -39,7 +39,6 @@ from .hormander import (
     WeightedSystem,
     _grid,
     bracket_entry,
-    build_Z_system,
     check_hormander,
     enumerate_commutators,
 )
@@ -118,7 +117,8 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
     where the line is known: dim in 1..9; box, center, probe and
     characteristic_probe lengths of dim; positive half widths; probes
     in the chart, characteristic probes on its boundary x_n = 0; a
-    non-empty, positive, strictly decreasing delta ladder; m >= 1."""
+    non-empty, positive, strictly decreasing delta ladder; m >= 1; field
+    and density expressions that parse; a density positive on the chart."""
     data: dict[str, object] = {
         "probes": [],
         "fields": [],
@@ -219,9 +219,15 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
     for p, lineno in data["char_probes"]:
         if not (box.has_boundary and abs(p[-1]) < 1e-12):
             raise ScenarioError(f"characteristic probe {p} is not on the boundary x_n = 0", path, lineno)
-    fields = tuple((parse_vfield(comps, n), d) for comps, d, _ in data["fields"])
-    weighted = WeightedSystem(fields, box, density=parse_expr(data["density"], n))
-    weighted.validate_density()
+    try:  # expression syntax errors and a density that is not positive name their line
+        fields = []
+        for comps, d, lineno in data["fields"]:
+            fields.append((parse_vfield(comps, n), d))
+        lineno = lines.get("density", 0)
+        weighted = WeightedSystem(tuple(fields), box, density=parse_expr(data["density"], n))
+        weighted.validate_density()
+    except (ParseError, ValueError) as exc:
+        raise ScenarioError(str(exc), path, lineno) from exc
     return Scenario(
         name=data["name"],
         weighted=weighted,
@@ -331,18 +337,13 @@ def _pairs_from_probes(scn: Scenario, count: int, spread: float = 0.3, boundary:
     return pairs
 
 
-def _map_for_probe(scn: Scenario, sys_: WeightedSystem, probe, delta, gain, cache: dict):
-    """Near-boundary map at boundary probes, interior map elsewhere, with
-    the Z system of order scn.order it was selected from."""
+def _map_source(scn: Scenario, probe):
+    """What a scaling map at probe is built from: the boundary system at a
+    boundary probe, the scenario's system and order elsewhere."""
+    sys_ = scn.system()
     if sys_.box.has_boundary and abs(probe[-1]) < 1e-12:
-        key = ("bsys", probe)
-        if key not in cache:
-            cache[key] = build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
-        return build_scaling_map(cache[key], probe, delta, gain=gain), cache[key].zsys
-    key = "zsys"
-    if key not in cache:
-        cache[key] = build_Z_system(sys_, scn.order)
-    return build_scaling_map(cache[key], probe, delta, m=scn.order, gain=gain), cache[key]
+        return build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
+    return sys_, scn.order
 
 
 # -- verify suites --------------------------------------------------------
@@ -351,11 +352,10 @@ def _map_for_probe(scn: Scenario, sys_: WeightedSystem, probe, delta, gain, cach
 def suite_doubling(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     bound = 2.0 ** (scn.n * scn.order * sys_.max_degree)
-    zsys = build_Z_system(sys_, scn.order)
     rows, ratios = [], []
     for probe in scn.probes:
         for delta in scn.deltas[-3:]:
-            lam_ratio = doubling_ratio(sys_, probe, delta, scn.order, zsys=zsys)
+            lam_ratio = doubling_ratio(sys_, probe, delta, scn.order)
             v1 = ball_volume(sys_, probe, delta, n_samples=8000, seed=scn.seed)
             v2 = ball_volume(sys_, probe, 2 * delta, n_samples=8000, seed=scn.seed + 1)
             ratio = v2.value / v1.value if v1.value > 0 else math.inf
@@ -394,12 +394,11 @@ def suite_doubling(scn: Scenario) -> tuple[list, list]:
 
 def suite_volume(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
-    zsys = build_Z_system(sys_, scn.order)
     rows = []
     for probe in scn.probes:
         for delta in scn.deltas:
             vol = ball_volume(sys_, probe, delta, n_samples=20000, seed=scn.seed)
-            lam = compute_lambda(sys_, probe, delta, scn.order, zsys=zsys)
+            lam = compute_lambda(sys_, probe, delta, scn.order)
             rows.append(
                 {
                     "probe": list(probe),
@@ -425,11 +424,11 @@ def suite_sandwich(scn: Scenario) -> tuple[list, list]:
     sys_ = scn.system()
     gain = scn.threshold("scale.gain", 1.0)
     xi_floor = scn.threshold("sandwich.xi1", 0.01)
-    cache: dict = {}
     rows = []
     for probe in scn.probes:
+        source = _map_source(scn, probe)
         for delta in scn.deltas:
-            smap, _ = _map_for_probe(scn, sys_, probe, delta, gain, cache)
+            smap = build_scaling_map(source, probe, delta, gain=gain)
             rep = verify_sandwich(sys_, smap, seed=scn.seed)
             rows.append(
                 {
@@ -754,7 +753,8 @@ def cmd_scale(args) -> int:
     _check_in_chart(scn, args.x, halfspace=True)
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
-    smap, zsys = _map_for_probe(scn, sys_, tuple(args.x), args.delta, gain, {})
+    x = tuple(args.x)
+    smap = build_scaling_map(_map_source(scn, x), x, args.delta, gain=gain)
     rng = np.random.default_rng(scn.seed)
     U = rng.uniform(-0.5, 0.5, size=(16, scn.n))
     rows = [
@@ -768,7 +768,7 @@ def cmd_scale(args) -> int:
             "psi0": [float(v) for v in smap(np.zeros(scn.n))],
         }
     ]
-    residuals, uni = check_scaling_map(smap, sys_, scn.order, zsys, U)
+    residuals, uni = check_scaling_map(smap, sys_, scn.order, U)
     rows.append({"pullback_identity_residuals": residuals})
     rows.append({"uniform_span_floor": uni.overall_floor, "sup_magnitude": uni.sup_magnitude})
     ok = max(residuals) <= 1e-6 and uni.overall_floor > 0
@@ -889,7 +889,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (ScenarioError, ParseError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except (FlowExcursionError, CharacteristicError, ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

@@ -74,8 +74,9 @@ def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _velocity_kernel(vfs: tuple[VField, ...]):
-    """The fused velocity kernel (P, A) of a field tuple, compiled once per tuple."""
+def _velocity_kernel(vfs: tuple[VField, ...], texts: tuple[str, ...]):
+    """The fused velocity kernel (P, A) of a field tuple, compiled once per tuple; keyed also
+    on the fields as printed, which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
     return symexpr._compile(tuple(vf.components for vf in vfs), weighted=True)
 
 
@@ -84,7 +85,7 @@ def _control_velocity(vfs, a: np.ndarray):
 
     The kernel ignores no floating-point error itself: call it under
     np.errstate(all="ignore"), as the integrators do once per call."""
-    kernel = _velocity_kernel(tuple(vfs))
+    kernel = _velocity_kernel(tuple(vfs), tuple([vf._text for vf in vfs]))
     return lambda pts: kernel(pts, a)
 
 

@@ -4,12 +4,14 @@ A weighted system is a list of (field, formal degree) pairs on a box
 chart, optionally restricted to the half space {x_n >= 0}.  Iterated
 right-nested brackets of the generators are enumerated up to a given
 order, and spanning of the tangent space is certified through maximal
-n-column determinants.
+n-column determinants.  Brackets are built only here, once per system
+object and order, and every consumer shares them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +125,10 @@ class WeightedSystem:
         if not np.all(np.isfinite(vals)) or vals.min() <= 0:
             raise ValueError(f"density is not strictly positive on the chart (min {vals.min()})")
 
+    @cached_property
+    def _derived(self) -> dict:  # (kind, order) -> brackets or Z system; not a field, so eq and hash ignore it
+        return {}
+
     def augmented(self, word: tuple[int, ...]) -> "WeightedSystem":
         """Adjoin the iterated bracket of `word` (1-based indices) as a new generator."""
         entry = bracket_entry(self, word)
@@ -163,15 +169,23 @@ def _canonical_key(vf: VField) -> str:
     return min(s, sneg)
 
 
-def enumerate_commutators(sys: WeightedSystem, m: int) -> list[CommutatorEntry]:
+def enumerate_commutators(sys: WeightedSystem, m: int) -> tuple[CommutatorEntry, ...]:
     """All right-nested bracket words of length <= m, lexicographic order.
 
     Structurally equal fields (up to sign, after constant folding) of equal
     degree collapse to the first word producing them; identically zero
-    fields are kept once per degree with `is_zero` set.
+    fields are kept once per degree with `is_zero` set.  Computed once per
+    system object and order.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
+    key = ("brackets", m)
+    if key not in sys._derived:
+        sys._derived[key] = _commutators(sys, m)
+    return sys._derived[key]
+
+
+def _commutators(sys: WeightedSystem, m: int) -> tuple[CommutatorEntry, ...]:
     out: list[CommutatorEntry] = []
     seen: set[tuple[int, str]] = set()
     r = sys.r
@@ -185,7 +199,7 @@ def enumerate_commutators(sys: WeightedSystem, m: int) -> list[CommutatorEntry]:
                 continue
             seen.add(key)
             out.append(entry)
-    return out
+    return tuple(out)
 
 
 def _numerically_zero(vf: VField, box: Box) -> bool:
@@ -195,24 +209,21 @@ def _numerically_zero(vf: VField, box: Box) -> bool:
 
 
 def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
-    """Derived system of the commutators of order <= m.
+    """Derived system of the commutators of order <= m, with their words.
 
     Contains the generators themselves; duplicates (up to sign) and fields
-    that vanish identically on the chart are dropped.
+    that vanish identically on the chart are dropped.  Built once per
+    system object and order from enumerate_commutators(sys, m).
     """
-    return _z_system(sys, enumerate_commutators(sys, m))
-
-
-def _z_system(sys: WeightedSystem, entries: list[CommutatorEntry]) -> WeightedSystem:
-    """build_Z_system from brackets already enumerated."""
-    kept: list[tuple[VField, int]] = []
-    words: list[tuple[int, ...]] = []
-    for e in entries:
-        if e.is_zero or (len(e.word) > 1 and _numerically_zero(e.field, sys.box)):
-            continue
-        kept.append((e.field, e.degree))
-        words.append(e.word)
-    return WeightedSystem(tuple(kept), sys.box, sys.density, words=tuple(words))
+    key = ("Z", m)
+    if key not in sys._derived:
+        kept = [
+            e for e in enumerate_commutators(sys, m)
+            if not (e.is_zero or (len(e.word) > 1 and _numerically_zero(e.field, sys.box)))
+        ]
+        fields = tuple((e.field, e.degree) for e in kept)
+        sys._derived[key] = WeightedSystem(fields, sys.box, sys.density, words=tuple(e.word for e in kept))
+    return sys._derived[key]
 
 
 def _field_columns(vfs, pts) -> np.ndarray:

@@ -64,20 +64,14 @@ class LambdaReport:
     argmax: tuple[int, ...]
 
 
-def compute_lambda(
-    sys: WeightedSystem,
-    x,
-    delta: float,
-    m: int,
-    zsys: WeightedSystem | None = None,
-) -> LambdaReport:
+def compute_lambda(sys: WeightedSystem, x, delta: float, m: int) -> LambdaReport:
     """Max over n-subsets of the density-weighted scaled determinant.
 
-    Candidates are the derived commutators of degree <= m * max degree;
-    the scan is exhaustive up to EXHAUSTIVE_LIMIT candidates, greedy above.
+    Candidates are the fields of build_Z_system(sys, m); the scan is
+    exhaustive up to EXHAUSTIVE_LIMIT candidates, greedy above.
     """
     x = np.asarray(x, dtype=float)
-    z = zsys if zsys is not None else build_Z_system(sys, m)
+    z = build_Z_system(sys, m)
     cols = _field_columns(z.vfields(), x)  # (q, n)
     gamma0, valid, _ = _span_certificate(cols)
     if not valid:
@@ -91,15 +85,14 @@ def compute_lambda(
     return LambdaReport(tuple(x), float(delta), best, tuple(int(i) for i in idx))
 
 
-def doubling_ratio(sys: WeightedSystem, x, delta: float, m: int, zsys=None) -> float:
+def doubling_ratio(sys: WeightedSystem, x, delta: float, m: int) -> float:
     """Lambda(x, 2 delta) / Lambda(x, delta); bounded by 2^(n m max d)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    z = zsys if zsys is not None else build_Z_system(sys, m)
-    lo = compute_lambda(sys, x, delta, m, zsys=z)
+    lo = compute_lambda(sys, x, delta, m)
     if lo.value == 0.0:
         raise ValueError("Lambda vanishes; certificate failure")
-    hi = compute_lambda(sys, x, 2.0 * delta, m, zsys=z)
+    hi = compute_lambda(sys, x, 2.0 * delta, m)
     return hi.value / lo.value
 
 
@@ -271,18 +264,17 @@ class ScalingMap:
 
 
 def build_scaling_map(
-    source: WeightedSystem | BoundarySystem,
+    source: BoundarySystem | tuple[WeightedSystem, int],
     x,
     delta: float,
-    m: int | None = None,
     gain: float = 1.0,
 ) -> ScalingMap:
-    """Scaling map at (x, delta) from a weighted or boundary system.
+    """Scaling map at (x, delta) from a boundary system or a (system, order) pair.
 
     A BoundarySystem (with x on the boundary slice) produces the
     near-boundary map with the distinguished field normalized so that its
-    pullback is exactly omega d/dt_n; a plain system produces the interior
-    map from its capped commutator basis.  `gain` rescales the
+    pullback is exactly omega d/dt_n; a pair (sys, m) produces the
+    interior map from build_Z_system(sys, m).  `gain` rescales the
     parametrization (unit cube to a gain-cube of the raw exponential);
     the working value making the unit cube image sit inside the ball is
     fixture calibrated and absorbed into the map's fields, so pullback
@@ -307,9 +299,10 @@ def build_scaling_map(
         idx = select_basis(fields, x, delta, distinguished=len(fields) - 1)
         kind, box, omega, slots = "near_boundary", source.parent.box, source.omega, idx[:-1]
     else:
-        fields = (source if source.words is not None else build_Z_system(source, m if m else 2)).fields
+        sys, m = source
+        fields = build_Z_system(sys, m).fields
         idx = select_basis(fields, x, delta)
-        kind, box, omega, slots, distinguished = "interior", source.box, 1, idx, None
+        kind, box, omega, slots, distinguished = "interior", sys.box, 1, idx, None
     smap = ScalingMap(
         kind=kind,
         x=x,
@@ -447,13 +440,7 @@ class UniformHormanderReport:
     order: int
 
 
-def verify_uniform_hormander(
-    maps,
-    sys: WeightedSystem,
-    m: int,
-    zsys: WeightedSystem | None = None,
-    jets=None,
-) -> UniformHormanderReport:
+def verify_uniform_hormander(maps, sys: WeightedSystem, m: int, jets=None) -> UniformHormanderReport:
     """Uniform spanning of pulled-back generators across scaling maps.
 
     Pullback commutes with the Lie bracket, psi*[X, Y] = [psi*X, psi*Y],
@@ -463,11 +450,10 @@ def verify_uniform_hormander(
     determinant's minimum over a 3-point per-axis grid of [-0.5, 0.5]^n
     recorded; the report carries the min over all maps (the uniformity
     floor) and the sup of the pulled-back generator magnitudes
-    (boundedness clause).  A caller holding the Z system passes it as
-    zsys; one holding each map's (psi, d psi) on that grid passes them,
-    aligned with maps, as jets.
+    (boundedness clause).  A caller holding each map's (psi, d psi) on
+    that grid passes them, aligned with maps, as jets.
     """
-    z = zsys if zsys is not None else build_Z_system(sys, m)
+    z = build_Z_system(sys, m)
     n_gen = sum(len(w) == 1 for w in z.words)
     floors = []
     sup_mag = 0.0
@@ -484,21 +470,14 @@ def verify_uniform_hormander(
     )
 
 
-def check_scaling_map(
-    smap: ScalingMap,
-    sys: WeightedSystem,
-    m: int,
-    zsys: WeightedSystem,
-    U,
-) -> tuple[list[float], UniformHormanderReport]:
+def check_scaling_map(smap: ScalingMap, sys: WeightedSystem, m: int, U) -> tuple[list[float], UniformHormanderReport]:
     """The pullback checks `ccgeo scale` reports, from one jet of the map.
 
     psi and d psi are evaluated once, on the rows of U stacked with the
     span grid of verify_uniform_hormander.  Returns, per generator V of
     sys, the residual |d psi w - rhs| / max(1, |rhs|) over the rows of U,
     where rhs = (delta^d V)(psi) and w = (d psi)^{-1} rhs is its pullback,
-    and verify_uniform_hormander's report on this map with the caller's
-    Z system zsys of order m.
+    and verify_uniform_hormander's report on this map at order m.
     """
     U = np.asarray(U, dtype=float)
     psi, dpsi = smap.jet(np.vstack([U, _span_grid(smap.n)]))
@@ -509,5 +488,5 @@ def check_scaling_map(
         w = np.linalg.solve(J, rhs[..., None])[..., 0]  # the pullback of delta^d V
         lhs = np.einsum("bij,bj->bi", J, w)
         residuals.append(float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())))
-    uni = verify_uniform_hormander([smap], sys, m, zsys=zsys, jets=[(psi[len(U) :], dpsi[len(U) :])])
+    uni = verify_uniform_hormander([smap], sys, m, jets=[(psi[len(U) :], dpsi[len(U) :])])
     return residuals, uni

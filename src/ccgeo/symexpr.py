@@ -525,6 +525,17 @@ class VField:
     def _kernel(self):  # built on first use; not a dataclass field, so eq, hash and str ignore it
         return _compile(self.components)
 
+    @cached_property
+    def _text(self) -> str:  # str(self), kept: unlike eq and hash, it tells Const(0.0) from Const(-0.0)
+        return str(self)
+
+    def __hash__(self):  # the dataclass hash, kept: the fused velocity kernel's cache hashes fields per call
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.components,))
+
     def is_zero(self) -> bool:
         return all(_is_const(c, 0.0) for c in self.components)
 

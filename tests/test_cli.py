@@ -76,11 +76,16 @@ _SCENARIO_LINES = [
         (9, "characteristic_probe = 0.0"),
         (9, "characteristic_probe = 5.0 0.0"),
         (9, "characteristic_probe = 0.0 0.3"),
+        (5, 'field = "1, 0+" degree = 1'),
+        (9, 'density = "x1+"'),
+        (9, 'density = "0-1"'),
     ],
 )
 def test_malformed_scenario_is_rejected_at_parse_time(line, text, tmp_path, capsys):
     # these used to parse: an empty ladder then escaped main with an
-    # IndexError or exited 3, and the rest failed later, or with exit 3
+    # IndexError or exited 3, and the rest failed later, or with exit 3;
+    # an expression syntax error named no file or line, and a density
+    # that is not positive exited 3
     lines = list(_SCENARIO_LINES)
     if line > len(lines):
         lines.append(text)
@@ -446,13 +451,20 @@ def test_scale_integrates_its_map_in_one_pass(args, expected, monkeypatch, capsy
     assert len(calls) == expected
 
 
-def test_scale_enumerates_brackets_once(monkeypatch, capsys):
-    # the near-boundary map's Z system also serves the span floor
-    from ccgeo import boundary, cli, hormander
+def test_scale_enumerates_brackets_once(tmp_path, monkeypatch, capsys):
+    # the boundary degree, the near-boundary map's basis and the span floor
+    # share one enumeration, and a second command on the same scenario
+    # reuses it; a fresh path gives a Scenario no earlier test has used
+    from ccgeo import hormander
 
-    calls = _count_calls(monkeypatch, hormander.enumerate_commutators, (hormander, boundary, cli))
-    assert main(["scale", "heisenberg", "--x", "0.0", "0.0", "0.0", "--delta", "0.1"]) == 0
-    assert len(calls) == 1
+    path = tmp_path / "heisenberg.scn"
+    path.write_text((fixtures_dir() / "heisenberg.scn").read_text())
+    calls = []
+    real = hormander._commutators
+    monkeypatch.setattr(hormander, "_commutators", lambda sys, m: calls.append((id(sys), m)) or real(sys, m))
+    for _ in range(2):
+        assert main(["scale", str(path), "--x", "0.0", "0.0", "0.0", "--delta", "0.1"]) == 0
+    assert len(calls) == len(set(calls)) == 1
 
 
 # -- what a process reuses across main calls -------------------------------
@@ -483,7 +495,7 @@ def test_scenario_that_fails_to_parse_fails_every_time(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == ""
         errors.append(err)
-    assert errors[0] == errors[1] and errors[0].startswith("error: unknown variable 'x3'")
+    assert errors[0] == errors[1] and errors[0].startswith(f"error: {path}:10: unknown variable 'x3'")
 
 
 def test_command_rebound_after_the_first_call_is_dispatched(monkeypatch):

@@ -266,3 +266,20 @@ def test_control_velocity_kernel_built_once_per_field_tuple(monkeypatch):
     assert len(calls) == 1
     assert [(hash(vf), str(vf), repr(vf)) for vf in a] == before
     assert all("_kernel" not in vars(vf) for vf in a)  # the per-field kernels are not built
+
+
+def test_control_velocity_keeps_signed_zero_field_tuples_apart():
+    # 1 / (x1 * 0.0) and 1 / (x1 * -0.0) are +inf and -inf at x1 = 1; the
+    # first tuple's kernel must not serve the second
+    from ccgeo.symexpr import Binary, Const, Var, VField
+
+    def field(zero):
+        return VField((Const(1.0), Binary("/", Const(1.0), Binary("*", Var(1), Const(zero)))))
+
+    pts, a = np.array([[1.0, 0.0]]), np.ones((1, 1))
+    with np.errstate(all="ignore"):
+        for zero in (0.0, -0.0):
+            vf = field(zero)
+            got = flows._control_velocity((vf,), a)(pts)
+            assert got.view(np.int64).tolist() == vf.eval_many(pts).view(np.int64).tolist()
+        assert flows._control_velocity((field(-0.0),), a)(pts)[0, 1] == -np.inf

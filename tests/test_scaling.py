@@ -6,7 +6,7 @@ import pytest
 from ccgeo import scaling
 from ccgeo.boundary import build_boundary_system
 from ccgeo.ccmetric import ball_volume
-from ccgeo.cli import _map_for_probe, load_scenario
+from ccgeo.cli import _map_source, load_scenario
 from ccgeo.hormander import Box, WeightedSystem, build_Z_system
 from ccgeo.scaling import (
     build_scaling_map,
@@ -100,9 +100,8 @@ def test_lambda_monotone_in_delta():
 def test_select_basis_zeta_one_matches_lambda(monkeypatch):
     monkeypatch.setattr(scaling, "ZETA", 1.0)
     sys = grushin()
-    z = build_Z_system(sys, 2)
-    rep = compute_lambda(sys, (0.5, 0.0), 0.2, m=2, zsys=z)
-    idx = select_basis(z.fields, (0.5, 0.0), 0.2)
+    rep = compute_lambda(sys, (0.5, 0.0), 0.2, m=2)
+    idx = select_basis(build_Z_system(sys, 2).fields, (0.5, 0.0), 0.2)
     assert tuple(sorted(idx)) == tuple(sorted(rep.argmax))
 
 
@@ -146,7 +145,7 @@ def test_select_basis_distinguished_slot_matches_reference(monkeypatch):
 
 def test_interior_map_elliptic_is_affine():
     sys = elliptic()
-    smap = build_scaling_map(sys, (0.1, -0.2), 0.3, m=1)
+    smap = build_scaling_map((sys, 1), (0.1, -0.2), 0.3)
     t = np.array([0.5, -0.25])
     out = smap(t)
     np.testing.assert_allclose(out, np.array([0.1, -0.2]) + 0.3 * t, atol=1e-9)
@@ -154,7 +153,7 @@ def test_interior_map_elliptic_is_affine():
 
 def test_map_fixes_base_point():
     sys = grushin()
-    smap = build_scaling_map(sys, (0.0, 0.0), 0.2, m=2)
+    smap = build_scaling_map((sys, 2), (0.0, 0.0), 0.2)
     np.testing.assert_allclose(smap(np.zeros(2)), [0.0, 0.0], atol=1e-12)
 
 
@@ -178,7 +177,7 @@ def test_near_boundary_nth_coordinate_is_linear_in_tn():
 
 def test_pullback_elliptic_unit_fields():
     sys = elliptic()
-    smap = build_scaling_map(sys, (0.0, 0.0), 0.25, m=1)
+    smap = build_scaling_map((sys, 1), (0.0, 0.0), 0.25)
     for i, (vf, d) in enumerate(sys.fields):
         vals = pullback(smap, [(vf, d)], np.array([[0.1, 0.2], [-0.3, 0.4]]))[0]
         expect = np.zeros((2, 2))
@@ -210,7 +209,7 @@ def test_pullback_tangential_no_tn_component_on_slice():
 
 def test_pullback_identity_residual():
     sys = grushin()
-    smap = build_scaling_map(sys, (0.3, 0.0), 0.2, m=2)
+    smap = build_scaling_map((sys, 2), (0.3, 0.0), 0.2)
     vf, d = sys.fields[1]
     U = np.array([[0.25, -0.3], [0.5, 0.5], [-0.6, 0.1]])
     w = pullback(smap, [(vf, d)], U)[0]
@@ -253,8 +252,7 @@ def _fixture_maps():
 @pytest.mark.parametrize("name, probe, delta", list(_fixture_maps()))
 def test_jet_matches_call_and_reference_jacobian_bit_for_bit(name, probe, delta):
     scn = load_scenario(name)
-    sys_ = scn.system()
-    smap, _ = _map_for_probe(scn, sys_, probe, delta, scn.threshold("scale.gain", 1.0), {})
+    smap = build_scaling_map(_map_source(scn, probe), probe, delta, scn.threshold("scale.gain", 1.0))
     U = np.random.default_rng(scn.seed).uniform(-0.5, 0.5, size=(16, scn.n))
     psi, dpsi = smap.jet(U)
     assert psi.view(np.int64).tolist() == smap(U).view(np.int64).tolist()
@@ -279,7 +277,7 @@ def _jacobian_cases():
 def test_jacobian_is_the_jet_jacobian_bit_for_bit(name, probe, delta):
     # jacobian integrates only the perturbed rows; jet stacks psi's rows too
     scn = load_scenario(name)
-    smap, _ = _map_for_probe(scn, scn.system(), probe, delta, scn.threshold("scale.gain", 1.0), {})
+    smap = build_scaling_map(_map_source(scn, probe), probe, delta, scn.threshold("scale.gain", 1.0))
     U = np.random.default_rng(scn.seed).uniform(-0.5, 0.5, size=(16, scn.n))
     for rows in (U, U[5:6], np.zeros((1, scn.n))):
         assert smap.jacobian(rows).view(np.int64).tolist() == smap.jet(rows)[1].view(np.int64).tolist()
@@ -289,7 +287,7 @@ def test_jacobian_is_the_jet_jacobian_bit_for_bit(name, probe, delta):
 def test_interior_map_rows_do_not_depend_on_their_batch():
     # the combined exponential takes 128 steps on every row, whatever the batch
     sys = grushin()
-    smap = build_scaling_map(sys, (0.5, 0.0), 0.2, m=2)
+    smap = build_scaling_map((sys, 2), (0.5, 0.0), 0.2)
     U = np.random.default_rng(4).uniform(-0.5, 0.5, size=(12, 2))
     psi, dpsi = smap.jet(U)
     for order in (np.arange(12)[::-1], [5], [7, 8, 0, 1, 2]):
@@ -301,7 +299,7 @@ def test_interior_map_rows_do_not_depend_on_their_batch():
 
 def test_invert_round_trip():
     sys = grushin()
-    smap = build_scaling_map(sys, (0.2, 0.0), 0.2, m=2)
+    smap = build_scaling_map((sys, 2), (0.2, 0.0), 0.2)
     T = np.array([[0.4, -0.3], [-0.5, 0.2], [0.0, 0.0]])
     pts = smap(T)
     T2, ok = smap.invert(pts)
@@ -330,7 +328,7 @@ def test_pulled_back_bracket_and_floor_closed_form(make, x, delta, gain):
     # bracket at degree 2 is gain^-1 e_n and the span floor is gain^-n
     sys = make()
     n = sys.n
-    smap = build_scaling_map(sys, x, delta, m=2, gain=gain)
+    smap = build_scaling_map((sys, 2), x, delta, gain=gain)
     U = np.array([[0.0] * n, [0.3, -0.2, 0.4][:n], [-0.5, 0.5, -0.25][:n]])
     br = pullback(smap, [(lie_bracket(sys.fields[0][0], sys.fields[1][0]), 2)], U)[0]
     target = np.zeros((len(U), n))
@@ -353,7 +351,7 @@ def test_sandwich_elliptic_xi_equals_eta():
 
 def test_sandwich_grushin_interior_origin():
     sys = grushin()
-    smap = build_scaling_map(sys, (0.0, 0.0), 0.2, m=2, gain=0.3)
+    smap = build_scaling_map((sys, 2), (0.0, 0.0), 0.2, gain=0.3)
     rep = verify_sandwich(sys, smap, seed=1)
     assert rep.outer_pass
     assert rep.xi1 >= 0.01
@@ -363,7 +361,7 @@ def test_sandwich_xi_stable_across_small_delta():
     sys = grushin()
     xis = []
     for delta in (0.2, 0.1, 0.05):
-        smap = build_scaling_map(sys, (0.0, 0.0), delta, m=2, gain=0.3)
+        smap = build_scaling_map((sys, 2), (0.0, 0.0), delta, gain=0.3)
         rep = verify_sandwich(sys, smap, seed=2)
         assert rep.outer_pass
         xis.append(rep.xi1)
@@ -373,14 +371,14 @@ def test_sandwich_xi_stable_across_small_delta():
 
 def test_uniform_hormander_elliptic_unit_floor():
     sys = elliptic()
-    maps = [build_scaling_map(sys, (0.0, 0.0), d, m=1) for d in (0.4, 0.2, 0.1)]
+    maps = [build_scaling_map((sys, 1), (0.0, 0.0), d) for d in (0.4, 0.2, 0.1)]
     rep = verify_uniform_hormander(maps, sys, m=1)
     assert rep.overall_floor == pytest.approx(1.0, abs=1e-5)
 
 
 def test_uniform_hormander_grushin_ladder_stable():
     sys = grushin()
-    maps = [build_scaling_map(sys, (0.0, 0.0), d, m=2) for d in (0.4, 0.2, 0.1, 0.05)]
+    maps = [build_scaling_map((sys, 2), (0.0, 0.0), d) for d in (0.4, 0.2, 0.1, 0.05)]
     rep = verify_uniform_hormander(maps, sys, m=2)
     assert rep.overall_floor > 0
     assert max(rep.floors) / min(rep.floors) <= 2.0
@@ -389,7 +387,7 @@ def test_uniform_hormander_grushin_ladder_stable():
 
 def test_uniform_hormander_fails_below_true_order():
     sys = grushin()
-    maps = [build_scaling_map(sys, (0.0, 0.0), 0.2, m=2)]
+    maps = [build_scaling_map((sys, 2), (0.0, 0.0), 0.2)]
     rep = verify_uniform_hormander(maps, sys, m=1)
     assert rep.overall_floor <= 1e-6
 
@@ -416,7 +414,7 @@ def test_density_factor_bounded():
     lo, hi = np.inf, 0.0
     for x in ((0.3, 0.0), (0.8, 0.2)):
         for delta in (0.2, 0.1):
-            smap = build_scaling_map(sys, x, delta, m=2)
+            smap = build_scaling_map((sys, 2), x, delta)
             lam = compute_lambda(sys, x, delta, m=2).value
             J = smap.jacobian(U)
             h = sys.density_at(smap(U))
@@ -428,7 +426,7 @@ def test_density_factor_bounded():
 
 def test_map_injective_on_cube_grid():
     sys = grushin()
-    smap = build_scaling_map(sys, (0.3, 0.0), 0.2, m=2)
+    smap = build_scaling_map((sys, 2), (0.3, 0.0), 0.2)
     axes = np.linspace(-0.9, 0.9, 7)
     mesh = np.meshgrid(axes, axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
