@@ -4,7 +4,7 @@ The unit ball of a weighted system at scale delta is the set of endpoints
 of unit-time absolutely continuous paths driven by controls with
 sup-in-time L2 norm strictly below one, against the scaled fields
 delta^{d_j} W_j.  Two estimators are provided: a brute-force grid-graph
-oracle that certifies intervals up to its discretization, and a faster
+oracle whose intervals hold only up to its discretization, and a faster
 deterministic direct-shooting estimator cross-checked against the oracle.
 Intrinsic mode confines paths to the chart (x_n >= 0 when the chart has
 boundary); extrinsic mode allows the whole box.
@@ -41,6 +41,8 @@ BOUNDARY_TOL = 1e-9
 DELTA_MAX = 2.0
 #: most cells one oracle search may settle
 MAX_CELLS = 2_000_000
+#: most arrival rows (frontier point, direction) one block of an oracle round integrates
+ROUND_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -267,6 +269,14 @@ class ReachGraph:
     within a round, so an arrival that its key's stored best cost already
     rules out can change nothing: `_sift` drops it before the rest are
     grouped by key and relaxed in one numpy batch per arrival rank.
+
+    A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
+    rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
+    float temporaries are bounded by the block, not the frontier; only
+    the kept arrivals (point, cost, move quantum) are joined for the
+    settle, which still runs once per round.  Rows are independent and
+    nothing is settled before the round ends, so the blocks change no
+    bit.
     """
 
     def __init__(
@@ -328,9 +338,11 @@ class ReachGraph:
         """Explore within the budget; returns (reached, cost) for a target.
 
         Label-correcting search with batched rounds: every frontier cell
-        expands along every control direction in one vectorized
-        integration.  With target None the full reachable cell set is
-        computed and (False, inf) returned.
+        expands along every control direction, in vectorized blocks of at
+        most `ROUND_ROWS` (point, direction) rows; a round that fits one
+        block keeps its arrays as they are.  A targeted round that hits
+        returns the least hit cost over all its blocks.  With target None
+        the full reachable cell set is computed and (False, inf) returned.
         """
         target = None if target is None else np.asarray(target, dtype=float)
         tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(self.res))
@@ -346,6 +358,40 @@ class ReachGraph:
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
 
+        def moves(P, C):
+            """The kept arrivals (Y, cost, tau) of frontier points P at costs C,
+            in (point, direction) order, and the costs of those that hit the target."""
+            # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
+            # summed left to right in j; up to the sign of a zero, which
+            # abs drops, this is einsum("dr,frn->fdn") bit for bit.  With
+            # the directions last, the max over the n coordinates runs
+            # over rows of D values, not over D * F rows of n values
+            W = (factors[:, None] * _field_stack(vfs, P)).transpose(0, 2, 1)  # (F, n, r)
+            V = W[..., 0, None] * self.dirs[:, 0]
+            for j in range(1, W.shape[2]):
+                V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
+            rates = (np.abs(V) / self.res[:, None]).max(axis=1) * self.speed_scale  # (F, D)
+            remaining = (1.0 - C)[:, None]
+            f_idx, d_idx = np.nonzero((rates > 1e-14) & (remaining > 1e-12))
+            tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
+            vel = _control_velocity(vfs, self.dirs[d_idx] * factors)
+            Y = P[f_idx]
+            # full width, so the RK4 products need no broadcast
+            dt = np.repeat((tau * self.speed_scale / 2.0)[:, None], Y.shape[1], axis=1)
+            ok = np.ones(len(Y), dtype=bool)
+            for _ in range(2):
+                Y = _rk4_step(vel, Y, dt)
+                ok &= np.all(np.abs(Y - c) <= edge, axis=1)
+                if halfspace:
+                    ok &= Y[:, -1] >= -BOUNDARY_TOL
+            costs = C[f_idx] + tau
+            ok &= costs <= 1.0 + 1e-12
+            hits = np.empty(0)
+            if target is not None and ok.any():
+                hits = costs[ok & (np.linalg.norm(Y - target, axis=1) <= tol)]
+            m = np.flatnonzero(ok)
+            return Y[m], costs[m], tau[m], hits
+
         x0 = self.x0[None]
         cell_keys = self._keys(self._index(x0, 1.0), self._cells)
         cell_cost, cell_pts = np.zeros(1), x0.copy()
@@ -356,44 +402,15 @@ class ReachGraph:
         P, C = x0, np.zeros(1)
         half_keys, half_cost = np.empty(0, dtype=np.int64), np.empty(0)
         rounds = 0
+        step = max(1, ROUND_ROWS // len(self.dirs))  # frontier points per block
         with np.errstate(all="ignore"):
             while len(P):
                 rounds += 1
-                # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
-                # summed left to right in j; up to the sign of a zero, which
-                # abs drops, this is einsum("dr,frn->fdn") bit for bit.  With
-                # the directions last, the max over the n coordinates runs
-                # over rows of D values, not over D * F rows of n values
-                W = (factors[:, None] * _field_stack(vfs, P)).transpose(0, 2, 1)  # (F, n, r)
-                V = W[..., 0, None] * self.dirs[:, 0]
-                for j in range(1, W.shape[2]):
-                    V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
-                rates = (np.abs(V) / self.res[:, None]).max(axis=1) * self.speed_scale  # (F, D)
-                remaining = (1.0 - C)[:, None]
-                live = (rates > 1e-14) & (remaining > 1e-12)
-                f_idx, d_idx = np.nonzero(live)
-                if len(f_idx) == 0:
-                    break
-                tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
-                vel = _control_velocity(vfs, self.dirs[d_idx] * factors)
-                Y = P[f_idx]
-                # full width, so the RK4 products need no broadcast
-                dt = np.repeat((tau * self.speed_scale / 2.0)[:, None], Y.shape[1], axis=1)
-                ok = np.ones(len(Y), dtype=bool)
-                for _ in range(2):
-                    Y = _rk4_step(vel, Y, dt)
-                    ok &= np.all(np.abs(Y - c) <= edge, axis=1)
-                    if halfspace:
-                        ok &= Y[:, -1] >= -BOUNDARY_TOL
-                costs = C[f_idx] + tau
-                ok &= costs <= 1.0 + 1e-12
-                if target is not None and ok.any():
-                    d_target = np.linalg.norm(Y - target, axis=1)
-                    hit = ok & (d_target <= tol)
-                    if hit.any():
-                        return True, float(costs[hit].min())
-                m = np.flatnonzero(ok)
-                Y, costs, tau = Y[m], costs[m], tau[m]
+                blocks = [moves(P[i : i + step], C[i : i + step]) for i in range(0, len(P), step)]
+                Y, costs, tau, hits = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+                del blocks  # past the join only the joined arrays are needed
+                if len(hits):
+                    return True, float(hits.min())
 
                 keys = self._keys(self._index(Y, 1.0), self._cells)
                 cell_keys, cell_cost, cell_pts, expand = _settle_cells(
@@ -608,22 +625,29 @@ def oracle_distance(
     """Brute-force interval estimate of the CC distance.
 
     The upper bound is the smallest bisection scale at which the grid
-    search reaches y (a genuine admissible path up to the arrival cell).
-    The lower bound is the largest scale at which the budget-inflated
-    (x 1+resolution) search fails, deflated by the worst-case overhead of
-    the restricted control-direction set, with `order` bounding the
-    bracket depth the target may need.  Interval width is driven to 10%
-    relative before deflation.  When y lies within the arrival tolerance
+    search lands within the arrival tolerance (0.75 resolution, in the
+    Euclidean norm) of y: an admissible path to a point near y, so the
+    bound can lie below d(x, y).  The lower bound is the largest scale
+    at which the budget-inflated (x 1+resolution) search fails, deflated
+    by sec(half the direction gap) and an empirical factor 2 per bracket
+    order above one, with `order` bounding the bracket depth the target
+    may need; it is not a certificate either.  Interval width is driven
+    to 10% relative before deflation.  When y lies within the arrival tolerance
     (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
     cannot resolve the distance and the interval is [0, inf]; so is it
     when no scale up to DELTA_MAX reaches y.  Each (delta, speed scale)
     pair is searched at most once per query: after a failed doubling
     step the bisection's first midpoint is that step's scale, and its
-    answer is reused.
+    answer is reused.  Non-finite endpoints and a per-axis resolution
+    raise ValueError before any search.
     """
+    if np.ndim(resolution) != 0:
+        raise ValueError(f"oracle_distance resolution must be one number, got {resolution!r}")
     _check_resolution(resolution, sys.n)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"distance endpoints must be finite, got x = {tuple(x.tolist())}, y = {tuple(y.tolist())}")
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "oracle")
     arrival_tol = 0.75 * resolution
@@ -796,11 +820,14 @@ def cc_distance(
     which the optimizer failed, so it is heuristic, not a certificate;
     on regression scenarios the interval is cross-checked against
     oracle_distance.  No hit up to scale DELTA_MAX gives [0, inf].
+    Non-finite endpoints raise ValueError before any search.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must be in (0, 0.5)")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"distance endpoints must be finite, got x = {tuple(x.tolist())}, y = {tuple(y.tolist())}")
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "shooting")
     d_eu = float(np.linalg.norm(y - x))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,36 +472,91 @@ REFERENCE_CASES = [
 
 
 @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
-def test_reach_graph_matches_dict_loop_bit_for_bit(case):
+def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
     make, x, delta, mode, res, scale = REFERENCE_CASES[case]
     sys = make()
 
     def graph():
         return ReachGraph(sys, x, delta, mode, res=res, speed_scale=scale)
 
-    g = graph()
-    assert g.run() == (False, math.inf)
     ref_reached, ref_cost, ref, ties = _reference_run(graph())
     assert (ref_reached, ref_cost) == (False, math.inf)
     assert ties > 0  # equal-cost arrivals: the 1e-12 windows decide the frontier
-    got = _settled_as_dict(g)
-    assert len(g.settled) == len(ref) and got.keys() == ref.keys()
-    for k, (c, p) in ref.items():
-        assert got[k][0] == c and np.array_equal(got[k][1], p)
-
     # targeted runs: an interior settled point, a far one, one out of reach
     pts = np.array([p for _, p in ref.values()])
     far = pts[np.argmax(np.linalg.norm(pts - np.asarray(x), axis=1))]
-    for target in (pts[len(pts) // 2], far, np.asarray(x) + 0.9):
-        for tol in (None, 0.5 * float(np.min(res))):
-            reached, cost, _, _ = _reference_run(graph(), target, tol)
-            assert graph().run(target, tol) == (reached, cost)
+    targeted = [
+        (target, tol, _reference_run(graph(), target, tol)[:2])
+        for target in (pts[len(pts) // 2], far, np.asarray(x) + 0.9)
+        for tol in (None, 0.5 * float(np.min(res)))
+    ]
+
+    # rounds in blocks of the default size, of one frontier point, of two
+    # points and a spare row, and in one block
+    D = len(graph().dirs)
+    for rows in (ccmetric.ROUND_ROWS, D, 2 * D + 1, 10**9):
+        monkeypatch.setattr(ccmetric, "ROUND_ROWS", rows)
+        g = graph()
+        assert g.run() == (False, math.inf)
+        got = _settled_as_dict(g)
+        assert len(g.settled) == len(ref) and got.keys() == ref.keys()
+        for k, (c, p) in ref.items():
+            assert got[k][0] == c and np.array_equal(got[k][1], p)
+        for target, tol, expected in targeted:
+            assert graph().run(target, tol) == expected
 
     rng = np.random.default_rng(case)
     lo, hi = pts.min(axis=0) - 0.05, pts.max(axis=0) + 0.05
     probes = np.vstack([lo + (hi - lo) * rng.random((400, sys.n)), pts[:50], [np.full(sys.n, np.nan), np.full(sys.n, 10.0)]])
     for dilate in (0, 1):
         assert np.array_equal(g.contains(probes, dilate=dilate), _reference_contains(g, ref, probes, dilate))
+
+
+def test_targeted_round_returns_the_least_hit_over_its_blocks(monkeypatch):
+    # elliptic moves are straight: the first round lands on x0 + res (a, b),
+    # max(|a|, |b|) = 1, in direction order.  In the second round x0 + res (2, 0)
+    # is hit first from res (1, -1) along a diagonal, at cost 2 sqrt(2) res / delta,
+    # and blocks later, more cheaply, from res (1, 0) along the axis
+    sys = elliptic_half_plane()
+    x, delta, res = np.array([0.0, 0.5]), 0.3, 0.03
+    target, tol = x + [2 * res, 0.0], 0.25 * res
+
+    def graph():
+        return ReachGraph(sys, x, delta, res=res)
+
+    expected = _reference_run(graph(), target, tol)[:2]
+    assert expected[0] and expected[1] == pytest.approx(2 * res / delta)
+    D = len(graph().dirs)
+    for rows in (D, 2 * D + 1, 10**9):
+        monkeypatch.setattr(ccmetric, "ROUND_ROWS", rows)
+        assert graph().run(target, tol) == expected
+
+
+def test_round_blocks_bound_the_oracle_memory(monkeypatch):
+    # the extrinsic Heisenberg ball at delta 0.6 keeps more than 4 ROUND_ROWS
+    # arrivals in its largest rounds
+    kept = []
+    settle = ccmetric._settle_cells
+
+    def counted(*args):
+        kept.append(len(args[3]))
+        return settle(*args)
+
+    monkeypatch.setattr(ccmetric, "_settle_cells", counted)
+
+    def peak():
+        g = ReachGraph(heisenberg_half(), (0.0, 0.0, 0.5), 0.6, "extrinsic", res=0.02)
+        tracemalloc.start()
+        try:
+            g.run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked = peak()
+    assert max(kept) > 4 * ccmetric.ROUND_ROWS
+    monkeypatch.setattr(ccmetric, "ROUND_ROWS", 10**9)
+    assert peak() >= 1.5 * blocked
 
 
 # costs on a grid finer than the 1e-12 tie windows, around two base costs
@@ -564,6 +620,20 @@ def test_reach_graph_cell_budget_error_carries_context(monkeypatch):
     with pytest.raises(RuntimeError, match=r"cell budget exceeded: \d+ cells settled, max_cells 50, "
                        r"after \d+ frontier rounds at resolution \[0.02, 0.02\]"):
         g.run()
+
+
+@pytest.mark.parametrize("estimator", [cc_distance, oracle_distance])
+@pytest.mark.parametrize("x, y", [((0.0, 0.5), (math.nan, 0.5)), ((0.0, math.inf), (0.2, 0.5))])
+def test_distance_estimators_reject_non_finite_points(estimator, x, y):
+    # shooting used to hang in its Gauss-Newton least squares; the oracle
+    # searched every scale and gave [0, inf]
+    with pytest.raises(ValueError, match="endpoints must be finite"):
+        estimator(elliptic_half_plane(), x, y)
+
+
+def test_oracle_rejects_a_per_axis_resolution():
+    with pytest.raises(ValueError, match="oracle_distance resolution must be one number"):
+        oracle_distance(elliptic_half_plane(), (0.0, 0.5), (0.2, 0.5), resolution=(0.02, 0.02))
 
 
 # 1e-10: the half-cell grid over the 4 x 4 chart would need more than 2^63 keys
