@@ -101,6 +101,39 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_in_chart(box, p, halfspace: bool, point: str = "base") -> None:
+    """ValueError unless p lies in the chart box (so is finite) and, with
+    `halfspace` on a chart with boundary, not below {x_n = 0}."""
+    p = np.asarray(p, dtype=float)
+    if not box.contains(p[None])[0] or (halfspace and box.has_boundary and p[-1] < -BOUNDARY_TOL):
+        raise ValueError(f"{point} point is not in the chart")
+
+
+def _check_endpoints(sys: WeightedSystem, x, y, mode: str):
+    """x and y as float arrays; ValueError unless both are finite and in the chart."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError(f"distance endpoints must be finite, got x = {tuple(x.tolist())}, y = {tuple(y.tolist())}")
+    halfspace = _check_mode(mode) == "intrinsic"
+    _check_in_chart(sys.box, x, halfspace)
+    _check_in_chart(sys.box, y, halfspace, "target")
+    return x, y
+
+
+def _columns(fold, f, A: np.ndarray, *per_axis) -> np.ndarray:
+    """f(A[:, j], per_axis[0][j], ...) for each of A's n columns, folded left to right.
+
+    With fold np.logical_and this is np.all(f(A, ...), axis=1) and with
+    np.maximum it is f(A, ...).max(axis=1), bit for bit, nan included, but
+    it skips numpy's slow reduction over a short axis and the (B, n)
+    temporaries: here the coordinate axis has only n = 2 or 3 entries.
+    """
+    out = f(A[:, 0], *(a[0] for a in per_axis))
+    for j in range(1, A.shape[1]):
+        out = fold(out, f(A[:, j], *(a[j] for a in per_axis)))
+    return out
+
+
 def integrate_controls(
     sys: WeightedSystem,
     x,
@@ -156,8 +189,8 @@ def integrate_controls(
                 dev = np.abs(ynew - c)
                 # with every row inside the box (so inside the guard) no flag changes
                 if frozen or not (dev <= edge).all():
-                    alive &= np.all(dev <= guard, axis=1)
-                    inside &= np.all(dev <= edge, axis=1)
+                    alive &= _columns(np.logical_and, np.less_equal, dev, guard)
+                    inside &= _columns(np.logical_and, np.less_equal, dev, edge)
                     ynew[~alive] = y[~alive]
                     frozen = not alive.all()
                 y = ynew
@@ -276,7 +309,10 @@ class ReachGraph:
     the kept arrivals (point, cost, move quantum) are joined for the
     settle, which still runs once per round.  Rows are independent and
     nothing is settled before the round ends, so the blocks change no
-    bit.
+    bit.  The round keeps off numpy's slow paths for rows of n = 2 or 3
+    coordinates, with the same bits: it gathers rows with np.take and
+    takes the move rates' max and the box test one coordinate column at
+    a time (`_columns`).
     """
 
     def __init__(
@@ -325,36 +361,28 @@ class ReachGraph:
         lo, shape = grid
         return np.ravel_multi_index(tuple((idx - lo).astype(np.int64).T), shape)
 
-    def _feasible_state(self, p: np.ndarray) -> bool:
-        if not np.all(np.isfinite(p)):
-            return False
-        if not self.sys.box.contains(p[None])[0]:
-            return False
-        if self.mode == "intrinsic" and self.sys.box.has_boundary and p[-1] < -BOUNDARY_TOL:
-            return False
-        return True
-
     def run(self, target=None, arrival_tol: float | None = None):
         """Explore within the budget; returns (reached, cost) for a target.
 
         Label-correcting search with batched rounds: every frontier cell
         expands along every control direction, in vectorized blocks of at
-        most `ROUND_ROWS` (point, direction) rows; a round that fits one
-        block keeps its arrays as they are.  A targeted round that hits
-        returns the least hit cost over all its blocks.  With target None
-        the full reachable cell set is computed and (False, inf) returned.
+        most `ROUND_ROWS` (point, direction) rows, reduced one coordinate
+        column at a time; a round that fits one block keeps its arrays as
+        they are.  A targeted round that hits returns the least hit cost
+        over all its blocks.  With target None the full reachable cell set
+        is computed and (False, inf) returned.
         """
         target = None if target is None else np.asarray(target, dtype=float)
         tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(self.res))
         vfs = self.sys.vfields()
         factors = self.factors
+        weights = self.dirs * factors  # (D, r) control coefficients per direction
         box = self.sys.box
         halfspace = self.mode == "intrinsic" and box.has_boundary
-        # Box.contains from one |y - c| per step; a nan or inf coordinate fails it
+        # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
         edge, c = np.asarray(box.half_widths) + 1e-9, np.asarray(box.center)
 
-        if not self._feasible_state(self.x0):
-            raise ValueError("base point is not in the chart")
+        _check_in_chart(box, self.x0, halfspace)
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
 
@@ -363,25 +391,24 @@ class ReachGraph:
             in (point, direction) order, and the costs of those that hit the target."""
             # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
             # summed left to right in j; up to the sign of a zero, which
-            # abs drops, this is einsum("dr,frn->fdn") bit for bit.  With
-            # the directions last, the max over the n coordinates runs
-            # over rows of D values, not over D * F rows of n values
+            # abs drops, this is einsum("dr,frn->fdn") bit for bit
             W = (factors[:, None] * _field_stack(vfs, P)).transpose(0, 2, 1)  # (F, n, r)
             V = W[..., 0, None] * self.dirs[:, 0]
             for j in range(1, W.shape[2]):
                 V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
-            rates = (np.abs(V) / self.res[:, None]).max(axis=1) * self.speed_scale  # (F, D)
-            remaining = (1.0 - C)[:, None]
-            f_idx, d_idx = np.nonzero((rates > 1e-14) & (remaining > 1e-12))
-            tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
-            vel = _control_velocity(vfs, self.dirs[d_idx] * factors)
-            Y = P[f_idx]
+            rates = _columns(np.maximum, lambda v, r: np.abs(v) / r, V, self.res) * self.speed_scale  # (F, D)
+            remaining = 1.0 - C
+            live = np.flatnonzero((rates > 1e-14) & (remaining[:, None] > 1e-12))
+            f_idx, d_idx = np.divmod(live, rates.shape[1])
+            tau = np.minimum(1.0 / np.take(rates, live), remaining[f_idx])
+            vel = _control_velocity(vfs, np.take(weights, d_idx, axis=0))
+            Y = np.take(P, f_idx, axis=0)
             # full width, so the RK4 products need no broadcast
             dt = np.repeat((tau * self.speed_scale / 2.0)[:, None], Y.shape[1], axis=1)
             ok = np.ones(len(Y), dtype=bool)
             for _ in range(2):
                 Y = _rk4_step(vel, Y, dt)
-                ok &= np.all(np.abs(Y - c) <= edge, axis=1)
+                ok &= _columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
                 if halfspace:
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
             costs = C[f_idx] + tau
@@ -390,7 +417,7 @@ class ReachGraph:
             if target is not None and ok.any():
                 hits = costs[ok & (np.linalg.norm(Y - target, axis=1) <= tol)]
             m = np.flatnonzero(ok)
-            return Y[m], costs[m], tau[m], hits
+            return np.take(Y, m, axis=0), costs[m], tau[m], hits
 
         x0 = self.x0[None]
         cell_keys = self._keys(self._index(x0, 1.0), self._cells)
@@ -416,10 +443,10 @@ class ReachGraph:
                 cell_keys, cell_cost, cell_pts, expand = _settle_cells(
                     cell_keys, cell_cost, cell_pts, keys, costs, tau, Y
                 )
-                Y, costs = Y[expand], costs[expand]
+                Y, costs = np.take(Y, expand, axis=0), costs[expand]
                 keys = self._keys(self._index(Y, 2.0), self._halves)
                 half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
-                P, C = Y[nxt], costs[nxt]
+                P, C = np.take(Y, nxt, axis=0), costs[nxt]
 
                 if len(cell_keys) > MAX_CELLS:
                     raise RuntimeError(
@@ -450,7 +477,7 @@ class ReachGraph:
     def _settled_at(self, idx: np.ndarray) -> np.ndarray:
         """Whether each cell index (float, any value) is a settled cell."""
         lo, shape = self._cells
-        inside = np.all((idx >= lo) & (idx < lo + shape), axis=1)
+        inside = _columns(np.logical_and, lambda i, a, b: (i >= a) & (i < b), idx, lo, lo + shape)
         out = np.zeros(len(idx), dtype=bool)
         out[inside] = _lookup(self.settled, self.settled_cost, self._keys(idx[inside], self._cells))[1]
         return out
@@ -473,7 +500,9 @@ def _group(keys: np.ndarray):
     starts = np.flatnonzero(new)
     group = np.empty(len(sk), dtype=np.intp)
     group[order] = np.cumsum(new) - 1
-    counts = np.diff(starts, append=len(sk))
+    counts = np.empty_like(starts)
+    counts[:-1] = starts[1:] - starts[:-1]
+    counts[-1:] = len(sk) - starts[-1:]
     by_count = starts[np.argsort(-counts)]
     more = len(starts) - np.cumsum(np.bincount(counts))  # groups with more than r arrivals
     ranks = [order[by_count[: more[r]] + r] for r in range(len(more) - 1)]
@@ -499,12 +528,11 @@ def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep
 def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
     """Positions of keys in a sorted store, their presence, and stored costs (inf if absent)."""
     pos = np.searchsorted(store_keys, keys)
-    found = np.zeros(len(keys), dtype=bool)
-    inb = pos < len(store_keys)
-    found[inb] = store_keys[pos[inb]] == keys[inb]
-    best = np.full(len(keys), math.inf)
-    best[found] = store_cost[pos[found]]
-    return pos, found, best
+    if not len(store_keys):
+        return pos, np.zeros(len(keys), dtype=bool), np.full(len(keys), math.inf)
+    at = np.minimum(pos, len(store_keys) - 1)  # a key past the last stored one is absent
+    found = store_keys[at] == keys
+    return pos, found, np.where(found, store_cost[at], math.inf)
 
 
 def _relax(costs: np.ndarray, group: np.ndarray, ranks, best: np.ndarray):
@@ -546,7 +574,7 @@ def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
     seen, improved, last = _relax(costs, group, ranks, best)
     expand = s[improved | ~(costs > seen + tau + 1e-12)]
     cell_keys, (cell_cost, cell_pts) = _merge(
-        cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, pts[s[last]])
+        cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, np.take(pts, s[last], axis=0))
     )
     return cell_keys, cell_cost, cell_pts, expand
 
@@ -638,16 +666,14 @@ def oracle_distance(
     when no scale up to DELTA_MAX reaches y.  Each (delta, speed scale)
     pair is searched at most once per query: after a failed doubling
     step the bisection's first midpoint is that step's scale, and its
-    answer is reused.  Non-finite endpoints and a per-axis resolution
-    raise ValueError before any search.
+    answer is reused.  Non-finite endpoints, endpoints outside the chart
+    (or below {x_n = 0} in intrinsic mode) and a per-axis resolution raise
+    ValueError before any search.
     """
     if np.ndim(resolution) != 0:
         raise ValueError(f"oracle_distance resolution must be one number, got {resolution!r}")
     _check_resolution(resolution, sys.n)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(f"distance endpoints must be finite, got x = {tuple(x.tolist())}, y = {tuple(y.tolist())}")
+    x, y = _check_endpoints(sys, x, y, mode)
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "oracle")
     arrival_tol = 0.75 * resolution
@@ -820,14 +846,12 @@ def cc_distance(
     which the optimizer failed, so it is heuristic, not a certificate;
     on regression scenarios the interval is cross-checked against
     oracle_distance.  No hit up to scale DELTA_MAX gives [0, inf].
-    Non-finite endpoints raise ValueError before any search.
+    Non-finite endpoints and endpoints outside the chart (or below
+    {x_n = 0} in intrinsic mode) raise ValueError before any search.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must be in (0, 0.5)")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError(f"distance endpoints must be finite, got x = {tuple(x.tolist())}, y = {tuple(y.tolist())}")
+    x, y = _check_endpoints(sys, x, y, mode)
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "shooting")
     d_eu = float(np.linalg.norm(y - x))

@@ -32,7 +32,7 @@ from .boundary import (
     deg_boundary,
     export_scenario,
 )
-from .ccmetric import BOUNDARY_TOL, ball_volume, cc_distance, oracle_distance, reach_graph, sample_ball
+from .ccmetric import _check_in_chart, ball_volume, cc_distance, oracle_distance, reach_graph, sample_ball
 from .flows import FlowExcursionError
 from .hormander import (
     Box,
@@ -663,8 +663,8 @@ def cmd_dist(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x", "y")
     intrinsic = args.mode == "intrinsic"
-    _check_in_chart(scn, args.x, halfspace=intrinsic)
-    _check_in_chart(scn, args.y, halfspace=intrinsic, point="target")
+    _check_in_chart(scn.box, args.x, halfspace=intrinsic)
+    _check_in_chart(scn.box, args.y, halfspace=intrinsic, point="target")
     sys_ = scn.system()
     x, y = tuple(args.x), tuple(args.y)
     est = cc_distance(sys_, x, y, mode=args.mode, tol=args.tol, K=args.K)
@@ -688,15 +688,6 @@ def _check_points(scn: Scenario, args, *options: str) -> None:
             raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
 
 
-def _check_in_chart(scn: Scenario, x, halfspace: bool, point: str = "base") -> None:
-    """Numeric error, as ReachGraph.run gives, unless the point is in the chart box
-    and, with `halfspace` on a chart with boundary, not below {x_n = 0}."""
-    x = np.asarray(x, dtype=float)
-    below = halfspace and scn.box.has_boundary and x[-1] < -BOUNDARY_TOL
-    if below or not scn.box.contains(x[None])[0]:
-        raise ValueError(f"{point} point is not in the chart")
-
-
 def _dist_params(args) -> dict:
     return {
         "mode": args.mode,
@@ -710,7 +701,7 @@ def _dist_params(args) -> dict:
 def cmd_ball(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x, halfspace=args.mode == "intrinsic")
+    _check_in_chart(scn.box, args.x, halfspace=args.mode == "intrinsic")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)
@@ -726,7 +717,7 @@ def cmd_ball(args) -> int:
 def cmd_volume(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x, halfspace=args.mode == "intrinsic")
+    _check_in_chart(scn.box, args.x, halfspace=args.mode == "intrinsic")
     sys_ = scn.system()
     seed = args.seed if args.seed is not None else scn.seed
     vol = ball_volume(sys_, tuple(args.x), args.delta, mode=args.mode, n_samples=args.samples, seed=seed)
@@ -750,7 +741,7 @@ def cmd_volume(args) -> int:
 def cmd_scale(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x, halfspace=True)
+    _check_in_chart(scn.box, args.x, halfspace=True)
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     x = tuple(args.x)
@@ -783,7 +774,7 @@ def cmd_scale(args) -> int:
 def cmd_boundary(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn, args.x, halfspace=False)
+    _check_in_chart(scn.box, args.x, halfspace=False)
     sys_ = scn.system()
     bsys = build_boundary_system(sys_, tuple(args.x), scn.order, probe_radius=args.radius)
     rows = [

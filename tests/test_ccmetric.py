@@ -37,6 +37,14 @@ def grushin_interior():
     )
 
 
+def heat_half_plane():
+    # mixed degrees, like the heat fixture: d/dx of degree 1, d/dt of degree 2
+    return WeightedSystem(
+        fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, 1", 2), 2)),
+        box=Box((1.0, 1.0), has_boundary=True),
+    )
+
+
 def heisenberg_half():
     # coordinates (y, t, x); boundary {x = 0}; W1 = d/dx - (y/2) d/dt
     return WeightedSystem(
@@ -468,6 +476,8 @@ REFERENCE_CASES = [
     (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", (0.05, 0.04, 0.05), 1.0),
     (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05, 1.05),
     (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03), 1.0),
+    # unequal degrees, so the per-direction weights dirs * factors differ by axis
+    (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01), 1.0),
 ]
 
 
@@ -613,6 +623,50 @@ def test_settle_matches_sequential_replay(rnd):
     assert nxt.tolist() == list(frontier.values())
 
 
+# -- the oracle's numpy idioms against the forms they replaced --------------
+
+_SPECIAL = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -0.5, 1.0 + 1e-9, -1.0 - 1e-9, 2.0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_column_folds_match_numpy_reductions_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    Y = rng.choice(_SPECIAL, size=(600, n))
+    c, edge = rng.choice([0.0, -0.0, 0.5], n), np.full(n, 1.0 + 1e-9)
+    box = ccmetric._columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
+    assert np.array_equal(box, np.all(np.abs(Y - c) <= edge, axis=1))
+    assert box.any() and not box.all()
+    dev = np.abs(Y - c)  # the guard test of integrate_controls
+    assert np.array_equal(ccmetric._columns(np.logical_and, np.less_equal, dev, edge), np.all(dev <= edge, axis=1))
+    # the move rates: (F, n, D) over the n coordinates, signed zeros and nans as they come
+    V, res = rng.choice(_SPECIAL, size=(80, n, 16)), rng.choice([0.02, 0.5, 3.0], n)
+    rates = ccmetric._columns(np.maximum, lambda v, r: np.abs(v) / r, V, res)
+    assert rates.tobytes() == (np.abs(V) / res[:, None]).max(axis=1).tobytes()
+    assert ccmetric._columns(np.maximum, lambda v: v, V).tobytes() == V.max(axis=1).tobytes()
+
+
+def _masked_lookup(store_keys, store_cost, keys):
+    """_lookup as it was: gathers at the in-range positions and the found keys only."""
+    pos = np.searchsorted(store_keys, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    inb = pos < len(store_keys)
+    found[inb] = store_keys[pos[inb]] == keys[inb]
+    best = np.full(len(keys), math.inf)
+    best[found] = store_cost[pos[found]]
+    return pos, found, best
+
+
+@pytest.mark.parametrize("store", [[], [3], [1, 4, 9], [-2, 0, 5, 7]])
+def test_lookup_matches_the_masked_form_bit_for_bit(store):
+    store_keys = np.array(store, dtype=np.int64)
+    store_cost = np.array([-0.0, math.nan, math.inf, 0.25][: len(store)])
+    # keys before, between, on and past the stored ones, and no keys
+    keys = np.array([-5, -2, 0, 1, 3, 4, 5, 7, 9, 10, 12], dtype=np.int64)
+    for k in (keys, keys[:0]):
+        for got, ref in zip(ccmetric._lookup(store_keys, store_cost, k), _masked_lookup(store_keys, store_cost, k)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_reach_graph_cell_budget_error_carries_context(monkeypatch):
     monkeypatch.setattr(ccmetric, "MAX_CELLS", 50)
     sys = elliptic_half_plane()
@@ -629,6 +683,29 @@ def test_distance_estimators_reject_non_finite_points(estimator, x, y):
     # searched every scale and gave [0, inf]
     with pytest.raises(ValueError, match="endpoints must be finite"):
         estimator(elliptic_half_plane(), x, y)
+
+
+@pytest.mark.parametrize("estimator", [cc_distance, oracle_distance])
+@pytest.mark.parametrize(
+    "x, y, mode, point",
+    [
+        ((0.0, -0.5), (0.1, 0.5), "intrinsic", "base"),  # below {x_n = 0}
+        ((0.0, -0.5), (0.0, -0.5), "intrinsic", "base"),
+        ((3.0, 0.5), (0.1, 0.5), "extrinsic", "base"),  # outside the box
+        ((0.0, 0.5), (1e6, 0.5), "intrinsic", "target"),
+        ((0.0, 0.5), (0.1, -0.5), "intrinsic", "target"),
+        ((0.0, 0.5), (0.0, 2.5), "extrinsic", "target"),
+    ],
+)
+def test_distance_estimators_reject_points_outside_the_chart(estimator, x, y, mode, point, monkeypatch):
+    # shooting gave [0, inf] for a base point below the boundary; the oracle
+    # searched every scale up to DELTA_MAX for a target far outside the box
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ccmetric, "_scale_search", search)
+    with pytest.raises(ValueError, match=f"^{point} point is not in the chart$"):
+        estimator(elliptic_half_plane(), x, y, mode)
 
 
 def test_oracle_rejects_a_per_axis_resolution():
