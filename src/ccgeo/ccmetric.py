@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import GUARD_FACTOR, _control_velocity, _field_stack, _rk4_step
+from .flows import GUARD_FACTOR, _control_step, _field_stack
 from .hormander import WeightedSystem
 
 __all__ = [
@@ -144,12 +144,14 @@ def integrate_controls(
 ):
     """Batched endpoint map for piecewise-constant controls.
 
-    coeffs has shape (S, K, r); returns endpoints (S, n), per-path
+    coeffs has shape (S, K, r), S >= 0; returns endpoints (S, n), per-path
     feasibility and the boundary violation depth (zero unless intrinsic
-    on a chart with boundary).  A row whose step would take it out of
-    the guarded box is marked infeasible and stays frozen at its last
-    point inside the guard for the rest of the path, rather than
-    aborting the batch.  Rows are
+    on a chart with boundary).  Each segment makes steps_per_segment >= 1
+    RK4 steps of one compiled step (`flows._control_step`), which takes
+    the velocity columns that read no coordinate once per segment.  A row
+    whose step would take it out of the guarded box is marked infeasible
+    and stays frozen at its last point inside the guard for the rest of
+    the path, rather than aborting the batch.  Rows are
     independent: `dt` is a scalar, RK4 is elementwise and every guard is
     per row, so a row gives the same bits in any batch, which lets
     shooting stack several batches into one call.  While no row is
@@ -163,10 +165,13 @@ def integrate_controls(
     S, K, r = coeffs.shape
     if K < 1:
         raise ValueError(f"controls need at least one segment, got K = {K}")
+    if steps_per_segment < 1:
+        raise ValueError(f"a segment needs at least one RK4 step, got steps_per_segment = {steps_per_segment}")
     if r != sys.r:
         raise ValueError("control arity does not match the system")
     n = sys.n
-    y = np.tile(np.asarray(x, dtype=float), (S, 1))
+    x = np.asarray(x, dtype=float)
+    y = np.tile(x, (S, 1))
     factors = np.array([delta**d for d in sys.degrees])
     vfs = sys.vfields()
     box = sys.box
@@ -177,15 +182,15 @@ def integrate_controls(
     alive = np.ones(S, dtype=bool)
     inside = np.ones(S, dtype=bool)
     halfspace = mode == "intrinsic" and box.has_boundary
-    min_xn = np.full(S, y[0, n - 1])
+    min_xn = np.full(S, x[n - 1])
     dt = (1.0 / K) / steps_per_segment
     frozen = False  # whether some row has left the guard box
 
     with np.errstate(all="ignore"):
         for k in range(K):
-            vel = _control_velocity(vfs, coeffs[:, k, :] * factors)
+            step = _control_step(vfs, coeffs[:, k, :] * factors, dt)
             for _ in range(steps_per_segment):
-                ynew = _rk4_step(vel, y, dt)
+                ynew = step(y)
                 dev = np.abs(ynew - c)
                 # with every row inside the box (so inside the guard) no flag changes
                 if frozen or not (dev <= edge).all():
@@ -300,8 +305,10 @@ class ReachGraph:
     ones in half-cells, with the same costs, points and frontier, bit for
     bit, as a loop over the arrivals in order.  Best costs only fall
     within a round, so an arrival that its key's stored best cost already
-    rules out can change nothing: `_sift` drops it before the rest are
-    grouped by key and relaxed in one numpy batch per arrival rank.
+    rules out can change nothing: `_sift` sorts the round's keys once,
+    looks each one up once and drops such arrivals; `_relax` takes the
+    rest as a running minimum per key, replaying exactly only the keys
+    with an arrival inside a 1e-12 tie window.
 
     A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
     rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
@@ -312,7 +319,8 @@ class ReachGraph:
     bit.  The round keeps off numpy's slow paths for rows of n = 2 or 3
     coordinates, with the same bits: it gathers rows with np.take and
     takes the move rates' max and the box test one coordinate column at
-    a time (`_columns`).
+    a time (`_columns`).  Its moves step with the compiled RK4 step
+    (`flows._control_step`), one time step per row.
     """
 
     def __init__(
@@ -401,13 +409,11 @@ class ReachGraph:
             live = np.flatnonzero((rates > 1e-14) & (remaining[:, None] > 1e-12))
             f_idx, d_idx = np.divmod(live, rates.shape[1])
             tau = np.minimum(1.0 / np.take(rates, live), remaining[f_idx])
-            vel = _control_velocity(vfs, np.take(weights, d_idx, axis=0))
+            step = _control_step(vfs, np.take(weights, d_idx, axis=0), tau * self.speed_scale / 2.0)
             Y = np.take(P, f_idx, axis=0)
-            # full width, so the RK4 products need no broadcast
-            dt = np.repeat((tau * self.speed_scale / 2.0)[:, None], Y.shape[1], axis=1)
             ok = np.ones(len(Y), dtype=bool)
             for _ in range(2):
-                Y = _rk4_step(vel, Y, dt)
+                Y = step(Y)
                 ok &= _columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
                 if halfspace:
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
@@ -483,46 +489,51 @@ class ReachGraph:
         return out
 
 
-def _group(keys: np.ndarray):
-    """Group arrivals by key, keeping arrival order within each group.
-
-    Returns each group's first arrival, in sorted key order; each
-    arrival's group index; and the arrivals split by rank: batch r holds
-    the r-th arrival of every group that has more than r, in no set
-    order.  With the groups ordered by size once, batch r is the r-th
-    arrival of a prefix of them.
-    """
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    new = np.empty(len(sk), dtype=bool)
+def _runs(v: np.ndarray) -> np.ndarray:
+    """Flags of the first entry of each run of equal values in v."""
+    new = np.empty(len(v), dtype=bool)
     new[:1] = True
-    np.not_equal(sk[1:], sk[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    group = np.empty(len(sk), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    counts = np.empty_like(starts)
-    counts[:-1] = starts[1:] - starts[:-1]
-    counts[-1:] = len(sk) - starts[-1:]
-    by_count = starts[np.argsort(-counts)]
-    more = len(starts) - np.cumsum(np.bincount(counts))  # groups with more than r arrivals
-    ranks = [order[by_count[: more[r]] + r] for r in range(len(more) - 1)]
-    return order[starts], group, ranks
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return new
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of int64 keys.  Where it fits in int64,
+    one unstable sort of (key - lo) * 2^b + index, for lo <= every key and
+    2^b > len(keys): that value is unique per arrival, so its order is the
+    stable one, and numpy sorts plain int64 values much faster."""
+    b = len(keys).bit_length()
+    lo = keys.min(initial=0)
+    if int(keys.max(initial=0)) - int(lo) >= 1 << (63 - b):
+        return np.argsort(keys, kind="stable")
+    c = (keys - lo) << b
+    c |= np.arange(len(keys))
+    c.sort()
+    return c & ((1 << b) - 1)
 
 
 def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep):
-    """Drop the arrivals their key's stored best cost rules out, then group the rest.
+    """Group a round's arrivals by key and drop those their key's stored best cost rules out.
 
-    `keep(stored)` flags the arrivals that may still act given their
-    key's stored cost (inf if absent).  Returns the kept arrivals'
-    indices s; their groups and rank batches (see `_group`); and per
-    group its first kept arrival (an index into s), key, store position,
-    presence and stored cost (see `_lookup`).
+    The keys are sorted once, stably, so each group keeps its arrivals in
+    arrival order, and each distinct key is looked up once, in key order
+    (see `_lookup`).  `keep(order, stored)` flags, of the arrivals taken in
+    the sorted order `order`, those that may still act given their key's
+    stored cost (inf if absent).  Returns the kept arrivals' indices s,
+    grouped in key order; each one's group; each group's start in s; and
+    per group its key, store position, presence and stored cost.
     """
-    pos, found, stored = _lookup(store_keys, store_cost, keys)
-    s = np.flatnonzero(keep(stored))
-    first, group, ranks = _group(keys[s])
-    f = s[first]
-    return s, group, ranks, first, (keys[f], pos[f], found[f], stored[f])
+    order = _stable_order(keys)
+    sorted_keys = keys[order]
+    new = _runs(sorted_keys)
+    group = np.cumsum(new) - 1
+    distinct = sorted_keys[new]
+    pos, found, stored = _lookup(store_keys, store_cost, distinct)
+    kept = np.flatnonzero(keep(order, stored[group]))
+    new = _runs(group[kept])
+    starts = np.flatnonzero(new)
+    g = group[kept[starts]]
+    return order[kept], np.cumsum(new) - 1, starts, (distinct[g], pos[g], found[g], stored[g])
 
 
 def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
@@ -535,26 +546,56 @@ def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
     return pos, found, np.where(found, store_cost[at], math.inf)
 
 
-def _relax(costs: np.ndarray, group: np.ndarray, ranks, best: np.ndarray):
+def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.ndarray):
     """Replay `if c < best - 1e-12: best = c` over arrivals in order, per group.
 
-    Each rank batch holds at most one arrival per group, so one vectorized
-    step per rank sees exactly the best cost the group's earlier arrivals
-    left, as the sequential loop would.  `best` is updated in place.
-    Returns each arrival's best-before and improved flag, and per group the
-    last improving arrival (-1 for none).
+    The arrivals come grouped: group[i] is arrival i's, starts the first
+    arrival of each, in arrival order within a group.  best holds each
+    group's stored cost and is updated in place.  Returns each arrival's
+    best-before and improved flag, and per group the last improving
+    arrival (-1 for none).
+
+    Let m be the least of a group's stored cost and its earlier arrivals'
+    costs.  An arrival below m - 1e-12 becomes the best and one at or
+    above m leaves it, so until an arrival lands in the tie window
+    [m - 1e-12, m), or is nan, the best is m: a running minimum, taken
+    for every group at once by doubling, in log2 of the longest group
+    passes.  Such an arrival misleads only the later ones of its group,
+    so only the groups with one before their last arrival are replayed
+    exactly, one rank at a time.
     """
-    seen = np.empty(len(costs))
-    improved = np.empty(len(costs), dtype=bool)
-    last = np.full(len(best), -1, dtype=np.intp)
-    for e in ranks:
-        g, c = group[e], costs[e]
-        b = best[g]
-        up = c < b - 1e-12
-        seen[e], improved[e] = b, up
-        gu = g[up]
-        best[gu] = c[up]
-        last[gu] = e[up]
+    N = len(costs)
+    seen = np.empty(N)  # the least cost before each arrival: shifted by one, then a running min
+    seen[1:] = costs[:-1]
+    seen[starts] = best
+    counts = np.bincount(group, minlength=len(starts))
+    d, longest = 1, counts.max(initial=0)
+    while d < longest:
+        np.copyto(seen[d:], np.minimum(seen[d:], seen[:-d]), where=group[d:] == group[:-d])
+        d *= 2
+    improved = costs < seen - 1e-12
+    tie = ~(improved | (costs >= seen))
+    tie[starts - 1] = False  # the last arrival of each group (starts[0] - 1 is the very last)
+    tied = np.zeros(len(starts), dtype=bool)
+    tied[group[tie]] = True
+    replay = np.flatnonzero(tied[group])  # their arrivals, group by group
+    tied = np.flatnonzero(tied)
+    stored = best[tied].tolist()
+    last = np.maximum.reduceat(np.where(improved, np.arange(N), -1), starts) if N else np.empty(0, dtype=np.intp)
+    np.copyto(best, costs[last], where=last >= 0)
+    if len(tied):  # in plain floats, which compare and subtract as float64 does
+        cs, at = costs[replay].tolist(), [-1] * len(tied)
+        was, up, i = cs[:], [False] * len(cs), 0
+        for k, n in enumerate(counts[tied].tolist()):
+            b = stored[k]
+            for i in range(i, i + n):
+                was[i] = b
+                if cs[i] < b - 1e-12:
+                    b, up[i], at[k] = cs[i], True, i
+            stored[k], i = b, i + 1
+        seen[replay], improved[replay], best[tied] = was, up, stored
+        at = np.array(at, dtype=np.intp)
+        last[tied] = np.where(at >= 0, replay[at], -1)
     return seen, improved, last
 
 
@@ -567,16 +608,17 @@ def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
     (plus 1e-12) does not expand.  Returns the updated sorted store and
     the indices of the expanding arrivals, in order.
     """
-    s, group, ranks, _, (keys, pos, found, best) = _sift(
-        cell_keys, cell_cost, keys, lambda b: ~(costs > b + tau + 1e-12)
+    s, group, starts, (cells, pos, found, best) = _sift(
+        cell_keys, cell_cost, keys, lambda o, b: ~(costs[o] > b + tau[o] + 1e-12)
     )
-    costs, tau = costs[s], tau[s]
-    seen, improved, last = _relax(costs, group, ranks, best)
-    expand = s[improved | ~(costs > seen + tau + 1e-12)]
+    c, t = costs[s], tau[s]
+    seen, improved, last = _relax(c, group, starts, best)
+    expand = np.zeros(len(keys), dtype=bool)
+    expand[s[improved | ~(c > seen + t + 1e-12)]] = True
     cell_keys, (cell_cost, cell_pts) = _merge(
-        cell_keys, (cell_cost, cell_pts), keys, pos, found, last >= 0, (best, np.take(pts, s[last], axis=0))
+        cell_keys, (cell_cost, cell_pts), cells, pos, found, last >= 0, (best, np.take(pts, s[last], axis=0))
     )
-    return cell_keys, cell_cost, cell_pts, expand
+    return cell_keys, cell_cost, cell_pts, np.flatnonzero(expand)
 
 
 def _settle_halves(half_keys, half_cost, keys, costs):
@@ -588,12 +630,10 @@ def _settle_halves(half_keys, half_cost, keys, costs):
     accepted half-cell its last accepted arrival, in the order of first
     acceptance.  After the sift every group's first arrival is accepted.
     """
-    s, group, ranks, first, (keys, pos, found, best) = _sift(
-        half_keys, half_cost, keys, lambda b: costs < b - 1e-12
-    )
-    _, _, last = _relax(costs[s], group, ranks, best)
-    half_keys, (half_cost,) = _merge(half_keys, (half_cost,), keys, pos, found, last >= 0, (best,))
-    return half_keys, half_cost, s[last[np.argsort(first)]]
+    s, group, starts, (halves, pos, found, best) = _sift(half_keys, half_cost, keys, lambda o, b: costs[o] < b - 1e-12)
+    _, _, last = _relax(costs[s], group, starts, best)
+    half_keys, (half_cost,) = _merge(half_keys, (half_cost,), halves, pos, found, last >= 0, (best,))
+    return half_keys, half_cost, s[last[np.argsort(s[starts])]]
 
 
 def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple):

@@ -4,12 +4,15 @@ All integration is fixed-step RK4 so that repeated runs produce
 byte-identical output; the error budget of the toolkit is dominated by
 sampling, not by the integrator.  Trajectories that leave the guarded
 chart (the domain box inflated by 25%) abort with FlowExcursionError.
-The step `_rk4_step` and the control velocity `_control_velocity` are
-shared with the control integrator and the grid oracle in `ccmetric`,
-each of which keeps its own guard.  The velocity is one compiled kernel
-per field tuple (the weighted form of `symexpr._compile`), so an RK4
-stage makes one call, not one per field plus a stack and a contraction;
-the field stack `_field_stack` serves only the oracle's move rates.
+`rk4_flow` and the scaling maps step with `_rk4_step` over a velocity
+such as `_control_velocity`, one compiled kernel per field tuple (the
+weighted form of `symexpr._compile`), so an RK4 stage makes one call,
+not one per field plus a stack and a contraction.  The control
+integrator and the grid oracle in `ccmetric` step with `_control_step`,
+the same arithmetic compiled into one step per field tuple (the step
+form), which computes the velocity columns that read no coordinate once
+per control rather than at every stage; each caller keeps its own guard.
+The field stack `_field_stack` serves only the oracle's move rates.
 """
 from __future__ import annotations
 
@@ -74,10 +77,11 @@ def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _velocity_kernel(vfs: tuple[VField, ...], texts: tuple[str, ...]):
-    """The fused velocity kernel (P, A) of a field tuple, compiled once per tuple; keyed also
-    on the fields as printed, which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
-    return symexpr._compile(tuple(vf.components for vf in vfs), weighted=True)
+def _fused(vfs: tuple[VField, ...], texts: tuple[str, ...], form: str):
+    """The fused velocity kernel (P, A) or RK4 step factory (A, dt) of a field tuple, compiled
+    once per tuple and form; keyed also on the fields as printed, which, unlike VField
+    equality, tell Const(0.0) from Const(-0.0)."""
+    return symexpr._compile(tuple(vf.components for vf in vfs), form)
 
 
 def _control_velocity(vfs, a: np.ndarray):
@@ -85,8 +89,19 @@ def _control_velocity(vfs, a: np.ndarray):
 
     The kernel ignores no floating-point error itself: call it under
     np.errstate(all="ignore"), as the integrators do once per call."""
-    kernel = _velocity_kernel(tuple(vfs), tuple([vf._text for vf in vfs]))
+    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "weighted")
     return lambda pts: kernel(pts, a)
+
+
+def _control_step(vfs, a: np.ndarray, dt):
+    """The RK4 step Y -> Y' of y' = sum_j a[:, j] W_j(y) over dt, a scalar or one per row (B,).
+
+    Bit for bit _rk4_step(_control_velocity(vfs, a), Y, dt) (dt[:, None]
+    for one per row) but for the sign of a nan, which numpy does not fix,
+    with every velocity column that reads no coordinate computed here,
+    once, rather than at each stage of each step.  Call the step, as this,
+    under np.errstate(all="ignore")."""
+    return _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "step")(a, dt)
 
 
 def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:

@@ -200,29 +200,41 @@ def func(name: str, arg: Expr) -> Expr:
 # -- evaluation ---------------------------------------------------------
 
 
-def _compile(exprs, weighted=False):
+def _compile(exprs, form="point"):
     """Generate one numpy kernel P (..., n) -> out (..., len(exprs)).
 
-    With weighted=True, exprs holds the component tuples of r fields W_j,
-    and the kernel (P, A) returns the velocity
+    With form="weighted", exprs holds the component tuples of r fields
+    W_j, and the kernel (P, A) returns the velocity
     out[..., k] = sum_j A[..., j] * W_jk(P) for weights A (..., r).  A
     term whose component is the constant 0 is skipped, the constant 1
     contributes A[..., j] itself, and the sum runs left to right in j
     from +0.0, each term the left operand, as einsum("br,brn->bn") adds:
     for finite A and n >= 2 the two agree bit for bit.
 
+    With form="step" the same velocity drives one classical RK4 step:
+    make(A, dt) returns step(Y) for rows Y (B, n), weights A (B, r) and a
+    time step dt, a scalar or one per row (B,).  step(Y) gives the bits of
+    flows._rk4_step over the weighted kernel (a nan's sign aside: which of
+    two nan operands numpy returns depends on the array's length), column
+    by column in the same expressions.  A column that reads no coordinate has k1 = k2 = k3 = k4,
+    so make computes it, its stage offsets h·v and dt·v and its increment
+    once; the four stages evaluate only the columns that read the point.
+    Stage points are written into one (B, n) array, so every coordinate
+    column that the expressions read is laid out as in the weighted kernel.
+
     Each distinct subtree (signed zeros kept apart), across all the
     expressions, is one local, computed once in float64: constants are
     bound as np.float64, so constant-only subtrees follow numpy too, and
     domain errors give inf/nan.  The plain kernel ignores numpy's
-    floating-point errors itself; the weighted one runs inside RK4 loops
-    and leaves that to its caller, which enters np.errstate once per
-    integration rather than once per stage.
+    floating-point errors itself; the weighted and step forms run inside
+    RK4 loops and leave that to their caller, which enters np.errstate
+    once per integration rather than once per stage.
 
     A process compiles each kernel once: a kernel is reused for any
     expressions that generate the same source and bind constants of the
     same repr, so Const(0.0) and Const(-0.0) never share one."""
     env, lines, names, consts = {"np": np, **_NP_FUNCS}, [], {}, []
+    varying = set()  # the locals that read the point
 
     def emit(e):  # -> local name
         code = None
@@ -247,28 +259,37 @@ def _compile(exprs, weighted=False):
                 env[name] = np.float64(e.value)
                 consts.append(repr(e.value))
             else:
-                lines.append(f"{name} = {code}")
+                if isinstance(e, Var) or varying.intersection(key[1:]):
+                    varying.add(name)
+                lines.append((name, code))
         return names[key]
 
-    if not weighted:
-        for k, e in enumerate(exprs):
-            lines.append(f"out[..., {k}] = {emit(e)}")
-        head, width = "P", len(exprs)
-        guard, pad = '    with np.errstate(all="ignore"):\n', " " * 8
+    def velocity(comps):  # -> the code of sum_j a_j * comps[j], and whether it reads the point
+        used = [(j, None if _is_const(e, 1.0) else emit(e)) for j, e in enumerate(comps) if not _is_const(e, 0.0)]
+        terms = [f"a{j}" if t is None else f"a{j} * {t}" for j, t in used]
+        acc = terms[0] if terms else "0.0"
+        for term in terms[1:]:
+            acc = f"{term} + ({acc})"
+        return acc, any(t in varying for _, t in used)
+
+    if form == "step":
+        src = _step_source(len(exprs), [velocity(comps) for comps in zip(*exprs)], lines, varying)
     else:
-        lines += [f"a{j} = A[..., {j}]" for j in range(len(exprs))]
-        for k, comps in enumerate(zip(*exprs)):
-            terms = [f"a{j}" if _is_const(e, 1.0) else f"a{j} * {emit(e)}"
-                     for j, e in enumerate(comps) if not _is_const(e, 0.0)]
-            acc = terms[0] if terms else "0.0"
-            for term in terms[1:]:
-                acc = f"{term} + ({acc})"
-            lines.append(f"out[..., {k}] = {acc}")
-        lines.append("out += 0.0")  # einsum's +0.0 start: a sum of -0.0 terms is +0.0
-        head, width = "P, A", len(exprs[0])
-        guard, pad = "", " " * 4
-    src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
-           + guard + "".join(f"{pad}{line}\n" for line in lines) + "    return out")
+        if form == "point":
+            for k, e in enumerate(exprs):
+                lines.append((f"out[..., {k}]", emit(e)))
+            head, width, tail = "P", len(exprs), []
+            guard, pad = '    with np.errstate(all="ignore"):\n', " " * 8
+        else:
+            lines += [(f"a{j}", f"A[..., {j}]") for j in range(len(exprs))]
+            for k, comps in enumerate(zip(*exprs)):
+                lines.append((f"out[..., {k}]", velocity(comps)[0]))
+            head, width = "P, A", len(exprs[0])
+            tail = ["out += 0.0"]  # einsum's +0.0 start: a sum of -0.0 terms is +0.0
+            guard, pad = "", " " * 4
+        body = [f"{target} = {code}" for target, code in lines] + tail
+        src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
+               + guard + "".join(f"{pad}{line}\n" for line in body) + "    return out")
     key = (src, tuple(consts))
     kernel = _KERNELS.get(key)
     if kernel is None:
@@ -277,6 +298,51 @@ def _compile(exprs, weighted=False):
         if len(_KERNELS) > _KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]  # the oldest
     return kernel
+
+
+def _step_source(r: int, cols, lines, varying) -> str:
+    """Source of the RK4 step factory make(A, dt) -> step(Y) of r fields.
+
+    cols holds per velocity column its weighted sum (code) and whether it
+    reads the point; lines the value-numbered locals (name, code) and
+    varying the names of those that read it.  The stage arithmetic is
+    flows._rk4_step's: h = 0.5 * dt, the stage points y + h·k1, y + h·k2
+    and y + dt·k3, and y + (dt / 6.0)·(k1 + 2.0·k2 + 2.0·k3 + k4).
+    """
+    fixed = [k for k, (_, reads) in enumerate(cols) if not reads]
+    moving = [k for k, (_, reads) in enumerate(cols) if reads]
+    coords = sorted(int(name[1:]) - 1 for name, _ in lines if name.startswith("x"))  # the columns read
+    make = [f"a{j} = A[..., {j}]" for j in range(r)]
+    make += [f"{name} = {code}" for name, code in lines if name not in varying]
+    make += ["h = 0.5 * dt", "w = dt / 6.0"]
+    for k in fixed:
+        make.append(f"v{k} = ({cols[k][0]}) + 0.0")
+        if k in coords:
+            make += [f"hv{k} = h * v{k}", f"dv{k} = dt * v{k}"]
+        make.append(f"i{k} = w * (v{k} + 2.0 * v{k} + 2.0 * v{k} + v{k})")
+    step = [f"y{k} = Y[..., {k}]" for k in range(len(cols))]
+    if moving:
+        make.append(f"def vel({', '.join(f'x{c + 1}' for c in coords)}):")
+        make += [f"    {name} = {code}" for name, code in lines if name in varying and not name.startswith("x")]
+        make.append("    return " + "".join(f"({cols[k][0]}) + 0.0, " for k in moving))
+
+        def stage(s, offset):  # stage s at the point y + offset(c) in the read columns
+            return [f"np.add(y{c}, {offset(c)}, out=P[..., {c}])" for c in coords if offset(c)] + [
+                "".join(f"k{s}_{k}, " for k in moving) + f"= vel({', '.join(f'P[..., {c}]' for c in coords)})"]
+
+        step += ["P = np.empty(Y.shape)", "".join(f"k1_{k}, " for k in moving)
+                 + f"= vel({', '.join(f'y{c}' for c in coords)})"]
+        step += stage(2, lambda c: f"hv{c}" if c in fixed else f"h * k1_{c}")
+        if set(coords) & set(moving):
+            step += stage(3, lambda c: None if c in fixed else f"h * k2_{c}")  # fixed columns stay at y + hv
+        else:  # the stage-3 point is the stage-2 point in every column read
+            step += [f"k3_{k} = k2_{k}" for k in moving]
+        step += stage(4, lambda c: f"dv{c}" if c in fixed else f"dt * k3_{c}")
+    step.append("out = np.empty(Y.shape)")
+    step += [f"np.add(y{k}, i{k}, out=out[..., {k}])" for k in fixed]
+    step += [f"np.add(y{k}, w * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k}), out=out[..., {k}])" for k in moving]
+    make += ["def step(Y):"] + [f"    {line}" for line in step] + ["    return out", "return step"]
+    return "def kernel(A, dt):\n" + "".join(f"    {line}\n" for line in make)
 
 
 #: compiled kernels kept per process, keyed on source and constant reprs

@@ -220,6 +220,23 @@ def test_integrate_controls_row_that_leaves_the_guard_box_stays_frozen():
     assert feasible[1]
 
 
+@pytest.mark.parametrize("mode", ["intrinsic", "extrinsic"])
+def test_integrate_controls_takes_an_empty_batch(mode):
+    ends, feasible, depth = integrate_controls(elliptic_half_plane(), (0.0, 0.5), 0.3, np.empty((0, 4, 2)), mode)
+    assert ends.shape == (0, 2) and feasible.shape == depth.shape == (0,)
+    assert ends.dtype == depth.dtype == np.float64 and feasible.dtype == bool
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_integrate_controls_rejects_fewer_than_one_step_per_segment(steps, monkeypatch):
+    # -1 used to return x for every row, marked feasible, and 0 to divide by zero;
+    # both now fail before any step is built
+    monkeypatch.setattr(ccmetric, "_control_step", lambda *args: pytest.fail("a step was built"))
+    coeffs = np.full((3, 2, 2), 0.5)
+    with pytest.raises(ValueError, match="steps_per_segment"):
+        integrate_controls(elliptic_half_plane(), (0.0, 0.5), 0.3, coeffs, steps_per_segment=steps)
+
+
 def test_sample_ball_elliptic_radius_bound():
     sys = elliptic_half_plane()
     cloud = sample_ball(sys, (0.0, 0.5), 0.2, 400, K=4, seed=3)
@@ -571,17 +588,20 @@ def test_round_blocks_bound_the_oracle_memory(monkeypatch):
 
 # costs on a grid finer than the 1e-12 tie windows, around two base costs
 _tie_costs = st.builds(lambda b, k: b + k * 4e-13, st.sampled_from([0.25, 0.5]), st.integers(-5, 5))
+# costs spread far beyond the tie windows, so a round may have no tie at all
+_spread_costs = st.builds(lambda k: k / 64.0, st.integers(0, 64))
 
 
 @st.composite
 def _round(draw):
     """A sorted store over a few keys and a round of arrivals with many duplicate keys."""
     universe = draw(st.integers(1, 6))
+    cost = draw(st.sampled_from([_tie_costs, _spread_costs]))
     store_keys = np.array(sorted(draw(st.sets(st.integers(0, universe - 1)))), dtype=np.int64)
-    store_cost = np.array(draw(st.lists(_tie_costs, min_size=len(store_keys), max_size=len(store_keys))))
+    store_cost = np.array(draw(st.lists(cost, min_size=len(store_keys), max_size=len(store_keys))))
     N = draw(st.integers(0, 30))
     keys = np.array(draw(st.lists(st.integers(0, universe - 1), min_size=N, max_size=N)), dtype=np.int64)
-    costs = np.array(draw(st.lists(_tie_costs, min_size=N, max_size=N)))
+    costs = np.array(draw(st.lists(cost, min_size=N, max_size=N)))
     tau = np.array(draw(st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 0.1]), min_size=N, max_size=N)))
     return store_keys, store_cost, keys, costs, tau
 
@@ -621,6 +641,47 @@ def test_settle_matches_sequential_replay(rnd):
     assert got_keys.tolist() == sorted(qbest)
     assert got_cost.tolist() == [qbest[k] for k in sorted(qbest)]
     assert nxt.tolist() == list(frontier.values())
+
+
+# costs of every kind the rule meets: tie grids, spread costs, signed zeros, infinities, nan
+_any_costs = _tie_costs | _spread_costs | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_any_costs, st.lists(_any_costs, min_size=1, max_size=8)), max_size=6))
+def test_relax_matches_the_sequential_rule(groups):
+    # per group a stored cost and its arrivals in order; the best each arrival
+    # saw is compared by value (the sign of a zero aside), as the settle reads it
+    ref_seen, ref_up, ref_last, ref_best = [], [], [], []
+    for b, arrivals in groups:
+        at = -1
+        for c in arrivals:
+            ref_seen.append(b)
+            ref_up.append(c < b - 1e-12)
+            if ref_up[-1]:
+                b, at = c, len(ref_seen) - 1
+        ref_last.append(at)
+        ref_best.append(b)
+    counts = [len(arrivals) for _, arrivals in groups]
+    costs = np.array([c for _, arrivals in groups for c in arrivals], dtype=float)
+    group = np.repeat(np.arange(len(groups)), counts)
+    starts = np.cumsum([0] + counts)[:-1].astype(np.intp)
+    best = np.array([b for b, _ in groups], dtype=float)
+    seen, improved, last = ccmetric._relax(costs, group, starts, best)
+    assert np.array_equal(seen, np.array(ref_seen, dtype=float), equal_nan=True)
+    assert improved.tolist() == ref_up and last.tolist() == ref_last
+    assert best.tobytes() == np.array(ref_best, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("span", [10, 2**40, 2**62])
+def test_stable_order_is_the_stable_argsort(span):
+    # the widest span leaves no room for the index bits, so it takes the plain stable sort
+    rng = np.random.default_rng(span % 1000)
+    for n in (0, 1, 7, 3000):
+        keys = rng.integers(-span, span, size=n, dtype=np.int64)
+        if n:
+            keys[::3] = keys[0]  # duplicates, whose arrival order must be kept
+        assert np.array_equal(ccmetric._stable_order(keys), np.argsort(keys, kind="stable"))
 
 
 # -- the oracle's numpy idioms against the forms they replaced --------------

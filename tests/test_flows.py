@@ -249,37 +249,51 @@ def test_control_velocity_matches_einsum_bit_for_bit(vfs, n, B):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+# the two compiled forms of a field tuple, each as a map of the points, and
+# their references over the fields' own kernels at unit weight
+_FORMS = (
+    (lambda vfs, a: flows._control_velocity(vfs, a), lambda vf: vf.eval_many),
+    (
+        lambda vfs, a: flows._control_step(vfs, a, 0.125),
+        lambda vf: lambda pts: flows._rk4_step(vf.eval_many, pts, 0.125),
+    ),
+)
+
+
 def test_control_velocity_kernel_built_once_per_field_tuple(monkeypatch):
-    flows._velocity_kernel.cache_clear()
     calls = []
     real = symexpr._compile
-    monkeypatch.setattr(symexpr, "_compile", lambda exprs, **kw: calls.append(exprs) or real(exprs, **kw))
+    monkeypatch.setattr(symexpr, "_compile", lambda exprs, *args: calls.append(exprs) or real(exprs, *args))
     fields = ("1, x1*x2 - sin(x1*x2)", "x2, 0")
     a = tuple(parse_vfield(f, 2) for f in fields)
     b = [parse_vfield(f, 2) for f in fields]
     before = [(hash(vf), str(vf), repr(vf)) for vf in a]
     pts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
     coeffs = np.random.default_rng(4).uniform(-1, 1, size=(7, 2))
-    first = flows._control_velocity(a, coeffs)(pts)
-    assert np.array_equal(flows._control_velocity(b, coeffs)(pts), first)
-    assert np.array_equal(flows._control_velocity(a, coeffs[:1])(pts[:1]), first[:1])
-    assert len(calls) == 1
+    for compiled, _ in _FORMS:  # the velocity kernel and the step, one cache
+        flows._fused.cache_clear()
+        calls.clear()
+        first = compiled(a, coeffs)(pts)
+        assert np.array_equal(compiled(b, coeffs)(pts), first)
+        assert np.array_equal(compiled(a, coeffs[:1])(pts[:1]), first[:1])
+        assert len(calls) == 1
     assert [(hash(vf), str(vf), repr(vf)) for vf in a] == before
     assert all("_kernel" not in vars(vf) for vf in a)  # the per-field kernels are not built
 
 
 def test_control_velocity_keeps_signed_zero_field_tuples_apart():
     # 1 / (x1 * 0.0) and 1 / (x1 * -0.0) are +inf and -inf at x1 = 1; the
-    # first tuple's kernel must not serve the second
+    # first tuple's kernel must not serve the second, nor its step the second's
     from ccgeo.symexpr import Binary, Const, Var, VField
 
     def field(zero):
         return VField((Const(1.0), Binary("/", Const(1.0), Binary("*", Var(1), Const(zero)))))
 
     pts, a = np.array([[1.0, 0.0]]), np.ones((1, 1))
-    with np.errstate(all="ignore"):
-        for zero in (0.0, -0.0):
-            vf = field(zero)
-            got = flows._control_velocity((vf,), a)(pts)
-            assert got.view(np.int64).tolist() == vf.eval_many(pts).view(np.int64).tolist()
-        assert flows._control_velocity((field(-0.0),), a)(pts)[0, 1] == -np.inf
+    for compiled, reference in _FORMS:
+        with np.errstate(all="ignore"):
+            for zero in (0.0, -0.0):
+                vf = field(zero)
+                got = compiled((vf,), a)(pts)
+                assert got.view(np.int64).tolist() == reference(vf)(pts).view(np.int64).tolist()
+            assert compiled((field(-0.0),), a)(pts)[0, 1] == -np.inf

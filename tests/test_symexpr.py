@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgeo import symexpr
+from ccgeo import flows, symexpr
 from ccgeo.symexpr import (
     UNARY_FUNCS,
     Binary,
@@ -363,7 +363,46 @@ def test_weighted_kernel_matches_einsum_bit_for_bit(data):
     # the weighted kernel leaves numpy's error state to its caller, as the
     # integrators that call it hold np.errstate(all="ignore")
     with np.errstate(all="ignore"):
-        got = symexpr._compile(tuple(fields), weighted=True)(P, A)
+        got = symexpr._compile(tuple(fields), "weighted")(P, A)
         W = np.stack([_ref_vfield(VField(f), P) for f in fields], axis=1)
         want = np.einsum("br,brn->bn", A, W)
     _assert_bit_identical(got, want)
+
+
+# -- the compiled RK4 step against _rk4_step over the weighted kernel ----
+
+def _assert_bit_identical_but_nan_payloads(a, b):
+    """Bit for bit where not nan, and nan at the same places.  Which nan an
+    operation on two nans returns is not fixed: numpy's SIMD loops return
+    either operand's, by the element's place in the loop, so the sign of a
+    nan may change with the length of the array it is computed in."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a.view(np.int64)[~nan], b.view(np.int64)[~nan])
+
+
+# weights of both signed zeros, nan and infinities as well
+_step_weights = _weights | st.sampled_from([math.nan, math.inf, -math.inf])
+_dts = st.sampled_from([0.0, -0.0, 0.125, 1e-3, -0.25, 3.0, math.inf]) | st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_step_matches_rk4_over_the_weighted_kernel_bit_for_bit(data):
+    vfs = tuple(VField(f) for f in data.draw(_fields))
+    B, r = data.draw(st.sampled_from([0, 1, 5])), len(vfs)
+    Y = np.array(data.draw(st.lists(_coords, min_size=B * _N, max_size=B * _N)), dtype=float).reshape(B, _N)
+    A = np.array(data.draw(st.lists(_step_weights, min_size=B * r, max_size=B * r)), dtype=float).reshape(B, r)
+    if data.draw(st.booleans()):  # one time step for every row, or one per row
+        dt = np.array(data.draw(st.lists(_dts, min_size=B, max_size=B)), dtype=float)
+        column = dt[:, None]
+    else:
+        dt = column = data.draw(_dts)
+    with np.errstate(all="ignore"):
+        step = flows._control_step(vfs, A, dt)
+        got = step(step(Y))
+        velocity = flows._control_velocity(vfs, A)
+        want = flows._rk4_step(velocity, flows._rk4_step(velocity, Y, column), column)
+    _assert_bit_identical_but_nan_payloads(got, want)
