@@ -4,8 +4,9 @@ The unit ball of a weighted system at scale delta is the set of endpoints
 of unit-time absolutely continuous paths driven by controls with
 sup-in-time L2 norm strictly below one, against the scaled fields
 delta^{d_j} W_j.  Two estimators are provided: a brute-force grid-graph
-oracle whose intervals hold only up to its discretization, and a faster
-deterministic direct-shooting estimator cross-checked against the oracle.
+oracle that bounds the distance only from above, and only up to its
+discretization, and a faster deterministic direct-shooting estimator
+whose lower end is cross-checked against the oracle's upper end.
 Intrinsic mode confines paths to the chart (x_n >= 0 when the chart has
 boundary); extrinsic mode allows the whole box.
 """
@@ -292,7 +293,7 @@ def _check_resolution(res, n: int) -> np.ndarray:
 class ReachGraph:
     """Shortest-time search over grid cells with short admissible flows.
 
-    Edges flow one control direction at unit budget for the time needed to
+    Edges flow one control direction at unit speed for the time needed to
     cross one cell; costs are time.  Cells are keyed by int64 linear
     indices into the chart box's cell range plus a one-cell margin.  A run
     that ends without reaching a target leaves `settled`, the sorted keys
@@ -330,14 +331,12 @@ class ReachGraph:
         delta: float,
         mode: str = "intrinsic",
         res=0.02,
-        speed_scale: float = 1.0,
     ):
         self.sys = sys
         self.x0 = np.asarray(x, dtype=float)
         self.delta = float(delta)
         self.mode = _check_mode(mode)
         self.res = _check_resolution(res, sys.n)
-        self.speed_scale = float(speed_scale)
         self.factors = np.array([delta**d for d in sys.degrees])
         self.dirs = _move_directions(sys.r)
         # arrivals pass Box.contains, so their indices lie in the box's range
@@ -404,12 +403,12 @@ class ReachGraph:
             V = W[..., 0, None] * self.dirs[:, 0]
             for j in range(1, W.shape[2]):
                 V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
-            rates = _columns(np.maximum, lambda v, r: np.abs(v) / r, V, self.res) * self.speed_scale  # (F, D)
+            rates = _columns(np.maximum, lambda v, r: np.abs(v) / r, V, self.res)  # (F, D)
             remaining = 1.0 - C
             live = np.flatnonzero((rates > 1e-14) & (remaining[:, None] > 1e-12))
             f_idx, d_idx = np.divmod(live, rates.shape[1])
             tau = np.minimum(1.0 / np.take(rates, live), remaining[f_idx])
-            step = _control_step(vfs, np.take(weights, d_idx, axis=0), tau * self.speed_scale / 2.0)
+            step = _control_step(vfs, np.take(weights, d_idx, axis=0), tau / 2.0)
             Y = np.take(P, f_idx, axis=0)
             ok = np.ones(len(Y), dtype=bool)
             for _ in range(2):
@@ -688,26 +687,21 @@ def oracle_distance(
     y,
     mode: str = "intrinsic",
     resolution: float = 0.02,
-    order: int = 2,
 ) -> MetricEstimate:
-    """Brute-force interval estimate of the CC distance.
+    """Brute-force estimate of the CC distance from above: [0, upper].
 
-    The upper bound is the smallest bisection scale at which the grid
-    search lands within the arrival tolerance (0.75 resolution, in the
-    Euclidean norm) of y: an admissible path to a point near y, so the
-    bound can lie below d(x, y).  The lower bound is the largest scale
-    at which the budget-inflated (x 1+resolution) search fails, deflated
-    by sec(half the direction gap) and an empirical factor 2 per bracket
-    order above one, with `order` bounding the bracket depth the target
-    may need; it is not a certificate either.  Interval width is driven
-    to 10% relative before deflation.  When y lies within the arrival tolerance
-    (0.75 resolution) of x, every scale reaches it at cost 0, so the grid
+    The upper end is the smallest bisection scale, to 10% relative width,
+    at which the grid search lands within the arrival tolerance (0.75
+    resolution, in the Euclidean norm) of y: an admissible path to a
+    point near y, so the bound can lie below d(x, y).  The oracle claims
+    no lower end; its lower end is always 0.  When y lies within the
+    arrival tolerance of x, every scale reaches it at cost 0, so the grid
     cannot resolve the distance and the interval is [0, inf]; so is it
-    when no scale up to DELTA_MAX reaches y.  Each (delta, speed scale)
-    pair is searched at most once per query: after a failed doubling
-    step the bisection's first midpoint is that step's scale, and its
-    answer is reused.  Non-finite endpoints, endpoints outside the chart
-    (or below {x_n = 0} in intrinsic mode) and a per-axis resolution raise
+    when no scale up to DELTA_MAX reaches y.  Each scale is searched at
+    most once per query: after a failed doubling step the bisection's
+    first midpoint is that step's scale, and its answer is reused.
+    Non-finite endpoints, endpoints outside the chart (or below
+    {x_n = 0} in intrinsic mode) and a per-axis resolution raise
     ValueError before any search.
     """
     if np.ndim(resolution) != 0:
@@ -722,29 +716,13 @@ def oracle_distance(
         return MetricEstimate(0.0, math.inf, "oracle")
 
     @functools.cache
-    def reach(delta, scale=1.0):
-        g = ReachGraph(sys, x, delta, mode, res=resolution, speed_scale=scale)
-        ok, _ = g.run(target=y, arrival_tol=arrival_tol)
+    def reach(delta):
+        ok, _ = ReachGraph(sys, x, delta, mode, res=resolution).run(target=y, arrival_tol=arrival_tol)
         return ok
 
-    half_gap = (np.pi / 16.0) if sys.r <= 2 else (np.pi / 4.0)
-    # direction restriction costs up to sec(half_gap) on straight runs and,
-    # empirically, up to a factor 2 on the delta scale per extra bracket
-    # order (loop quantization); the lower certificate is deflated by both
-    overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
-
     hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
-    lo, hi = _scale_search(reach, min(hi, DELTA_MAX), 0.1)
-    lo_cert = 0.0
-    probe = lo
-    for _ in range(3):
-        if probe <= 0:
-            break
-        if not reach(probe, 1.0 + resolution):
-            lo_cert = probe
-            break
-        probe *= 0.7
-    return MetricEstimate(lo_cert / overhead, hi, "oracle")
+    _, hi = _scale_search(reach, min(hi, DELTA_MAX), 0.1)
+    return MetricEstimate(0.0, hi, "oracle")
 
 
 # -- direct shooting ------------------------------------------------------
@@ -884,13 +862,16 @@ def cc_distance(
     The upper end is a scale at which a feasible control reached y
     within the miss tolerance.  The lower end is the largest scale at
     which the optimizer failed, so it is heuristic, not a certificate;
-    on regression scenarios the interval is cross-checked against
-    oracle_distance.  No hit up to scale DELTA_MAX gives [0, inf].
-    Non-finite endpoints and endpoints outside the chart (or below
-    {x_n = 0} in intrinsic mode) raise ValueError before any search.
+    on regression scenarios it is cross-checked against oracle_distance's
+    upper end.  No hit up to scale DELTA_MAX gives [0, inf].  A tol
+    outside (0, 0.5), K < 1, non-finite endpoints and endpoints outside
+    the chart (or below {x_n = 0} in intrinsic mode) raise ValueError
+    before any search.
     """
     if not 0.0 < tol < 0.5:
         raise ValueError("tol must be in (0, 0.5)")
+    if K < 1:
+        raise ValueError(f"shooting controls need at least one segment, got K = {K}")
     x, y = _check_endpoints(sys, x, y, mode)
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "shooting")

@@ -662,15 +662,12 @@ def cmd_bracket(args) -> int:
 def cmd_dist(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x", "y")
-    intrinsic = args.mode == "intrinsic"
-    _check_in_chart(scn.box, args.x, halfspace=intrinsic)
-    _check_in_chart(scn.box, args.y, halfspace=intrinsic, point="target")
     sys_ = scn.system()
     x, y = tuple(args.x), tuple(args.y)
     est = cc_distance(sys_, x, y, mode=args.mode, tol=args.tol, K=args.K)
     rows = [{"x": list(x), "y": list(y), "lower": est.lower, "upper": est.upper, "method": est.method}]
     if args.oracle:
-        orc = oracle_distance(sys_, x, y, mode=args.mode, resolution=args.resolution, order=scn.order)
+        orc = oracle_distance(sys_, x, y, mode=args.mode, resolution=args.resolution)
         rows.append({"x": list(x), "y": list(y), "lower": orc.lower, "upper": orc.upper, "method": orc.method})
         agree = math.isfinite(est.upper) and math.isfinite(orc.upper) and est.intersects(orc, slack=0.05 * max(1e-9, orc.upper))
         report = make_report(scn, "dist", _dist_params(args), rows, [{"check": "shooting interval intersects oracle", "pass": agree}])

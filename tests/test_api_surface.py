@@ -1,0 +1,54 @@
+"""A pin on the number of settable values in `src/ccgeo`.
+
+A settable value is a defaulted parameter of a `def` (positional or
+keyword-only) or a field with a default in a dataclass.  Each one is a
+setting that tests and benchmarks would have to cover, so the count is
+pinned: a change that adds or removes one must say so here.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
+
+#: settable values in src/ccgeo
+SETTABLE_VALUES = 60
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated `@dataclass` or `@dataclass(...)`, the forms src/ccgeo uses."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in cls.decorator_list)
+
+
+def count_settable(tree: ast.AST) -> int:
+    """Defaulted `def` parameters plus dataclass fields with a default."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_counter_reads_defaults_and_dataclass_fields():
+    src = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *args, c, d=2, **kw): pass\n"
+        "g = lambda x=1: x\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    def m(self, z=3): pass\n"
+        "class B:\n"
+        "    w: int = 0\n"
+    )
+    assert count_settable(ast.parse(src)) == 4  # b, d, y, z
+
+
+def test_settable_values_are_pinned():
+    count = sum(count_settable(ast.parse(p.read_text())) for p in sorted(SRC.rglob("*.py")))
+    assert count == SETTABLE_VALUES, (
+        f"src/ccgeo has {count} settable values, the pin says {SETTABLE_VALUES}: update "
+        "SETTABLE_VALUES in this file and give the reason for each added or removed value in CHANGES.md"
+    )

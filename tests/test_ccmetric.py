@@ -276,10 +276,10 @@ def test_sample_ball_seeded_determinism():
 
 def test_oracle_elliptic_axis_pair():
     sys = elliptic_half_plane()
-    est = oracle_distance(sys, (0.0, 0.5), (0.3, 0.5), resolution=0.02, order=1)
+    est = oracle_distance(sys, (0.0, 0.5), (0.3, 0.5), resolution=0.02)
     assert est.lower <= 0.3 <= est.upper * 1.1
     assert est.upper <= 0.36
-    assert est.lower >= 0.18
+    assert est.lower == 0.0
 
 
 def test_oracle_same_point():
@@ -306,17 +306,15 @@ def test_oracle_heisenberg_vertical_regression():
     est = oracle_distance(sys, (0.0, 0.0, 0.5), (0.0, 0.01, 0.5), mode="extrinsic", resolution=0.01)
     assert est.upper <= 0.6
     assert est.upper >= 0.05
-    # the true distance is near sqrt(4 pi t) ~ 0.355; the deflated lower
-    # certificate must stay below it
-    assert est.lower <= 0.36
-    assert est.lower > 0.0
+    # the oracle bounds the distance (near sqrt(4 pi t) ~ 0.355) only from above
+    assert est.lower == 0.0
 
 
 def test_oracle_triangle_inequality():
     sys = elliptic_half_plane()
     pts = [(0.0, 0.5), (0.2, 0.5), (0.2, 0.8)]
     def d(a, b):
-        return oracle_distance(sys, a, b, resolution=0.02, order=1)
+        return oracle_distance(sys, a, b, resolution=0.02)
     dab, dbc, dac = d(pts[0], pts[1]), d(pts[1], pts[2]), d(pts[0], pts[2])
     assert dac.upper <= dab.upper + dbc.upper + 0.1 * (dab.upper + dbc.upper)
 
@@ -346,7 +344,7 @@ def test_cc_distance_intersects_oracle():
     sys = elliptic_half_plane()
     x, y = (0.0, 0.5), (0.25, 0.62)
     sh = cc_distance(sys, x, y, tol=0.05)
-    orc = oracle_distance(sys, x, y, resolution=0.02, order=1)
+    orc = oracle_distance(sys, x, y, resolution=0.02)
     assert sh.intersects(orc, slack=0.05)
 
 
@@ -414,7 +412,7 @@ def _reference_run(g, target=None, arrival_tol=None):
             C = np.array([c for _, c in frontier])
             W = _field_stack(vfs, P)
             V = np.einsum("dr,frn->fdn", g.dirs, factors[None, :, None] * W)
-            rates = (np.abs(V) / g.res).max(axis=2) * g.speed_scale
+            rates = (np.abs(V) / g.res).max(axis=2)
             remaining = (1.0 - C)[:, None]
             live = (rates > 1e-14) & (remaining > 1e-12)
             f_idx, d_idx = np.nonzero(live)
@@ -423,7 +421,7 @@ def _reference_run(g, target=None, arrival_tol=None):
             tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
             vel = _control_velocity(vfs, g.dirs[d_idx] * factors)
             Y = P[f_idx]
-            dt = (tau * g.speed_scale / 2.0)[:, None]
+            dt = (tau / 2.0)[:, None]
             ok = np.ones(len(Y), dtype=bool)
             for _ in range(2):
                 Y = _rk4_step(vel, Y, dt)
@@ -485,26 +483,26 @@ def _settled_as_dict(g):
 
 
 REFERENCE_CASES = [
-    # (system, x, delta, mode, res, speed_scale)
-    (elliptic_half_plane, (0.0, 0.05), 0.3, "intrinsic", 0.03, 1.0),
-    (elliptic_half_plane, (0.1, 0.5), 0.25, "extrinsic", (0.03, 0.02), 1.03),
-    (grushin_interior, (0.1, 0.0), 0.3, "intrinsic", (0.02, 0.01), 1.0),
-    (grushin_interior, (0.5, 0.2), 0.3, "extrinsic", 0.025, 1.025),
-    (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", (0.05, 0.04, 0.05), 1.0),
-    (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05, 1.05),
-    (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03), 1.0),
+    # (system, x, delta, mode, res)
+    (elliptic_half_plane, (0.0, 0.05), 0.3, "intrinsic", 0.03),
+    (elliptic_half_plane, (0.1, 0.5), 0.25, "extrinsic", (0.03, 0.02)),
+    (grushin_interior, (0.1, 0.0), 0.3, "intrinsic", (0.02, 0.01)),
+    (grushin_interior, (0.5, 0.2), 0.3, "extrinsic", 0.025),
+    (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", (0.05, 0.04, 0.05)),
+    (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05),
+    (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03)),
     # unequal degrees, so the per-direction weights dirs * factors differ by axis
-    (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01), 1.0),
+    (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01)),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
 def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
-    make, x, delta, mode, res, scale = REFERENCE_CASES[case]
+    make, x, delta, mode, res = REFERENCE_CASES[case]
     sys = make()
 
     def graph():
-        return ReachGraph(sys, x, delta, mode, res=res, speed_scale=scale)
+        return ReachGraph(sys, x, delta, mode, res=res)
 
     ref_reached, ref_cost, ref, ties = _reference_run(graph())
     assert (ref_reached, ref_cost) == (False, math.inf)
@@ -769,6 +767,18 @@ def test_distance_estimators_reject_points_outside_the_chart(estimator, x, y, mo
         estimator(elliptic_half_plane(), x, y, mode)
 
 
+@pytest.mark.parametrize("K", [0, -2])
+def test_cc_distance_rejects_fewer_than_one_segment(K, monkeypatch):
+    # K = -2 used to fail in numpy's tile ("negative dimensions"), K = 0 in
+    # the first integration of the scale search
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ccmetric, "_scale_search", search)
+    with pytest.raises(ValueError, match=f"^shooting controls need at least one segment, got K = {K}$"):
+        cc_distance(elliptic_half_plane(), (0.0, 0.5), (0.1, 0.5), K=K)
+
+
 def test_oracle_rejects_a_per_axis_resolution():
     with pytest.raises(ValueError, match="oracle_distance resolution must be one number"):
         oracle_distance(elliptic_half_plane(), (0.0, 0.5), (0.2, 0.5), resolution=(0.02, 0.02))
@@ -903,52 +913,60 @@ def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
     assert both_ran and max(both_ran) >= 2  # both seeds stepped together
 
 
-def _uncached_oracle(sys, x, y, mode, resolution, order):
-    """oracle_distance with a grid search at every probe, repeats included."""
+def _uncached_oracle(sys, x, y, mode, resolution):
+    """oracle_distance's upper end with a grid search at every probe, repeats included."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     d_eu = float(np.linalg.norm(y - x))
 
-    def reach(delta, scale=1.0):
-        g = ReachGraph(sys, x, delta, mode, res=resolution, speed_scale=scale)
-        return g.run(target=y, arrival_tol=0.75 * resolution)[0]
+    def reach(delta):
+        return ReachGraph(sys, x, delta, mode, res=resolution).run(target=y, arrival_tol=0.75 * resolution)[0]
 
-    half_gap = (np.pi / 16.0) if sys.r <= 2 else (np.pi / 4.0)
-    overhead = (2.0 ** max(0, order - 1)) * (1.0 / math.cos(half_gap))
     hi = max(resolution, d_eu ** (1.0 / sys.max_degree) if d_eu < 1 else d_eu, d_eu)
-    lo, hi = ccmetric._scale_search(reach, min(hi, ccmetric.DELTA_MAX), 0.1)
-    lo_cert, probe = 0.0, lo
-    for _ in range(3):
-        if probe <= 0:
-            break
-        if not reach(probe, scale=1.0 + resolution):
-            lo_cert = probe
-            break
-        probe *= 0.7
-    return lo_cert / overhead, hi
+    return ccmetric._scale_search(reach, min(hi, ccmetric.DELTA_MAX), 0.1)[1]
 
 
 def test_oracle_searches_each_scale_once(monkeypatch):
     # the first doubling step fails, so the bisection's first midpoint is
-    # that step's scale; it must not be searched again
+    # that step's scale; it must not be searched again.  Every search is a
+    # unit-speed one (the graph takes no speed) of the scale search; there
+    # are no other probes
     sys = grushin_interior()
     x, y = (0.0, 0.0), (0.0, 0.2)
-    run = ReachGraph.run
-    probes = []
+    init, run = ReachGraph.__init__, ReachGraph.run
+    built, probes = [], []
+
+    def recorded_init(g, *args, **kwargs):
+        built.append((args[2:], kwargs))
+        init(g, *args, **kwargs)
 
     def recorded(g, *args, **kwargs):
         reached, cost = run(g, *args, **kwargs)
-        probes.append(((g.delta, g.speed_scale), reached))
+        probes.append((g.delta, reached))
         return reached, cost
 
+    monkeypatch.setattr(ReachGraph, "__init__", recorded_init)
     monkeypatch.setattr(ReachGraph, "run", recorded)
-    est = oracle_distance(sys, x, y, resolution=0.02, order=2)
-    keys = [key for key, _ in probes]
-    assert len(keys) == len(set(keys))
+    est = oracle_distance(sys, x, y, resolution=0.02)
+    deltas = [delta for delta, _ in probes]
+    assert built == [((delta, "intrinsic"), {"res": 0.02}) for delta in deltas]
+    assert len(deltas) == len(set(deltas))
     assert not probes[0][1]  # the first doubling step failed
-    assert probes[1][0][0] == 2 * probes[0][0][0]
+    assert probes[1][0] == 2 * probes[0][0]
+
+    # the searches are exactly the doubling and bisection scales, in order
+    answers, asked = dict(probes), []
+
+    def hits(delta):
+        asked.append(delta)
+        return answers[delta]
+
+    lo, hi = ccmetric._scale_search(hits, probes[0][0], 0.1)
+    assert list(dict.fromkeys(asked)) == deltas
+    assert lo < hi == est.upper < math.inf and est.lower == 0.0
+
     del probes[:]
-    assert (est.lower, est.upper) == _uncached_oracle(sys, x, y, "intrinsic", 0.02, 2)
-    assert len(probes) == len(keys) + 1  # the uncached run searches one scale twice
+    assert _bits(est.upper) == _bits(_uncached_oracle(sys, x, y, "intrinsic", 0.02))
+    assert len(probes) == len(deltas) + 1  # the uncached run searches one scale twice
 
 
 def test_move_directions_are_computed_once_and_read_only():

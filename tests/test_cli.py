@@ -190,6 +190,14 @@ def test_zero_control_segments_are_numeric_errors(command, capsys):
     assert "at least one segment" in capsys.readouterr().err
 
 
+def test_dist_negative_control_segments_are_numeric_errors(capsys):
+    # K < 0 used to fail in numpy with "negative dimensions are not allowed"
+    assert main(["dist", "elliptic", "--x", "0", "0.5", "--y", "0.1", "0.5", "--K", "-2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: shooting controls need at least one segment, got K = -2\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -390,6 +398,15 @@ def test_dist_target_outside_the_chart_is_numeric_error(oracle, y, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: target point is not in the chart\n"
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]])
+def test_dist_non_finite_point_is_numeric_error(oracle, capsys):
+    # the estimators' own endpoint check names a non-finite point
+    assert main(["dist", "elliptic", "--x", "nan", "0.5", "--y", "0.1", "0.5", *oracle]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: distance endpoints must be finite, got x = (nan, 0.5), y = (0.1, 0.5)\n"
 
 
 def test_extrinsic_mode_accepts_points_below_the_boundary(capsys):

@@ -42,7 +42,7 @@ GOLDEN = {
     "check degenerate": (
         2, "d3c6e9e60443ee709ba8bab3ddca27b61fa2f285088d2400e99a56b4b99c0d45"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
-        2, "455238601d4b57639e8cd05ac93e0fff90a0e7dcddc16fa76b6fbc3e4879978a"),
+        2, "8560a02fd02d4725e29d1eaf400c6ac0c16ddb3f115ba1a57052034812d75cc9"),
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4": (
         0, "b61e499bf6b79769a47b5b64eff35963d61903a983fe6c3112e6ef819b46aea6"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4": (
