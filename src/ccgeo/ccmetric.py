@@ -124,15 +124,13 @@ def _check_endpoints(sys: WeightedSystem, x, y, mode: str):
 def _columns(fold, f, A: np.ndarray, *per_axis) -> np.ndarray:
     """f(A[:, j], per_axis[0][j], ...) for each of A's n columns, folded left to right.
 
-    With fold np.logical_and this is np.all(f(A, ...), axis=1) and with
-    np.maximum it is f(A, ...).max(axis=1), bit for bit, nan included, but
-    it skips numpy's slow reduction over a short axis and the (B, n)
-    temporaries: here the coordinate axis has only n = 2 or 3 entries.
+    With fold np.logical_and this is np.all(f(A, ...), axis=1), with
+    np.maximum f(A, ...).max(axis=1), and with np.add and np.square the
+    sum of squares in np.linalg.norm(A, axis=1), bit for bit, nan
+    included, without numpy's slow reduction over a short axis and the
+    (B, n) temporaries: here the coordinate axis has n = 2 or 3 entries.
     """
-    out = f(A[:, 0], *(a[0] for a in per_axis))
-    for j in range(1, A.shape[1]):
-        out = fold(out, f(A[:, j], *(a[j] for a in per_axis)))
-    return out
+    return functools.reduce(fold, itertools.starmap(f, zip(A.swapaxes(0, 1), *per_axis)))
 
 
 def integrate_controls(
@@ -172,36 +170,36 @@ def integrate_controls(
         raise ValueError("control arity does not match the system")
     n = sys.n
     x = np.asarray(x, dtype=float)
-    y = np.tile(x, (S, 1))
-    factors = np.array([delta**d for d in sys.degrees])
+    y = x[None].repeat(S, 0)
+    weights = coeffs * np.array([delta**d for d in sys.degrees])
     vfs = sys.vfields()
     box = sys.box
-    # Box.contains against the guard and the box, from one |y - c| per step;
-    # a nan or inf coordinate fails both comparisons
+    # Box.contains against guard and box from one |y - c| per step (nan or inf fails both); c and
+    # the edge come as full rows (numpy is slow to broadcast a short axis), and counting beats all()
     hw = np.asarray(box.half_widths)
     guard, edge, c = hw * GUARD_FACTOR + 1e-9, hw + 1e-9, np.asarray(box.center)
-    alive = np.ones(S, dtype=bool)
-    inside = np.ones(S, dtype=bool)
+    c_rows, edge_rows = c[None].repeat(S, 0), edge[None].repeat(S, 0)
+    alive, inside = np.ones((2, S), dtype=bool)
     halfspace = mode == "intrinsic" and box.has_boundary
-    min_xn = np.full(S, x[n - 1])
+    min_xn = y[:, n - 1].copy()
     dt = (1.0 / K) / steps_per_segment
     frozen = False  # whether some row has left the guard box
 
     with np.errstate(all="ignore"):
         for k in range(K):
-            step = _control_step(vfs, coeffs[:, k, :] * factors, dt)
+            step = _control_step(vfs, weights[:, k, :], dt)
             for _ in range(steps_per_segment):
                 ynew = step(y)
-                dev = np.abs(ynew - c)
+                dev = np.abs(ynew - c_rows)
                 # with every row inside the box (so inside the guard) no flag changes
-                if frozen or not (dev <= edge).all():
+                if frozen or np.count_nonzero(dev <= edge_rows) < dev.size:
                     alive &= _columns(np.logical_and, np.less_equal, dev, guard)
                     inside &= _columns(np.logical_and, np.less_equal, dev, edge)
                     ynew[~alive] = y[~alive]
-                    frozen = not alive.all()
+                    frozen = np.count_nonzero(alive) < S
                 y = ynew
                 if halfspace:
-                    min_xn = np.minimum(min_xn, y[:, n - 1])
+                    np.minimum(min_xn, y[:, n - 1], out=min_xn)
 
     feasible = alive & inside
     depth = np.zeros(S)
@@ -237,6 +235,8 @@ def sample_ball(
     _check_mode(mode)
     if n_samples < 1:
         raise ValueError(f"a ball sample needs at least one control, got n_samples = {n_samples}")
+    if K < 1:
+        raise ValueError(f"ball controls need at least one segment, got K = {K}")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"ball radius must be finite and non-negative, got delta = {delta}")
     x = np.asarray(x, dtype=float)
@@ -270,14 +270,9 @@ def _move_directions(r: int) -> np.ndarray:
             u = v / nrm
             seen[tuple(np.round(u, 12))] = u
         dirs = np.array(sorted(seen.values(), key=tuple))
-    else:
-        rows = []
-        for j in range(r):
-            for s in (1.0, -1.0):
-                v = np.zeros(r)
-                v[j] = s
-                rows.append(v)
-        dirs = np.array(rows)
+    else:  # +e_j, then -e_j, for each axis j
+        dirs = np.zeros((2 * r, r))
+        dirs[np.arange(2 * r), np.arange(2 * r) // 2] = np.tile([1.0, -1.0], r)
     dirs.setflags(write=False)
     return dirs
 
@@ -317,21 +312,12 @@ class ReachGraph:
     the kept arrivals (point, cost, move quantum) are joined for the
     settle, which still runs once per round.  Rows are independent and
     nothing is settled before the round ends, so the blocks change no
-    bit.  The round keeps off numpy's slow paths for rows of n = 2 or 3
-    coordinates, with the same bits: it gathers rows with np.take and
-    takes the move rates' max and the box test one coordinate column at
-    a time (`_columns`).  Its moves step with the compiled RK4 step
-    (`flows._control_step`), one time step per row.
+    bit.  A round's fixed cost is its count of numpy and Python calls, kept
+    few with the same bits: one field kernel call, column-by-column folds
+    over the n = 2 or 3 coordinates, and the compiled RK4 step.
     """
 
-    def __init__(
-        self,
-        sys: WeightedSystem,
-        x,
-        delta: float,
-        mode: str = "intrinsic",
-        res=0.02,
-    ):
+    def __init__(self, sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02):
         self.sys = sys
         self.x0 = np.asarray(x, dtype=float)
         self.delta = float(delta)
@@ -349,7 +335,8 @@ class ReachGraph:
 
     def _index(self, p: np.ndarray, scale: float) -> np.ndarray:
         """Grid indices (as floats) of points on the 1/scale cell grid."""
-        return np.floor((p - self.x0) / self.res * scale + 0.5)
+        q = (p - self.x0) / self.res
+        return np.floor((q if scale == 1.0 else q * scale) + 0.5)  # q * 1.0 is q, bit for bit
 
     def _index_range(self, lo_pt, hi_pt, scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
         """Lowest index and shape of the index range of a box, one-cell margin."""
@@ -364,26 +351,29 @@ class ReachGraph:
 
     @staticmethod
     def _keys(idx: np.ndarray, grid) -> np.ndarray:
-        """Linear int64 keys of in-range grid indices."""
+        """np.ravel_multi_index's int64 keys of grid indices, one column at a time.  Only
+        rows that passed the box (or, in `_settled_at`, range) test are keyed: in range."""
         lo, shape = grid
-        return np.ravel_multi_index(tuple((idx - lo).astype(np.int64).T), shape)
+        i = (idx - lo).astype(np.int64)
+        key = i[:, 0]
+        for j in range(1, len(shape)):
+            key = key * shape[j] + i[:, j]
+        return key
 
     def run(self, target=None, arrival_tol: float | None = None):
         """Explore within the budget; returns (reached, cost) for a target.
 
         Label-correcting search with batched rounds: every frontier cell
-        expands along every control direction, in vectorized blocks of at
-        most `ROUND_ROWS` (point, direction) rows, reduced one coordinate
-        column at a time; a round that fits one block keeps its arrays as
-        they are.  A targeted round that hits returns the least hit cost
-        over all its blocks.  With target None the full reachable cell set
-        is computed and (False, inf) returned.
+        expands along every control direction, in blocks of at most
+        `ROUND_ROWS` (point, direction) rows.  A targeted round that hits
+        returns the least hit cost over all its blocks.  With target None
+        the full reachable cell set is computed and (False, inf) returned.
         """
         target = None if target is None else np.asarray(target, dtype=float)
         tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(self.res))
         vfs = self.sys.vfields()
-        factors = self.factors
-        weights = self.dirs * factors  # (D, r) control coefficients per direction
+        factors, dirs, res = self.factors[:, None], self.dirs, self.res
+        weights = dirs * self.factors  # (D, r) control coefficients per direction
         box = self.sys.box
         halfspace = self.mode == "intrinsic" and box.has_boundary
         # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
@@ -399,30 +389,28 @@ class ReachGraph:
             # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
             # summed left to right in j; up to the sign of a zero, which
             # abs drops, this is einsum("dr,frn->fdn") bit for bit
-            W = (factors[:, None] * _field_stack(vfs, P)).transpose(0, 2, 1)  # (F, n, r)
-            V = W[..., 0, None] * self.dirs[:, 0]
-            for j in range(1, W.shape[2]):
-                V = V + W[..., j, None] * self.dirs[:, j]  # (F, n, D)
-            rates = _columns(np.maximum, lambda v, r: np.abs(v) / r, V, self.res)  # (F, D)
+            W = _field_stack(vfs, P)  # (F, r, n)
+            W *= factors
+            V = W[:, 0, :, None] * dirs[:, 0]
+            for j in range(1, len(factors)):
+                V = V + W[:, j, :, None] * dirs[:, j]  # (F, n, D)
+            rates = _columns(np.maximum, np.divide, np.abs(V), res)  # (F, D)
             remaining = 1.0 - C
-            live = np.flatnonzero((rates > 1e-14) & (remaining[:, None] > 1e-12))
-            f_idx, d_idx = np.divmod(live, rates.shape[1])
-            tau = np.minimum(1.0 / np.take(rates, live), remaining[f_idx])
-            step = _control_step(vfs, np.take(weights, d_idx, axis=0), tau / 2.0)
-            Y = np.take(P, f_idx, axis=0)
-            ok = np.ones(len(Y), dtype=bool)
+            live = (rates > 1e-14) & (remaining[:, None] > 1e-12)
+            f_idx, d_idx = live.nonzero()
+            tau = np.minimum(1.0 / rates[live], remaining[f_idx])
+            step = _control_step(vfs, weights.take(d_idx, 0), tau / 2.0)
+            Y, ok = P.take(f_idx, 0), True  # ok: and-ed with the box test after each step
             for _ in range(2):
                 Y = step(Y)
                 ok &= _columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
                 if halfspace:
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
-            costs = C[f_idx] + tau
-            ok &= costs <= 1.0 + 1e-12
-            hits = np.empty(0)
-            if target is not None and ok.any():
-                hits = costs[ok & (np.linalg.norm(Y - target, axis=1) <= tol)]
-            m = np.flatnonzero(ok)
-            return np.take(Y, m, axis=0), costs[m], tau[m], hits
+            # a live move has C < 1 - 1e-12 and tau <= 1 - C, so C + tau <= 1 + 2^-52: no cost cap
+            m = ok.nonzero()[0]
+            Y, costs, tau = Y.take(m, 0), C[f_idx[m]] + tau[m], tau[m]
+            near = slice(0) if target is None else np.sqrt(_columns(np.add, lambda y, t: np.square(y - t), Y, target)) <= tol
+            return Y, costs, tau, costs[near]
 
         x0 = self.x0[None]
         cell_keys = self._keys(self._index(x0, 1.0), self._cells)
@@ -445,13 +433,11 @@ class ReachGraph:
                     return True, float(hits.min())
 
                 keys = self._keys(self._index(Y, 1.0), self._cells)
-                cell_keys, cell_cost, cell_pts, expand = _settle_cells(
-                    cell_keys, cell_cost, cell_pts, keys, costs, tau, Y
-                )
-                Y, costs = np.take(Y, expand, axis=0), costs[expand]
+                cell_keys, cell_cost, cell_pts, expand = _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, Y)
+                Y, costs = Y.take(expand, 0), costs[expand]
                 keys = self._keys(self._index(Y, 2.0), self._halves)
                 half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
-                P, C = np.take(Y, nxt, axis=0), costs[nxt]
+                P, C = Y.take(nxt, 0), costs[nxt]
 
                 if len(cell_keys) > MAX_CELLS:
                     raise RuntimeError(
@@ -490,7 +476,7 @@ class ReachGraph:
 
 def _runs(v: np.ndarray) -> np.ndarray:
     """Flags of the first entry of each run of equal values in v."""
-    new = np.empty(len(v), dtype=bool)
+    new = np.empty(v.size, dtype=bool)
     new[:1] = True
     np.not_equal(v[1:], v[:-1], out=new[1:])
     return new
@@ -501,12 +487,12 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     one unstable sort of (key - lo) * 2^b + index, for lo <= every key and
     2^b > len(keys): that value is unique per arrival, so its order is the
     stable one, and numpy sorts plain int64 values much faster."""
-    b = len(keys).bit_length()
-    lo = keys.min(initial=0)
-    if int(keys.max(initial=0)) - int(lo) >= 1 << (63 - b):
-        return np.argsort(keys, kind="stable")
+    b = keys.size.bit_length()
+    lo = np.minimum.reduce(keys, initial=0)
+    if int(np.maximum.reduce(keys, initial=0)) - int(lo) >= 1 << (63 - b):
+        return keys.argsort(kind="stable")
     c = (keys - lo) << b
-    c |= np.arange(len(keys))
+    c |= np.arange(keys.size)
     c.sort()
     return c & ((1 << b) - 1)
 
@@ -525,22 +511,22 @@ def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep
     order = _stable_order(keys)
     sorted_keys = keys[order]
     new = _runs(sorted_keys)
-    group = np.cumsum(new) - 1
+    group = new.cumsum() - 1
     distinct = sorted_keys[new]
     pos, found, stored = _lookup(store_keys, store_cost, distinct)
-    kept = np.flatnonzero(keep(order, stored[group]))
+    kept = keep(order, stored[group]).nonzero()[0]
     new = _runs(group[kept])
-    starts = np.flatnonzero(new)
+    starts = new.nonzero()[0]
     g = group[kept[starts]]
-    return order[kept], np.cumsum(new) - 1, starts, (distinct[g], pos[g], found[g], stored[g])
+    return order[kept], new.cumsum() - 1, starts, (distinct[g], pos[g], found[g], stored[g])
 
 
 def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
     """Positions of keys in a sorted store, their presence, and stored costs (inf if absent)."""
-    pos = np.searchsorted(store_keys, keys)
-    if not len(store_keys):
-        return pos, np.zeros(len(keys), dtype=bool), np.full(len(keys), math.inf)
-    at = np.minimum(pos, len(store_keys) - 1)  # a key past the last stored one is absent
+    pos = store_keys.searchsorted(keys)
+    if not store_keys.size:
+        return pos, np.zeros(keys.size, dtype=bool), np.full(keys.size, math.inf)
+    at = np.minimum(pos, store_keys.size - 1)  # a key past the last stored one is absent
     found = store_keys[at] == keys
     return pos, found, np.where(found, store_cost[at], math.inf)
 
@@ -563,27 +549,26 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     so only the groups with one before their last arrival are replayed
     exactly, one rank at a time.
     """
-    N = len(costs)
+    N = costs.size
     seen = np.empty(N)  # the least cost before each arrival: shifted by one, then a running min
     seen[1:] = costs[:-1]
     seen[starts] = best
-    counts = np.bincount(group, minlength=len(starts))
-    d, longest = 1, counts.max(initial=0)
-    while d < longest:
-        np.copyto(seen[d:], np.minimum(seen[d:], seen[:-d]), where=group[d:] == group[:-d])
+    counts = np.bincount(group, minlength=starts.size)
+    d, longest = 1, np.maximum.reduce(counts, initial=0)
+    while d < longest:  # numpy reads the overlapping input as it was before the pass
+        np.minimum(seen[d:], seen[:-d], out=seen[d:], where=group[d:] == group[:-d])
         d *= 2
     improved = costs < seen - 1e-12
     tie = ~(improved | (costs >= seen))
     tie[starts - 1] = False  # the last arrival of each group (starts[0] - 1 is the very last)
-    tied = np.zeros(len(starts), dtype=bool)
-    tied[group[tie]] = True
-    replay = np.flatnonzero(tied[group])  # their arrivals, group by group
-    tied = np.flatnonzero(tied)
-    stored = best[tied].tolist()
-    last = np.maximum.reduceat(np.where(improved, np.arange(N), -1), starts) if N else np.empty(0, dtype=np.intp)
-    np.copyto(best, costs[last], where=last >= 0)
-    if len(tied):  # in plain floats, which compare and subtract as float64 does
-        cs, at = costs[replay].tolist(), [-1] * len(tied)
+    last = np.maximum.reduceat(np.arange(1, N + 1) * improved - 1, starts) if N else np.empty(0, dtype=np.intp)
+    tied = group[tie]
+    if tied.size:  # in plain floats, which compare and subtract as float64 does
+        flag = np.zeros(starts.size, dtype=bool)
+        flag[tied] = True
+        replay = flag[group].nonzero()[0]  # their arrivals, group by group
+        tied = flag.nonzero()[0]
+        cs, stored, at = costs[replay].tolist(), best[tied].tolist(), [-1] * tied.size
         was, up, i = cs[:], [False] * len(cs), 0
         for k, n in enumerate(counts[tied].tolist()):
             b = stored[k]
@@ -595,6 +580,7 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
         seen[replay], improved[replay], best[tied] = was, up, stored
         at = np.array(at, dtype=np.intp)
         last[tied] = np.where(at >= 0, replay[at], -1)
+    np.copyto(best, costs[last], where=last >= 0)
     return seen, improved, last
 
 
@@ -607,17 +593,15 @@ def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
     (plus 1e-12) does not expand.  Returns the updated sorted store and
     the indices of the expanding arrivals, in order.
     """
-    s, group, starts, (cells, pos, found, best) = _sift(
-        cell_keys, cell_cost, keys, lambda o, b: ~(costs[o] > b + tau[o] + 1e-12)
-    )
+    s, group, starts, (cells, pos, found, best) = _sift(cell_keys, cell_cost, keys, lambda o, b: ~(costs[o] > b + tau[o] + 1e-12))
     c, t = costs[s], tau[s]
     seen, improved, last = _relax(c, group, starts, best)
-    expand = np.zeros(len(keys), dtype=bool)
+    expand = np.zeros(keys.size, dtype=bool)
     expand[s[improved | ~(c > seen + t + 1e-12)]] = True
-    cell_keys, (cell_cost, cell_pts) = _merge(
-        cell_keys, (cell_cost, cell_pts), cells, pos, found, last >= 0, (best, np.take(pts, s[last], axis=0))
+    cell_keys, cell_cost, cell_pts = _merge(
+        cell_keys, (cell_cost, cell_pts), cells, pos, found, last >= 0, (best, pts.take(s[last], 0))
     )
-    return cell_keys, cell_cost, cell_pts, np.flatnonzero(expand)
+    return cell_keys, cell_cost, cell_pts, expand.nonzero()[0]
 
 
 def _settle_halves(half_keys, half_cost, keys, costs):
@@ -631,12 +615,13 @@ def _settle_halves(half_keys, half_cost, keys, costs):
     """
     s, group, starts, (halves, pos, found, best) = _sift(half_keys, half_cost, keys, lambda o, b: costs[o] < b - 1e-12)
     _, _, last = _relax(costs[s], group, starts, best)
-    half_keys, (half_cost,) = _merge(half_keys, (half_cost,), halves, pos, found, last >= 0, (best,))
-    return half_keys, half_cost, s[last[np.argsort(s[starts])]]
+    half_keys, half_cost = _merge(half_keys, (half_cost,), halves, pos, found, last >= 0, (best,))
+    return half_keys, half_cost, s[last[s[starts].argsort()]]
 
 
-def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple):
-    """Write the selected groups' values into a sorted store, inserting new keys.
+def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple) -> list:
+    """Write the selected groups' values into a sorted store, inserting new keys;
+    returns the store's keys and columns.
 
     The groups come in key order, so the i-th new key lands at its store
     position plus i; the merged positions are found once for every column.
@@ -644,17 +629,17 @@ def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tup
     old, new = sel & found, sel & ~found
     for col, v in zip(cols, vals):
         col[pos[old]] = v[old]
-    at = pos[new] + np.arange(np.count_nonzero(new))
-    kept = np.ones(len(store_keys) + len(at), dtype=bool)
+    at = pos[new]
+    at += np.arange(at.size)
+    kept = np.ones(store_keys.size + at.size, dtype=bool)  # the merged store's slots of old keys
     kept[at] = False
-
-    def merged(col, v):
-        out = np.empty((len(kept),) + col.shape[1:], dtype=col.dtype)
-        out[kept] = col
-        out[at] = v[new]
-        return out
-
-    return merged(store_keys, keys), tuple(merged(col, v) for col, v in zip(cols, vals))
+    out = []
+    for col, v in zip((store_keys, *cols), (keys, *vals)):
+        merged = np.empty((kept.size,) + col.shape[1:], dtype=col.dtype)
+        merged[kept] = col
+        merged[at] = v[new]
+        out.append(merged)
+    return out
 
 
 def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:
@@ -732,9 +717,16 @@ SHOOT_STEPS = 4
 
 
 def _project_controls(cand: np.ndarray) -> np.ndarray:
-    seg_norm = np.linalg.norm(cand, axis=-1, keepdims=True)
-    over = seg_norm > 0.995
-    return np.where(over, cand * (0.995 / np.maximum(seg_norm, 1e-300)), cand)
+    """cand (..., r), each segment's control scaled back to norm 0.995 where larger: bit for
+    bit np.where(norm > 0.995, cand * f, cand), f = 0.995 / max(norm, 1e-300), as f <= 1
+    exactly there, fmin drops a nan f and x * 1.0 is x; norm as np.linalg.norm's."""
+    norm = np.sqrt(_columns(np.add, np.square, cand.reshape(-1, cand.shape[-1])))
+    return cand * np.fmin(0.995 / np.maximum(norm, 1e-300), 1.0).reshape(cand.shape[:-1] + (1,))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bit for bit: the root of its dot with itself."""
+    return math.sqrt(v.dot(v))
 
 
 def _gauss_newton_polish(y, ctrl, miss_tol):
@@ -761,21 +753,20 @@ def _gauss_newton_polish(y, ctrl, miss_tol):
 
     def rows(heads):
         """The controls heads (B, K, r), then each one's projected finite-difference rows."""
-        B = len(heads)
-        fd = np.repeat(heads.reshape(B, 1, m), m + 1, axis=1)
+        fd = heads.reshape(len(heads), 1, m).repeat(m + 1, 1)
         fd[:, 1:] += np.eye(m) * h
-        return np.concatenate([heads, _project_controls(fd.reshape(B * (m + 1), K, r))])
+        return np.concatenate([heads, _project_controls(fd.reshape(-1, K, r))])
 
     def split(B, ends, feas, depth):
         """The heads' ends, feasibility and residuals, and per head the
         (m + 1) residuals of its finite-difference rows."""
-        resid = np.concatenate([ends - y[None, :], 10.0 * depth[:, None]], axis=1)
+        resid = np.concatenate([ends - y, 10.0 * depth[:, None]], axis=1)
         return ends[:B], feas[:B], resid[:B], resid[B:].reshape(B, m + 1, -1)
 
     p = _project_controls(np.asarray(ctrl, dtype=float))
     ends, feas, resid, fd = split(1, *(yield rows(p[None])))
-    best_pen = float(np.linalg.norm(resid[0]))
-    best_miss = float(np.linalg.norm(ends[0] - y)) if feas[0] else math.inf
+    best_pen = _norm(resid[0])
+    best_miss = _norm(ends[0] - y) if feas[0] else math.inf
     best_ctrl, fd = p, fd[0]
     for _ in range(6):
         if best_miss <= miss_tol:
@@ -784,13 +775,13 @@ def _gauss_newton_polish(y, ctrl, miss_tol):
         step, *_ = np.linalg.lstsq(jac, -fd[0], rcond=None)
         cands = _project_controls((p.reshape(-1) + scales[:, None] * step[None]).reshape(len(scales), K, r))
         e2, f2, r2, fd2 = split(len(cands), *(yield rows(cands)))
-        pen2 = np.linalg.norm(r2, axis=1)
-        k = int(np.argmin(pen2))
+        pen2 = np.sqrt(_columns(np.add, np.square, r2))  # np.linalg.norm(r2, axis=1)
+        k = int(pen2.argmin())
         if pen2[k] >= best_pen - 1e-15:
             break
         best_pen = float(pen2[k])
         p, fd = cands[k], fd2[k]
-        miss2 = float(np.linalg.norm(e2[k] - y))
+        miss2 = _norm(e2[k] - y)
         if f2[k] and miss2 < best_miss:
             best_miss = miss2
             best_ctrl = p
@@ -819,7 +810,7 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     nrm = np.linalg.norm(a0)
     if nrm > 0.9:
         a0 *= 0.9 / nrm
-    informed = np.tile(a0, (K, 1))
+    informed = a0[None].repeat(K, 0)
     seeds = [informed] if init_ctrl is None else [init_ctrl, informed]
     steppers = [_gauss_newton_polish(y, seed_ctrl, miss_tol) for seed_ctrl in seeds]
     batches = [next(g) for g in steppers]
@@ -837,12 +828,13 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
             return best_miss, best_ctrl
         live = [i for i, res in enumerate(results) if res is None]
         out = integrate_controls(sys, x, delta, np.concatenate([batches[i] for i in live]), mode, SHOOT_STEPS)
-        cuts = np.cumsum([len(batches[i]) for i in live])[:-1]
-        for i, part in zip(live, zip(*(np.split(a, cuts) for a in out))):
+        stop = 0
+        for i in live:
+            start, stop = stop, stop + len(batches[i])
             try:
-                batches[i] = steppers[i].send(part)
-            except StopIteration as stop:
-                results[i] = stop.value
+                batches[i] = steppers[i].send([a[start:stop] for a in out])
+            except StopIteration as done:
+                results[i] = done.value
 
 
 def cc_distance(
@@ -921,9 +913,8 @@ def ball_volume(
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     half = np.maximum(half * 1.2, delta * 1e-3)
     lo, hi = c - half, c + half
-    box_lo = np.asarray(sys.box.center) - np.asarray(sys.box.half_widths)
-    box_hi = np.asarray(sys.box.center) + np.asarray(sys.box.half_widths)
-    lo, hi = np.maximum(lo, box_lo), np.minimum(hi, box_hi)
+    box_c, box_hw = np.asarray(sys.box.center), np.asarray(sys.box.half_widths)
+    lo, hi = np.maximum(lo, box_c - box_hw), np.minimum(hi, box_c + box_hw)
     if mode == "intrinsic" and sys.box.has_boundary:
         lo[-1] = max(lo[-1], 0.0)
     rng = np.random.default_rng([seed, 104729])

@@ -203,6 +203,8 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
         raise ScenarioError("delta ladder must be strictly decreasing", path, lines["delta"])
     if data["m"] < 1:
         raise ScenarioError(f"m must be at least 1, got {data['m']}", path, lines["m"])
+    if data["seed"] < 0:  # numpy seeds its generators from non-negative integers only
+        raise ScenarioError(f"seed must be non-negative, got {data['seed']}", path, lines["seed"])
     box = Box(
         half_widths=data["box"],
         center=data["center"] or (0.0,) * n,
@@ -685,6 +687,17 @@ def _check_points(scn: Scenario, args, *options: str) -> None:
             raise ScenarioError(f"--{opt} needs {scn.n} values for {scn.name}", scn.path, 0)
 
 
+def _sample_inputs(args):
+    """The scenario, system and seed (--seed, else the scenario's) of ball or volume, with
+    the point checked and a negative --seed a usage error: numpy takes no such seed."""
+    scn = load_scenario(args.scenario)
+    _check_points(scn, args, "x")
+    _check_in_chart(scn.box, args.x, halfspace=args.mode == "intrinsic")
+    if args.seed is not None and args.seed < 0:
+        raise ScenarioError(f"--seed must be non-negative, got {args.seed}", scn.path, 0)
+    return scn, scn.system(), scn.seed if args.seed is None else args.seed
+
+
 def _dist_params(args) -> dict:
     return {
         "mode": args.mode,
@@ -696,11 +709,7 @@ def _dist_params(args) -> dict:
 
 
 def cmd_ball(args) -> int:
-    scn = load_scenario(args.scenario)
-    _check_points(scn, args, "x")
-    _check_in_chart(scn.box, args.x, halfspace=args.mode == "intrinsic")
-    sys_ = scn.system()
-    seed = args.seed if args.seed is not None else scn.seed
+    scn, sys_, seed = _sample_inputs(args)
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)
     csv_text = cloud.to_csv()
     if args.out:
@@ -712,11 +721,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    scn = load_scenario(args.scenario)
-    _check_points(scn, args, "x")
-    _check_in_chart(scn.box, args.x, halfspace=args.mode == "intrinsic")
-    sys_ = scn.system()
-    seed = args.seed if args.seed is not None else scn.seed
+    scn, sys_, seed = _sample_inputs(args)
     vol = ball_volume(sys_, tuple(args.x), args.delta, mode=args.mode, n_samples=args.samples, seed=seed)
     lam = compute_lambda(sys_, tuple(args.x), args.delta, scn.order)
     rows = [

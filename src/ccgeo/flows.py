@@ -12,7 +12,8 @@ integrator and the grid oracle in `ccmetric` step with `_control_step`,
 the same arithmetic compiled into one step per field tuple (the step
 form), which computes the velocity columns that read no coordinate once
 per control rather than at every stage; each caller keeps its own guard.
-The field stack `_field_stack` serves only the oracle's move rates.
+The field stack `_field_stack`, all fields from one point kernel, serves
+only the oracle's move rates.
 """
 from __future__ import annotations
 
@@ -72,16 +73,19 @@ def _rk4_step(velocity, y: np.ndarray, dt) -> np.ndarray:
 
 
 def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
-    """The fields W_j at the rows of pts (B, n), stacked as (B, r, n)."""
-    return np.stack([vf.eval_many(pts) for vf in vfs], axis=1)
+    """The fields W_j at the rows of pts (B, n), stacked as (B, r, n): one
+    point kernel over all their components, with each field's bits."""
+    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "point")
+    return kernel(pts).reshape(-1, len(vfs), pts.shape[-1])
 
 
 @functools.lru_cache(maxsize=256)
 def _fused(vfs: tuple[VField, ...], texts: tuple[str, ...], form: str):
-    """The fused velocity kernel (P, A) or RK4 step factory (A, dt) of a field tuple, compiled
-    once per tuple and form; keyed also on the fields as printed, which, unlike VField
-    equality, tell Const(0.0) from Const(-0.0)."""
-    return symexpr._compile(tuple(vf.components for vf in vfs), form)
+    """The fused point kernel P, velocity kernel (P, A) or RK4 step factory (A, dt) of a
+    field tuple, compiled once per tuple and form; keyed also on the fields as printed,
+    which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
+    comps = tuple(vf.components for vf in vfs)
+    return symexpr._compile(sum(comps, ()) if form == "point" else comps, form)
 
 
 def _control_velocity(vfs, a: np.ndarray):

@@ -322,16 +322,14 @@ def _step_source(r: int, cols, lines, varying) -> str:
         make.append(f"i{k} = w * (v{k} + 2.0 * v{k} + 2.0 * v{k} + v{k})")
     step = [f"y{k} = Y[..., {k}]" for k in range(len(cols))]
     if moving:
-        make.append(f"def vel({', '.join(f'x{c + 1}' for c in coords)}):")
-        make += [f"    {name} = {code}" for name, code in lines if name in varying and not name.startswith("x")]
-        make.append("    return " + "".join(f"({cols[k][0]}) + 0.0, " for k in moving))
+        body = [f"{name} = {code}" for name, code in lines if name in varying and not name.startswith("x")]
 
-        def stage(s, offset):  # stage s at the point y + offset(c) in the read columns
-            return [f"np.add(y{c}, {offset(c)}, out=P[..., {c}])" for c in coords if offset(c)] + [
-                "".join(f"k{s}_{k}, " for k in moving) + f"= vel({', '.join(f'P[..., {c}]' for c in coords)})"]
+        def stage(s, offset):  # stage s at the point y + offset(c) in the read columns, inline
+            point = [f"np.add(y{c}, {offset(c)}, out=P[..., {c}])" for c in coords if offset(c)]
+            at = [f"x{c + 1} = " + (f"y{c}" if s == 1 else f"P[..., {c}]") for c in coords]
+            return point + at + body + [f"k{s}_{k} = ({cols[k][0]}) + 0.0" for k in moving]
 
-        step += ["P = np.empty(Y.shape)", "".join(f"k1_{k}, " for k in moving)
-                 + f"= vel({', '.join(f'y{c}' for c in coords)})"]
+        step += ["P = np.empty(Y.shape)"] + stage(1, lambda c: None)
         step += stage(2, lambda c: f"hv{c}" if c in fixed else f"h * k1_{c}")
         if set(coords) & set(moving):
             step += stage(3, lambda c: None if c in fixed else f"h * k2_{c}")  # fixed columns stay at y + hv

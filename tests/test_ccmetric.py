@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import exact_metrics
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -265,6 +266,15 @@ def test_sample_ball_grushin_anisotropy():
     assert np.abs(ends[:, 1]).max() >= 0.05 * delta**2
 
 
+@pytest.mark.parametrize("K", [0, -2])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_sample_ball_rejects_fewer_than_one_segment(K, delta):
+    # K = -2 used to fail in numpy with "negative dimensions are not allowed",
+    # and K = 0 at delta 0 returned the base point
+    with pytest.raises(ValueError, match=f"at least one segment, got K = {K}"):
+        sample_ball(elliptic_half_plane(), (0.0, 0.5), delta, 3, K=K)
+
+
 def test_sample_ball_seeded_determinism():
     sys = grushin_interior()
     a = sample_ball(sys, (0.1, 0.0), 0.3, 200, K=8, seed=42)
@@ -338,6 +348,48 @@ def test_cc_distance_symmetry_overlap():
     a = cc_distance(sys, (0.2, 0.0), (0.5, 0.1), tol=0.08)
     b = cc_distance(sys, (0.5, 0.1), (0.2, 0.0), tol=0.08)
     assert a.intersects(b, slack=0.05 * max(a.upper, b.upper))
+
+
+# The elliptic and heat pairs of the seed-1 and seed-7919 benchmark `dist`
+# ops: (fixture, mode, x, y), as the command line carries them.
+_CLOSED_FORM_PAIRS = [
+    ("elliptic", "intrinsic", (-0.070673, 0.470448), (-0.006004, 0.566020)),
+    ("elliptic", "extrinsic", (-0.338784, 0.008075), (-0.041309, 0.019601)),
+    ("heat", "intrinsic", (0.251812, 0.601258), (-0.046638, 0.451385)),
+    ("heat", "extrinsic", (0.058843, 0.011175), (-0.040307, 0.002250)),
+    ("elliptic", "intrinsic", (0.398328, 0.300011), (0.328019, 0.250466)),
+    ("elliptic", "extrinsic", (0.299147, 0.601025), (0.349971, 0.510559)),
+    ("heat", "intrinsic", (-0.298220, 0.301204), (-0.218440, 0.351561)),
+    ("heat", "extrinsic", (0.200472, 0.400805), (0.140963, 0.470044)),
+    ("elliptic", "intrinsic", (-0.070109, 0.471471), (-0.006810, 0.567804)),
+    ("elliptic", "extrinsic", (-0.339936, 0.011649), (-0.042881, 0.024272)),
+    ("heat", "intrinsic", (0.248178, 0.601045), (-0.049669, 0.451518)),
+    ("heat", "extrinsic", (0.060460, 0.010328), (-0.039624, 0.001308)),
+    ("elliptic", "intrinsic", (0.400849, 0.301629), (0.331043, 0.252524)),
+    ("elliptic", "extrinsic", (0.299907, 0.599719), (0.348889, 0.509553)),
+    ("heat", "intrinsic", (-0.301295, 0.300139), (-0.221315, 0.351183)),
+    ("heat", "extrinsic", (0.199400, 0.401805), (0.140024, 0.472340)),
+]
+
+
+@pytest.mark.parametrize("fixture, mode, x, y", _CLOSED_FORM_PAIRS)
+def test_shooting_interval_holds_the_closed_form(fixture, mode, x, y):
+    # on elliptic pairs an end can meet |x - y| to the last digit, hence the
+    # relative slack; the oracle is not checked: its upper end lies below
+    # the closed form on most of these pairs
+    exact = getattr(exact_metrics, fixture)(x, y)
+    est = cc_distance(load_scenario(fixture).system(), x, y, mode=mode, tol=0.05, K=4)
+    assert est.lower <= exact * (1 + 1e-12) and exact * (1 - 1e-12) <= est.upper
+
+
+def test_exact_metrics_closed_forms():
+    assert exact_metrics.elliptic((0.0, 0.5), (0.3, 0.9)) == pytest.approx(0.5)
+    # heat: a pure x-move costs |dx|, a pure t-move sqrt(|dt|), and a mixed
+    # one solves (dx / d)^2 + (dt / d^2)^2 = 1
+    assert exact_metrics.heat((0.1, 0.2), (0.4, 0.2)) == pytest.approx(0.3)
+    assert exact_metrics.heat((0.1, 0.2), (0.1, 0.29)) == pytest.approx(0.3)
+    d = exact_metrics.heat((0.0, 0.0), (0.12, -0.05))
+    assert (0.12 / d) ** 2 + (0.05 / d**2) ** 2 == pytest.approx(1.0)
 
 
 def test_cc_distance_intersects_oracle():
@@ -702,6 +754,51 @@ def test_column_folds_match_numpy_reductions_bit_for_bit(n):
     rates = ccmetric._columns(np.maximum, lambda v, r: np.abs(v) / r, V, res)
     assert rates.tobytes() == (np.abs(V) / res[:, None]).max(axis=1).tobytes()
     assert ccmetric._columns(np.maximum, lambda v: v, V).tobytes() == V.max(axis=1).tobytes()
+    assert ccmetric._columns(np.maximum, np.divide, np.abs(V), res).tobytes() == rates.tobytes()
+    # the oracle's hit distance: the left-to-right sum of squares is np.linalg.norm's
+    target = rng.choice(_SPECIAL, n)
+    with np.errstate(all="ignore"):  # as the oracle runs
+        hit = np.sqrt(ccmetric._columns(np.add, lambda y, t: np.square(y - t), Y, target))
+        assert hit.tobytes() == np.linalg.norm(Y - target, axis=1).tobytes()
+    # the per-segment control norms of shooting, (S, K, n) over the last axis
+    ctrl = rng.choice(_SPECIAL, size=(50, 4, n))
+    norm = np.sqrt(ccmetric._columns(np.add, np.square, ctrl.reshape(-1, n))).reshape(50, 4, 1)
+    assert norm.tobytes() == np.linalg.norm(ctrl, axis=-1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_control_projection_and_norm_match_the_numpy_forms_bit_for_bit(n):
+    # rows of special values, and finite rows near the 0.995 cap, where the
+    # scale factor 0.995 / norm rounds close to 1
+    rng = np.random.default_rng(10 + n)
+    special = rng.choice(_SPECIAL, size=(300, 4, n))
+    unit = rng.standard_normal((300, 4, n))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    near = unit * (0.995 + rng.choice([-1, 0, 1, 2], (300, 4, 1)) * np.spacing(0.995))
+    for cand in (special, near, rng.standard_normal((300, 4, n))):
+        with np.errstate(all="ignore"):  # inf * 0 in rows with an infinite entry
+            norm = np.linalg.norm(cand, axis=-1, keepdims=True)
+            want = np.where(norm > 0.995, cand * (0.995 / np.maximum(norm, 1e-300)), cand)
+            assert ccmetric._project_controls(cand).tobytes() == want.tobytes()
+        for v in cand[:40].reshape(-1, n):
+            got, ref = ccmetric._norm(v), float(np.linalg.norm(v))
+            assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+
+@pytest.mark.parametrize("make, x, res", [
+    (elliptic_half_plane, (0.1, 0.5), (0.03, 0.02)),
+    (heisenberg_half, (0.1, 0.0, 0.5), (0.05, 0.04, 0.05)),
+])
+def test_column_keys_match_ravel_multi_index(make, x, res):
+    # on every in-range index of both grids, corners included
+    g = ReachGraph(make(), x, 0.3, res=res)
+    for lo, shape in (g._cells, g._halves):
+        idx = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+        if len(idx) > 200_000:
+            idx = idx[np.r_[:1000, -1000:0, np.random.default_rng(0).integers(0, len(idx), 50_000)]]
+        want = np.ravel_multi_index(tuple(idx.T), shape)
+        got = g._keys(idx + lo, (lo, shape))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def _masked_lookup(store_keys, store_cost, keys):

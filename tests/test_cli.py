@@ -79,6 +79,7 @@ _SCENARIO_LINES = [
         (5, 'field = "1, 0+" degree = 1'),
         (9, 'density = "x1+"'),
         (9, 'density = "0-1"'),
+        (9, "seed = -3"),
     ],
 )
 def test_malformed_scenario_is_rejected_at_parse_time(line, text, tmp_path, capsys):
@@ -196,6 +197,37 @@ def test_dist_negative_control_segments_are_numeric_errors(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "numeric error: shooting controls need at least one segment, got K = -2\n"
+
+
+def test_ball_negative_control_segments_are_numeric_errors(capsys):
+    # K < 0 used to fail in numpy with "negative dimensions are not allowed"
+    assert main(["ball", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "3", "--K", "-2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric error: ball controls need at least one segment, got K = -2\n"
+
+
+@pytest.mark.parametrize(
+    "args, seed",
+    [
+        (["ball", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "3", "--seed", "-1"], -1),
+        (["volume", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "3", "--seed", "-5"], -5),
+    ],
+)
+def test_negative_seed_is_a_usage_error(args, seed, capsys):
+    # numpy rejected it late, with exit 3 and "expected non-negative integer"
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.endswith(f": --seed must be non-negative, got {seed}\n")
+
+
+def test_negative_scenario_seed_fails_check(tmp_path, capsys):
+    # a scenario with seed = -3 passed check with exit 0 and failed later
+    path = tmp_path / "seeded.scn"
+    path.write_text("\n".join(_SCENARIO_LINES + ["seed = -3"]) + "\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:9: seed must be non-negative, got -3\n"
 
 
 @pytest.mark.parametrize(
