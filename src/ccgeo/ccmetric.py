@@ -130,7 +130,7 @@ def _columns(fold, f, A: np.ndarray, *per_axis) -> np.ndarray:
     included, without numpy's slow reduction over a short axis and the
     (B, n) temporaries: here the coordinate axis has n = 2 or 3 entries.
     """
-    return functools.reduce(fold, itertools.starmap(f, zip(A.swapaxes(0, 1), *per_axis)))
+    return functools.reduce(fold, itertools.starmap(f, zip(A.swapaxes(0, 1), *per_axis, strict=True)))
 
 
 def integrate_controls(
