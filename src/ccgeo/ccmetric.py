@@ -110,6 +110,12 @@ def _check_in_chart(box, p, halfspace: bool, point: str = "base") -> None:
         raise ValueError(f"{point} point is not in the chart")
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless seed is a non-negative integer, the seeds numpy's generators take."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got seed = {seed!r}")
+
+
 def _check_endpoints(sys: WeightedSystem, x, y, mode: str):
     """x and y as float arrays; ValueError unless both are finite and in the chart."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -231,7 +237,11 @@ def sample_ball(
     seed: int = 0,
     mode: str = "intrinsic",
 ) -> ReachSample:
-    """Monte-Carlo endpoint cloud of the ball B(x, delta)."""
+    """Monte-Carlo endpoint cloud of the ball B(x, delta).
+
+    A seed that is not a non-negative integer, and a base point outside
+    the chart (or below {x_n = 0} in intrinsic mode), raise ValueError.
+    """
     _check_mode(mode)
     if n_samples < 1:
         raise ValueError(f"a ball sample needs at least one control, got n_samples = {n_samples}")
@@ -239,7 +249,9 @@ def sample_ball(
         raise ValueError(f"ball controls need at least one segment, got K = {K}")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"ball radius must be finite and non-negative, got delta = {delta}")
+    _check_seed(seed)
     x = np.asarray(x, dtype=float)
+    _check_in_chart(sys.box, x, mode == "intrinsic")
     rng = np.random.default_rng(seed)
     coeffs = sample_controls(rng, n_samples, K, sys.r)
     if delta == 0.0:
@@ -303,8 +315,8 @@ class ReachGraph:
     within a round, so an arrival that its key's stored best cost already
     rules out can change nothing: `_sift` sorts the round's keys once,
     looks each one up once and drops such arrivals; `_relax` takes the
-    rest as a running minimum per key, replaying exactly only the keys
-    with an arrival inside a 1e-12 tie window.
+    rest as a running minimum per key, replaying exactly, from its first
+    tie on, only a key with an arrival inside a 1e-12 tie window.
 
     A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
     rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
@@ -314,10 +326,20 @@ class ReachGraph:
     nothing is settled before the round ends, so the blocks change no
     bit.  A round's fixed cost is its count of numpy and Python calls, kept
     few with the same bits: one field kernel call, column-by-column folds
-    over the n = 2 or 3 coordinates, and the compiled RK4 step.
+    over the n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost
+    per arrival avoids numpy's slow broadcast of a length-n vector over
+    (N, n) rows: cell keys, membership and the move rates, laid out
+    (D, F) with the F frontier points contiguous, go one coordinate
+    column at a time.
+
+    A negative or non-finite scale delta raises ValueError, as do a
+    non-finite target and a negative or non-finite arrival tolerance in
+    `run`, and points not shaped (N, n) in `contains`.
     """
 
     def __init__(self, sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02):
+        if not 0.0 <= delta < math.inf:
+            raise ValueError(f"oracle scale must be finite and non-negative, got delta = {delta}")
         self.sys = sys
         self.x0 = np.asarray(x, dtype=float)
         self.delta = float(delta)
@@ -333,15 +355,24 @@ class ReachGraph:
         self.settled_cost = np.empty(0)
         self.settled_pts = np.empty((0, sys.n))
 
-    def _index(self, p: np.ndarray, scale: float) -> np.ndarray:
-        """Grid indices (as floats) of points on the 1/scale cell grid."""
-        q = (p - self.x0) / self.res
-        return np.floor((q if scale == 1.0 else q * scale) + 0.5)  # q * 1.0 is q, bit for bit
+    def _index(self, p: np.ndarray, scale: float):
+        """Grid indices (as floats) of points p (N, n) on the 1/scale cell grid,
+        floor((p - x0) / res * scale + 0.5), one coordinate column at a time,
+        so without numpy's slow broadcast of a length-n vector over (N, n) rows;
+        q * 1.0 is q, bit for bit, so the cell grid skips that pass."""
+        for q, x0, res in zip(p.T, self.x0, self.res, strict=True):
+            q = q - x0
+            q /= res
+            if scale != 1.0:
+                q *= scale
+            q += 0.5
+            yield np.floor(q, out=q)
 
     def _index_range(self, lo_pt, hi_pt, scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
         """Lowest index and shape of the index range of a box, one-cell margin."""
-        lo = self._index(lo_pt, scale) - 1
-        hi = self._index(hi_pt, scale) + 1
+        lo, hi = (np.floor((p - self.x0) / self.res * scale + 0.5) for p in (lo_pt, hi_pt))
+        lo -= 1
+        hi += 1
         if not np.all(np.isfinite(lo) & np.isfinite(hi)):
             raise ValueError(f"oracle grid around {self.x0.tolist()} at resolution {self.res.tolist()} is not finite")
         shape = tuple(int(v) for v in hi - lo + 1)
@@ -349,16 +380,11 @@ class ReachGraph:
             raise ValueError(f"oracle grid of {shape} cells does not fit int64 keys; coarsen the resolution")
         return lo, shape
 
-    @staticmethod
-    def _keys(idx: np.ndarray, grid) -> np.ndarray:
-        """np.ravel_multi_index's int64 keys of grid indices, one column at a time.  Only
-        rows that passed the box (or, in `_settled_at`, range) test are keyed: in range."""
-        lo, shape = grid
-        i = (idx - lo).astype(np.int64)
-        key = i[:, 0]
-        for j in range(1, len(shape)):
-            key = key * shape[j] + i[:, j]
-        return key
+    def _keys(self, p: np.ndarray, scale: float, grid) -> np.ndarray:
+        """np.ravel_multi_index's int64 keys of the cells of points p (N, n) on the 1/scale grid
+        `grid`, one coordinate column at a time.  Only points that passed the box test are
+        keyed: in range."""
+        return _ravel(self._index(p, scale), *grid)
 
     def run(self, target=None, arrival_tol: float | None = None):
         """Explore within the budget; returns (reached, cost) for a target.
@@ -370,10 +396,15 @@ class ReachGraph:
         the full reachable cell set is computed and (False, inf) returned.
         """
         target = None if target is None else np.asarray(target, dtype=float)
+        if target is not None and not np.isfinite(target).all():
+            raise ValueError(f"oracle target must be finite, got {target.tolist()}")
         tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(self.res))
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"arrival tolerance must be finite and non-negative, got arrival_tol = {arrival_tol}")
         vfs = self.sys.vfields()
-        factors, dirs, res = self.factors[:, None], self.dirs, self.res
-        weights = dirs * self.factors  # (D, r) control coefficients per direction
+        factors, res = self.factors[:, None], self.res.tolist()
+        dir_cols = self.dirs.T[:, :, None]  # (r, D, 1): per control j the column dirs[:, j]
+        weights = self.dirs * self.factors  # (D, r) control coefficients per direction
         box = self.sys.box
         halfspace = self.mode == "intrinsic" and box.has_boundary
         # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
@@ -386,19 +417,26 @@ class ReachGraph:
         def moves(P, C):
             """The kept arrivals (Y, cost, tau) of frontier points P at costs C,
             in (point, direction) order, and the costs of those that hit the target."""
-            # move rates: V[f, :, d] = sum_j dirs[d, j] (delta^d_j W_j)(P_f),
-            # summed left to right in j; up to the sign of a zero, which
-            # abs drops, this is einsum("dr,frn->fdn") bit for bit
+            # move rates, per coordinate i the (D, F) rows |V_i| / res_i with the F points
+            # contiguous, V_i[d, f] = sum_j dirs[d, j] (delta^d_j W_j)_i(P_f) summed left
+            # to right in j, then their maximum left to right in i; up to the sign of a
+            # zero, which abs drops, V is einsum("dr,frn->fdn") bit for bit
             W = _field_stack(vfs, P)  # (F, r, n)
             W *= factors
-            V = W[:, 0, :, None] * dirs[:, 0]
-            for j in range(1, len(factors)):
-                V = V + W[:, j, :, None] * dirs[:, j]  # (F, n, D)
-            rates = _columns(np.maximum, np.divide, np.abs(V), res)  # (F, D)
+            rates = None
+            for i, res_i in enumerate(res):
+                v = dir_cols[0] * W[:, 0, i]
+                for j in range(1, len(dir_cols)):
+                    v += dir_cols[j] * W[:, j, i]
+                np.abs(v, out=v)
+                v /= res_i
+                rates = v if rates is None else np.maximum(rates, v, out=rates)
             remaining = 1.0 - C
-            live = (rates > 1e-14) & (remaining[:, None] > 1e-12)
-            f_idx, d_idx = live.nonzero()
-            tau = np.minimum(1.0 / rates[live], remaining[f_idx])
+            live = rates > 1e-14
+            live &= remaining > 1e-12
+            # read in (point, direction) order through the transpose
+            f_idx, d_idx = live.T.copy().nonzero()
+            tau = np.minimum(1.0 / rates.take(d_idx * len(P) + f_idx), remaining[f_idx])
             step = _control_step(vfs, weights.take(d_idx, 0), tau / 2.0)
             Y, ok = P.take(f_idx, 0), True  # ok: and-ed with the box test after each step
             for _ in range(2):
@@ -413,7 +451,7 @@ class ReachGraph:
             return Y, costs, tau, costs[near]
 
         x0 = self.x0[None]
-        cell_keys = self._keys(self._index(x0, 1.0), self._cells)
+        cell_keys = self._keys(x0, 1.0, self._cells)
         cell_cost, cell_pts = np.zeros(1), x0.copy()
         # expansion frontier: (position, cost) arrivals, deduplicated on a
         # half-cell grid; arrivals within one move quantum of their
@@ -432,10 +470,10 @@ class ReachGraph:
                 if len(hits):
                     return True, float(hits.min())
 
-                keys = self._keys(self._index(Y, 1.0), self._cells)
+                keys = self._keys(Y, 1.0, self._cells)
                 cell_keys, cell_cost, cell_pts, expand = _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, Y)
                 Y, costs = Y.take(expand, 0), costs[expand]
-                keys = self._keys(self._index(Y, 2.0), self._halves)
+                keys = self._keys(Y, 2.0, self._halves)
                 half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
                 P, C = Y.take(nxt, 0), costs[nxt]
 
@@ -449,29 +487,48 @@ class ReachGraph:
         return False, math.inf
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
-        """Membership of points in the explored reachable set (cell level).
+        """Membership of points (N, n) in the explored reachable set (cell level).
 
         With dilate=1 a point also counts when any neighboring cell was
-        settled, absorbing quantization at the set's surface.
+        settled, absorbing quantization at the set's surface.  Index, range
+        test and key are taken one coordinate column at a time.
         """
         points = np.asarray(points, dtype=float)
-        idx = self._index(points, 1.0)
+        if points.ndim != 2 or points.shape[1] != self.sys.n:
+            raise ValueError(f"membership points must be an (N, {self.sys.n}) array, got shape {points.shape}")
+        idx = list(self._index(points, 1.0))
         out = self._settled_at(idx)
         if dilate > 0:
-            miss = np.flatnonzero(~out)
-            for o in itertools.product(range(-dilate, dilate + 1), repeat=points.shape[1]):
-                out[miss] |= self._settled_at(idx[miss] + np.array(o))
+            miss = (~out).nonzero()[0]
+            idx = [i[miss] for i in idx]
+            for o in itertools.product(range(-dilate, dilate + 1), repeat=len(idx)):
+                out[miss] |= self._settled_at([i + k for i, k in zip(idx, o)])
         if self.mode == "intrinsic" and self.sys.box.has_boundary:
             out &= points[:, -1] >= -BOUNDARY_TOL
         return out
 
-    def _settled_at(self, idx: np.ndarray) -> np.ndarray:
-        """Whether each cell index (float, any value) is a settled cell."""
+    def _settled_at(self, idx: list) -> np.ndarray:
+        """Whether each cell index, given as one float column per coordinate (any value), is a settled cell."""
         lo, shape = self._cells
-        inside = _columns(np.logical_and, lambda i, a, b: (i >= a) & (i < b), idx, lo, lo + shape)
-        out = np.zeros(len(idx), dtype=bool)
-        out[inside] = _lookup(self.settled, self.settled_cost, self._keys(idx[inside], self._cells))[1]
+        inside = functools.reduce(np.logical_and, [(i >= a) & (i < a + m) for i, a, m in zip(idx, lo, shape)])
+        out = np.zeros(len(inside), dtype=bool)
+        out[inside] = _lookup(self.settled, self.settled_cost, _ravel([i[inside] for i in idx], lo, shape))[1]
         return out
+
+
+def _ravel(idx, lo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """np.ravel_multi_index's int64 keys of in-range grid indices with lowest index lo, given
+    as one float column per coordinate, which it overwrites: Horner in the grid's shape."""
+    key = None
+    for i, a, m in zip(idx, lo, shape, strict=True):
+        i -= a
+        i = i.astype(np.int64)
+        if key is None:
+            key = i
+        else:
+            key *= m
+            key += i
+    return key
 
 
 def _runs(v: np.ndarray) -> np.ndarray:
@@ -497,28 +554,30 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return c & ((1 << b) - 1)
 
 
-def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep):
+def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep, *cols):
     """Group a round's arrivals by key and drop those their key's stored best cost rules out.
 
     The keys are sorted once, stably, so each group keeps its arrivals in
     arrival order, and each distinct key is looked up once, in key order
-    (see `_lookup`).  `keep(order, stored)` flags, of the arrivals taken in
-    the sorted order `order`, those that may still act given their key's
-    stored cost (inf if absent).  Returns the kept arrivals' indices s,
-    grouped in key order; each one's group; each group's start in s; and
-    per group its key, store position, presence and stored cost.
+    (see `_lookup`).  The per-arrival arrays cols are gathered once, in
+    the sorted order, and `keep(stored, *cols)` flags the sorted arrivals
+    that may still act given their key's stored cost (inf if absent).
+    Returns the kept arrivals' indices s, grouped in key order; each one's
+    group; each group's start in s; per group its key, store position,
+    presence and stored cost; and cols at s.
     """
     order = _stable_order(keys)
-    sorted_keys = keys[order]
+    sorted_keys = keys.take(order)
     new = _runs(sorted_keys)
     group = new.cumsum() - 1
     distinct = sorted_keys[new]
     pos, found, stored = _lookup(store_keys, store_cost, distinct)
-    kept = keep(order, stored[group]).nonzero()[0]
+    cols = [c.take(order) for c in cols]
+    kept = keep(stored[group], *cols).nonzero()[0]
     new = _runs(group[kept])
     starts = new.nonzero()[0]
     g = group[kept[starts]]
-    return order[kept], new.cumsum() - 1, starts, (distinct[g], pos[g], found[g], stored[g])
+    return order[kept], new.cumsum() - 1, starts, (distinct[g], pos[g], found[g], stored[g]), [c[kept] for c in cols]
 
 
 def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
@@ -547,7 +606,7 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     for every group at once by doubling, in log2 of the longest group
     passes.  Such an arrival misleads only the later ones of its group,
     so only the groups with one before their last arrival are replayed
-    exactly, one rank at a time.
+    exactly, one rank at a time, from the first such arrival on.
     """
     N = costs.size
     seen = np.empty(N)  # the least cost before each arrival: shifted by one, then a running min
@@ -561,25 +620,22 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     improved = costs < seen - 1e-12
     tie = ~(improved | (costs >= seen))
     tie[starts - 1] = False  # the last arrival of each group (starts[0] - 1 is the very last)
-    last = np.maximum.reduceat(np.arange(1, N + 1) * improved - 1, starts) if N else np.empty(0, dtype=np.intp)
-    tied = group[tie]
-    if tied.size:  # in plain floats, which compare and subtract as float64 does
-        flag = np.zeros(starts.size, dtype=bool)
-        flag[tied] = True
-        replay = flag[group].nonzero()[0]  # their arrivals, group by group
-        tied = flag.nonzero()[0]
-        cs, stored, at = costs[replay].tolist(), best[tied].tolist(), [-1] * tied.size
-        was, up, i = cs[:], [False] * len(cs), 0
-        for k, n in enumerate(counts[tied].tolist()):
-            b = stored[k]
-            for i in range(i, i + n):
+    ties = tie.nonzero()[0]
+    if ties.size:  # the arrivals after each tied group's first tie, in plain floats
+        first = ties[_runs(group[ties])]
+        g = group[first]
+        n = starts[g] + counts[g] - first - 1  # at least one: no group's last arrival is a tie
+        replay = np.arange(n.sum()) + np.repeat(first + 1 - (n.cumsum() - n), n)
+        cs, i = costs[replay].tolist(), 0
+        was, up = cs[:], [False] * len(cs)
+        for b, k in zip(seen[first].tolist(), n.tolist()):  # a tie leaves the best it saw
+            for i in range(i, i + k):
                 was[i] = b
                 if cs[i] < b - 1e-12:
-                    b, up[i], at[k] = cs[i], True, i
-            stored[k], i = b, i + 1
-        seen[replay], improved[replay], best[tied] = was, up, stored
-        at = np.array(at, dtype=np.intp)
-        last[tied] = np.where(at >= 0, replay[at], -1)
+                    b, up[i] = cs[i], True
+            i += 1
+        seen[replay], improved[replay] = was, up
+    last = np.maximum.reduceat(np.arange(1, N + 1) * improved - 1, starts) if N else np.empty(0, dtype=np.intp)
     np.copyto(best, costs[last], where=last >= 0)
     return seen, improved, last
 
@@ -593,8 +649,9 @@ def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
     (plus 1e-12) does not expand.  Returns the updated sorted store and
     the indices of the expanding arrivals, in order.
     """
-    s, group, starts, (cells, pos, found, best) = _sift(cell_keys, cell_cost, keys, lambda o, b: ~(costs[o] > b + tau[o] + 1e-12))
-    c, t = costs[s], tau[s]
+    s, group, starts, (cells, pos, found, best), (c, t) = _sift(
+        cell_keys, cell_cost, keys, lambda b, c, t: ~(c > b + t + 1e-12), costs, tau
+    )
     seen, improved, last = _relax(c, group, starts, best)
     expand = np.zeros(keys.size, dtype=bool)
     expand[s[improved | ~(c > seen + t + 1e-12)]] = True
@@ -613,8 +670,8 @@ def _settle_halves(half_keys, half_cost, keys, costs):
     accepted half-cell its last accepted arrival, in the order of first
     acceptance.  After the sift every group's first arrival is accepted.
     """
-    s, group, starts, (halves, pos, found, best) = _sift(half_keys, half_cost, keys, lambda o, b: costs[o] < b - 1e-12)
-    _, _, last = _relax(costs[s], group, starts, best)
+    s, group, starts, (halves, pos, found, best), (c,) = _sift(half_keys, half_cost, keys, lambda b, c: c < b - 1e-12, costs)
+    _, _, last = _relax(c, group, starts, best)
     half_keys, half_cost = _merge(half_keys, (half_cost,), halves, pos, found, last >= 0, (best,))
     return half_keys, half_cost, s[last[s[starts].argsort()]]
 
@@ -624,20 +681,21 @@ def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tup
     returns the store's keys and columns.
 
     The groups come in key order, so the i-th new key lands at its store
-    position plus i; the merged positions are found once for every column.
+    position plus i; the merged slots are found once for every column.
     """
-    old, new = sel & found, sel & ~found
+    old, new = (sel & found).nonzero()[0], (sel & ~found).nonzero()[0]
     for col, v in zip(cols, vals):
-        col[pos[old]] = v[old]
-    at = pos[new]
+        col[pos.take(old)] = v.take(old, 0)
+    at = pos.take(new)
     at += np.arange(at.size)
-    kept = np.ones(store_keys.size + at.size, dtype=bool)  # the merged store's slots of old keys
+    kept = np.ones(store_keys.size + at.size, dtype=bool)
     kept[at] = False
+    slots = kept.nonzero()[0]  # the merged store's slots of old keys
     out = []
     for col, v in zip((store_keys, *cols), (keys, *vals)):
         merged = np.empty((kept.size,) + col.shape[1:], dtype=col.dtype)
-        merged[kept] = col
-        merged[at] = v[new]
+        merged[slots] = col
+        merged[at] = v.take(new, 0)
         out.append(merged)
     return out
 
@@ -918,7 +976,10 @@ def ball_volume(
     if mode == "intrinsic" and sys.box.has_boundary:
         lo[-1] = max(lo[-1], 0.0)
     rng = np.random.default_rng([seed, 104729])
-    samples = lo + (hi - lo) * rng.random((n_samples, len(lo)))
+    samples = rng.random((n_samples, len(lo)))
+    for u, a, w in zip(samples.T, lo, hi - lo):  # lo + (hi - lo) * u, one column at a time
+        u *= w
+        u += a
     hit = graph.contains(samples)
     dens = sys.density_at(samples)
     weights = np.where(hit, dens, 0.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import exact_metrics
@@ -12,6 +13,7 @@ from ccgeo import ccmetric
 from ccgeo.ccmetric import (
     BOUNDARY_TOL,
     ReachGraph,
+    ball_volume,
     cc_distance,
     integrate_controls,
     oracle_distance,
@@ -273,6 +275,26 @@ def test_sample_ball_rejects_fewer_than_one_segment(K, delta):
     # and K = 0 at delta 0 returned the base point
     with pytest.raises(ValueError, match=f"at least one segment, got K = {K}"):
         sample_ball(elliptic_half_plane(), (0.0, 0.5), delta, 3, K=K)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_sample_ball_and_ball_volume_reject_a_bad_seed(seed):
+    # seed -1 used to fail in numpy with "expected non-negative integer", 1.5 in SeedSequence
+    sys = elliptic_half_plane()
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got seed = {seed!r}"):
+        sample_ball(sys, (0.0, 0.5), 0.1, 3, seed=seed)
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got seed = {seed!r}"):
+        ball_volume(sys, (0.0, 0.5), 0.1, n_samples=100, seed=seed)
+
+
+@pytest.mark.parametrize("x, mode", [
+    ((math.nan, 0.5), "extrinsic"),  # used to return nan endpoints
+    ((0.0, 2.5), "extrinsic"),  # outside the box
+    ((0.0, -0.5), "intrinsic"),  # below {x_n = 0}
+])
+def test_sample_ball_rejects_a_base_point_outside_the_chart(x, mode):
+    with pytest.raises(ValueError, match="^base point is not in the chart$"):
+        sample_ball(elliptic_half_plane(), x, 0.1, 3, mode=mode)
 
 
 def test_sample_ball_seeded_determinism():
@@ -790,15 +812,57 @@ def test_control_projection_and_norm_match_the_numpy_forms_bit_for_bit(n):
     (heisenberg_half, (0.1, 0.0, 0.5), (0.05, 0.04, 0.05)),
 ])
 def test_column_keys_match_ravel_multi_index(make, x, res):
-    # on every in-range index of both grids, corners included
+    # on every in-range index of both grids, corners included, at the grid points x0 + index res / scale
     g = ReachGraph(make(), x, 0.3, res=res)
-    for lo, shape in (g._cells, g._halves):
+    for scale, (lo, shape) in ((1.0, g._cells), (2.0, g._halves)):
         idx = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
         if len(idx) > 200_000:
             idx = idx[np.r_[:1000, -1000:0, np.random.default_rng(0).integers(0, len(idx), 50_000)]]
         want = np.ravel_multi_index(tuple(idx.T), shape)
-        got = g._keys(idx + lo, (lo, shape))
+        got = g._keys(g.x0 + (idx + lo) * g.res / scale, scale, (lo, shape))
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def _broadcast_keys(g, pts, scale, grid):
+    """The cell keys as the oracle once formed them: a broadcast index, then np.ravel_multi_index."""
+    lo, shape = grid
+    q = (pts - g.x0) / g.res
+    idx = np.floor((q if scale == 1.0 else q * scale) + 0.5)
+    return np.ravel_multi_index(tuple((idx - lo).astype(np.int64).T), shape)
+
+
+@pytest.mark.parametrize("make, x, res", [
+    (elliptic_half_plane, (0.1, 0.5), (0.03, 0.02)),
+    (heisenberg_half, (0.1, 0.0, 0.5), (0.05, 0.04, 0.05)),
+    (heat_half_plane, (0.0, 0.05), 0.07),
+])
+def test_column_keys_match_the_broadcast_formula(make, x, res):
+    # random real points of the box, and the cell boundaries x0 + (k + 1/2) res / scale of
+    # both grids, where rounding decides the cell
+    g = ReachGraph(make(), x, 0.3, res=res)
+    c, hw = np.asarray(g.sys.box.center), np.asarray(g.sys.box.half_widths)
+    rng = np.random.default_rng(len(g.x0))
+    pts = c + hw * rng.uniform(-1.0, 1.0, (5000, len(c)))
+    for scale, grid in ((1.0, g._cells), (2.0, g._halves)):
+        k = np.arange(-60, 60)[:, None] + 0.5
+        edges = g.x0 + k * g.res / scale
+        edges = edges[np.all(np.abs(edges - c) <= hw, axis=1)]
+        for p in (pts, edges):
+            assert np.array_equal(g._keys(p, scale, grid), _broadcast_keys(g, p, scale, grid))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_column_keys_match_the_broadcast_formula_on_any_grid(data):
+    sys = data.draw(st.sampled_from([elliptic_half_plane, heisenberg_half]))()
+    c, hw = np.asarray(sys.box.center), np.asarray(sys.box.half_widths)
+    inside = st.tuples(*[st.floats(a - h, a + h) for a, h in zip(c, hw)])
+    x = data.draw(inside)
+    res = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=sys.n, max_size=sys.n))
+    pts = np.array(data.draw(st.lists(inside, min_size=1, max_size=20)))
+    g = ReachGraph(sys, x, 0.3, res=res)
+    for scale, grid in ((1.0, g._cells), (2.0, g._halves)):
+        assert np.array_equal(g._keys(pts, scale, grid), _broadcast_keys(g, pts, scale, grid))
 
 
 def _masked_lookup(store_keys, store_cost, keys):
@@ -879,6 +943,36 @@ def test_cc_distance_rejects_fewer_than_one_segment(K, monkeypatch):
 def test_oracle_rejects_a_per_axis_resolution():
     with pytest.raises(ValueError, match="oracle_distance resolution must be one number"):
         oracle_distance(elliptic_half_plane(), (0.0, 0.5), (0.2, 0.5), resolution=(0.02, 0.02))
+
+
+@pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+def test_reach_graph_rejects_a_bad_scale(delta, monkeypatch):
+    # delta -0.1 used to settle 341 cells, nan one
+    monkeypatch.setattr(ReachGraph, "run", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=f"oracle scale must be finite and non-negative, got delta = {delta}"):
+        reach_graph(elliptic_half_plane(), (0.0, 0.5), delta, res=0.01)
+
+
+@pytest.mark.parametrize("target, tol, what", [
+    ((math.nan, 0.5), None, "target must be finite"),
+    ((0.1, math.inf), 0.01, "target must be finite"),
+    ((0.1, 0.5), -0.01, "arrival tolerance must be finite and non-negative"),
+    ((0.1, 0.5), math.nan, "arrival tolerance must be finite and non-negative"),
+    ((0.1, 0.5), math.inf, "arrival tolerance must be finite and non-negative"),
+])
+def test_reach_graph_run_rejects_a_bad_target_or_tolerance(target, tol, what, monkeypatch):
+    # each used to explore the whole budget and return (False, inf)
+    monkeypatch.setattr(ccmetric, "_field_stack", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=what):
+        ReachGraph(elliptic_half_plane(), (0.0, 0.5), 0.3, res=0.02).run(target, tol)
+
+
+@pytest.mark.parametrize("points", [np.zeros(2), np.zeros((4, 3)), np.zeros((1, 2, 1))])
+def test_reach_graph_contains_rejects_points_of_the_wrong_shape(points):
+    # a 1-D point used to raise numpy's AxisError, three columns a broadcast error
+    g = reach_graph(elliptic_half_plane(), (0.0, 0.5), 0.1, res=0.02)
+    with pytest.raises(ValueError, match=rf"^membership points must be an \(N, 2\) array, got shape {re.escape(str(points.shape))}$"):
+        g.contains(points)
 
 
 # 1e-10: the half-cell grid over the 4 x 4 chart would need more than 2^63 keys
