@@ -603,20 +603,23 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     costs.  An arrival below m - 1e-12 becomes the best and one at or
     above m leaves it, so until an arrival lands in the tie window
     [m - 1e-12, m), or is nan, the best is m: a running minimum, taken
-    for every group at once by doubling, in log2 of the longest group
-    passes.  Such an arrival misleads only the later ones of its group,
-    so only the groups with one before their last arrival are replayed
-    exactly, one rank at a time, from the first such arrival on.
+    for every group at once in one pass, as np.fmin.accumulate of the
+    complex pairs (-group, cost), which numpy orders real part first, so
+    each group hides all earlier ones, and which copies the costs' bits.
+    Such an arrival misleads only the later ones of its group, so only
+    the groups with one before their last arrival are replayed exactly,
+    one rank at a time, from the first such arrival on; fmin skips a nan,
+    which only a replayed arrival can see, or a nan stored cost, which
+    is put back at its group's start.
     """
     N = costs.size
-    seen = np.empty(N)  # the least cost before each arrival: shifted by one, then a running min
-    seen[1:] = costs[:-1]
+    z = np.empty((N, 2))  # (-group, the cost just before each arrival) as complex, then a running min
+    np.negative(group, out=z[:, 0])
+    z[1:, 1] = costs[:-1]
+    z[starts, 1] = best
+    np.fmin.accumulate(z.view(complex)[:, 0], out=z.view(complex)[:, 0])
+    seen = z[:, 1].copy()
     seen[starts] = best
-    counts = np.bincount(group, minlength=starts.size)
-    d, longest = 1, np.maximum.reduce(counts, initial=0)
-    while d < longest:  # numpy reads the overlapping input as it was before the pass
-        np.minimum(seen[d:], seen[:-d], out=seen[d:], where=group[d:] == group[:-d])
-        d *= 2
     improved = costs < seen - 1e-12
     tie = ~(improved | (costs >= seen))
     tie[starts - 1] = False  # the last arrival of each group (starts[0] - 1 is the very last)
@@ -624,7 +627,7 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     if ties.size:  # the arrivals after each tied group's first tie, in plain floats
         first = ties[_runs(group[ties])]
         g = group[first]
-        n = starts[g] + counts[g] - first - 1  # at least one: no group's last arrival is a tie
+        n = np.append(starts[1:], N)[g] - first - 1  # at least one: no group's last arrival is a tie
         replay = np.arange(n.sum()) + np.repeat(first + 1 - (n.cumsum() - n), n)
         cs, i = costs[replay].tolist(), 0
         was, up = cs[:], [False] * len(cs)
