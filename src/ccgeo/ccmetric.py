@@ -519,15 +519,10 @@ class ReachGraph:
 def _ravel(idx, lo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """np.ravel_multi_index's int64 keys of in-range grid indices with lowest index lo, given
     as one float column per coordinate, which it overwrites: Horner in the grid's shape."""
-    key = None
+    key = 0
     for i, a, m in zip(idx, lo, shape, strict=True):
         i -= a
-        i = i.astype(np.int64)
-        if key is None:
-            key = i
-        else:
-            key *= m
-            key += i
+        key = key * m + i.astype(np.int64)
     return key
 
 
@@ -617,7 +612,8 @@ def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.nd
     np.negative(group, out=z[:, 0])
     z[1:, 1] = costs[:-1]
     z[starts, 1] = best
-    np.fmin.accumulate(z.view(complex)[:, 0], out=z.view(complex)[:, 0])
+    pairs = z.view(complex)[:, 0]
+    np.fmin.accumulate(pairs, out=pairs)
     seen = z[:, 1].copy()
     seen[starts] = best
     improved = costs < seen - 1e-12
