@@ -12,7 +12,10 @@ integrator and the grid oracle in `ccmetric` step with `_control_step`,
 the same arithmetic compiled into one step per field tuple (the step
 form), which computes the velocity columns that read no coordinate once
 per control rather than at every stage; each caller keeps its own guard.
-The field stack `_field_stack`, all fields from one point kernel, serves
+`rk4_flow` keeps numpy on its fast paths, bit for bit: a shared flow time
+steps with one Python-float dt rather than a (B, 1) column, and the
+guard box is tested once per step against full-row copies of its centre
+and guarded half widths.  The field stack `_field_stack`, all fields from one point kernel, serves
 only the oracle's move rates.
 """
 from __future__ import annotations
@@ -112,9 +115,12 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
     """Integrate y' = velocity(y) from rows of p0 over per-row times.
 
     velocity maps an array of shape (B, n) to velocities of the same
-    shape; `times` is a scalar or a length-B array.  Every row takes
-    ceil(max |times| * cfg.steps_per_unit) steps.  Raises
-    FlowExcursionError if any row leaves the guarded box.
+    shape; `times` is a scalar or a length-B array of finite times.  Every
+    row takes ceil(max |times| * cfg.steps_per_unit) steps.  A scalar time
+    steps with a Python-float dt, so each RK4 stage scales whole rows by
+    a scalar; per-row times step with a (B, 1) column.  Raises ValueError
+    for a time that is not finite and FlowExcursionError if any row
+    leaves the guarded box.
     """
     y = np.array(p0, dtype=float)
     single = y.ndim == 1
@@ -122,19 +128,26 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
         y = y[None, :]
     t = np.broadcast_to(np.asarray(times, dtype=float), (len(y),)).astype(float)
     tmax = float(np.abs(t).max())
+    if not math.isfinite(tmax):
+        raise ValueError(f"flow times must be finite, got time = {float(t[~np.isfinite(t)][0])}")
     if tmax == 0.0:
         return y[0].copy() if single else y
     n_steps = max(1, math.ceil(tmax * cfg.steps_per_unit))
-    dt = (t / n_steps)[:, None]
-    # Box.contains at GUARD_FACTOR from one |y - c| per step; a nan or inf coordinate fails it
+    # the same bits either way: float64 division, and 0.5 * dt before the rows
+    dt = float(t[0]) / n_steps if np.ndim(times) == 0 else (t / n_steps)[:, None]
+    # Box.contains at GUARD_FACTOR from one |y - c| per step; a nan or inf coordinate fails it.
+    # Centre and guard come as full rows (numpy is slow to broadcast a short axis) and
+    # counting beats all()
     guard = np.asarray(cfg.box.half_widths) * GUARD_FACTOR + 1e-9
-    c = np.asarray(cfg.box.center)
+    c_rows = np.asarray(cfg.box.center, dtype=float)[None].repeat(len(y), 0)
+    guard_rows = guard[None].repeat(len(y), 0)
     # one errstate per call: the fused velocity kernel enters none itself
     with np.errstate(all="ignore"):
         for _ in range(n_steps):
             y = _rk4_step(velocity, y, dt)
-            if not (np.abs(y - c) <= guard).all():
-                bad = int(np.argmin(np.all(np.abs(y - c) <= guard, axis=-1)))
+            inside = np.abs(y - c_rows) <= guard_rows
+            if np.count_nonzero(inside) < inside.size:
+                bad = int(np.argmin(inside.all(axis=-1)))
                 raise FlowExcursionError(f"trajectory left guarded domain at {tuple(y[bad].tolist())}", y[bad])
     return y[0] if single else y
 

@@ -106,10 +106,12 @@ def select_basis(fields, x, delta: float, distinguished: int | None = None) -> t
     x = np.asarray(x, dtype=float)
     cols = _field_columns([vf for vf, _ in fields], x)
     degs = np.array([d for _, d in fields])
-    max_val = float(_max_subset_det(cols, delta, degs)[0])
+    best, idx = _max_subset_det(cols, delta, degs)
+    max_val = float(best)
     if max_val <= 0:
         raise ValueError("no spanning subset")
-    best, idx = _max_subset_det(cols, delta, degs, require=distinguished)
+    if distinguished is not None:
+        best, idx = _max_subset_det(cols, delta, degs, require=distinguished)
     best = float(best)
     if best < ZETA * max_val:
         raise ValueError(

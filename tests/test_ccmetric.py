@@ -1116,6 +1116,13 @@ def _uncached_oracle(sys, x, y, mode, resolution):
     return ccmetric._scale_search(reach, min(hi, ccmetric.DELTA_MAX), 0.1)[1]
 
 
+def test_scale_search_without_a_hit_returns_the_whole_half_line():
+    # doubling from 0.1 asks 0.1, 0.2, ..., 1.6 and stops past DELTA_MAX
+    asked = []
+    assert ccmetric._scale_search(lambda delta: asked.append(delta) or False, 0.1, 0.1) == (0.0, math.inf)
+    assert asked == [0.1 * 2**k for k in range(5)] and asked[-1] <= ccmetric.DELTA_MAX < 2 * asked[-1]
+
+
 def test_oracle_searches_each_scale_once(monkeypatch):
     # the first doubling step fails, so the bisection's first midpoint is
     # that step's scale; it must not be searched again.  Every search is a

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccgeo import flows, symexpr
 from ccgeo.cli import fixtures_dir, load_scenario
 from ccgeo.flows import (
+    GUARD_FACTOR,
     BracketWordFlow,
     FlowConfig,
     FlowExcursionError,
@@ -60,6 +63,120 @@ def test_rk4_flow_excursion_names_the_first_row_out():
     with pytest.raises(FlowExcursionError, match=r"^trajectory left guarded domain at \(5\.03125, 0\.0\)$") as err:
         flows.rk4_flow(DX.eval_many, p0, 0.0625, cfg)
     assert err.value.point.tolist() == [5.03125, 0.0]
+
+
+@pytest.mark.parametrize(
+    "times, shown",
+    [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), ([0.5, math.nan, 2.0], "nan"), ([0.5, -math.inf, math.nan], "-inf")],
+)
+def test_rk4_flow_rejects_a_time_that_is_not_finite(times, shown):
+    p0 = np.zeros((3, 2))
+    with pytest.raises(ValueError, match=rf"^flow times must be finite, got time = {shown}$"):
+        flows.rk4_flow(DX.eval_many, p0, times, CFG2)
+
+
+def test_exp_flow_rejects_a_time_that_is_not_finite():
+    with pytest.raises(ValueError, match=r"got time = nan$"):
+        exp_flow(DX, math.nan, (0.0, 0.0), CFG2)
+
+
+# -- rk4_flow's fast paths against the broadcast reference ---------------
+
+
+def _reference_rk4_flow(velocity, p0, times, cfg):
+    """rk4_flow stepping every row with a (B, 1) column dt, a shared time
+    included, and testing the guard box by broadcasting the centre and the
+    guarded half widths over the rows."""
+    y = np.array(p0, dtype=float)
+    single = y.ndim == 1
+    if single:
+        y = y[None, :]
+    t = np.broadcast_to(np.asarray(times, dtype=float), (len(y),)).astype(float)
+    tmax = float(np.abs(t).max())
+    if tmax == 0.0:
+        return y[0].copy() if single else y
+    n_steps = max(1, math.ceil(tmax * cfg.steps_per_unit))
+    dt = (t / n_steps)[:, None]
+    guard = np.asarray(cfg.box.half_widths) * GUARD_FACTOR + 1e-9
+    c = np.asarray(cfg.box.center)
+    with np.errstate(all="ignore"):
+        for _ in range(n_steps):
+            y = flows._rk4_step(velocity, y, dt)
+            ok = np.all(np.abs(y - c) <= guard, axis=-1)
+            if not ok.all():
+                bad = int(np.argmin(ok))
+                raise FlowExcursionError(f"trajectory left guarded domain at {tuple(y[bad].tolist())}", y[bad])
+    return y[0] if single else y
+
+
+def _flow_outcome(flow, velocity, p0, times, cfg):
+    """The end points as bytes, or the excursion's message and point as bytes."""
+    try:
+        y = flow(velocity, p0, times, cfg)
+    except FlowExcursionError as err:
+        return "excursion", str(err), err.point.tobytes()
+    return "end", y.shape, y.tobytes()
+
+
+_FLOW_FIELDS = {
+    2: ("1, 0", "0, x1", "x2, 0-x1", "x1*x2, 1/(x1 - 0.25)"),
+    3: ("0, 0-x1/2, 1", "1, x3/2, 0", "x2, x1*x3, 0-x1"),
+}
+
+
+@st.composite
+def _flow_case(draw):
+    """A velocity (one field, or a control velocity with per-row weights),
+    start points near the box, shared or per-row times and a step rate;
+    times up to 2 often carry rows out of the guard box."""
+    n = draw(st.sampled_from(sorted(_FLOW_FIELDS)))
+    vfs = tuple(parse_vfield(f, n) for f in _FLOW_FIELDS[n])
+    single = draw(st.booleans())
+    B = 1 if single else draw(st.integers(1, 5))
+    unit = st.floats(-1.2, 1.2, allow_nan=False)
+    p0 = np.array(draw(st.lists(unit, min_size=B * n, max_size=B * n))).reshape(B, n)
+    time = st.floats(-2.0, 2.0, allow_nan=False)
+    if draw(st.booleans()):
+        times = draw(time)
+    else:
+        times = np.array(draw(st.lists(time, min_size=B, max_size=B)))
+    k = draw(st.integers(-1, len(vfs) - 1))
+    if k >= 0:
+        velocity = vfs[k].eval_many
+    else:
+        a = np.array(draw(st.lists(unit, min_size=B * len(vfs), max_size=B * len(vfs))))
+        velocity = flows._control_velocity(vfs, a.reshape(B, len(vfs)))
+    cfg = FlowConfig(Box((1.0,) * n), steps_per_unit=draw(st.sampled_from([16, 64])))
+    return velocity, p0[0] if single else p0, times, cfg
+
+
+_CFG_UNIT = FlowConfig(Box((1.0, 1.0)), steps_per_unit=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_flow_case())
+# a shared time: rows 1 and 2 leave the guard box (half width 1.25) at the first step
+@example((DX.eval_many, np.array([[0.0, 0.0], [1.2, 0.5], [1.22, 0.0]]), 0.75, _CFG_UNIT))
+# per-row times: only the row with the longer time leaves
+@example((DY.eval_many, np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([-0.5, -0.75]), _CFG_UNIT))
+# one 1-D point, a negative shared time, and a nan start that fails the guard at once
+@example((XDY.eval_many, np.array([0.5, 0.25]), -1.5, _CFG_UNIT))
+@example((DX.eval_many, np.array([[0.0, 0.0], [math.nan, 0.0]]), 0.25, _CFG_UNIT))
+def test_rk4_flow_fast_paths_match_the_broadcast_reference(case):
+    got = _flow_outcome(flows.rk4_flow, *case)
+    assert got == _flow_outcome(_reference_rk4_flow, *case)
+
+
+def test_rk4_flow_steps_a_shared_time_as_a_python_float(monkeypatch):
+    dts = []
+    real = flows._rk4_step
+    monkeypatch.setattr(flows, "_rk4_step", lambda v, y, dt: dts.append(dt) or real(v, y, dt))
+    p0 = np.zeros((3, 2))
+    flows.rk4_flow(DX.eval_many, p0, 0.25, CFG2)
+    assert len(dts) == 64 and all(type(dt) is float and dt == 0.25 / 64 for dt in dts)
+    dts.clear()
+    flows.rk4_flow(DX.eval_many, p0, np.array([0.25, -0.125, 0.0]), CFG2)
+    assert len(dts) == 64 and all(dt.shape == (3, 1) for dt in dts)
 
 
 def test_exp_flow_excursion_guard():

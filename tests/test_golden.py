@@ -59,6 +59,8 @@ GOLDEN = {
         0, "3e8b163241bee5c8393841f2462571a9c68eac859dc4715e1ff096ef0d09d125"),
     "verify heat --suite doubling": (
         0, "4ed04ae2790b663df2503c307a95242f58b98cef5337c2dd570f078ad18325ae"),
+    "verify elliptic --suite topology": (
+        0, "8ce424177faba2bec0afade5f660cde3fe803bc91366aaafe0187221945c856a"),
 }
 
 

@@ -111,6 +111,21 @@ def test_select_basis_elliptic_coordinates():
     assert tuple(sorted(idx)) == (0, 1)
 
 
+def test_select_basis_scans_the_subsets_once_without_a_required_column(monkeypatch):
+    # the one scan gives both the maximum and the basis
+    scans = []
+    real = scaling._max_subset_det
+
+    def recorded(*args, **kwargs):
+        best, witness = real(*args, **kwargs)
+        scans.append((kwargs, tuple(int(i) for i in witness)))
+        return best, witness
+
+    monkeypatch.setattr(scaling, "_max_subset_det", recorded)
+    idx = select_basis(build_Z_system(grushin(), 2).fields, (0.5, 0.0), 0.2)
+    assert scans == [({}, idx)]
+
+
 def test_select_basis_distinguished_slot_last():
     bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2, probe_radius=0.3)
     x0f, d0 = bsys.distinguished
