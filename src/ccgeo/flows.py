@@ -15,8 +15,8 @@ per control rather than at every stage; each caller keeps its own guard.
 `rk4_flow` keeps numpy on its fast paths, bit for bit: a shared flow time
 steps with one Python-float dt rather than a (B, 1) column, and the
 guard box is tested once per step against full-row copies of its centre
-and guarded half widths.  The field stack `_field_stack`, all fields from one point kernel, serves
-only the oracle's move rates.
+and guarded half widths.  The field stack `_field_stack`, all fields
+from one point kernel, serves only the oracle's move rates.
 """
 from __future__ import annotations
 
@@ -136,10 +136,10 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
     # the same bits either way: float64 division, and 0.5 * dt before the rows
     dt = float(t[0]) / n_steps if np.ndim(times) == 0 else (t / n_steps)[:, None]
     # Box.contains at GUARD_FACTOR from one |y - c| per step; a nan or inf coordinate fails it.
-    # Centre and guard come as full rows (numpy is slow to broadcast a short axis) and
+    # c and the guard come as full rows (numpy is slow to broadcast a short axis), and
     # counting beats all()
     guard = np.asarray(cfg.box.half_widths) * GUARD_FACTOR + 1e-9
-    c_rows = np.asarray(cfg.box.center, dtype=float)[None].repeat(len(y), 0)
+    c_rows = np.asarray(cfg.box.center)[None].repeat(len(y), 0)
     guard_rows = guard[None].repeat(len(y), 0)
     # one errstate per call: the fused velocity kernel enters none itself
     with np.errstate(all="ignore"):

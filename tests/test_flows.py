@@ -75,11 +75,6 @@ def test_rk4_flow_rejects_a_time_that_is_not_finite(times, shown):
         flows.rk4_flow(DX.eval_many, p0, times, CFG2)
 
 
-def test_exp_flow_rejects_a_time_that_is_not_finite():
-    with pytest.raises(ValueError, match=r"got time = nan$"):
-        exp_flow(DX, math.nan, (0.0, 0.0), CFG2)
-
-
 # -- rk4_flow's fast paths against the broadcast reference ---------------
 
 
