@@ -1,9 +1,10 @@
 """Non-characteristic boundary degree and the induced boundary system.
 
 On a chart with boundary {x_n = 0}, the minimal commutator degree
-transversal to the boundary is computed pointwise; where it is locally
-constant the standard correction procedure applies: a distinguished
-transversal generator X_0 is subtracted from every capped commutator so
+transversal to the boundary is computed pointwise.  Where it is constant
+on some tangential disc (build_boundary_system's radius ladder decides)
+the standard correction procedure applies: a distinguished transversal
+generator X_0 is subtracted from every capped commutator so
 the remainder is boundary-tangent, and restricting the tangent fields to
 {x_n = 0} yields a weighted system on the boundary whose metric is
 Lipschitz equivalent to the restricted ambient one.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ccmetric import MetricEstimate, cc_distance
+from .ccmetric import MetricEstimate, _check_in_chart, cc_distance
 from .hormander import (
     Box,
     CommutatorEntry,
@@ -44,25 +45,14 @@ TANGENCY_RTOL = 1e-10
 
 
 class CharacteristicError(RuntimeError):
-    """The boundary construction cannot proceed at this point.
-
-    When the boundary degree is not locally constant, probe_degs holds the
-    degrees at the tangential probes and radius the probe radius they were
-    taken at; every other failure leaves both None.
-    """
-
-    def __init__(self, message: str, probe_degs: tuple[int, ...] | None = None, radius: float | None = None):
-        super().__init__(message)
-        self.probe_degs = probe_degs
-        self.radius = radius
+    """The boundary construction cannot proceed at this point; the message
+    names the point and the condition that failed."""
 
 
 @dataclass(frozen=True)
 class BoundaryDegreeReport:
     deg: int
     witness: CommutatorEntry
-    noncharacteristic: bool  # the degree is the same at every probe
-    probe_degs: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -117,12 +107,12 @@ def _boundary_probes(sys: WeightedSystem, xp: np.ndarray, radius: float, per_axi
     return pts[keep]
 
 
-def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) -> BoundaryDegreeReport:
+def deg_boundary(sys: WeightedSystem, xp, m: int) -> BoundaryDegreeReport:
     """Minimal transversal commutator degree at a boundary point.
 
     The witness is the entry of minimal degree whose n-th component at xp
-    is largest relative to the field's size; the degree is probed on a
-    tangential grid of the given radius to decide local constancy.
+    is largest relative to the field's size.  Only xp is examined: whether
+    the degree is locally constant is build_boundary_system's decision.
     """
     if not sys.box.has_boundary:
         raise ValueError("system chart has no boundary")
@@ -131,59 +121,57 @@ def deg_boundary(sys: WeightedSystem, xp, m: int, probe_radius: float = 0.05) ->
         raise ValueError("point is not on the boundary {x_n = 0}")
     entries = enumerate_commutators(sys, m)
     pairs = [(e.field, e.degree) for e in entries]
-    degs, share = _transversal_degrees(pairs, np.vstack([xp, _boundary_probes(sys, xp, probe_radius)]))
+    degs, share = _transversal_degrees(pairs, xp[None])
     deg = int(degs[0])
     if deg < 0:
         raise CharacteristicError(f"no transversal commutator up to order {m} at {tuple(xp.tolist())}")
-    witness = entries[_most_normal([d for _, d in pairs], share[:, 0], deg)]
-    probe_degs = tuple(int(d) for d in degs[1:])
-    return BoundaryDegreeReport(deg, witness, all(d == deg for d in probe_degs), probe_degs)
+    return BoundaryDegreeReport(deg, entries[_most_normal([d for _, d in pairs], share[:, 0], deg)])
 
 
-def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float = 0.05) -> BoundarySystem:
+def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float = 0.3) -> BoundarySystem:
     """Run the correction procedure at a non-characteristic boundary point.
 
     Steps: derive the commutator system, pick the distinguished
     minimal-degree transversal generator X_0, subtract b~_j X_0 from each
     entry so it becomes boundary tangent (b~ constant in x_n), and restrict
     the tangential parts to the boundary slice.
+
+    The radius ladder alone decides that x0 is non-characteristic: from
+    probe_radius, the ceiling, it halves a tangential disc until every
+    probe has x0's boundary degree and X_0's n-th component stays at 5 %
+    of its value at x0, and keeps that radius.  Below 1e-3 it raises a
+    CharacteristicError that names the condition that failed.
     """
     if sys.n < 2:
         raise ValueError("boundary construction needs dimension >= 2")
     if not 0.0 < probe_radius < math.inf:
         raise ValueError(f"probe radius must be positive and finite, got radius = {probe_radius}")
     x0 = np.asarray(x0, dtype=float)
-    report = deg_boundary(sys, x0, m, probe_radius)
-    if not report.noncharacteristic:
-        raise CharacteristicError(
-            f"{tuple(x0.tolist())} is characteristic: boundary degree is not locally constant "
-            f"(probe degrees {report.probe_degs})",
-            probe_degs=report.probe_degs,
-            radius=probe_radius,
-        )
+    _check_in_chart(sys.box, x0, halfspace=False)
+    report = deg_boundary(sys, x0, m)
+    where = tuple(x0.tolist())
     n = sys.n
     j0 = _most_normal(sys.degrees, _transversal_degrees(sys.fields, x0[None])[1][:, 0], report.deg)
     if j0 is None:
-        raise CharacteristicError(
-            f"no generator of degree {report.deg} is transversal at {tuple(x0.tolist())}"
-        )
+        raise CharacteristicError(f"{where} is characteristic: no generator of degree {report.deg} is transversal there")
     X0, d0 = sys.fields[j0]
     x0n_val = float(X0.eval_many(x0)[-1])
     omega = 1 if x0n_val > 0 else -1
+    floor = max(1e-10, 0.05 * abs(x0n_val))
 
     pairs = [(e.field, e.degree) for e in enumerate_commutators(sys, m)]
     radius = probe_radius
     while True:
         probes = _boundary_probes(sys, x0, radius)
-        x0n = X0.eval_many(probes)[:, -1]
-        floor = max(1e-10, 0.05 * abs(x0n_val))
-        if np.abs(x0n).min() >= floor and np.all(_transversal_degrees(pairs, probes)[0] == report.deg):
+        bounded = np.abs(X0.eval_many(probes)[:, -1]).min() >= floor
+        if bounded and np.all(_transversal_degrees(pairs, probes)[0] == report.deg):
             break
+        if radius * 0.5 < 1e-3:
+            failed = (f"the boundary degree is not {report.deg} throughout" if bounded else
+                      f"the distinguished generator's normal component falls below {floor:.3g}")
+            raise CharacteristicError(f"{where} is characteristic: {failed} on the tangential disc "
+                                      f"of radius {radius:.3g}, the last of the ladder from {probe_radius:.3g}")
         radius *= 0.5
-        if radius < 1e-3:
-            raise CharacteristicError(
-                f"distinguished component vanishes arbitrarily close to {tuple(x0.tolist())}"
-            )
 
     z = build_Z_system(sys, m)
     den = X0.nth.subst(n, 0.0)
@@ -237,7 +225,7 @@ def build_boundary_system(sys: WeightedSystem, x0, m: int, probe_radius: float =
     return BoundarySystem(
         parent=sys,
         order=m,
-        x0=tuple(x0.tolist()),
+        x0=where,
         radius=radius,
         deg=report.deg,
         j0=j0,

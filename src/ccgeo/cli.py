@@ -344,7 +344,7 @@ def _map_source(scn: Scenario, probe):
     boundary probe, the scenario's system and order elsewhere."""
     sys_ = scn.system()
     if sys_.box.has_boundary and abs(probe[-1]) < 1e-12:
-        return build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
+        return build_boundary_system(sys_, probe, scn.order)
     return sys_, scn.order
 
 
@@ -458,7 +458,7 @@ def suite_boundary_metric(scn: Scenario) -> tuple[list, list]:
     cap = scn.threshold("boundary_metric.C", 4.0)
     rows, ratios = [], []
     for probe in scn.boundary_probes():
-        bsys = build_boundary_system(sys_, probe, scn.order, probe_radius=0.3)
+        bsys = build_boundary_system(sys_, probe, scn.order)
         pairs = _pairs_from_probes(scn, 4, spread=min(0.2, bsys.radius * 0.6), boundary=True, around=probe)
         for a, b in pairs:
             v = boundary_metric(bsys, a[:-1], b[:-1])
@@ -776,7 +776,6 @@ def cmd_scale(args) -> int:
 def cmd_boundary(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn.box, args.x, halfspace=False)
     sys_ = scn.system()
     bsys = build_boundary_system(sys_, tuple(args.x), scn.order, probe_radius=args.radius)
     rows = [

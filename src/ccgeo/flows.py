@@ -127,7 +127,7 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
     if single:
         y = y[None, :]
     t = np.broadcast_to(np.asarray(times, dtype=float), (len(y),)).astype(float)
-    tmax = float(np.abs(t).max())
+    tmax = float(np.abs(t).max(initial=0.0))  # an empty batch returns unchanged
     if not math.isfinite(tmax):
         raise ValueError(f"flow times must be finite, got time = {float(t[~np.isfinite(t)][0])}")
     if tmax == 0.0:

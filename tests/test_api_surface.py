@@ -10,8 +10,21 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
 
-#: settable values in src/ccgeo
-SETTABLE_VALUES = 60
+#: settable values in src/ccgeo; 57 since deg_boundary lost probe_radius and
+#: CharacteristicError its probe_degs and radius (the radius ladder in
+#: build_boundary_system alone decides local constancy)
+SETTABLE_VALUES = 57
+
+#: the packaged scenarios: perfbench builds its reach and scale op lists from
+#: every .scn file in src/ccgeo/fixtures, so a new one there changes them
+PACKAGED_FIXTURES = (
+    "degenerate.scn",
+    "elliptic.scn",
+    "grushin.scn",
+    "grushin_straightened.scn",
+    "heat.scn",
+    "heisenberg.scn",
+)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -52,3 +65,8 @@ def test_settable_values_are_pinned():
         f"src/ccgeo has {count} settable values, the pin says {SETTABLE_VALUES}: update "
         "SETTABLE_VALUES in this file and give the reason for each added or removed value in CHANGES.md"
     )
+
+
+def test_packaged_fixtures_are_pinned():
+    # test-only scenarios belong under tests/fixtures
+    assert tuple(sorted(p.name for p in (SRC / "fixtures").glob("*.scn"))) == PACKAGED_FIXTURES

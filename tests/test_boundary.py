@@ -44,7 +44,6 @@ def heat_half():
 def test_deg_grushin_noncharacteristic_at_half():
     rep = deg_boundary(grushin_straightened(), (0.5, 0.0), m=2)
     assert rep.deg == 1
-    assert rep.noncharacteristic
     # the most-normal degree-1 witness is x d/dy, not dx - 2x dy
     np.testing.assert_allclose(rep.witness.field.eval_many((0.5, 0.0)), [0.0, 0.5])
 
@@ -53,14 +52,13 @@ def test_deg_grushin_characteristic_at_zero():
     rep = deg_boundary(grushin_straightened(), (0.0, 0.0), m=2)
     assert rep.deg == 2
     assert rep.witness.word == (1, 2)
-    assert not rep.noncharacteristic  # degree jumps 1 -> 2 at x = 0
 
 
 def test_deg_elliptic_everywhere_one():
     sys = elliptic_half()
     for x1 in (-0.5, 0.0, 0.5):
         rep = deg_boundary(sys, (x1, 0.0), m=1)
-        assert rep.deg == 1 and rep.noncharacteristic
+        assert rep.deg == 1
 
 
 def test_build_grushin_recovers_exact_dx():
@@ -108,18 +106,42 @@ def test_build_rejects_characteristic_point():
         build_boundary_system(grushin_straightened(), (0.0, 0.0), m=2)
 
 
-def test_characteristic_error_carries_probe_degrees_and_radius():
+def test_characteristic_error_names_the_failed_condition():
     scn = load_scenario("grushin_straightened")
     (cp,) = scn.char_probes
-    with pytest.raises(CharacteristicError, match="boundary degree is not locally constant") as info:
-        build_boundary_system(scn.system(), cp, scn.order, probe_radius=0.3)
-    assert (info.value.probe_degs, info.value.radius) == ((1, 1, 2, 1, 1), 0.3)
-    assert str(info.value) == "(0.0, 0.0) is characteristic: boundary degree is not locally constant (probe degrees (1, 1, 2, 1, 1))"
-    # the other failures carry neither
-    tangent = WeightedSystem(fields=((parse_vfield("1, 0", 2), 1),), box=Box((1.0, 1.0), has_boundary=True))
-    with pytest.raises(CharacteristicError, match="no transversal commutator") as info:
-        build_boundary_system(tangent, (0.0, 0.0), m=2, probe_radius=0.3)
-    assert (info.value.probe_degs, info.value.radius) == (None, None)
+    with pytest.raises(CharacteristicError) as info:
+        build_boundary_system(scn.system(), cp, scn.order)
+    assert str(info.value) == "(0.0, 0.0) is characteristic: no generator of degree 2 is transversal there"
+    assert vars(info.value) == {}  # the message is the whole record
+    box = Box((1.0, 1.0), has_boundary=True)
+    # degree 2 at the origin through the generator d/dx2, degree 1 through x1 d/dx2 beside it
+    jump = WeightedSystem(
+        fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, x1", 2), 1), (parse_vfield("0, 1", 2), 2)),
+        box=box,
+    )
+    with pytest.raises(CharacteristicError) as info:
+        build_boundary_system(jump, (0.0, 0.0), m=2)
+    assert str(info.value) == (
+        "(0.0, 0.0) is characteristic: the boundary degree is not 2 throughout on the tangential disc "
+        "of radius 0.00117, the last of the ladder from 0.3"
+    )
+    # degree 1 everywhere through (1, 1), but the distinguished exp(-1e12 x1^2) d/dx2 is
+    # negligible at every probe off x1 = 0
+    bump = WeightedSystem(
+        fields=((parse_vfield("0, exp(0-1000000000000*x1*x1)", 2), 1), (parse_vfield("1, 1", 2), 1)),
+        box=box,
+    )
+    with pytest.raises(CharacteristicError, match=r"^\(0\.0, 0\.0\) is characteristic: the distinguished "
+                       r"generator's normal component falls below 0\.05 on the tangential disc of radius 0\.00117"):
+        build_boundary_system(bump, (0.0, 0.0), m=2)
+    tangent = WeightedSystem(fields=((parse_vfield("1, 0", 2), 1),), box=box)
+    with pytest.raises(CharacteristicError, match="no transversal commutator"):
+        build_boundary_system(tangent, (0.0, 0.0), m=2)
+
+
+def test_build_rejects_a_base_point_outside_the_chart():
+    with pytest.raises(ValueError, match="base point is not in the chart"):
+        build_boundary_system(grushin_straightened(), (5.0, 0.0), m=2)
 
 
 def test_boundary_metric_euclidean_along_dx():

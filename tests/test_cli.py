@@ -291,7 +291,23 @@ def test_boundary_characteristic_is_numeric_error(capsys):
     assert "(0.0, 0.0) is characteristic" in capsys.readouterr().err
 
 
-_POLE = 'field = "1, 0" degree = 1\nfield = "0, 1/(x1-0.25)" degree = 1\n'
+_SINE = str(Path(__file__).resolve().parent / "fixtures" / "sine_boundary.scn")
+
+
+@pytest.mark.parametrize(
+    "scenario, x, radius",
+    [(_SINE, "0.3", 0.15), ("grushin_straightened", "0.15", 0.075), ("grushin_straightened", "0.3", 0.15)],
+)
+def test_boundary_and_scale_shrink_the_radius_below_the_ceiling(scenario, x, radius, tmp_path, capsys):
+    # each ceiling disc of radius 0.3 has a probe on the characteristic point x1 = 0
+    report = tmp_path / "report.json"
+    assert main(["boundary", scenario, "--x", x, "0", "--report", str(report)]) == 0
+    row = json.loads(report.read_text())["rows"][0]
+    assert row["radius"] == radius < 0.3
+    assert main(["scale", scenario, "--x", x, "0", "--delta", "0.1"]) == 0
+
+
+_POLE ='field = "1, 0" degree = 1\nfield = "0, 1/(x1-0.25)" degree = 1\n'
 _SINGULAR = {
     "pole": "m = 1\n" + _POLE,
     "pole_boundary": "m = 1\nboundary = true\n" + _POLE,

@@ -322,6 +322,20 @@ def test_invert_round_trip():
     np.testing.assert_allclose(T2, T, atol=1e-7)
 
 
+@pytest.mark.parametrize("kind", ["interior", "near_boundary"])
+def test_maps_take_an_empty_batch(kind):
+    # the near-boundary map's distinguished flow gets an empty array of per-row times
+    x = (0.5, 0.0)
+    source = (grushin(), 2) if kind == "interior" else build_boundary_system(grushin_straightened(), x, m=2)
+    smap = build_scaling_map(source, x, 0.1)
+    assert smap.kind == kind
+    empty = np.zeros((0, 2))
+    psi, dpsi = smap.jet(empty)
+    T, ok = smap.invert(empty)
+    assert smap(empty).shape == psi.shape == T.shape == (0, 2) and ok.shape == (0,)
+    assert smap.jacobian(empty).shape == dpsi.shape == (0, 2, 2)
+
+
 def heisenberg():
     return WeightedSystem(
         fields=((parse_vfield("0, 0-x1/2, 1", 3), 1), (parse_vfield("1, x3/2, 0", 3), 1)),
