@@ -6,9 +6,12 @@ sup-in-time L2 norm strictly below one, against the scaled fields
 delta^{d_j} W_j.  Two estimators are provided: a brute-force grid-graph
 oracle that bounds the distance only from above, and only up to its
 discretization, and a faster deterministic direct-shooting estimator
-whose lower end is cross-checked against the oracle's upper end.
-Intrinsic mode confines paths to the chart (x_n >= 0 when the chart has
-boundary); extrinsic mode allows the whole box.
+whose lower end is cross-checked against the oracle's upper end.  The
+oracle searches in rounds, and each round settles its concurrent
+arrivals in grid cells by an order-free rule: least cost, exact ties to
+the least arrival index.  Intrinsic mode confines paths to the chart
+(x_n >= 0 when the chart has boundary); extrinsic mode allows the whole
+box.
 """
 from __future__ import annotations
 
@@ -309,14 +312,15 @@ class ReachGraph:
     it; this gives a reusable membership test for the reachable set
     within the time budget.  Before such a run the three are empty.
 
-    A frontier round settles its arrivals in cells, then the expanding
-    ones in half-cells, with the same costs, points and frontier, bit for
-    bit, as a loop over the arrivals in order.  Best costs only fall
-    within a round, so an arrival that its key's stored best cost already
-    rules out can change nothing: `_sift` sorts the round's keys once,
-    looks each one up once and drops such arrivals; `_relax` takes the
-    rest as a running minimum per key, replaying exactly, from its first
-    tie on, only a key with an arrival inside a 1e-12 tie window.
+    A frontier round settles its arrivals, in (point, direction) order,
+    by an order-free rule.  A cell's best cost falls to the least of its
+    arrivals' costs; an arrival expands when its cost is at most that new
+    best plus its move quantum tau; a cell whose best fell takes the point
+    of its least-index arrival at the new best.  The expanding arrivals
+    settle in half-cells alike: one below its half-cell's best before the
+    round and equal to it after is accepted, and each accepted half-cell's
+    least-index arrival joins the next frontier, in arrival order.  Both
+    stores are `_Slots`, settled with `np.minimum.at` and without a sort.
 
     A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
     rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
@@ -328,7 +332,7 @@ class ReachGraph:
     few with the same bits: one field kernel call, column-by-column folds
     over the n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost
     per arrival avoids numpy's slow broadcast of a length-n vector over
-    (N, n) rows: cell keys, membership and the move rates, laid out
+    (N, n) rows: grid indices, membership and the move rates, laid out
     (D, F) with the F frontier points contiguous, go one coordinate
     column at a time.
 
@@ -354,6 +358,7 @@ class ReachGraph:
         self.settled = np.empty(0, dtype=np.int64)
         self.settled_cost = np.empty(0)
         self.settled_pts = np.empty((0, sys.n))
+        self._window = _Slots(self._cells, sys.n)  # the settled cells' slot map, which `contains` reads
 
     def _index(self, p: np.ndarray, scale: float):
         """Grid indices (as floats) of points p (N, n) on the 1/scale cell grid,
@@ -379,12 +384,6 @@ class ReachGraph:
         if math.prod(shape) > np.iinfo(np.int64).max:
             raise ValueError(f"oracle grid of {shape} cells does not fit int64 keys; coarsen the resolution")
         return lo, shape
-
-    def _keys(self, p: np.ndarray, scale: float, grid) -> np.ndarray:
-        """np.ravel_multi_index's int64 keys of the cells of points p (N, n) on the 1/scale grid
-        `grid`, one coordinate column at a time.  Only points that passed the box test are
-        keyed: in range."""
-        return _ravel(self._index(p, scale), *grid)
 
     def run(self, target=None, arrival_tol: float | None = None):
         """Explore within the budget; returns (reached, cost) for a target.
@@ -451,14 +450,14 @@ class ReachGraph:
             return Y, costs, tau, costs[near]
 
         x0 = self.x0[None]
-        cell_keys = self._keys(x0, 1.0, self._cells)
-        cell_cost, cell_pts = np.zeros(1), x0.copy()
+        cells, halves = _Slots(self._cells, self.sys.n), _Slots(self._halves, 0)
+        s, _, _ = cells.settle(list(self._index(x0, 1.0)), np.zeros(1))
+        cells.pts[s] = x0
         # expansion frontier: (position, cost) arrivals, deduplicated on a
         # half-cell grid; arrivals within one move quantum of their
         # cell's best cost still expand, so well-positioned but slightly
         # costlier through-paths are not starved by near-corner arrivals
         P, C = x0, np.zeros(1)
-        half_keys, half_cost = np.empty(0, dtype=np.int64), np.empty(0)
         rounds = 0
         step = max(1, ROUND_ROWS // len(self.dirs))  # frontier points per block
         with np.errstate(all="ignore"):
@@ -470,20 +469,21 @@ class ReachGraph:
                 if len(hits):
                     return True, float(hits.min())
 
-                keys = self._keys(Y, 1.0, self._cells)
-                cell_keys, cell_cost, cell_pts, expand = _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, Y)
+                s, best, won = cells.settle(list(self._index(Y, 1.0)), costs)
+                cells.pts[s.take(won)] = Y.take(won, 0)
+                expand = (costs <= best + tau).nonzero()[0]
                 Y, costs = Y.take(expand, 0), costs[expand]
-                keys = self._keys(Y, 2.0, self._halves)
-                half_keys, half_cost, nxt = _settle_halves(half_keys, half_cost, keys, costs)
+                _, _, nxt = halves.settle(list(self._index(Y, 2.0)), costs)
                 P, C = Y.take(nxt, 0), costs[nxt]
 
-                if len(cell_keys) > MAX_CELLS:
+                if cells.size > MAX_CELLS:
                     raise RuntimeError(
-                        f"oracle cell budget exceeded: {len(cell_keys)} cells settled, max_cells "
+                        f"oracle cell budget exceeded: {cells.size} cells settled, max_cells "
                         f"{MAX_CELLS}, after {rounds} frontier rounds at resolution "
                         f"{self.res.tolist()}; coarsen the resolution"
                     )
-        self.settled, self.settled_cost, self.settled_pts = cell_keys, cell_cost, cell_pts
+        self.settled, self.settled_cost, self.settled_pts = cells.settled()
+        self._window = cells
         return False, math.inf
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
@@ -491,7 +491,8 @@ class ReachGraph:
 
         With dilate=1 a point also counts when any neighboring cell was
         settled, absorbing quantization at the set's surface.  Index, range
-        test and key are taken one coordinate column at a time.
+        test and key are taken one coordinate column at a time, and the key
+        is read in the last run's slot map of cells.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.sys.n:
@@ -509,10 +510,10 @@ class ReachGraph:
 
     def _settled_at(self, idx: list) -> np.ndarray:
         """Whether each cell index, given as one float column per coordinate (any value), is a settled cell."""
-        lo, shape = self._cells
-        inside = functools.reduce(np.logical_and, [(i >= a) & (i < a + m) for i, a, m in zip(idx, lo, shape)])
+        w = self._window
+        inside = functools.reduce(np.logical_and, [(i >= a) & (i <= b) for i, a, b in zip(idx, w.lo, w.hi)])
         out = np.zeros(len(inside), dtype=bool)
-        out[inside] = _lookup(self.settled, self.settled_cost, _ravel([i[inside] for i in idx], lo, shape))[1]
+        out[inside] = w.slot.take(_ravel([i[inside] for i in idx], w.lo, w.shape)) >= 0
         return out
 
 
@@ -526,177 +527,95 @@ def _ravel(idx, lo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return key
 
 
-def _runs(v: np.ndarray) -> np.ndarray:
-    """Flags of the first entry of each run of equal values in v."""
-    new = np.empty(v.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    return new
+class _Slots:
+    """Best costs of the grid cells one search has reached, by grid index.
 
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable") of int64 keys.  Where it fits in int64,
-    one unstable sort of (key - lo) * 2^b + index, for lo <= every key and
-    2^b > len(keys): that value is unique per arrival, so its order is the
-    stable one, and numpy sorts plain int64 values much faster."""
-    b = keys.size.bit_length()
-    lo = np.minimum.reduce(keys, initial=0)
-    if int(np.maximum.reduce(keys, initial=0)) - int(lo) >= 1 << (63 - b):
-        return keys.argsort(kind="stable")
-    c = (keys - lo) << b
-    c |= np.arange(keys.size)
-    c.sort()
-    return c & ((1 << b) - 1)
-
-
-def _sift(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray, keep, *cols):
-    """Group a round's arrivals by key and drop those their key's stored best cost rules out.
-
-    The keys are sorted once, stably, so each group keeps its arrivals in
-    arrival order, and each distinct key is looked up once, in key order
-    (see `_lookup`).  The per-arrival arrays cols are gathered once, in
-    the sorted order, and `keep(stored, *cols)` flags the sorted arrivals
-    that may still act given their key's stored cost (inf if absent).
-    Returns the kept arrivals' indices s, grouped in key order; each one's
-    group; each group's start in s; per group its key, store position,
-    presence and stored cost; and cols at s.
+    An int32 slot map over a window of the grid's indices holds each
+    reached cell's slot (-1 for none) in compact per-slot arrays: its best
+    cost and the n_pts coordinates of one representative point.  The
+    window grows to cover each round's indices, by a margin of about 1/8
+    of its span and at least 2 cells, clipped to the chart's index range,
+    so it spans the explored index box, not the chart's.  A new cell's
+    slot is found without a sort: `np.minimum.at` writes -2 - position
+    into the map, which picks one arrival per new cell.
     """
-    order = _stable_order(keys)
-    sorted_keys = keys.take(order)
-    new = _runs(sorted_keys)
-    group = new.cumsum() - 1
-    distinct = sorted_keys[new]
-    pos, found, stored = _lookup(store_keys, store_cost, distinct)
-    cols = [c.take(order) for c in cols]
-    kept = keep(stored[group], *cols).nonzero()[0]
-    new = _runs(group[kept])
-    starts = new.nonzero()[0]
-    g = group[kept[starts]]
-    return order[kept], new.cumsum() - 1, starts, (distinct[g], pos[g], found[g], stored[g]), [c[kept] for c in cols]
 
+    def __init__(self, grid, n_pts: int):
+        self.grid = grid  # the chart's index range (lowest index, shape)
+        n = len(grid[1])
+        self.lo, self.hi, self.shape = [math.inf] * n, [-math.inf] * n, (0,) * n
+        self.slot = np.empty(0, dtype=np.int32)
+        self.size, self.n_pts = 0, n_pts
+        self.cost, self.pts, self.scratch = np.empty(0), np.empty((0, n_pts)), np.empty(0, dtype=np.int32)
 
-def _lookup(store_keys: np.ndarray, store_cost: np.ndarray, keys: np.ndarray):
-    """Positions of keys in a sorted store, their presence, and stored costs (inf if absent)."""
-    pos = store_keys.searchsorted(keys)
-    if not store_keys.size:
-        return pos, np.zeros(keys.size, dtype=bool), np.full(keys.size, math.inf)
-    at = np.minimum(pos, store_keys.size - 1)  # a key past the last stored one is absent
-    found = store_keys[at] == keys
-    return pos, found, np.where(found, store_cost[at], math.inf)
+    def _cover(self, idx) -> None:
+        """Grow the window to cover grid indices idx, one float column per coordinate."""
+        need = [(np.minimum.reduce(c, initial=math.inf), np.maximum.reduce(c, initial=-math.inf)) for c in idx]
+        if all(lo <= a and b <= hi for (a, b), lo, hi in zip(need, self.lo, self.hi)):
+            return
+        old, lo, hi = self.lo, [], []  # a few floats: plain Python beats numpy here
+        for (a, b), l, h, g, m in zip(need, self.lo, self.hi, *self.grid):
+            margin = max(2.0, (max(h, b) - min(l, a) + 1) // 8)
+            lo.append(float(max(a - margin, g)) if a < l else l)
+            hi.append(float(min(b + margin, g + m - 1)) if b > h else h)
+        shape = tuple(int(b - a) + 1 for a, b in zip(lo, hi))
+        slot = np.full(shape, -1, dtype=np.int32)
+        if self.slot.size:
+            slot[tuple(slice(int(a - b), int(a - b) + m) for a, b, m in zip(old, lo, self.shape))] = self.slot.reshape(self.shape)
+        self.lo, self.hi, self.shape, self.slot = lo, hi, shape, slot.reshape(-1)
 
+    def _slots(self, idx) -> np.ndarray:
+        """Each arrival's slot, from its grid indices as float columns, which it overwrites;
+        cells not reached before get new slots, with cost inf."""
+        self._cover(idx)
+        k = _ravel(idx, self.lo, self.shape)
+        s = self.slot.take(k)
+        new = (s < 0).nonzero()[0]
+        if new.size:
+            k = k.take(new)
+            first = -2 - np.arange(new.size, dtype=np.int32)
+            np.minimum.at(self.slot, k, first)
+            rep = k[self.slot.take(k) == first]
+            end = self.size + rep.size
+            if end > self.cost.size:
+                cap = max(2 * self.cost.size, end, 64)
+                self.cost = np.concatenate([self.cost, np.full(cap - self.cost.size, math.inf)])
+                self.pts = np.concatenate([self.pts, np.empty((cap - len(self.pts), self.n_pts))])
+                self.scratch = np.empty(cap, dtype=np.int32)
+            self.slot[rep] = np.arange(self.size, end, dtype=np.int32)
+            self.size = end
+            s[new] = self.slot.take(k)
+        return s
 
-def _relax(costs: np.ndarray, group: np.ndarray, starts: np.ndarray, best: np.ndarray):
-    """Replay `if c < best - 1e-12: best = c` over arrivals in order, per group.
+    def settle(self, idx, c: np.ndarray):
+        """Lower each cell's best cost to the least of its arrivals' costs c.
 
-    The arrivals come grouped: group[i] is arrival i's, starts the first
-    arrival of each, in arrival order within a group.  best holds each
-    group's stored cost and is updated in place.  Returns each arrival's
-    best-before and improved flag, and per group the last improving
-    arrival (-1 for none).
+        idx are the arrivals' grid indices (float columns, overwritten).
+        Returns each arrival's slot, its cell's best cost after the round,
+        and the indices, in order, of the arrivals that set a best cost
+        that fell: per such cell the least index with c equal to it, found
+        by a second `np.minimum.at`.  So ties go to the least index, and
+        no result depends on the order in which numpy scatters.
+        """
+        s = self._slots(idx)
+        before = self.cost.take(s)
+        np.minimum.at(self.cost, s, c)
+        after = self.cost.take(s)
+        i = ((c < before) & (c == after)).nonzero()[0]
+        si = s.take(i)
+        self.scratch[si] = c.size
+        np.minimum.at(self.scratch, si, i.astype(np.int32))
+        return s, after, i[self.scratch.take(si) == i]
 
-    Let m be the least of a group's stored cost and its earlier arrivals'
-    costs.  An arrival below m - 1e-12 becomes the best and one at or
-    above m leaves it, so until an arrival lands in the tie window
-    [m - 1e-12, m), or is nan, the best is m: a running minimum, taken
-    for every group at once in one pass, as np.fmin.accumulate of the
-    complex pairs (-group, cost), which numpy orders real part first, so
-    each group hides all earlier ones, and which copies the costs' bits.
-    Such an arrival misleads only the later ones of its group, so only
-    the groups with one before their last arrival are replayed exactly,
-    one rank at a time, from the first such arrival on; fmin skips a nan,
-    which only a replayed arrival can see, or a nan stored cost, which
-    is put back at its group's start.
-    """
-    N = costs.size
-    z = np.empty((N, 2))  # (-group, the cost just before each arrival) as complex, then a running min
-    np.negative(group, out=z[:, 0])
-    z[1:, 1] = costs[:-1]
-    z[starts, 1] = best
-    pairs = z.view(complex)[:, 0]
-    np.fmin.accumulate(pairs, out=pairs)
-    seen = z[:, 1].copy()
-    seen[starts] = best
-    improved = costs < seen - 1e-12
-    tie = ~(improved | (costs >= seen))
-    tie[starts - 1] = False  # the last arrival of each group (starts[0] - 1 is the very last)
-    ties = tie.nonzero()[0]
-    if ties.size:  # the arrivals after each tied group's first tie, in plain floats
-        first = ties[_runs(group[ties])]
-        g = group[first]
-        n = np.append(starts[1:], N)[g] - first - 1  # at least one: no group's last arrival is a tie
-        replay = np.arange(n.sum()) + np.repeat(first + 1 - (n.cumsum() - n), n)
-        cs, i = costs[replay].tolist(), 0
-        was, up = cs[:], [False] * len(cs)
-        for b, k in zip(seen[first].tolist(), n.tolist()):  # a tie leaves the best it saw
-            for i in range(i, i + k):
-                was[i] = b
-                if cs[i] < b - 1e-12:
-                    b, up[i] = cs[i], True
-            i += 1
-        seen[replay], improved[replay] = was, up
-    last = np.maximum.reduceat(np.arange(1, N + 1) * improved - 1, starts) if N else np.empty(0, dtype=np.intp)
-    np.copyto(best, costs[last], where=last >= 0)
-    return seen, improved, last
+    def settled(self):
+        """The reached cells' int64 keys on the chart grid, sorted, with their costs and points.
 
-
-def _settle_cells(cell_keys, cell_cost, cell_pts, keys, costs, tau, pts):
-    """Settle one round's arrivals in their cells.
-
-    Bit for bit the loop over arrivals in order: one cheaper than its
-    cell's best by more than 1e-12 becomes the cell's cost and point, and
-    one costlier than the best it saw by more than its move quantum tau
-    (plus 1e-12) does not expand.  Returns the updated sorted store and
-    the indices of the expanding arrivals, in order.
-    """
-    s, group, starts, (cells, pos, found, best), (c, t) = _sift(
-        cell_keys, cell_cost, keys, lambda b, c, t: ~(c > b + t + 1e-12), costs, tau
-    )
-    seen, improved, last = _relax(c, group, starts, best)
-    expand = np.zeros(keys.size, dtype=bool)
-    expand[s[improved | ~(c > seen + t + 1e-12)]] = True
-    cell_keys, cell_cost, cell_pts = _merge(
-        cell_keys, (cell_cost, cell_pts), cells, pos, found, last >= 0, (best, pts.take(s[last], 0))
-    )
-    return cell_keys, cell_cost, cell_pts, expand.nonzero()[0]
-
-
-def _settle_halves(half_keys, half_cost, keys, costs):
-    """Settle one round's expanding arrivals in their half-cells.
-
-    Bit for bit the loop over arrivals in order: one cheaper than its
-    half-cell's best by more than 1e-12 is accepted and becomes the
-    best.  Returns the updated sorted store and the next frontier: per
-    accepted half-cell its last accepted arrival, in the order of first
-    acceptance.  After the sift every group's first arrival is accepted.
-    """
-    s, group, starts, (halves, pos, found, best), (c,) = _sift(half_keys, half_cost, keys, lambda b, c: c < b - 1e-12, costs)
-    _, _, last = _relax(c, group, starts, best)
-    half_keys, half_cost = _merge(half_keys, (half_cost,), halves, pos, found, last >= 0, (best,))
-    return half_keys, half_cost, s[last[s[starts].argsort()]]
-
-
-def _merge(store_keys: np.ndarray, cols: tuple, keys, pos, found, sel, vals: tuple) -> list:
-    """Write the selected groups' values into a sorted store, inserting new keys;
-    returns the store's keys and columns.
-
-    The groups come in key order, so the i-th new key lands at its store
-    position plus i; the merged slots are found once for every column.
-    """
-    old, new = (sel & found).nonzero()[0], (sel & ~found).nonzero()[0]
-    for col, v in zip(cols, vals):
-        col[pos.take(old)] = v.take(old, 0)
-    at = pos.take(new)
-    at += np.arange(at.size)
-    kept = np.ones(store_keys.size + at.size, dtype=bool)
-    kept[at] = False
-    slots = kept.nonzero()[0]  # the merged store's slots of old keys
-    out = []
-    for col, v in zip((store_keys, *cols), (keys, *vals)):
-        merged = np.empty((kept.size,) + col.shape[1:], dtype=col.dtype)
-        merged[slots] = col
-        merged[at] = v.take(new, 0)
-        out.append(merged)
-    return out
+        Row-major order is the order of index tuples in any box, so the
+        window's occupied positions come in chart-key order."""
+        w = (self.slot >= 0).nonzero()[0]
+        s = self.slot.take(w)
+        keys = _ravel([i + a for i, a in zip(np.unravel_index(w, self.shape), self.lo)], *self.grid)
+        return keys, self.cost.take(s), self.pts.take(s, 0)
 
 
 def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:

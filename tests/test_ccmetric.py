@@ -33,6 +33,14 @@ def elliptic_half_plane():
     )
 
 
+def elliptic_unit_half_plane():
+    # the packaged elliptic chart: [-1, 1] x [0, 1]
+    return WeightedSystem(
+        fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, 1", 2), 1)),
+        box=Box((1.0, 1.0), has_boundary=True),
+    )
+
+
 def grushin_interior():
     return WeightedSystem(
         fields=((parse_vfield("1, 0", 2), 1), (parse_vfield("0, x1", 2), 1)),
@@ -412,6 +420,29 @@ def test_exact_metrics_closed_forms():
     assert exact_metrics.heat((0.1, 0.2), (0.1, 0.29)) == pytest.approx(0.3)
     d = exact_metrics.heat((0.0, 0.0), (0.12, -0.05))
     assert (0.12 / d) ** 2 + (0.05 / d**2) ** 2 == pytest.approx(1.0)
+    # ball volumes: a disc and an ellipse with semi-axes delta and delta^2, halved at x_n = 0
+    assert exact_metrics.elliptic_volume((0.0, 0.5), 0.2) == pytest.approx(math.pi * 0.04)
+    assert exact_metrics.elliptic_volume((0.3, 0.0), 0.2) == pytest.approx(math.pi * 0.02)
+    assert exact_metrics.heat_volume((0.0, 0.5), 0.1) == pytest.approx(math.pi * 1e-3)
+    assert exact_metrics.heat_volume((0.2, 0.0), 0.1) == pytest.approx(math.pi * 5e-4)
+
+
+@pytest.mark.parametrize("fixture", ["elliptic", "heat"])
+def test_ball_volume_holds_the_closed_form(fixture):
+    # every probe at the two smallest ladder rungs, as `ccgeo volume` runs them
+    scn = load_scenario(fixture)
+    exact = getattr(exact_metrics, f"{fixture}_volume")
+    for x in scn.probes:
+        for delta in sorted(scn.deltas)[:2]:
+            est = ball_volume(scn.system(), x, delta, seed=scn.seed)
+            assert abs(est.value - exact(x, delta)) <= 3 * est.std_error
+
+
+def test_oracle_reaches_the_heat_pair_near_its_closed_form():
+    # a heat pair whose oracle upper end once fell 8.8 % below the closed form (0.2316 vs 0.2112)
+    x, y = (-0.29822, 0.301204), (-0.21844, 0.351561)
+    est = oracle_distance(load_scenario("heat").system(), x, y, "intrinsic")
+    assert est.upper >= 0.98 * exact_metrics.heat(x, y)
 
 
 def test_cc_distance_intersects_oracle():
@@ -453,15 +484,23 @@ def test_degree_reduction_containment():
     assert inside.mean() >= 0.99
 
 
-# -- ReachGraph against the per-arrival dict loop it replaced --------------
+# -- ReachGraph against a per-arrival dict loop of its rule -------------------
 
 
 def _reference_run(g, target=None, arrival_tol=None):
-    """The old ReachGraph.run: one Python step per arrival over dicts.
+    """ReachGraph.run's rule, one Python step per arrival over dicts.
+
+    Each round's arrivals, in (point, direction) order, lower their cell's
+    best cost to the least of their costs.  An arrival expands when its
+    cost is at most its cell's best after the round plus its move quantum,
+    and a cell whose best fell takes the point of its least-index arrival
+    at the new best.  The expanding arrivals do the same in half-cells: an
+    arrival is accepted when its cost is below its half-cell's best before
+    the round and equal to the best after it, and the next frontier is each
+    accepted half-cell's least-index arrival, in arrival order.
 
     Returns (reached, cost, settled) with settled mapping integer cell
-    tuples to (cost, point), plus the number of arrivals that fell inside
-    one of the 1e-12 tie windows.
+    tuples to (cost, point).
     """
     target = None if target is None else np.asarray(target, dtype=float)
     tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(g.res))
@@ -470,12 +509,11 @@ def _reference_run(g, target=None, arrival_tol=None):
     box = g.sys.box
     halfspace = g.mode == "intrinsic" and box.has_boundary
     if target is not None and np.linalg.norm(g.x0 - target) <= tol:
-        return True, 0.0, {}, 0
+        return True, 0.0, {}
 
     def cell(p):
         return tuple(np.floor((p - g.x0) / g.res + 0.5).astype(int))
 
-    ties = 0
     dist = {cell(g.x0): 0.0}
     pts = {cell(g.x0): g.x0}
     frontier = [(g.x0, 0.0)]
@@ -507,33 +545,39 @@ def _reference_run(g, target=None, arrival_tol=None):
             if target is not None and ok.any():
                 hit = ok & (np.linalg.norm(Y - target, axis=1) <= tol)
                 if hit.any():
-                    return True, float(costs[hit].min()), {}, ties
-            keys = np.floor((Y - g.x0) / g.res + 0.5).astype(int)
-            qpos = np.floor((Y - g.x0) / g.res * 2.0 + 0.5).astype(int)
-            next_frontier = {}
-            for m in np.nonzero(ok)[0]:
-                key = tuple(keys[m])
-                c2 = float(costs[m])
-                cur = dist.get(key)
-                if cur is not None and cur - 1e-12 <= c2 < cur:
-                    ties += 1
-                if cur is None or c2 < cur - 1e-12:
-                    dist[key] = c2
-                    pts[key] = Y[m]
-                elif c2 > cur + tau[m] + 1e-12:
-                    continue
-                fkey = tuple(qpos[m])
-                qb = qbest.get(fkey, math.inf)
-                if qb - 1e-12 <= c2 < qb:
-                    ties += 1
-                if c2 >= qb - 1e-12:
-                    continue
-                qbest[fkey] = c2
-                next_frontier[fkey] = (Y[m], c2)
+                    return True, float(costs[hit].min()), {}
+            arrivals = [
+                (tuple(k), tuple(q), y, float(c), float(t))
+                for k, q, y, c, t in zip(
+                    np.floor((Y - g.x0) / g.res + 0.5).astype(int)[ok],
+                    np.floor((Y - g.x0) / g.res * 2.0 + 0.5).astype(int)[ok],
+                    Y[ok], costs[ok], tau[ok],
+                )
+            ]
+            before = {}
+            for key, _, _, c, _ in arrivals:
+                before.setdefault(key, dist.get(key, math.inf))
+                dist[key] = min(dist.get(key, math.inf), c)
+            won, expand = set(), []
+            for arrival in arrivals:
+                key, _, y, c, t = arrival
+                if c < before[key] and c == dist[key] and key not in won:
+                    won.add(key)
+                    pts[key] = y
+                if c <= dist[key] + t:
+                    expand.append(arrival)
+            qbefore = {}
+            for _, fkey, _, c, _ in expand:
+                qbefore.setdefault(fkey, qbest.get(fkey, math.inf))
+                qbest[fkey] = min(qbest.get(fkey, math.inf), c)
+            accepted, frontier = set(), []
+            for _, fkey, y, c, _ in expand:
+                if c < qbefore[fkey] and c == qbest[fkey] and fkey not in accepted:
+                    accepted.add(fkey)
+                    frontier.append((y, c))
             if len(dist) > ccmetric.MAX_CELLS:
                 raise RuntimeError("oracle cell budget exceeded; coarsen the resolution")
-            frontier = list(next_frontier.values())
-    return False, math.inf, {k: (dist[k], pts[k]) for k in dist}, ties
+    return False, math.inf, {k: (dist[k], pts[k]) for k in dist}
 
 
 def _reference_contains(g, settled, points, dilate=0):
@@ -567,6 +611,8 @@ REFERENCE_CASES = [
     (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03)),
     # unequal degrees, so the per-direction weights dirs * factors differ by axis
     (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01)),
+    # the reachable set meets the chart edge x1 = 1, so the slot windows grow and are clipped there
+    (elliptic_unit_half_plane, (0.9, 0.05), 0.5, "intrinsic", 0.03),
 ]
 
 
@@ -578,9 +624,8 @@ def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
     def graph():
         return ReachGraph(sys, x, delta, mode, res=res)
 
-    ref_reached, ref_cost, ref, ties = _reference_run(graph())
+    ref_reached, ref_cost, ref = _reference_run(graph())
     assert (ref_reached, ref_cost) == (False, math.inf)
-    assert ties > 0  # equal-cost arrivals: the 1e-12 windows decide the frontier
     # targeted runs: an interior settled point, a far one, one out of reach
     pts = np.array([p for _, p in ref.values()])
     far = pts[np.argmax(np.linalg.norm(pts - np.asarray(x), axis=1))]
@@ -635,13 +680,13 @@ def test_round_blocks_bound_the_oracle_memory(monkeypatch):
     # the extrinsic Heisenberg ball at delta 0.6 keeps more than 4 ROUND_ROWS
     # arrivals in its largest rounds
     kept = []
-    settle = ccmetric._settle_cells
+    settle = ccmetric._Slots.settle
 
-    def counted(*args):
-        kept.append(len(args[3]))
-        return settle(*args)
+    def counted(store, idx, c):
+        kept.append(len(c))
+        return settle(store, idx, c)
 
-    monkeypatch.setattr(ccmetric, "_settle_cells", counted)
+    monkeypatch.setattr(ccmetric._Slots, "settle", counted)
 
     def peak():
         g = ReachGraph(heisenberg_half(), (0.0, 0.0, 0.5), 0.6, "extrinsic", res=0.02)
@@ -658,102 +703,60 @@ def test_round_blocks_bound_the_oracle_memory(monkeypatch):
     assert peak() >= 1.5 * blocked
 
 
-# costs on a grid finer than the 1e-12 tie windows, around two base costs
-_tie_costs = st.builds(lambda b, k: b + k * 4e-13, st.sampled_from([0.25, 0.5]), st.integers(-5, 5))
-# costs spread far beyond the tie windows, so a round may have no tie at all
-_spread_costs = st.builds(lambda k: k / 64.0, st.integers(0, 64))
+def test_slot_window_is_clipped_to_the_chart():
+    # the last reference case reaches the chart edge x1 = 1: the window's margin stops there
+    make, x, delta, mode, res = REFERENCE_CASES[-1]
+    g = ReachGraph(make(), x, delta, mode, res=res)
+    g.run()
+    lo, shape = g._cells
+    top = lo + np.array(shape) - 1
+    assert np.all(np.array(g._window.lo) >= lo) and np.all(np.array(g._window.hi) <= top)
+    assert g._window.hi[0] == top[0]
+    assert len(g._window.slot) == math.prod(g._window.shape) < math.prod(shape)
 
 
 @st.composite
-def _round(draw):
-    """A sorted store over a few keys and a round of arrivals with many duplicate keys."""
-    universe = draw(st.integers(1, 6))
-    cost = draw(st.sampled_from([_tie_costs, _spread_costs]))
-    store_keys = np.array(sorted(draw(st.sets(st.integers(0, universe - 1)))), dtype=np.int64)
-    store_cost = np.array(draw(st.lists(cost, min_size=len(store_keys), max_size=len(store_keys))))
-    N = draw(st.integers(0, 30))
-    keys = np.array(draw(st.lists(st.integers(0, universe - 1), min_size=N, max_size=N)), dtype=np.int64)
-    costs = np.array(draw(st.lists(cost, min_size=N, max_size=N)))
-    tau = np.array(draw(st.lists(st.sampled_from([0.0, 3e-13, 1e-12, 0.1]), min_size=N, max_size=N)))
-    return store_keys, store_cost, keys, costs, tau
+def _rounds(draw):
+    """Rounds of arrivals on a small 2-D grid, as grid indices and costs: duplicate keys
+    and exactly equal costs are common, and later rounds may leave the window so far."""
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    cost = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        N = draw(st.integers(0, 25))
+        cells = draw(st.lists(st.tuples(*[st.integers(0, m - 1) for m in shape]), min_size=N, max_size=N))
+        rounds.append((cells, draw(st.lists(cost, min_size=N, max_size=N))))
+    return shape, rounds
 
 
 @settings(max_examples=300, deadline=None)
-@given(_round())
-def test_settle_matches_sequential_replay(rnd):
-    store_keys, store_cost, keys, costs, tau = rnd
-    # cells: representative points are arrival indices, stored ones -1
-    store_pts = np.full((len(store_keys), 1), -1.0)
-    pts = np.arange(len(keys), dtype=float)[:, None]
-    best = dict(zip(store_keys.tolist(), store_cost.tolist()))
-    rep = dict.fromkeys(best, -1.0)
-    expand = []
-    for i, (k, c, t) in enumerate(zip(keys.tolist(), costs.tolist(), tau.tolist())):
-        cur = best.get(k, math.inf)
-        if c < cur - 1e-12:
-            best[k], rep[k] = c, float(i)
-        elif c > cur + t + 1e-12:
-            continue
-        expand.append(i)
-    got_keys, got_cost, got_pts, got_expand = ccmetric._settle_cells(
-        store_keys, store_cost.copy(), store_pts.copy(), keys, costs, tau, pts
-    )
-    assert got_keys.tolist() == sorted(best)
-    assert got_cost.tolist() == [best[k] for k in sorted(best)]
-    assert got_pts[:, 0].tolist() == [rep[k] for k in sorted(best)]
-    assert got_expand.tolist() == expand
-
-    # half-cells: accepted arrivals in order of first acceptance, the last one kept
-    qbest = dict(zip(store_keys.tolist(), store_cost.tolist()))
-    frontier = {}
-    for i, (k, c) in enumerate(zip(keys.tolist(), costs.tolist())):
-        if c < qbest.get(k, math.inf) - 1e-12:
-            qbest[k], frontier[k] = c, i
-    got_keys, got_cost, nxt = ccmetric._settle_halves(store_keys, store_cost.copy(), keys, costs)
-    assert got_keys.tolist() == sorted(qbest)
-    assert got_cost.tolist() == [qbest[k] for k in sorted(qbest)]
-    assert nxt.tolist() == list(frontier.values())
-
-
-# costs of every kind the rule meets: tie grids, spread costs, signed zeros, infinities, nan
-_any_costs = _tie_costs | _spread_costs | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_any_costs, st.lists(_any_costs, min_size=1, max_size=8)), max_size=6))
-def test_relax_matches_the_sequential_rule(groups):
-    # per group a stored cost and its arrivals in order; the best each arrival
-    # saw is compared by value (the sign of a zero aside), as the settle reads it
-    ref_seen, ref_up, ref_last, ref_best = [], [], [], []
-    for b, arrivals in groups:
-        at = -1
-        for c in arrivals:
-            ref_seen.append(b)
-            ref_up.append(c < b - 1e-12)
-            if ref_up[-1]:
-                b, at = c, len(ref_seen) - 1
-        ref_last.append(at)
-        ref_best.append(b)
-    counts = [len(arrivals) for _, arrivals in groups]
-    costs = np.array([c for _, arrivals in groups for c in arrivals], dtype=float)
-    group = np.repeat(np.arange(len(groups)), counts)
-    starts = np.cumsum([0] + counts)[:-1].astype(np.intp)
-    best = np.array([b for b, _ in groups], dtype=float)
-    seen, improved, last = ccmetric._relax(costs, group, starts, best)
-    assert np.array_equal(seen, np.array(ref_seen, dtype=float), equal_nan=True)
-    assert improved.tolist() == ref_up and last.tolist() == ref_last
-    assert best.tobytes() == np.array(ref_best, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("span", [10, 2**40, 2**62])
-def test_stable_order_is_the_stable_argsort(span):
-    # the widest span leaves no room for the index bits, so it takes the plain stable sort
-    rng = np.random.default_rng(span % 1000)
-    for n in (0, 1, 7, 3000):
-        keys = rng.integers(-span, span, size=n, dtype=np.int64)
-        if n:
-            keys[::3] = keys[0]  # duplicates, whose arrival order must be kept
-        assert np.array_equal(ccmetric._stable_order(keys), np.argsort(keys, kind="stable"))
+@given(_rounds(), st.sampled_from([0.0, -3.0, 5.0]))
+def test_settle_matches_a_dict_reference(case, lo):
+    # per round: each cell's best falls to the least of its arrivals' costs, and the arrivals
+    # that set a fallen best are, per cell, the least index with the new best
+    shape, rounds = case
+    store = ccmetric._Slots((np.array([lo, -lo]), shape), 0)
+    best = {}
+    for cells, costs in rounds:
+        before = {k: best.get(k, math.inf) for k in cells}
+        for k, c in zip(cells, costs):
+            best[k] = min(best[k], c) if k in best else c
+        won, seen = [], set()
+        for i, (k, c) in enumerate(zip(cells, costs)):
+            if c < before[k] and c == best[k] and k not in seen:
+                won.append(i)
+                seen.add(k)
+        idx = [np.array([k[j] + g for k in cells], dtype=float) for j, g in enumerate((lo, -lo))]
+        s, after, got = store.settle(idx, np.array(costs, dtype=float))
+        assert got.tolist() == won
+        assert after.tolist() == [best[k] for k in cells]
+        assert len(set(zip(s.tolist(), cells))) == len(set(cells)) == len(set(s.tolist()))
+        assert store.size == len(best)
+        assert np.all(np.array(store.lo) >= (lo, -lo)) and np.all(np.array(store.hi) < np.array((lo, -lo)) + shape)
+    keys, cost, _ = store.settled()
+    order = sorted(best)
+    assert keys.tolist() == [np.ravel_multi_index(k, shape) for k in order]
+    assert cost.tolist() == [best[k] for k in order]
 
 
 # -- the oracle's numpy idioms against the forms they replaced --------------
@@ -819,7 +822,7 @@ def test_column_keys_match_ravel_multi_index(make, x, res):
         if len(idx) > 200_000:
             idx = idx[np.r_[:1000, -1000:0, np.random.default_rng(0).integers(0, len(idx), 50_000)]]
         want = np.ravel_multi_index(tuple(idx.T), shape)
-        got = g._keys(g.x0 + (idx + lo) * g.res / scale, scale, (lo, shape))
+        got = ccmetric._ravel(g._index(g.x0 + (idx + lo) * g.res / scale, scale), lo, shape)
         assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
@@ -848,7 +851,7 @@ def test_column_keys_match_the_broadcast_formula(make, x, res):
         edges = g.x0 + k * g.res / scale
         edges = edges[np.all(np.abs(edges - c) <= hw, axis=1)]
         for p in (pts, edges):
-            assert np.array_equal(g._keys(p, scale, grid), _broadcast_keys(g, p, scale, grid))
+            assert np.array_equal(ccmetric._ravel(g._index(p, scale), *grid), _broadcast_keys(g, p, scale, grid))
 
 
 @settings(max_examples=200, deadline=None)
@@ -862,29 +865,7 @@ def test_column_keys_match_the_broadcast_formula_on_any_grid(data):
     pts = np.array(data.draw(st.lists(inside, min_size=1, max_size=20)))
     g = ReachGraph(sys, x, 0.3, res=res)
     for scale, grid in ((1.0, g._cells), (2.0, g._halves)):
-        assert np.array_equal(g._keys(pts, scale, grid), _broadcast_keys(g, pts, scale, grid))
-
-
-def _masked_lookup(store_keys, store_cost, keys):
-    """_lookup as it was: gathers at the in-range positions and the found keys only."""
-    pos = np.searchsorted(store_keys, keys)
-    found = np.zeros(len(keys), dtype=bool)
-    inb = pos < len(store_keys)
-    found[inb] = store_keys[pos[inb]] == keys[inb]
-    best = np.full(len(keys), math.inf)
-    best[found] = store_cost[pos[found]]
-    return pos, found, best
-
-
-@pytest.mark.parametrize("store", [[], [3], [1, 4, 9], [-2, 0, 5, 7]])
-def test_lookup_matches_the_masked_form_bit_for_bit(store):
-    store_keys = np.array(store, dtype=np.int64)
-    store_cost = np.array([-0.0, math.nan, math.inf, 0.25][: len(store)])
-    # keys before, between, on and past the stored ones, and no keys
-    keys = np.array([-5, -2, 0, 1, 3, 4, 5, 7, 9, 10, 12], dtype=np.int64)
-    for k in (keys, keys[:0]):
-        for got, ref in zip(ccmetric._lookup(store_keys, store_cost, k), _masked_lookup(store_keys, store_cost, k)):
-            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert np.array_equal(ccmetric._ravel(g._index(pts, scale), *grid), _broadcast_keys(g, pts, scale, grid))
 
 
 def test_reach_graph_cell_budget_error_carries_context(monkeypatch):

@@ -22,9 +22,9 @@ GOLDEN = {
     "volume elliptic --x 0.0 0.5 --delta 0.1 --samples 2000": (
         0, "cbacd36865e4cb2bc74bd3e2a65de80486b52ed3814854b0799de0fe60037213"),
     "volume grushin --x 0.5 0.0 --delta 0.1 --samples 2000": (
-        0, "8df3ab9c16ce69ae39e107595f61f661387ad934b1f765c8afc059ede67d8ac5"),
+        0, "e2bfa8289e13d6e4a387d0a0a688937f730a255dca6c6fa009c29982af44c3ca"),
     "volume heisenberg --x 0.0 0.0 0.5 --delta 0.1 --samples 2000": (
-        0, "fd43c17ac59cf4e82a734997c023516d996e3264ec806f060046fadf65f99e7a"),
+        0, "1f2164a448e53b69ba89dabfac33906cd593cf8c3da37a878fa0b5d5ad8afccf"),
     "scale grushin_straightened --x 0.5 0.0 --delta 0.1": (
         0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
     "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
@@ -56,9 +56,9 @@ GOLDEN = {
     "verify grushin_straightened --suite boundary-metric": (
         0, "efebdd71e6d72a3bf75b41b4d9a22c066852b13d9a3d3bfc98bdd831d29a322f"),
     "verify grushin --suite volume": (
-        0, "3e8b163241bee5c8393841f2462571a9c68eac859dc4715e1ff096ef0d09d125"),
+        0, "b3cb4fe976a10fdf556c2672d397ec9524bbc06117657b9bf25bc3985da571fe"),
     "verify heat --suite doubling": (
-        0, "4ed04ae2790b663df2503c307a95242f58b98cef5337c2dd570f078ad18325ae"),
+        0, "c4156aa7f4cfedfc3ad4162918e7f42427c5a4da10c6b1f79df360ab43c2abad"),
     "verify elliptic --suite topology": (
         0, "8ce424177faba2bec0afade5f660cde3fe803bc91366aaafe0187221945c856a"),
 }
