@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import GUARD_FACTOR, _control_step, _field_stack
-from .hormander import WeightedSystem
+from .hormander import WeightedSystem, _field_columns
 
 __all__ = [
     "ReachSample",
@@ -61,7 +61,7 @@ class MetricEstimate:
         if self.lower < 0 or (math.isfinite(self.upper) and self.upper < self.lower - 1e-12):
             raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
 
-    def intersects(self, other: "MetricEstimate", slack: float = 0.0) -> bool:
+    def intersects(self, other: "MetricEstimate", slack: float) -> bool:
         return self.lower <= other.upper + slack and other.lower <= self.upper + slack
 
     def midpoint(self) -> float:
@@ -635,7 +635,7 @@ def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:
     return lo, hi
 
 
-def reach_graph(sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02) -> ReachGraph:
+def reach_graph(sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", *, res) -> ReachGraph:
     """Fully explored reachable set of B(x, delta) at cell resolution `res`."""
     g = ReachGraph(sys, x, delta, mode, res)
     g.run(target=None)
@@ -779,9 +779,7 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     """
     factors = np.array([delta**d for d in sys.degrees])
     mid = 0.5 * (np.asarray(x) + np.asarray(y))
-    cols = np.stack([vf.eval_many(mid) for vf in sys.vfields()], axis=1) * factors
-    if not np.isfinite(cols).all():
-        raise ValueError(f"generator fields are not finite at the midpoint {tuple(mid.tolist())}")
+    cols = _field_columns(sys.vfields(), mid).T * factors
     a0, *_ = np.linalg.lstsq(cols, np.asarray(y) - np.asarray(x), rcond=None)
     nrm = np.linalg.norm(a0)
     if nrm > 0.9:

@@ -44,10 +44,10 @@ from .hormander import (
 )
 from .scaling import (
     build_scaling_map,
-    check_scaling_map,
     compute_lambda,
     doubling_ratio,
     verify_sandwich,
+    verify_uniform_hormander,
 )
 from .symexpr import ParseError, parse_expr, parse_vfield
 
@@ -255,13 +255,17 @@ def load_scenario(path_or_name: str) -> Scenario:
     same system, while an edited one is parsed again.  A text that fails
     to parse is not kept, so it fails the same way every time."""
     p = Path(path_or_name)
-    if not p.exists():
+    if not p.is_file():
         candidate = fixtures_dir() / f"{path_or_name}.scn"
-        if candidate.exists():
+        if candidate.is_file():
             p = candidate
         else:
             raise ScenarioError(f"no such scenario file or fixture {path_or_name!r}", path_or_name, 0)
-    return _parse_once(p.read_text(), str(p))
+    try:
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}", str(p), 0) from exc
+    return _parse_once(text, str(p))
 
 
 @functools.lru_cache(maxsize=64)
@@ -748,8 +752,6 @@ def cmd_scale(args) -> int:
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     x = tuple(args.x)
     smap = build_scaling_map(_map_source(scn, x), x, args.delta, gain=gain)
-    rng = np.random.default_rng(scn.seed)
-    U = rng.uniform(-0.5, 0.5, size=(16, scn.n))
     rows = [
         {
             "kind": smap.kind,
@@ -761,13 +763,11 @@ def cmd_scale(args) -> int:
             "psi0": [float(v) for v in smap(np.zeros(scn.n))],
         }
     ]
-    residuals, uni = check_scaling_map(smap, sys_, scn.order, U)
-    rows.append({"pullback_identity_residuals": residuals})
+    uni = verify_uniform_hormander([smap], sys_, scn.order)
     rows.append({"uniform_span_floor": uni.overall_floor, "sup_magnitude": uni.sup_magnitude})
-    ok = max(residuals) <= 1e-6 and uni.overall_floor > 0
+    ok = uni.overall_floor > 0
     report = make_report(
-        scn, "scale", {"delta": args.delta, "gain": gain}, rows,
-        [{"check": "pullback identity and span floor", "pass": ok}],
+        scn, "scale", {"delta": args.delta, "gain": gain}, rows, [{"check": "span floor", "pass": ok}]
     )
     emit(report, args.out)
     return 0 if ok else 2

@@ -62,7 +62,7 @@ class Box:
         c = np.asarray(self.center)
         return np.all(np.abs(points - c) <= hw + 1e-9, axis=-1)
 
-    def grid(self, per_axis: int = 11) -> np.ndarray:
+    def grid(self, per_axis: int) -> np.ndarray:
         """Uniform grid over the chart (restricted to x_n >= 0 if bounded)."""
         axes = []
         for i, (h, c) in enumerate(zip(self.half_widths, self.center)):

@@ -38,7 +38,6 @@ __all__ = [
     "doubling_ratio",
     "select_basis",
     "build_scaling_map",
-    "check_scaling_map",
     "pullback",
     "verify_sandwich",
     "verify_uniform_hormander",
@@ -182,41 +181,30 @@ class ScalingMap:
         The rows of u and their +/- h e_i perturbations are stacked into
         one batch, so each flow of the map runs once for both.
         """
-        return self._differences(u, with_psi=True)
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """Central-difference Jacobians d psi(u), batched over rows of u.
-
-        Only the +/- h e_i rows are integrated.  They give jet(u)'s d psi
-        bit for bit: an interior map takes 128 steps on every row, and
-        near the boundary the rows u +/- h e_n already hold the batch's
-        largest |t_n|, so the distinguished flow's step count is jet's.
-        """
-        return self._differences(u, with_psi=False)[1]
-
-    def _differences(self, u: np.ndarray, with_psi: bool):
         u = np.asarray(u, dtype=float)
         single = u.ndim == 1
         U = u[None] if single else u
         B, n = U.shape
         h = 1e-5 * (1.0 + np.abs(U).max(axis=1))  # (B,)
-        pert = [U] if with_psi else []
+        pert = [U]
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
             pert.append(U + h[:, None] * e)
             pert.append(U - h[:, None] * e)
         stacked = self._eval(np.concatenate(pert, axis=0))
-        psi, rows = (stacked[:B], stacked[B:]) if with_psi else (None, stacked)
+        psi = stacked[:B]
         cols = []
         for i in range(n):
-            plus = rows[2 * i * B : (2 * i + 1) * B]
-            minus = rows[(2 * i + 1) * B : (2 * i + 2) * B]
+            plus = stacked[(2 * i + 1) * B : (2 * i + 2) * B]
+            minus = stacked[(2 * i + 2) * B : (2 * i + 3) * B]
             cols.append((plus - minus) / (2 * h[:, None]))
         dpsi = np.stack(cols, axis=-1)  # (B, n, n)
-        if single:
-            return (None if psi is None else psi[0]), dpsi[0]
-        return psi, dpsi
+        return (psi[0], dpsi[0]) if single else (psi, dpsi)
+
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """Central-difference Jacobians d psi(u), batched over rows of u: jet's d psi."""
+        return self.jet(u)[1]
 
     def invert(self, y: np.ndarray):
         """Damped Newton inversion from t = 0; returns (t, converged)."""
@@ -332,18 +320,9 @@ def pullback(smap: ScalingMap, fields, U) -> np.ndarray:
     smap.jet pass for all of them.  Returns shape (q, B, n) for q fields
     and B rows.
     """
-    return _pull(smap, fields, *smap.jet(U))
-
-
-def _pull(smap: ScalingMap, fields, P: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """pullback from psi (B, n) and d psi (B, n, n) already evaluated."""
+    P, J = smap.jet(U)
     vals = np.stack([vf.eval_many(P) * smap.delta**d for vf, d in fields])
     return np.linalg.solve(J, vals[..., None])[..., 0]
-
-
-def _span_grid(n: int) -> np.ndarray:
-    """The cube grid of verify_uniform_hormander: 3 points per axis of [-0.5, 0.5]^n."""
-    return _grid([np.linspace(-0.5, 0.5, 3)] * n)
 
 
 @dataclass(frozen=True)
@@ -442,7 +421,7 @@ class UniformHormanderReport:
     order: int
 
 
-def verify_uniform_hormander(maps, sys: WeightedSystem, m: int, jets=None) -> UniformHormanderReport:
+def verify_uniform_hormander(maps, sys: WeightedSystem, m: int) -> UniformHormanderReport:
     """Uniform spanning of pulled-back generators across scaling maps.
 
     Pullback commutes with the Lie bracket, psi*[X, Y] = [psi*X, psi*Y],
@@ -452,16 +431,14 @@ def verify_uniform_hormander(maps, sys: WeightedSystem, m: int, jets=None) -> Un
     determinant's minimum over a 3-point per-axis grid of [-0.5, 0.5]^n
     recorded; the report carries the min over all maps (the uniformity
     floor) and the sup of the pulled-back generator magnitudes
-    (boundedness clause).  A caller holding each map's (psi, d psi) on
-    that grid passes them, aligned with maps, as jets.
+    (boundedness clause).
     """
     z = build_Z_system(sys, m)
     n_gen = sum(len(w) == 1 for w in z.words)
     floors = []
     sup_mag = 0.0
-    for k, smap in enumerate(maps):
-        P, J = jets[k] if jets is not None else smap.jet(_span_grid(smap.n))
-        cols = _pull(smap, z.fields, P, J)  # (q, P, n)
+    for smap in maps:
+        cols = pullback(smap, z.fields, _grid([np.linspace(-0.5, 0.5, 3)] * smap.n))  # (q, P, n)
         sup_mag = max(sup_mag, float(np.abs(cols[:n_gen]).max()))
         floors.append(float(_max_subset_det(cols)[0].min()))
     return UniformHormanderReport(
@@ -470,25 +447,3 @@ def verify_uniform_hormander(maps, sys: WeightedSystem, m: int, jets=None) -> Un
         sup_magnitude=sup_mag,
         order=m,
     )
-
-
-def check_scaling_map(smap: ScalingMap, sys: WeightedSystem, m: int, U) -> tuple[list[float], UniformHormanderReport]:
-    """The pullback checks `ccgeo scale` reports, from one jet of the map.
-
-    psi and d psi are evaluated once, on the rows of U stacked with the
-    span grid of verify_uniform_hormander.  Returns, per generator V of
-    sys, the residual |d psi w - rhs| / max(1, |rhs|) over the rows of U,
-    where rhs = (delta^d V)(psi) and w = (d psi)^{-1} rhs is its pullback,
-    and verify_uniform_hormander's report on this map at order m.
-    """
-    U = np.asarray(U, dtype=float)
-    psi, dpsi = smap.jet(np.vstack([U, _span_grid(smap.n)]))
-    P, J = psi[: len(U)], dpsi[: len(U)]
-    residuals = []
-    for vf, d in sys.fields:
-        rhs = vf.eval_many(P) * smap.delta**d
-        w = np.linalg.solve(J, rhs[..., None])[..., 0]  # the pullback of delta^d V
-        lhs = np.einsum("bij,bj->bi", J, w)
-        residuals.append(float(np.abs(lhs - rhs).max() / max(1.0, np.abs(rhs).max())))
-    uni = verify_uniform_hormander([smap], sys, m, jets=[(psi[len(U) :], dpsi[len(U) :])])
-    return residuals, uni

@@ -10,10 +10,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
 
-#: settable values in src/ccgeo; 57 since deg_boundary lost probe_radius and
-#: CharacteristicError its probe_degs and radius (the radius ladder in
-#: build_boundary_system alone decides local constancy)
-SETTABLE_VALUES = 57
+#: settable values in src/ccgeo; 53 since verify_uniform_hormander lost jets
+#: (its one caller passing precomputed jets went with check_scaling_map), and
+#: Box.grid's per_axis, reach_graph's res and MetricEstimate.intersects's slack
+#: their defaults (every caller passes them)
+SETTABLE_VALUES = 53
 
 #: the packaged scenarios: perfbench builds its reach and scale op lists from
 #: every .scn file in src/ccgeo/fixtures, so a new one there changes them
@@ -65,6 +66,41 @@ def test_settable_values_are_pinned():
         f"src/ccgeo has {count} settable values, the pin says {SETTABLE_VALUES}: update "
         "SETTABLE_VALUES in this file and give the reason for each added or removed value in CHANGES.md"
     )
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module defines at its top level: defs, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def test_exports_are_defined_in_their_module():
+    # a deleted function must not leave its name behind in __all__
+    stale = {}
+    for p in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        missing = set(_exports(tree)) - _top_level_names(tree)
+        if missing:
+            stale[p.name] = sorted(missing)
+    assert not stale, f"__all__ names with no top-level definition: {stale}"
+
+
+def test_export_check_sees_a_stale_name():
+    tree = ast.parse("from x import y\n__all__ = ['f', 'C', 'K', 'y', 'gone']\ndef f(): pass\nclass C: pass\nK = 1\n")
+    assert set(_exports(tree)) - _top_level_names(tree) == {"y", "gone"}  # an import is not a definition
 
 
 def test_packaged_fixtures_are_pinned():

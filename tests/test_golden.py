@@ -26,13 +26,13 @@ GOLDEN = {
     "volume heisenberg --x 0.0 0.0 0.5 --delta 0.1 --samples 2000": (
         0, "1f2164a448e53b69ba89dabfac33906cd593cf8c3da37a878fa0b5d5ad8afccf"),
     "scale grushin_straightened --x 0.5 0.0 --delta 0.1": (
-        0, "0edd5213a37bcd3560bde3e441630a4a32a4e147f099f17fe9313977b4debc62"),
+        0, "c3bcad14e6a57a9e9071618f8be6d81f37b79d41a87952db7c2926a245e8bfa0"),
     "scale heisenberg --x 0.0 0.0 0.5 --delta 0.1": (
-        0, "2499b70f3ee9c267f73eafbe5476497d852bfd27136decd46eb16b9bc618dd68"),
+        0, "67cb3165bcc2120de57f713c361776350a18ee3d27f5c31bc790abb2e5760eda"),
     "scale heisenberg --x 0.0 0.0 0.0 --delta 0.1": (
-        0, "fc7f0e11bee6b1434006d7f3b9bb3aab6ccc3ba6db53daa6079dbe55c215c395"),
+        0, "8297936fc495db421d2417b2e4629aa83d94916c2db049b298e85861b05aa260"),
     "scale degenerate --x 0.5 0.0 --delta 0.1": (
-        0, "d11e44755d264252af496d393603523b1373757a88b83088fa69ce22e6f26f0c"),
+        0, "60f5a8fef3a50db93c61b3a10773c2c96e6d6321fc3fb116d85cac6af624a656"),
     "boundary grushin_straightened --x 0.5 0.0": (
         0, "9ddc382ae018b7601ceed7324b82e77c9b617789d017ed3b93c365f77ac9e97e"),
     "boundary heat --x 0.2 0.0": (
