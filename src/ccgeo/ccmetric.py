@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import GUARD_FACTOR, _control_step, _field_stack
+from .flows import GUARD_FACTOR, _control_step, _field_enclosure, _field_stack
 from .hormander import WeightedSystem, _field_columns
 
 __all__ = [
@@ -306,11 +306,13 @@ class ReachGraph:
     Edges flow one control direction at unit speed for the time needed to
     cross one cell; costs are time.  Cells are keyed by int64 linear
     indices into the chart box's cell range plus a one-cell margin.  A run
-    that ends without reaching a target leaves `settled`, the sorted keys
-    of the reached cells, with `settled_cost` (their best costs) and
-    `settled_pts` (one representative exact point per cell) aligned to
-    it; this gives a reusable membership test for the reachable set
-    within the time budget.  Before such a run the three are empty.
+    that explores to the end without reaching a target leaves `settled`,
+    the sorted keys of the reached cells, with `settled_cost` (their best
+    costs) and `settled_pts` (one representative exact point per cell)
+    aligned to it; this gives a reusable membership test for the
+    reachable set within the time budget.  Before such a run the three
+    are empty, and a targeted run that ends on a proven miss leaves them
+    as they were.
 
     A frontier round settles its arrivals, in (point, direction) order,
     by an order-free rule.  A cell's best cost falls to the least of its
@@ -341,7 +343,7 @@ class ReachGraph:
     `run`, and points not shaped (N, n) in `contains`.
     """
 
-    def __init__(self, sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", res=0.02):
+    def __init__(self, sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", *, res):
         if not 0.0 <= delta < math.inf:
             raise ValueError(f"oracle scale must be finite and non-negative, got delta = {delta}")
         self.sys = sys
@@ -393,6 +395,16 @@ class ReachGraph:
         `ROUND_ROWS` (point, direction) rows.  A targeted round that hits
         returns the least hit cost over all its blocks.  With target None
         the full reachable cell set is computed and (False, inf) returned.
+
+        A targeted run also ends on a proof of a miss.  With the speed
+        bound S of `_speed_bound`, every descendant of a frontier point P
+        at cost C lies within (1 - C) S of P in each coordinate, so none
+        comes closer to the target y than |max(0, |P - y| - (1 - C) S)|.
+        When that exceeds the arrival tolerance for every frontier point,
+        at the top of a round, no later round can hit, and the run returns
+        (False, inf), the full search's answer, at once.  Such a run leaves
+        `settled` as it was and does not raise the cell-budget error that
+        the full search might have.  Without a proven S the run searches on.
         """
         target = None if target is None else np.asarray(target, dtype=float)
         if target is not None and not np.isfinite(target).all():
@@ -412,6 +424,15 @@ class ReachGraph:
         _check_in_chart(box, self.x0, halfspace)
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
+        speed = None if target is None else self._speed_bound()
+
+        def unreachable(P, C) -> bool:
+            """Whether no descendant of frontier points P at costs C can land within tol of
+            the target: per coordinate, what is left of |P - y| after (1 - C) S and an
+            absolute 1e-9 for rounding; tol gets a relative 1e-9."""
+            left = 1.0 - C
+            gap2 = _columns(np.add, lambda p, y, s: np.square(np.maximum(np.abs(p - y) - 1e-9 - left * s, 0.0)), P, target, speed)
+            return np.count_nonzero(np.sqrt(gap2) <= tol * (1.0 + 1e-9)) == 0
 
         def moves(P, C):
             """The kept arrivals (Y, cost, tau) of frontier points P at costs C,
@@ -462,6 +483,8 @@ class ReachGraph:
         step = max(1, ROUND_ROWS // len(self.dirs))  # frontier points per block
         with np.errstate(all="ignore"):
             while len(P):
+                if speed is not None and unreachable(P, C):
+                    return False, math.inf
                 rounds += 1
                 blocks = [moves(P[i : i + step], C[i : i + step]) for i in range(0, len(P), step)]
                 Y, costs, tau, hits = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
@@ -485,6 +508,33 @@ class ReachGraph:
         self.settled, self.settled_cost, self.settled_pts = cells.settled()
         self._window = cells
         return False, math.inf
+
+    def _speed_bound(self):
+        """Per-coordinate speeds S that every oracle path from x0 keeps to, or None.
+
+        S_i >= |sum_j u_j delta^d_j W_ji| for all |u| <= 1 (Cauchy-Schwarz
+        on the field enclosures of `flows._field_enclosure`) over a box B.
+        A guess G, the enclosure over the guard box, gives B = x0 +- (G (1 +
+        1e-9) + 1e-9), and the enclosure S over B is proven when S <= G in
+        every coordinate: a path of time t <= 1 whose speeds keep within S
+        stays in x0 +- t S, inside B, so its speeds do keep within S, and
+        every RK4 stage of every move stays in B.  The margins cover the
+        rounding of the steps and of the costs, which may pass 1 by an ulp.
+        An S that is not finite, or exceeds G, proves nothing.
+        """
+
+        def speeds(lo, hi):
+            W_lo, W_hi = _field_enclosure(self.sys.vfields(), lo, hi)
+            with np.errstate(all="ignore"):  # 0 * inf is nan, which is not finite
+                return np.sqrt(np.square(np.maximum(np.abs(W_lo), np.abs(W_hi)) * self.factors[:, None]).sum(axis=0))
+
+        box = self.sys.box
+        hw = np.asarray(box.half_widths) * GUARD_FACTOR + 1e-9
+        c = np.asarray(box.center, dtype=float)
+        guess = speeds(c - hw, c + hw)
+        reach = guess * (1.0 + 1e-9) + 1e-9
+        S = speeds(self.x0 - reach, self.x0 + reach)
+        return S * (1.0 + 1e-9) if np.isfinite(S).all() and (S <= guess).all() else None
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
         """Membership of points (N, n) in the explored reachable set (cell level).
@@ -637,7 +687,7 @@ def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:
 
 def reach_graph(sys: WeightedSystem, x, delta: float, mode: str = "intrinsic", *, res) -> ReachGraph:
     """Fully explored reachable set of B(x, delta) at cell resolution `res`."""
-    g = ReachGraph(sys, x, delta, mode, res)
+    g = ReachGraph(sys, x, delta, mode, res=res)
     g.run(target=None)
     return g
 
@@ -660,7 +710,11 @@ def oracle_distance(
     cannot resolve the distance and the interval is [0, inf]; so is it
     when no scale up to DELTA_MAX reaches y.  Each scale is searched at
     most once per query: after a failed doubling step the bisection's
-    first midpoint is that step's scale, and its answer is reused.
+    first midpoint is that step's scale, and its answer is reused.  A
+    search at a scale that misses y usually ends on a proof, from the
+    interval bound on the field speeds, before it has explored the whole
+    ball (`ReachGraph.run`), with the answer and the bits of a full one;
+    so a missing scale no longer raises the cell-budget error there.
     Non-finite endpoints, endpoints outside the chart (or below
     {x_n = 0} in intrinsic mode) and a per-axis resolution raise
     ValueError before any search.

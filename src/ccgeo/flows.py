@@ -16,7 +16,8 @@ per control rather than at every stage; each caller keeps its own guard.
 steps with one Python-float dt rather than a (B, 1) column, and the
 guard box is tested once per step against full-row copies of its centre
 and guarded half widths.  The field stack `_field_stack`, all fields
-from one point kernel, serves only the oracle's move rates.
+from one point kernel, serves only the oracle's move rates, and its
+interval twin `_field_enclosure` only the oracle's speed bound.
 """
 from __future__ import annotations
 
@@ -82,13 +83,20 @@ def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
     return kernel(pts).reshape(-1, len(vfs), pts.shape[-1])
 
 
+def _field_enclosure(vfs, lo: np.ndarray, hi: np.ndarray):
+    """Enclosures (lo, hi), each (r, n), of the fields W_j over the box [lo, hi] (n,):
+    one interval kernel over all their components."""
+    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "interval")
+    return (b.reshape(len(vfs), -1) for b in kernel(lo, hi))
+
+
 @functools.lru_cache(maxsize=256)
 def _fused(vfs: tuple[VField, ...], texts: tuple[str, ...], form: str):
-    """The fused point kernel P, velocity kernel (P, A) or RK4 step factory (A, dt) of a
-    field tuple, compiled once per tuple and form; keyed also on the fields as printed,
-    which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
+    """The fused point kernel P, interval kernel (L, H), velocity kernel (P, A) or RK4 step
+    factory (A, dt) of a field tuple, compiled once per tuple and form; keyed also on the
+    fields as printed, which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
     comps = tuple(vf.components for vf in vfs)
-    return symexpr._compile(sum(comps, ()) if form == "point" else comps, form)
+    return symexpr._compile(sum(comps, ()) if form in ("point", "interval") else comps, form)
 
 
 def _control_velocity(vfs, a: np.ndarray):

@@ -15,6 +15,7 @@ term explosion.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -230,10 +231,21 @@ def _compile(exprs, form="point"):
     RK4 loops and leave that to their caller, which enters np.errstate
     once per integration rather than once per stage.
 
+    With form="interval" the kernel (L, H) -> (lo, hi) encloses each
+    expression over the boxes [L, H] (..., n): every local is a pair
+    (lo, hi) of arrays and every node an interval operation of `_INTERVAL`
+    (Moore-Kearfott-Cloud, SIAM 2009), each result but a negation's, which
+    is exact, rounded outward by at least one ulp.
+    So the point kernel's value at any point of a box lies in its
+    enclosure, and an expression that reads each coordinate once, as an
+    affine one does, gets its exact range to within a few ulps.  A bound
+    that is nan comes back as -inf or inf.
+
     A process compiles each kernel once: a kernel is reused for any
     expressions that generate the same source and bind constants of the
     same repr, so Const(0.0) and Const(-0.0) never share one."""
-    env, lines, names, consts = {"np": np, **_NP_FUNCS}, [], {}, []
+    interval = form == "interval"
+    env, lines, names, consts = {"np": np, **(_INTERVAL if interval else _NP_FUNCS)}, [], {}, []
     varying = set()  # the locals that read the point
 
     def emit(e):  # -> local name
@@ -241,22 +253,24 @@ def _compile(exprs, form="point"):
         if isinstance(e, Const):
             key = ("c", repr(e.value))
         elif isinstance(e, Var):
-            key, code = ("x", e.index), f"P[..., {e.index - 1}]"
+            i = e.index - 1
+            key, code = ("x", e.index), f"(L[..., {i}], H[..., {i}])" if interval else f"P[..., {i}]"
         elif isinstance(e, Unary):
             a = emit(e.arg)
-            key, code = (e.op, a), f"-{a}" if e.op == "neg" else f"{e.op}({a})"
+            key, code = (e.op, a), f"{e.op}({a})" if interval or e.op != "neg" else f"-{a}"
         elif isinstance(e, Binary):
             a, b = emit(e.lhs), emit(e.rhs)
-            key, code = (e.op, a, b), f"{a} {e.op} {b}"
+            key, code = (e.op, a, b), f"{_INTERVAL_OPS[e.op]}({a}, {b})" if interval else f"{a} {e.op} {b}"
         elif isinstance(e, Power):
             a = emit(e.base)
-            key, code = ("^", a, e.exponent), f"{a} ** ({e.exponent!r})"
+            key = ("^", a, e.exponent)
+            code = f"power({a}, {e.exponent!r})" if interval else f"{a} ** ({e.exponent!r})"
         else:
             raise TypeError(f"not an expression node: {e!r}")
         if key not in names:
             names[key] = name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
             if code is None:
-                env[name] = np.float64(e.value)
+                env[name] = (np.float64(e.value),) * 2 if interval else np.float64(e.value)
                 consts.append(repr(e.value))
             else:
                 if isinstance(e, Var) or varying.intersection(key[1:]):
@@ -274,6 +288,13 @@ def _compile(exprs, form="point"):
 
     if form == "step":
         src = _step_source(len(exprs), [velocity(comps) for comps in zip(*exprs)], lines, varying)
+    elif interval:
+        for k, e in enumerate(exprs):
+            lines.append((f"lo[..., {k}], hi[..., {k}]", emit(e)))
+        src = ("def kernel(L, H):\n    lo, hi = (np.empty(L.shape[:-1] + ({0},)) for _ in range(2))\n"
+               '    with np.errstate(all="ignore"):\n').format(len(exprs))
+        src += "".join(f"        {target} = {code}\n" for target, code in lines)
+        src += "    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)"
     else:
         if form == "point":
             for k, e in enumerate(exprs):
@@ -342,6 +363,92 @@ def _step_source(r: int, cols, lines, varying) -> str:
     make += ["def step(Y):"] + [f"    {line}" for line in step] + ["    return out", "return step"]
     return "def kernel(A, dt):\n" + "".join(f"    {line}\n" for line in make)
 
+
+# -- interval operations --------------------------------------------------
+# Each takes and returns (lo, hi) pairs of float64 arrays or scalars.  The
+# arithmetic is correctly rounded, so one ulp outward encloses it; numpy's
+# sin, cos, exp and power carry no such bound, so they widen by 16 ulps of
+# each bound's magnitude and one more ulp.  A nan bound stays nan, and the
+# kernel returns it as an infinite one.
+
+
+def _out(lo, hi, ulps: int):
+    """[lo, hi] rounded outward by `ulps` ulps of each bound's magnitude and one more ulp."""
+    if ulps:
+        lo, hi = lo - np.abs(lo) * (ulps * 2.0**-52), hi + np.abs(hi) * (ulps * 2.0**-52)
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _hull(vals, ulps: int):
+    """The outward-rounded interval from the least to the greatest of vals."""
+    return _out(functools.reduce(np.minimum, vals), functools.reduce(np.maximum, vals), ulps)
+
+
+def _iadd(a, b):
+    return _out(a[0] + b[0], a[1] + b[1], 0)
+
+
+def _isub(a, b):
+    return _out(a[0] - b[1], a[1] - b[0], 0)
+
+
+def _imul(a, b):
+    return _hull((a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]), 0)
+
+
+def _idiv(a, b):
+    """a / b; a divisor interval that holds 0 gives [-inf, inf]."""
+    lo, hi = _hull((a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]), 0)
+    zero = (b[0] <= 0.0) & (b[1] >= 0.0)
+    return np.where(zero, -np.inf, lo), np.where(zero, np.inf, hi)
+
+
+def _ineg(a):
+    return -a[1], -a[0]
+
+
+def _ipower(a, k: int):
+    """a ** k for an integer k, as numpy computes it: a reciprocal of a ** |k| for k < 0."""
+    lo, hi = a[0] ** abs(k), a[1] ** abs(k)
+    if k % 2:  # odd: monotone
+        p = _out(lo, hi, 16)
+    else:  # even: |a| ** k, least 0 when a holds 0
+        p = _out(np.where(a[0] > 0.0, lo, np.where(a[1] < 0.0, hi, 0.0)), np.maximum(lo, hi), 16)
+        p = np.maximum(p[0], 0.0), p[1]
+    return p if k > 0 else _idiv((np.float64(1.0),) * 2, p)
+
+
+def _iexp(a):
+    lo, hi = _out(np.exp(a[0]), np.exp(a[1]), 16)
+    return np.maximum(lo, 0.0), hi
+
+
+def _isqrt(a):
+    """sqrt over the part of a at or above 0 (nan when a lies below 0)."""
+    lo, hi = _out(np.sqrt(np.maximum(a[0], 0.0)), np.sqrt(a[1]), 16)
+    return np.maximum(lo, 0.0), hi
+
+
+def _periodic(f, top: float, a):
+    """f(a) for f = sin or cos, which peaks at top + 2 pi k and bottoms at top + pi + 2 pi k.
+    An extremum within a relative 1e-12 of the interval counts as inside it, so
+    an interval of width 2 pi or more gives [-1, 1]."""
+    lo, hi = _hull((f(a[0]), f(a[1])), 16)
+    slack = 1e-12 * (1.0 + np.maximum(np.abs(a[0]), np.abs(a[1])))
+    for at, bound in ((top, 1.0), (top + math.pi, -1.0)):
+        k = np.floor((a[1] + slack - at) / (2.0 * math.pi))  # the last extremum at or below the interval's top
+        inside = at + 2.0 * math.pi * k >= a[0] - slack
+        lo, hi = (np.where(inside, bound, lo), hi) if bound < 0 else (lo, np.where(inside, bound, hi))
+    return np.maximum(lo, -1.0), np.minimum(hi, 1.0)
+
+
+_INTERVAL_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_INTERVAL = {
+    "add": _iadd, "sub": _isub, "mul": _imul, "div": _idiv, "neg": _ineg, "power": _ipower,
+    "exp": _iexp, "sqrt": _isqrt,
+    "sin": functools.partial(_periodic, np.sin, 0.5 * math.pi),
+    "cos": functools.partial(_periodic, np.cos, 0.0),
+}
 
 #: compiled kernels kept per process, keyed on source and constant reprs
 _KERNEL_CACHE_SIZE = 1024

@@ -10,11 +10,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
 
-#: settable values in src/ccgeo; 53 since verify_uniform_hormander lost jets
-#: (its one caller passing precomputed jets went with check_scaling_map), and
-#: Box.grid's per_axis, reach_graph's res and MetricEstimate.intersects's slack
-#: their defaults (every caller passes them)
-SETTABLE_VALUES = 53
+#: settable values in src/ccgeo; 52 since ReachGraph's res lost its default
+#: (keyword-only and required, like reach_graph's: every caller passes it),
+#: after verify_uniform_hormander lost jets (its one caller passing precomputed
+#: jets went with check_scaling_map), and Box.grid's per_axis, reach_graph's
+#: res and MetricEstimate.intersects's slack their defaults
+SETTABLE_VALUES = 52
 
 #: the packaged scenarios: perfbench builds its reach and scale op lists from
 #: every .scn file in src/ccgeo/fixtures, so a new one there changes them

@@ -427,6 +427,57 @@ def test_exact_metrics_closed_forms():
     assert exact_metrics.heat_volume((0.2, 0.0), 0.1) == pytest.approx(math.pi * 5e-4)
 
 
+def test_heisenberg_distance_limits():
+    # r = 0: the vertical pair (y, 0, x) -> (y, t, x) of the benchmark's closed-form op
+    for p, t in (((-0.09063, 0.0, 0.47932), 0.01999), ((0.3, 0.1, 0.2), -0.05)):
+        q = (p[0], p[1] + t, p[2])
+        assert exact_metrics.heisenberg_distance(p, q) == pytest.approx(math.sqrt(4.0 * math.pi * abs(t)), rel=1e-14)
+    # t = 0: a horizontal chord from the origin, and one whose area term cancels the vertical offset
+    assert exact_metrics.heisenberg_distance((0.0, 0.0, 0.0), (0.3, 0.0, 0.4)) == pytest.approx(0.5, rel=1e-14)
+    p, q = (0.2, 0.0, 0.4), (0.5, 0.0, 0.8)  # x y' - y x' = 0.2 * -0.8 - -0.4 * 0.5 = 0.04
+    assert exact_metrics.heisenberg_distance(p, (0.5, 0.02, 0.8)) == pytest.approx(0.5, rel=1e-12)
+    assert exact_metrics.heisenberg_distance(p, q) > 0.5  # the same chord with t = -0.02
+
+
+def _heisenberg_mul(g, p):
+    """Left translation g p of fixture points, through the standard group law."""
+    (x, y, t), (x2, y2, t2) = exact_metrics.heisenberg_group(g), exact_metrics.heisenberg_group(p)
+    x, y, t = x + x2, y + y2, t + t2 + (x * y2 - y * x2) / 2.0
+    return (x, t, -y)  # back to (x1, x2, x3) = (x, t, -y)
+
+
+def test_heisenberg_distance_is_left_invariant():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p, q, g = rng.uniform(-0.5, 0.5, (3, 3))
+        d = exact_metrics.heisenberg_distance(p, q)
+        assert exact_metrics.heisenberg_distance(_heisenberg_mul(g, p), _heisenberg_mul(g, q)) == pytest.approx(d, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, q", [
+    ((0.1, -0.05, 0.4), (0.25, 0.03, 0.55)),
+    ((-0.2, 0.1, 0.3), (0.1, -0.02, 0.2)),
+    ((0.0, 0.0, 0.5), (0.05, 0.1, 0.45)),  # mostly vertical: the arc turns by nearly 2 pi
+])
+def test_heisenberg_distance_is_the_length_of_a_replayed_arc(p, q):
+    # unit-speed circular arc of turning 2 theta from p, as K constant segments at
+    # scale delta = d, so its length is d; it ends at q to O(theta^2 / K^2)
+    d = exact_metrics.heisenberg_distance(p, q)
+    (x, y, s), (x2, y2, s2) = exact_metrics.heisenberg_group(p), exact_metrics.heisenberg_group(q)
+    dx, dy, t = x2 - x, y2 - y, s2 - s - (x * y2 - y * x2) / 2.0
+    r = math.hypot(dx, dy)
+    lo, hi = 0.0, math.pi  # theta r / sin theta = d, increasing in theta
+    for _ in range(200):
+        theta = 0.5 * (lo + hi)
+        lo, hi = (theta, hi) if theta * r / math.sin(theta) < d else (lo, theta)
+    turn, K = 2.0 * theta * math.copysign(1.0, t), 256
+    heading = math.atan2(dy, dx) - turn / 2.0 + turn * (np.arange(K) + 0.5) / K
+    coeffs = np.stack([-np.sin(heading), np.cos(heading)], axis=1)[None]  # W1 = -Y, W2 = X
+    ends, feasible, _ = integrate_controls(load_scenario("heisenberg").system(), p, d, coeffs, "extrinsic")
+    assert feasible[0]
+    assert np.abs(ends[0] - np.asarray(q)).max() < 1e-4
+
+
 @pytest.mark.parametrize("fixture", ["elliptic", "heat"])
 def test_ball_volume_holds_the_closed_form(fixture):
     # every probe at the two smallest ladder rungs, as `ccgeo volume` runs them
@@ -654,6 +705,42 @@ def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
     probes = np.vstack([lo + (hi - lo) * rng.random((400, sys.n)), pts[:50], [np.full(sys.n, np.nan), np.full(sys.n, 10.0)]])
     for dilate in (0, 1):
         assert np.array_equal(g.contains(probes, dilate=dilate), _reference_contains(g, ref, probes, dilate))
+
+
+PROVEN_MISS_CASES = [
+    # (system, x, delta, mode, res, target): targets in reach of the speed bound
+    # but not of the search, so the proof ends it after some rounds, or at once
+    (grushin_interior, (0.1, 0.0), 0.3, "intrinsic", 0.02, (0.1, 0.06)),
+    (grushin_interior, (0.1, 0.0), 0.3, "intrinsic", 0.02, (0.1, 0.1)),
+    (grushin_interior, (0.5, 0.2), 0.3, "extrinsic", 0.025, (0.5, 0.4)),
+    (heisenberg_half, (0.1, 0.0, 0.5), 0.25, "extrinsic", 0.05, (0.1, 0.12, 0.5)),
+    (heisenberg_half, (0.0, 0.0, 0.1), 0.3, "intrinsic", 0.05, (0.0, 0.15, 0.1)),
+    (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01), (0.0, 0.15)),
+    (elliptic_half_plane, (0.0, 0.05), 0.3, "intrinsic", 0.03, (0.35, 0.05)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(PROVEN_MISS_CASES)))
+def test_proven_miss_returns_the_dict_loop_answer_in_fewer_rounds(case, monkeypatch):
+    make, x, delta, mode, res, target = PROVEN_MISS_CASES[case]
+    tol = 0.5 * float(np.min(res))
+    rounds, stack = [], _field_stack
+
+    def counted(vfs, P):  # one field stack per round, as every round fits one block
+        rounds[-1] += 1
+        return stack(vfs, P)
+
+    monkeypatch.setattr(ccmetric, "ROUND_ROWS", 10**9)
+    monkeypatch.setattr(ccmetric, "_field_stack", counted)
+    monkeypatch.setitem(globals(), "_field_stack", counted)  # the reference's
+    runs = []
+    for run in (_reference_run, ReachGraph.run):
+        rounds.append(0)
+        g = ReachGraph(make(), x, delta, mode, res=res)
+        runs.append(run(g, np.asarray(target), tol)[:2])
+    assert runs[0] == runs[1] == (False, math.inf)
+    assert rounds[1] < rounds[0]
+    assert len(g.settled) == 0  # a proven miss leaves settled as it was
 
 
 def test_targeted_round_returns_the_least_hit_over_its_blocks(monkeypatch):
@@ -1153,6 +1240,6 @@ def test_move_directions_are_computed_once_and_read_only():
         dirs = ccmetric._move_directions(r)
         assert ccmetric._move_directions(r) is dirs
         assert not dirs.flags.writeable
-    g = ReachGraph(heisenberg_frame_half(), (0.0, 0.0, 0.3), 0.3)
+    g = ReachGraph(heisenberg_frame_half(), (0.0, 0.0, 0.3), 0.3, res=0.02)
     assert g.dirs is ccmetric._move_directions(3)
     assert g.dirs.tolist() == [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]

@@ -43,6 +43,16 @@ GOLDEN = {
         2, "d3c6e9e60443ee709ba8bab3ddca27b61fa2f285088d2400e99a56b4b99c0d45"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
         2, "8560a02fd02d4725e29d1eaf400c6ac0c16ddb3f115ba1a57052034812d75cc9"),
+    # the oracle's upper end, bit for bit, on pairs whose bisections miss at
+    # some scales: searches that end on a proven miss must keep it
+    "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4 --oracle --resolution 0.05": (
+        2, "0cbea18bf1e5eacf08005ad07ad3282b0821652cb153de68d4d7fa7ce8fbf150"),
+    "dist heat --x -0.298220 0.301204 --y -0.218440 0.351561 --K 4 --oracle --resolution 0.05": (
+        2, "b63527809091ae7d0e6443ad5fa884209fca7c44ca48151e545569cb20730cdf"),
+    "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4 --oracle --resolution 0.05": (
+        2, "7df4606a427afd6f47cb0b4ec0c9a327b146613291bda098766e953254e8f1cc"),
+    "dist heisenberg --x -0.011749 -0.086263 0.034891 --y 0.117856 -0.092159 0.036884 --K 4 --oracle --resolution 0.05": (
+        2, "62b9e5545ac9078a030d28b0fa2e1472378b3816c615a7bb67c7c8d7129a44d2"),
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4": (
         0, "b61e499bf6b79769a47b5b64eff35963d61903a983fe6c3112e6ef819b46aea6"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4": (

@@ -1,11 +1,14 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgeo import flows, symexpr
+from ccgeo import cli, flows, symexpr
+from ccgeo.hormander import enumerate_commutators
 from ccgeo.symexpr import (
     UNARY_FUNCS,
     Binary,
@@ -406,3 +409,105 @@ def test_compiled_step_matches_rk4_over_the_weighted_kernel_bit_for_bit(data):
         velocity = flows._control_velocity(vfs, A)
         want = flows._rk4_step(velocity, flows._rk4_step(velocity, Y, column), column)
     _assert_bit_identical_but_nan_payloads(got, want)
+
+
+# -- interval kernels --------------------------------------------------------
+
+_SCENARIOS = [p.stem for p in sorted(cli.fixtures_dir().glob("*.scn"))] + [
+    str(Path(__file__).resolve().parent / "fixtures" / "sine_boundary.scn")
+]
+
+
+def _fixture_components():
+    """Every field, bracket (to the scenario's order) and density component of the
+    packaged fixtures and of sine_boundary, with the dimension it lives in."""
+    out = []
+    for name in _SCENARIOS:
+        scn = cli.load_scenario(name)
+        sys_ = scn.system()
+        fields = [vf for vf, _ in sys_.fields] + [e.field for e in enumerate_commutators(sys_, scn.order)]
+        out += [(c, sys_.n) for vf in fields for c in vf.components] + [(sys_.density, sys_.n)]
+    return list(dict.fromkeys(out))
+
+
+_FIXTURE_COMPONENTS = _fixture_components()
+
+
+def _is_affine(e, n: int) -> bool:
+    return all(e.diff(i).diff(j) == Const(0.0) for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def _enclosure(e, lo, hi):
+    lo, hi = symexpr._compile((e,), "interval")(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return lo[..., 0], hi[..., 0]
+
+
+def test_fixture_components_include_affine_and_curved_ones():
+    kinds = {_is_affine(e, n) for e, n in _FIXTURE_COMPONENTS}
+    assert kinds == {True, False}  # sine_boundary's sin(x1) and its brackets are not affine
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_interval_kernel_encloses_every_fixture_component(data):
+    e, n = data.draw(st.sampled_from(_FIXTURE_COMPONENTS))
+    centre = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    half = np.array(data.draw(st.lists(st.sampled_from([0.0, 1e-9, 0.01]) | st.floats(0.0, 2.0), min_size=n, max_size=n)))
+    lo, hi = _enclosure(e, centre - half, centre + half)
+    assert lo <= hi
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((64, n))
+    corners = np.array(list(itertools.product(*zip(centre - half, centre + half))))
+    pts = np.vstack([corners, np.clip(centre - half + 2.0 * half * u, centre - half, centre + half)])
+    vals = e.eval_many(pts)
+    assert np.all((lo <= vals) & (vals <= hi)), (str(e), lo, hi, vals.min(), vals.max())
+    if _is_affine(e, n):  # the range is taken at the corners; the enclosure holds it to a few ulps
+        at = e.eval_many(corners)
+        ulps = 8 * np.spacing(max(1.0, float(np.abs(at).max())))
+        assert at.min() - ulps <= lo and hi <= at.max() + ulps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs, st.data())
+def test_interval_kernel_encloses_the_point_kernel(e, data):
+    # any expression, domain errors included: a point value that is not nan lies in the enclosure
+    a = np.array(data.draw(st.lists(_coords, min_size=_N, max_size=_N)))
+    b = np.array(data.draw(st.lists(_coords, min_size=_N, max_size=_N)))
+    lo_pt, hi_pt = np.minimum(a, b), np.maximum(a, b)
+    lo, hi = _enclosure(e, lo_pt, hi_pt)
+    assert not (np.isnan(lo) or np.isnan(hi)) and lo <= hi
+    u = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((16, _N))
+    pts = np.vstack([lo_pt, hi_pt, np.clip(lo_pt + (hi_pt - lo_pt) * u, lo_pt, hi_pt)])
+    vals = e.eval_many(pts)
+    assert np.all(np.isnan(vals) | ((lo <= vals) & (vals <= hi))), (str(e), lo, hi)
+
+
+@pytest.mark.parametrize("text, lo, hi, want", [
+    ("1/x1", [-1.0, 0.0], [1.0, 0.0], (-math.inf, math.inf)),  # a divisor that holds 0
+    ("1/x1", [0.0, 0.0], [1.0, 0.0], (-math.inf, math.inf)),
+    ("sin(x1)", [-10.0, 0.0], [10.0, 0.0], (-1.0, 1.0)),  # wider than 2 pi
+    ("cos(x1)", [-0.1, 0.0], [0.2, 0.0], (math.cos(0.2), 1.0)),  # the peak at 0
+    ("sin(x1)", [1.0, 0.0], [2.0, 0.0], (math.sin(1.0), 1.0)),  # the peak at pi/2
+    ("x1^2", [-1.0, 0.0], [2.0, 0.0], (0.0, 4.0)),  # an even power of an interval that holds 0
+    ("x1^-1", [1.0, 0.0], [2.0, 0.0], (0.5, 1.0)),
+    ("sqrt(x1)", [-4.0, 0.0], [4.0, 0.0], (0.0, 2.0)),  # over the part at or above 0
+    ("exp(x1)-x2", [0.0, -1.0], [1.0, 1.0], (0.0, math.e + 1.0)),
+    ("x1*x1", [-1.0, 0.0], [1.0, 0.0], (-1.0, 1.0)),  # no dependency tracking
+])
+def test_interval_kernel_examples(text, lo, hi, want):
+    got = _enclosure(parse_expr(text, 2), lo, hi)
+    assert got[0] <= want[0] and want[1] <= got[1]
+    # outward by a few ulps, no more
+    for g, w, side in zip(got, want, (-1.0, 1.0)):
+        assert g == w or abs(g - w) <= 64 * np.spacing(max(1.0, abs(w)))
+
+
+def test_interval_kernel_is_the_one_compiler_and_maps_nan_to_infinite_bounds():
+    e = parse_expr("x1*(1/x2) + sqrt(x2)", 2)
+    kernel = symexpr._compile((e,), "interval")
+    assert symexpr._compile((e,), "interval") is kernel  # one cached kernel per source
+    # 0 * [-inf, inf] is nan at both ends, and so is the sum
+    lo, hi = kernel(np.zeros((1, 2)), np.zeros((1, 2)))
+    assert lo[0, 0] == -math.inf and hi[0, 0] == math.inf
+    # sqrt of an interval below 0 is nan at its top
+    lo, hi = _enclosure(parse_expr("sqrt(x2)", 2), [0.0, -2.0], [0.0, -1.0])
+    assert lo == 0.0 and hi == math.inf
