@@ -22,6 +22,7 @@ from .hormander import (
     CommutatorEntry,
     WeightedSystem,
     _field_columns,
+    _field_stack,
     _grid,
     _span_certificate,
     build_Z_system,
@@ -252,28 +253,23 @@ def bracket_closure_residual(bsys: BoundarySystem) -> float:
 
     The weak form of the closure identity for the boundary fields; exact
     coefficients are not computed, only representability at the points
-    of a 5-per-axis grid.
+    of a 5-per-axis grid, where one field stack evaluates the fields and
+    their brackets.  The span always holds V_j and V_k themselves.
     """
     fields = bsys.v_system.fields
-    grid = bsys.v_system.box.grid(5)
+    q = len(fields)
+    pairs = [(j, k) for j in range(q) for k in range(j + 1, q)]
+    brackets = [lie_bracket(fields[j][0], fields[k][0]) for j, k in pairs]
+    vals = _field_stack([vf for vf, _ in fields] + brackets, bsys.v_system.box.grid(5))  # (q + b, G, n)
+    degs = np.array([d for _, d in fields])
     worst = 0.0
-    for j, (vj, dj) in enumerate(fields):
-        for k2, (vk, dk) in enumerate(fields):
-            if k2 <= j:
-                continue
-            br = lie_bracket(vj, vk)
-            if br.is_zero():
-                continue
-            cols_fields = [vf for vf, d in fields if d <= dj + dk]
-            for q in grid:
-                target = br.eval_many(q)
-                scale = max(1.0, float(np.linalg.norm(target)))
-                if not cols_fields:
-                    worst = max(worst, float(np.linalg.norm(target)) / scale)
-                    continue
-                a = np.stack([vf.eval_many(q) for vf in cols_fields], axis=1)
-                coef, *_ = np.linalg.lstsq(a, target, rcond=None)
-                worst = max(worst, float(np.linalg.norm(a @ coef - target)) / scale)
+    for (j, k), br, targets in zip(pairs, brackets, vals[q:]):
+        if br.is_zero():
+            continue
+        spans = vals[:q][degs <= degs[j] + degs[k]].swapaxes(0, 1)  # (G, c, n)
+        for target, a in zip(targets, spans):
+            coef, *_ = np.linalg.lstsq(a.T, target, rcond=None)
+            worst = max(worst, float(np.linalg.norm(a.T @ coef - target)) / max(1.0, float(np.linalg.norm(target))))
     return worst
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import GUARD_FACTOR, _control_step, _field_enclosure, _field_stack
-from .hormander import WeightedSystem, _field_columns
+from .flows import GUARD_FACTOR, _control_step
+from .hormander import WeightedSystem, _field_columns, _field_stack
+from .symexpr import _kernel
 
 __all__ = [
     "ReachSample",
@@ -106,9 +107,13 @@ def _check_mode(mode: str) -> str:
 
 
 def _check_in_chart(box, p, halfspace: bool, point: str = "base") -> None:
-    """ValueError unless p lies in the chart box (so is finite) and, with
-    `halfspace` on a chart with boundary, not below {x_n = 0}."""
+    """ValueError unless p is one point of the chart's dimension that lies in
+    the chart box (so is finite) and, with `halfspace` on a chart with
+    boundary, not below {x_n = 0}."""
     p = np.asarray(p, dtype=float)
+    if p.shape != (box.dim,):
+        got = len(p) if p.ndim == 1 else f"shape {p.shape}"
+        raise ValueError(f"{point} point must have {box.dim} coordinates, got {got}")
     if not box.contains(p[None])[0] or (halfspace and box.has_boundary and p[-1] < -BOUNDARY_TOL):
         raise ValueError(f"{point} point is not in the chart")
 
@@ -338,7 +343,8 @@ class ReachGraph:
     (D, F) with the F frontier points contiguous, go one coordinate
     column at a time.
 
-    A negative or non-finite scale delta raises ValueError, as do a
+    A negative or non-finite scale delta and a base point outside the
+    chart (or below {x_n = 0} in intrinsic mode) raise ValueError, as do a
     non-finite target and a negative or non-finite arrival tolerance in
     `run`, and points not shaped (N, n) in `contains`.
     """
@@ -351,6 +357,7 @@ class ReachGraph:
         self.delta = float(delta)
         self.mode = _check_mode(mode)
         self.res = _check_resolution(res, sys.n)
+        _check_in_chart(sys.box, self.x0, mode == "intrinsic")
         self.factors = np.array([delta**d for d in sys.degrees])
         self.dirs = _move_directions(sys.r)
         # arrivals pass Box.contains, so their indices lie in the box's range
@@ -413,7 +420,7 @@ class ReachGraph:
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"arrival tolerance must be finite and non-negative, got arrival_tol = {arrival_tol}")
         vfs = self.sys.vfields()
-        factors, res = self.factors[:, None], self.res.tolist()
+        factors, res = self.factors[:, None, None], self.res.tolist()
         dir_cols = self.dirs.T[:, :, None]  # (r, D, 1): per control j the column dirs[:, j]
         weights = self.dirs * self.factors  # (D, r) control coefficients per direction
         box = self.sys.box
@@ -421,7 +428,6 @@ class ReachGraph:
         # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
         edge, c = np.asarray(box.half_widths) + 1e-9, np.asarray(box.center)
 
-        _check_in_chart(box, self.x0, halfspace)
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
         speed = None if target is None else self._speed_bound()
@@ -440,14 +446,14 @@ class ReachGraph:
             # move rates, per coordinate i the (D, F) rows |V_i| / res_i with the F points
             # contiguous, V_i[d, f] = sum_j dirs[d, j] (delta^d_j W_j)_i(P_f) summed left
             # to right in j, then their maximum left to right in i; up to the sign of a
-            # zero, which abs drops, V is einsum("dr,frn->fdn") bit for bit
-            W = _field_stack(vfs, P)  # (F, r, n)
+            # zero, which abs drops, V is einsum("dr,rfn->fdn") bit for bit
+            W = _field_stack(vfs, P)  # (r, F, n)
             W *= factors
             rates = None
             for i, res_i in enumerate(res):
-                v = dir_cols[0] * W[:, 0, i]
+                v = dir_cols[0] * W[0, :, i]
                 for j in range(1, len(dir_cols)):
-                    v += dir_cols[j] * W[:, j, i]
+                    v += dir_cols[j] * W[j, :, i]
                 np.abs(v, out=v)
                 v /= res_i
                 rates = v if rates is None else np.maximum(rates, v, out=rates)
@@ -513,7 +519,7 @@ class ReachGraph:
         """Per-coordinate speeds S that every oracle path from x0 keeps to, or None.
 
         S_i >= |sum_j u_j delta^d_j W_ji| for all |u| <= 1 (Cauchy-Schwarz
-        on the field enclosures of `flows._field_enclosure`) over a box B.
+        on the enclosures of the fields, their tuple's interval kernel) over a box B.
         A guess G, the enclosure over the guard box, gives B = x0 +- (G (1 +
         1e-9) + 1e-9), and the enclosure S over B is proven when S <= G in
         every coordinate: a path of time t <= 1 whose speeds keep within S
@@ -524,7 +530,7 @@ class ReachGraph:
         """
 
         def speeds(lo, hi):
-            W_lo, W_hi = _field_enclosure(self.sys.vfields(), lo, hi)
+            W_lo, W_hi = (w.reshape(self.sys.r, -1) for w in _kernel("interval", self.sys.vfields())(lo, hi))
             with np.errstate(all="ignore"):  # 0 * inf is nan, which is not finite
                 return np.sqrt(np.square(np.maximum(np.abs(W_lo), np.abs(W_hi)) * self.factors[:, None]).sum(axis=0))
 

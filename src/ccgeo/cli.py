@@ -747,7 +747,6 @@ def cmd_volume(args) -> int:
 def cmd_scale(args) -> int:
     scn = load_scenario(args.scenario)
     _check_points(scn, args, "x")
-    _check_in_chart(scn.box, args.x, halfspace=True)
     sys_ = scn.system()
     gain = args.gain if args.gain is not None else scn.threshold("scale.gain", 1.0)
     x = tuple(args.x)

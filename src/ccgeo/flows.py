@@ -5,23 +5,19 @@ byte-identical output; the error budget of the toolkit is dominated by
 sampling, not by the integrator.  Trajectories that leave the guarded
 chart (the domain box inflated by 25%) abort with FlowExcursionError.
 `rk4_flow` and the scaling maps step with `_rk4_step` over a velocity
-such as `_control_velocity`, one compiled kernel per field tuple (the
-weighted form of `symexpr._compile`), so an RK4 stage makes one call,
-not one per field plus a stack and a contraction.  The control
-integrator and the grid oracle in `ccmetric` step with `_control_step`,
-the same arithmetic compiled into one step per field tuple (the step
-form), which computes the velocity columns that read no coordinate once
-per control rather than at every stage; each caller keeps its own guard.
-`rk4_flow` keeps numpy on its fast paths, bit for bit: a shared flow time
-steps with one Python-float dt rather than a (B, 1) column, and the
-guard box is tested once per step against full-row copies of its centre
-and guarded half widths.  The field stack `_field_stack`, all fields
-from one point kernel, serves only the oracle's move rates, and its
-interval twin `_field_enclosure` only the oracle's speed bound.
+such as `_control_velocity`, the weighted kernel of a field tuple from
+`symexpr._kernel`, so an RK4 stage makes one call, not one per field
+plus a stack and a contraction.  The control integrator and the grid
+oracle in `ccmetric` step with `_control_step`, the same arithmetic as
+the tuple's step kernel, which computes the velocity columns that read
+no coordinate once per control rather than at every stage; each caller
+keeps its own guard.  `rk4_flow` keeps numpy on its fast paths, bit for
+bit: a shared flow time steps with one Python-float dt rather than a
+(B, 1) column, and the guard box is tested once per step against
+full-row copies of its centre and guarded half widths.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,35 +72,12 @@ def _rk4_step(velocity, y: np.ndarray, dt) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _field_stack(vfs, pts: np.ndarray) -> np.ndarray:
-    """The fields W_j at the rows of pts (B, n), stacked as (B, r, n): one
-    point kernel over all their components, with each field's bits."""
-    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "point")
-    return kernel(pts).reshape(-1, len(vfs), pts.shape[-1])
-
-
-def _field_enclosure(vfs, lo: np.ndarray, hi: np.ndarray):
-    """Enclosures (lo, hi), each (r, n), of the fields W_j over the box [lo, hi] (n,):
-    one interval kernel over all their components."""
-    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "interval")
-    return (b.reshape(len(vfs), -1) for b in kernel(lo, hi))
-
-
-@functools.lru_cache(maxsize=256)
-def _fused(vfs: tuple[VField, ...], texts: tuple[str, ...], form: str):
-    """The fused point kernel P, interval kernel (L, H), velocity kernel (P, A) or RK4 step
-    factory (A, dt) of a field tuple, compiled once per tuple and form; keyed also on the
-    fields as printed, which, unlike VField equality, tell Const(0.0) from Const(-0.0)."""
-    comps = tuple(vf.components for vf in vfs)
-    return symexpr._compile(sum(comps, ()) if form in ("point", "interval") else comps, form)
-
-
 def _control_velocity(vfs, a: np.ndarray):
     """Velocity sum_j a[:, j] W_j(y) of per-row control coefficients a (B, r).
 
     The kernel ignores no floating-point error itself: call it under
     np.errstate(all="ignore"), as the integrators do once per call."""
-    kernel = _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "weighted")
+    kernel = symexpr._kernel("weighted", vfs)
     return lambda pts: kernel(pts, a)
 
 
@@ -116,7 +89,7 @@ def _control_step(vfs, a: np.ndarray, dt):
     with every velocity column that reads no coordinate computed here,
     once, rather than at each stage of each step.  Call the step, as this,
     under np.errstate(all="ignore")."""
-    return _fused(tuple(vfs), tuple([vf._text for vf in vfs]), "step")(a, dt)
+    return symexpr._kernel("step", vfs)(a, dt)
 
 
 def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:

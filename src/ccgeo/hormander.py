@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symexpr import Const, Expr, VField, lie_bracket, to_string
+from .symexpr import Const, Expr, VField, _kernel, lie_bracket, to_string
 
 __all__ = [
     "Box",
@@ -202,37 +202,44 @@ def _commutators(sys: WeightedSystem, m: int) -> tuple[CommutatorEntry, ...]:
     return tuple(out)
 
 
-def _numerically_zero(vf: VField, box: Box) -> bool:
-    vals = vf.eval_many(box.grid(7))
-    vals = vals[np.all(np.isfinite(vals), axis=-1)]
-    return len(vals) > 0 and np.abs(vals).max() <= 1e-12
-
-
 def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
     """Derived system of the commutators of order <= m, with their words.
 
     Contains the generators themselves; duplicates (up to sign) and fields
-    that vanish identically on the chart are dropped.  Built once per
-    system object and order from enumerate_commutators(sys, m).
+    that vanish identically on the chart are dropped: the zero brackets,
+    and the brackets whose finite values on a 7-per-axis grid all lie
+    within 1e-12 of 0.  Built once per system object and order from
+    enumerate_commutators(sys, m).
     """
     key = ("Z", m)
     if key not in sys._derived:
-        kept = [
-            e for e in enumerate_commutators(sys, m)
-            if not (e.is_zero or (len(e.word) > 1 and _numerically_zero(e.field, sys.box)))
-        ]
+        kept = [e for e in enumerate_commutators(sys, m) if not e.is_zero]
+        vals = np.abs(_field_stack([e.field for e in kept], sys.box.grid(7)))  # (q, P, n)
+        finite = np.isfinite(vals).all(axis=-1)
+        zero = finite.any(axis=1) & (np.where(finite[..., None], vals, 0.0).max(axis=(1, 2)) <= 1e-12)
+        kept = [e for e, z in zip(kept, zero) if len(e.word) == 1 or not z]
         fields = tuple((e.field, e.degree) for e in kept)
         sys._derived[key] = WeightedSystem(fields, sys.box, sys.density, words=tuple(e.word for e in kept))
     return sys._derived[key]
 
 
+def _field_stack(vfs, pts) -> np.ndarray:
+    """The q fields vfs at the points pts (..., n), shape (q, ..., n), values that are not
+    finite included: one point kernel of the tuple computes every component, each from its
+    field's own expressions, so with the bits of the field's eval_many."""
+    pts = np.asarray(pts, dtype=float)
+    vals = _kernel("point", vfs)(pts).reshape(pts.shape[:-1] + (len(vfs), pts.shape[-1]))
+    return vals.transpose(-2, *range(pts.ndim - 1), -1)
+
+
 def _field_columns(vfs, pts) -> np.ndarray:
-    """The q fields at one point (n,) or at the rows of pts (P, n): shape (q, n) or (q, P, n).
+    """The q fields at one point (n,) or at the rows of pts (P, n): shape (q, n) or (q, P, n),
+    from `_field_stack`.
 
     Raises ValueError naming the first point where a field is not finite.
     """
     pts = np.asarray(pts, dtype=float)
-    cols = np.stack([vf.eval_many(pts) for vf in vfs])
+    cols = _field_stack(vfs, pts)
     bad = ~np.isfinite(cols).all(axis=(0, -1))
     if bad.any():
         p = pts if pts.ndim == 1 else pts[np.argmax(bad)]
@@ -339,7 +346,7 @@ def check_hormander(sys: WeightedSystem, m_max: int, per_axis: int = 11) -> Horm
         entries = [e for e in enumerate_commutators(sys, m) if not e.is_zero]
         if len(entries) < sys.n:
             continue
-        gamma0, ok, _ = _span_certificate(np.stack([e.field.eval_many(pts) for e in entries]))
+        gamma0, ok, _ = _span_certificate(_field_stack([e.field for e in entries], pts))
         if np.all(ok):
             return HormanderReport(True, m, float(gamma0.min()))
         if m == m_max:

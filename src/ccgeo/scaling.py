@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySystem
-from .ccmetric import BOUNDARY_TOL, reach_graph, sample_ball
+from .ccmetric import BOUNDARY_TOL, _check_in_chart, reach_graph, sample_ball
 from .flows import FlowConfig, _control_velocity, rk4_flow
 from .hormander import (
     WeightedSystem,
     _field_columns,
+    _field_stack,
     _grid,
     _max_subset_det,
     _span_certificate,
@@ -268,9 +269,12 @@ def build_scaling_map(
     parametrization (unit cube to a gain-cube of the raw exponential);
     the working value making the unit cube image sit inside the ball is
     fixture calibrated and absorbed into the map's fields, so pullback
-    identities hold for the stored basis exactly as stated.
+    identities hold for the stored basis exactly as stated.  A point
+    outside the chart, or below {x_n = 0}, raises ValueError first.
     """
     x = np.asarray(x, dtype=float)
+    box = source.parent.box if isinstance(source, BoundarySystem) else source[0].box
+    _check_in_chart(box, x, halfspace=True)
     if not 0.0 < delta <= DELTA_CAP:
         raise ValueError(f"delta must be in (0, {DELTA_CAP}], got delta = {delta}")
     if not 0.0 < gain <= 1.0:
@@ -287,12 +291,12 @@ def build_scaling_map(
         distinguished = (scaled(VField(tuple(div(c, denom) for c in x0f.components))), d0)
         fields = [(vf, d) for vf, d, w, z in source.x_entries if not z] + [(x0f, d0)]
         idx = select_basis(fields, x, delta, distinguished=len(fields) - 1)
-        kind, box, omega, slots = "near_boundary", source.parent.box, source.omega, idx[:-1]
+        kind, omega, slots = "near_boundary", source.omega, idx[:-1]
     else:
         sys, m = source
         fields = build_Z_system(sys, m).fields
         idx = select_basis(fields, x, delta)
-        kind, box, omega, slots, distinguished = "interior", sys.box, 1, idx, None
+        kind, omega, slots, distinguished = "interior", 1, idx, None
     smap = ScalingMap(
         kind=kind,
         x=x,
@@ -304,10 +308,9 @@ def build_scaling_map(
         indices=idx,
     )
     # d psi(0) exactly: the columns delta^d X(x), then omega delta^d0 X0~(x) near the boundary
-    cols = [vf.eval_many(x) * delta**d for vf, d in smap.basis]
-    if distinguished is not None:
-        cols.append(omega * distinguished[0].eval_many(x) * delta ** distinguished[1])
-    dpsi0 = np.stack(cols, axis=-1)
+    cols = smap.basis + ((distinguished,) if distinguished is not None else ())
+    dpsi0 = (_field_stack([vf for vf, _ in cols], x) * [[delta**d] for _, d in cols]).T
+    dpsi0[:, len(smap.basis):] *= omega
     if not (np.isfinite(dpsi0).all() and abs(np.linalg.det(dpsi0)) >= 1e-300):
         raise RuntimeError("scaling map is singular at t = 0")
     return smap
@@ -321,7 +324,7 @@ def pullback(smap: ScalingMap, fields, U) -> np.ndarray:
     and B rows.
     """
     P, J = smap.jet(U)
-    vals = np.stack([vf.eval_many(P) * smap.delta**d for vf, d in fields])
+    vals = _field_stack([vf for vf, _ in fields], P) * np.array([smap.delta**d for _, d in fields])[:, None, None]
     return np.linalg.solve(J, vals[..., None])[..., 0]
 
 

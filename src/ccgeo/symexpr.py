@@ -5,9 +5,11 @@ that round-trips through the parser.  Vector fields are n-tuples of
 expressions (coefficients of the coordinate derivations) with an exact
 Lie bracket.  Every evaluation, at one point or a batch, runs one
 compiled numpy kernel in float64: a domain error (division by zero,
-sqrt of a negative, overflow) gives inf or nan and never raises.  The
-same compiler builds the control velocity sum_j a_j W_j of a field tuple
-as one kernel, which `flows` caches per tuple.
+sqrt of a negative, overflow) gives inf or nan and never raises.  This
+module owns every kernel: `_kernel(form, fields)` compiles a tuple of
+fields once per form (point values, interval enclosures, the control
+velocity sum_j a_j W_j or its RK4 step) into one bounded cache, keyed on
+the fields as printed.
 
 Simplification is limited to constant folding and 0/1 absorption; no
 general rewriting is attempted, so brackets stay exact without risking
@@ -69,11 +71,11 @@ class Expr:
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (..., n); one point (n,) gives a 0-d array."""
-        return self._kernel(np.asarray(points, dtype=float))[..., 0]
+        return _kernel("point", (self,))(np.asarray(points, dtype=float))[..., 0]
 
     @cached_property
-    def _kernel(self):  # built on first use; not a dataclass field, so eq, hash and str ignore it
-        return _compile((self,))
+    def _text(self) -> str:  # str(self), kept: unlike eq and hash, it tells Const(0.0) from Const(-0.0)
+        return str(self)
 
     def diff(self, i: int) -> "Expr":
         return _diff(self, i)
@@ -201,8 +203,25 @@ def func(name: str, arg: Expr) -> Expr:
 # -- evaluation ---------------------------------------------------------
 
 
-def _compile(exprs, form="point"):
-    """Generate one numpy kernel P (..., n) -> out (..., len(exprs)).
+def _kernel(form: str, fields):
+    """The kernel of a tuple of fields (VFields, or expressions as one-component
+    fields) in `form`, compiled by `_compile` on first use: the point and interval
+    forms over every component of every field in turn, the weighted and step forms
+    over the fields as the control velocity's terms.  The one cache keeps at most
+    _KERNEL_CACHE_SIZE kernels, the oldest dropped first, keyed on the form and the
+    fields as printed, which, unlike their equality, tell Const(0.0) from Const(-0.0)."""
+    key = (form, tuple([f._text for f in fields]))
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        comps = tuple([f.components if isinstance(f, VField) else (f,) for f in fields])
+        kernel = _KERNELS[key] = _compile(sum(comps, ()) if form in ("point", "interval") else comps, form)
+        if len(_KERNELS) > _KERNEL_CACHE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]  # the oldest
+    return kernel
+
+
+def _compile(exprs, form):
+    """Generate one numpy kernel P (..., n) -> out (..., len(exprs)) with form="point".
 
     With form="weighted", exprs holds the component tuples of r fields
     W_j, and the kernel (P, A) returns the velocity
@@ -241,11 +260,10 @@ def _compile(exprs, form="point"):
     affine one does, gets its exact range to within a few ulps.  A bound
     that is nan comes back as -inf or inf.
 
-    A process compiles each kernel once: a kernel is reused for any
-    expressions that generate the same source and bind constants of the
-    same repr, so Const(0.0) and Const(-0.0) never share one."""
+    Each call generates and compiles afresh; `_kernel`, its one caller,
+    keeps the kernels."""
     interval = form == "interval"
-    env, lines, names, consts = {"np": np, **(_INTERVAL if interval else _NP_FUNCS)}, [], {}, []
+    env, lines, names = {"np": np, **(_INTERVAL if interval else _NP_FUNCS)}, [], {}
     varying = set()  # the locals that read the point
 
     def emit(e):  # -> local name
@@ -271,7 +289,6 @@ def _compile(exprs, form="point"):
             names[key] = name = f"x{e.index}" if isinstance(e, Var) else f"t{len(names)}"
             if code is None:
                 env[name] = (np.float64(e.value),) * 2 if interval else np.float64(e.value)
-                consts.append(repr(e.value))
             else:
                 if isinstance(e, Var) or varying.intersection(key[1:]):
                     varying.add(name)
@@ -311,14 +328,8 @@ def _compile(exprs, form="point"):
         body = [f"{target} = {code}" for target, code in lines] + tail
         src = (f"def kernel({head}):\n    out = np.empty(P.shape[:-1] + ({width},))\n"
                + guard + "".join(f"{pad}{line}\n" for line in body) + "    return out")
-    key = (src, tuple(consts))
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        exec(compile(src, "<ccgeo kernel>", "exec"), env)
-        kernel = _KERNELS[key] = env["kernel"]
-        if len(_KERNELS) > _KERNEL_CACHE_SIZE:
-            del _KERNELS[next(iter(_KERNELS))]  # the oldest
-    return kernel
+    exec(compile(src, "<ccgeo kernel>", "exec"), env)
+    return env["kernel"]
 
 
 def _step_source(r: int, cols, lines, varying) -> str:
@@ -450,7 +461,7 @@ _INTERVAL = {
     "cos": functools.partial(_periodic, np.cos, 0.0),
 }
 
-#: compiled kernels kept per process, keyed on source and constant reprs
+#: compiled kernels kept per process, keyed on the form and the fields as printed
 _KERNEL_CACHE_SIZE = 1024
 _KERNELS: dict[tuple[str, tuple[str, ...]], object] = {}
 
@@ -690,22 +701,11 @@ class VField:
         return self.components[-1]
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
-        return self._kernel(np.asarray(points, dtype=float))
-
-    @cached_property
-    def _kernel(self):  # built on first use; not a dataclass field, so eq, hash and str ignore it
-        return _compile(self.components)
+        return _kernel("point", (self,))(np.asarray(points, dtype=float))
 
     @cached_property
     def _text(self) -> str:  # str(self), kept: unlike eq and hash, it tells Const(0.0) from Const(-0.0)
         return str(self)
-
-    def __hash__(self):  # the dataclass hash, kept: the fused velocity kernel's cache hashes fields per call
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.components,))
 
     def is_zero(self) -> bool:
         return all(_is_const(c, 0.0) for c in self.components)

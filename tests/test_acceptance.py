@@ -200,12 +200,11 @@ def test_criterion_08_scaling_map_items():
                 continue
             vals = pullback(smap, [(vf, d)], slice_u)[0]
             ok &= np.abs(vals[:, -1]).max() <= 1e-8
-        for vf, d in sys_.fields:
+        for vf, d in sys_.fields:  # psi carries the pullback onto delta^d V: central differences along it
             w = pullback(smap, [(vf, d)], U)[0]
-            J = smap.jacobian(U)
-            lhs = np.einsum("bij,bj->bi", J, w)
+            carried = (smap(U + 1e-4 * w) - smap(U - 1e-4 * w)) / 2e-4
             rhs = vf.eval_many(smap(U)) * smap.delta**d
-            ok &= np.abs(lhs - rhs).max() <= 1e-6 * max(1.0, np.abs(rhs).max())
+            ok &= np.abs(carried - rhs).max() <= 1e-7 * max(1.0, np.abs(rhs).max())
     uni = verify_uniform_hormander(maps, sys_, scn.order)
     ok &= uni.overall_floor > 0
     ok &= max(uni.floors) / min(uni.floors) <= 2.0

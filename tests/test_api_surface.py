@@ -10,12 +10,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
 
-#: settable values in src/ccgeo; 52 since ReachGraph's res lost its default
-#: (keyword-only and required, like reach_graph's: every caller passes it),
-#: after verify_uniform_hormander lost jets (its one caller passing precomputed
-#: jets went with check_scaling_map), and Box.grid's per_axis, reach_graph's
-#: res and MetricEstimate.intersects's slack their defaults
-SETTABLE_VALUES = 52
+#: settable values in src/ccgeo; 51 since symexpr._compile's form lost its
+#: default (its one caller, symexpr._kernel, always passes the form), after
+#: ReachGraph's res lost its default (keyword-only and required, like
+#: reach_graph's: every caller passes it), verify_uniform_hormander lost jets
+#: (its one caller passing precomputed jets went with check_scaling_map), and
+#: Box.grid's per_axis, reach_graph's res and MetricEstimate.intersects's slack
+#: their defaults
+SETTABLE_VALUES = 51
 
 #: the packaged scenarios: perfbench builds its reach and scale op lists from
 #: every .scn file in src/ccgeo/fixtures, so a new one there changes them
@@ -107,3 +109,23 @@ def test_export_check_sees_a_stale_name():
 def test_packaged_fixtures_are_pinned():
     # test-only scenarios belong under tests/fixtures
     assert tuple(sorted(p.name for p in (SRC / "fixtures").glob("*.scn"))) == PACKAGED_FIXTURES
+
+
+def _calls_of(tree: ast.AST, name: str) -> int:
+    """Calls of `name` or of `<anything>.name` in a syntax tree."""
+    return sum(
+        isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def test_compile_has_one_call_site():
+    # every kernel comes from symexpr._kernel's one cache; a second caller of the
+    # compiler would be a second cache, or none
+    calls = {p.name: _calls_of(ast.parse(p.read_text()), "_compile") for p in sorted(SRC.rglob("*.py"))}
+    assert {k: v for k, v in calls.items() if v} == {"symexpr.py": 1}
+
+
+def test_call_counter_sees_plain_and_attribute_calls():
+    tree = ast.parse("_compile(a, 'point')\nsymexpr._compile(b, f)\nx = _compile\ny._compile.z()\n")
+    assert _calls_of(tree, "_compile") == 2

@@ -21,8 +21,8 @@ from ccgeo.ccmetric import (
     sample_ball,
 )
 from ccgeo.cli import load_scenario
-from ccgeo.flows import GUARD_FACTOR, _control_velocity, _field_stack, _rk4_step
-from ccgeo.hormander import Box, WeightedSystem
+from ccgeo.flows import GUARD_FACTOR, _control_velocity, _rk4_step
+from ccgeo.hormander import Box, WeightedSystem, _field_stack
 from ccgeo.symexpr import parse_vfield
 
 
@@ -574,7 +574,7 @@ def _reference_run(g, target=None, arrival_tol=None):
             P = np.array([p for p, _ in frontier])
             C = np.array([c for _, c in frontier])
             W = _field_stack(vfs, P)
-            V = np.einsum("dr,frn->fdn", g.dirs, factors[None, :, None] * W)
+            V = np.einsum("dr,rfn->fdn", g.dirs, factors[:, None, None] * W)
             rates = (np.abs(V) / g.res).max(axis=2)
             remaining = (1.0 - C)[:, None]
             live = (rates > 1e-14) & (remaining > 1e-12)
@@ -950,7 +950,7 @@ def test_column_keys_match_the_broadcast_formula_on_any_grid(data):
     x = data.draw(inside)
     res = data.draw(st.lists(st.floats(1e-3, 2.0), min_size=sys.n, max_size=sys.n))
     pts = np.array(data.draw(st.lists(inside, min_size=1, max_size=20)))
-    g = ReachGraph(sys, x, 0.3, res=res)
+    g = ReachGraph(sys, x, 0.3, "extrinsic", res=res)  # x may lie below {x_n = 0}; the keys do not read the mode
     for scale, grid in ((1.0, g._cells), (2.0, g._halves)):
         assert np.array_equal(ccmetric._ravel(g._index(pts, scale), *grid), _broadcast_keys(g, pts, scale, grid))
 

@@ -375,7 +375,7 @@ _FORMS = (
 def test_control_velocity_kernel_built_once_per_field_tuple(monkeypatch):
     calls = []
     real = symexpr._compile
-    monkeypatch.setattr(symexpr, "_compile", lambda exprs, *args: calls.append(exprs) or real(exprs, *args))
+    monkeypatch.setattr(symexpr, "_compile", lambda exprs, form: calls.append(exprs) or real(exprs, form))
     fields = ("1, x1*x2 - sin(x1*x2)", "x2, 0")
     a = tuple(parse_vfield(f, 2) for f in fields)
     b = [parse_vfield(f, 2) for f in fields]
@@ -383,14 +383,14 @@ def test_control_velocity_kernel_built_once_per_field_tuple(monkeypatch):
     pts = np.random.default_rng(3).uniform(-1, 1, size=(7, 2))
     coeffs = np.random.default_rng(4).uniform(-1, 1, size=(7, 2))
     for compiled, _ in _FORMS:  # the velocity kernel and the step, one cache
-        flows._fused.cache_clear()
+        monkeypatch.setattr(symexpr, "_KERNELS", {})
         calls.clear()
         first = compiled(a, coeffs)(pts)
         assert np.array_equal(compiled(b, coeffs)(pts), first)
         assert np.array_equal(compiled(a, coeffs[:1])(pts[:1]), first[:1])
         assert len(calls) == 1
     assert [(hash(vf), str(vf), repr(vf)) for vf in a] == before
-    assert all("_kernel" not in vars(vf) for vf in a)  # the per-field kernels are not built
+    assert list(symexpr._KERNELS) == [("step", tuple(str(vf) for vf in a))]  # the per-field kernels are not built
 
 
 def test_control_velocity_keeps_signed_zero_field_tuples_apart():

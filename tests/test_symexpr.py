@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgeo import cli, flows, symexpr
-from ccgeo.hormander import enumerate_commutators
+from ccgeo.hormander import _field_columns, _field_stack, build_Z_system, enumerate_commutators
 from ccgeo.symexpr import (
     UNARY_FUNCS,
     Binary,
@@ -305,7 +306,7 @@ def test_constant_only_subtree_gives_inf_or_nan():
 def test_vfield_kernel_built_once_and_invisible(monkeypatch):
     calls = []
     real = symexpr._compile
-    monkeypatch.setattr(symexpr, "_compile", lambda exprs: calls.append(exprs) or real(exprs))
+    monkeypatch.setattr(symexpr, "_compile", lambda exprs, form: calls.append(exprs) or real(exprs, form))
     a = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
     b = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
     before = (hash(a), str(a), repr(a))
@@ -327,20 +328,20 @@ def test_kernels_that_differ_in_a_signed_zero_keep_their_own_bits():
         _assert_bit_identical(got_pos, _ref_vfield(pos, pts))
         _assert_bit_identical(got_neg, _ref_vfield(neg_, pts))
     assert got_pos.view(np.int64).tolist() != got_neg.view(np.int64).tolist()
-    assert symexpr._compile(pos.components) is not symexpr._compile(neg_.components)
-    # a rebuilt expression with the same constants reuses the kernel
+    assert symexpr._kernel("point", (pos,)) is not symexpr._kernel("point", (neg_,))
+    # a rebuilt field with the same constants reuses the kernel
     again = parse_vfield("1, x1*x2 - sin(x1*x2)", 2)
-    assert symexpr._compile(again.components) is parse_vfield("1, x1*x2 - sin(x1*x2)", 2)._kernel
+    assert symexpr._kernel("point", (again,)) is symexpr._kernel("point", (parse_vfield("1, x1*x2 - sin(x1*x2)", 2),))
 
 
 def test_kernel_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(symexpr, "_KERNELS", {})
     monkeypatch.setattr(symexpr, "_KERNEL_CACHE_SIZE", 3)
-    kernels = [symexpr._compile((Binary("*", _X1, Const(float(k))),)) for k in range(5)]
+    kernels = [symexpr._kernel("point", (Binary("*", _X1, Const(float(k))),)) for k in range(5)]
     assert len(symexpr._KERNELS) == 3
     # the oldest went first; the newest are still served from the cache
-    assert symexpr._compile((Binary("*", _X1, Const(4.0)),)) is kernels[4]
-    assert symexpr._compile((Binary("*", _X1, Const(0.0)),)) is not kernels[0]
+    assert symexpr._kernel("point", (Binary("*", _X1, Const(4.0)),)) is kernels[4]
+    assert symexpr._kernel("point", (Binary("*", _X1, Const(0.0)),)) is not kernels[0]
 
 
 # -- the weighted (control-velocity) kernel against einsum ---------------
@@ -503,11 +504,58 @@ def test_interval_kernel_examples(text, lo, hi, want):
 
 def test_interval_kernel_is_the_one_compiler_and_maps_nan_to_infinite_bounds():
     e = parse_expr("x1*(1/x2) + sqrt(x2)", 2)
-    kernel = symexpr._compile((e,), "interval")
-    assert symexpr._compile((e,), "interval") is kernel  # one cached kernel per source
+    kernel = symexpr._kernel("interval", (e,))
+    assert symexpr._kernel("interval", (e,)) is kernel  # one cached kernel per expression and form
     # 0 * [-inf, inf] is nan at both ends, and so is the sum
     lo, hi = kernel(np.zeros((1, 2)), np.zeros((1, 2)))
     assert lo[0, 0] == -math.inf and hi[0, 0] == math.inf
     # sqrt of an interval below 0 is nan at its top
     lo, hi = _enclosure(parse_expr("sqrt(x2)", 2), [0.0, -2.0], [0.0, -1.0])
     assert lo == 0.0 and hi == math.inf
+
+
+# -- the one field evaluator over the fixtures' Z systems ----------------------
+
+#: the Z system (generators and brackets to the scenario's order) of each packaged
+#: fixture and of sine_boundary, as a field tuple
+_Z_SYSTEMS = [build_Z_system(scn.system(), scn.order).vfields() for scn in map(cli.load_scenario, _SCENARIOS)]
+# zeros of both signs, huge coordinates and non-finite ones
+_wild = st.sampled_from([0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_field_stack_is_every_fields_reference_and_columns_raise_where_it_is_not_finite(data):
+    vfs = data.draw(st.sampled_from(_Z_SYSTEMS))
+    n = vfs[0].dim
+    pts = np.array(data.draw(st.lists(st.lists(_wild, min_size=n, max_size=n), min_size=1, max_size=6)))
+    if data.draw(st.booleans()):  # one point (n,)
+        pts = pts[0]
+    got = _field_stack(vfs, pts)
+    with np.errstate(all="ignore"):
+        want = np.stack([_ref_vfield(vf, pts) for vf in vfs])
+    _assert_bit_identical_but_nan_payloads(got, want)
+    bad = ~np.isfinite(want).all(axis=(0, -1))
+    if not bad.any():
+        _assert_bit_identical_but_nan_payloads(_field_columns(vfs, pts), want)
+        return
+    first = pts if pts.ndim == 1 else pts[np.argmax(bad)]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'generator fields are not finite at {tuple(first.tolist())}')}$"):
+        _field_columns(vfs, pts)
+
+
+@pytest.mark.parametrize("vfs", _Z_SYSTEMS, ids=[Path(s).stem for s in _SCENARIOS])
+def test_field_tuples_that_differ_in_a_signed_zero_get_their_own_kernels(vfs):
+    # the last component of the last field times 0.0 or -0.0: equal tuples, other bits
+    pos, neg_ = (
+        vfs[:-1] + (VField(vfs[-1].components[:-1] + (Binary("*", Const(z), vfs[-1].components[-1]),)),)
+        for z in (0.0, -0.0)
+    )
+    assert pos == neg_
+    for form in ("point", "weighted", "step", "interval"):
+        assert symexpr._kernel(form, pos) is not symexpr._kernel(form, neg_)
+        assert symexpr._kernel(form, pos) is symexpr._kernel(form, list(pos))
+    pts = np.full((1, vfs[0].dim), 0.25)
+    got = [_field_stack(t, pts)[-1, 0, -1] for t in (pos, neg_)]
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, _ref_vfield(t[-1], pts)[0, -1]) for t in (pos, neg_)]
+    assert math.copysign(1.0, got[0]) != math.copysign(1.0, got[1])
