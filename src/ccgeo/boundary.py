@@ -22,13 +22,12 @@ from .hormander import (
     CommutatorEntry,
     WeightedSystem,
     _field_columns,
-    _field_stack,
     _grid,
     _span_certificate,
     build_Z_system,
     enumerate_commutators,
 )
-from .symexpr import Const, Expr, VField, div, lie_bracket, mul, sub, to_string
+from .symexpr import Const, Expr, VField, div, mul, sub, to_string
 
 __all__ = [
     "CharacteristicError",
@@ -37,7 +36,6 @@ __all__ = [
     "deg_boundary",
     "build_boundary_system",
     "boundary_metric",
-    "bracket_closure_residual",
     "export_scenario",
 ]
 
@@ -246,31 +244,6 @@ def _neighborhood_grid(sys: WeightedSystem, x0: np.ndarray, radius: float) -> np
     axes.append(np.linspace(0.0, radius, 3))
     pts = _grid(axes)
     return pts[sys.box.contains(pts)]
-
-
-def bracket_closure_residual(bsys: BoundarySystem) -> float:
-    """Worst residual of [V_j, V_k] against span{V_l : d_l <= d_j + d_k}.
-
-    The weak form of the closure identity for the boundary fields; exact
-    coefficients are not computed, only representability at the points
-    of a 5-per-axis grid, where one field stack evaluates the fields and
-    their brackets.  The span always holds V_j and V_k themselves.
-    """
-    fields = bsys.v_system.fields
-    q = len(fields)
-    pairs = [(j, k) for j in range(q) for k in range(j + 1, q)]
-    brackets = [lie_bracket(fields[j][0], fields[k][0]) for j, k in pairs]
-    vals = _field_stack([vf for vf, _ in fields] + brackets, bsys.v_system.box.grid(5))  # (q + b, G, n)
-    degs = np.array([d for _, d in fields])
-    worst = 0.0
-    for (j, k), br, targets in zip(pairs, brackets, vals[q:]):
-        if br.is_zero():
-            continue
-        spans = vals[:q][degs <= degs[j] + degs[k]].swapaxes(0, 1)  # (G, c, n)
-        for target, a in zip(targets, spans):
-            coef, *_ = np.linalg.lstsq(a.T, target, rcond=None)
-            worst = max(worst, float(np.linalg.norm(a.T @ coef - target)) / max(1.0, float(np.linalg.norm(target))))
-    return worst
 
 
 def boundary_metric(bsys: BoundarySystem, xp, yp) -> MetricEstimate:

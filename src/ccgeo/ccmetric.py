@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import GUARD_FACTOR, _control_step
+from .flows import GUARD_FACTOR, _control_step, _reach_box
 from .hormander import WeightedSystem, _field_columns, _field_stack
-from .symexpr import _kernel
 
 __all__ = [
     "ReachSample",
@@ -331,17 +330,23 @@ class ReachGraph:
 
     A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
     rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
-    float temporaries are bounded by the block, not the frontier; only
-    the kept arrivals (point, cost, move quantum) are joined for the
-    settle, which still runs once per round.  Rows are independent and
-    nothing is settled before the round ends, so the blocks change no
-    bit.  A round's fixed cost is its count of numpy and Python calls, kept
-    few with the same bits: one field kernel call, column-by-column folds
-    over the n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost
-    per arrival avoids numpy's slow broadcast of a length-n vector over
-    (N, n) rows: grid indices, membership and the move rates, laid out
-    (D, F) with the F frontier points contiguous, go one coordinate
-    column at a time.
+    float temporaries are bounded by the block, not the frontier.  A
+    block's rows are every (frontier point, direction) pair, dead moves
+    included, built by repeating and tiling rather than by index gathers;
+    one mask then drops the dead and guarded-out rows, and only the kept
+    arrivals (point, cost, move quantum) are joined for the settle, which
+    still runs once per round.  The guards (the chart box and, intrinsic
+    on a chart with boundary, the half-space) run only where the proven
+    reach box B of `flows._reach_box` does not settle them.  Rows are
+    independent and nothing is settled before the round ends, so the
+    blocks, the dead rows and the elided guards change no bit.  A round's
+    fixed cost is its count of numpy and Python calls, kept few with the
+    same bits: one field kernel call, column-by-column folds over the
+    n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost per
+    arrival avoids numpy's slow broadcast of a length-n vector over (N, n)
+    rows: grid indices, membership and the move rates, laid out (D, F)
+    with the F frontier points contiguous, go one coordinate column at a
+    time.
 
     A negative or non-finite scale delta and a base point outside the
     chart (or below {x_n = 0} in intrinsic mode) raise ValueError, as do a
@@ -399,14 +404,19 @@ class ReachGraph:
 
         Label-correcting search with batched rounds: every frontier cell
         expands along every control direction, in blocks of at most
-        `ROUND_ROWS` (point, direction) rows.  A targeted round that hits
-        returns the least hit cost over all its blocks.  With target None
-        the full reachable cell set is computed and (False, inf) returned.
+        `ROUND_ROWS` rows, one per (point, direction) pair.  A targeted
+        round that hits returns the least hit cost over all its blocks.
+        With target None the full reachable cell set is computed and
+        (False, inf) returned.
 
-        A targeted run also ends on a proof of a miss.  With the speed
-        bound S of `_speed_bound`, every descendant of a frontier point P
-        at cost C lies within (1 - C) S of P in each coordinate, so none
-        comes closer to the target y than |max(0, |P - y| - (1 - C) S)|.
+        Every run takes the speed bound S and reach box B = x0 +- reach of
+        `flows._reach_box`, which holds every RK4 stage of every move.  The
+        per-half-step box test runs only when B does not lie inside the
+        chart box, and the half-space test only when B dips below
+        {x_n = -BOUNDARY_TOL}; without a proven B both run.  A targeted run
+        also ends on a proof of a miss: every descendant of a frontier
+        point P at cost C lies within (1 - C) S of P in each coordinate, so
+        none comes closer to the target y than |max(0, |P - y| - (1 - C) S)|.
         When that exceeds the arrival tolerance for every frontier point,
         at the top of a round, no later round can hit, and the run returns
         (False, inf), the full search's answer, at once.  Such a run leaves
@@ -424,13 +434,16 @@ class ReachGraph:
         dir_cols = self.dirs.T[:, :, None]  # (r, D, 1): per control j the column dirs[:, j]
         weights = self.dirs * self.factors  # (D, r) control coefficients per direction
         box = self.sys.box
-        halfspace = self.mode == "intrinsic" and box.has_boundary
         # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
         edge, c = np.asarray(box.half_widths) + 1e-9, np.asarray(box.center)
 
         if target is not None and np.linalg.norm(self.x0 - target) <= tol:
             return True, 0.0
-        speed = None if target is None else self._speed_bound()
+        # every RK4 stage of every move stays in B = x0 +- reach (unbounded when unproven), and
+        # a guard runs only where B does not settle it: the same tests on B's corners
+        speed, reach = _reach_box(self.sys, self.x0, self.delta) or (None, np.full(self.sys.n, math.inf))
+        boxed = all(np.all(np.abs(b - c) <= edge) for b in (self.x0 - reach, self.x0 + reach))
+        halfspace = self.mode == "intrinsic" and box.has_boundary and self.x0[-1] - reach[-1] < -BOUNDARY_TOL
 
         def unreachable(P, C) -> bool:
             """Whether no descendant of frontier points P at costs C can land within tol of
@@ -460,19 +473,22 @@ class ReachGraph:
             remaining = 1.0 - C
             live = rates > 1e-14
             live &= remaining > 1e-12
-            # read in (point, direction) order through the transpose
-            f_idx, d_idx = live.T.copy().nonzero()
-            tau = np.minimum(1.0 / rates.take(d_idx * len(P) + f_idx), remaining[f_idx])
-            step = _control_step(vfs, weights.take(d_idx, 0), tau / 2.0)
-            Y, ok = P.take(f_idx, 0), True  # ok: and-ed with the box test after each step
+            # every (point, direction) row, dead ones included: the mask below drops them
+            F, D = len(P), len(weights)
+            tau = np.minimum(1.0 / rates.T.ravel(), remaining.repeat(D))
+            step = _control_step(vfs, np.tile(weights, (F, 1)), tau / 2.0)
+            Y, ok = P.repeat(D, 0), live.T.ravel()  # ok: and-ed with each guard after each step
             for _ in range(2):
                 Y = step(Y)
-                ok &= _columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
+                if not boxed:
+                    ok &= _columns(np.logical_and, lambda y, c, e: np.abs(y - c) <= e, Y, c, edge)
                 if halfspace:
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
             # a live move has C < 1 - 1e-12 and tau <= 1 - C, so C + tau <= 1 + 2^-52: no cost cap
-            m = ok.nonzero()[0]
-            Y, costs, tau = Y.take(m, 0), C[f_idx[m]] + tau[m], tau[m]
+            costs = C.repeat(D) + tau
+            if np.count_nonzero(ok) < len(ok):
+                m = ok.nonzero()[0]
+                Y, costs, tau = Y.take(m, 0), costs.take(m), tau.take(m)
             near = slice(0) if target is None else np.sqrt(_columns(np.add, lambda y, t: np.square(y - t), Y, target)) <= tol
             return Y, costs, tau, costs[near]
 
@@ -489,7 +505,7 @@ class ReachGraph:
         step = max(1, ROUND_ROWS // len(self.dirs))  # frontier points per block
         with np.errstate(all="ignore"):
             while len(P):
-                if speed is not None and unreachable(P, C):
+                if target is not None and speed is not None and unreachable(P, C):
                     return False, math.inf
                 rounds += 1
                 blocks = [moves(P[i : i + step], C[i : i + step]) for i in range(0, len(P), step)]
@@ -514,33 +530,6 @@ class ReachGraph:
         self.settled, self.settled_cost, self.settled_pts = cells.settled()
         self._window = cells
         return False, math.inf
-
-    def _speed_bound(self):
-        """Per-coordinate speeds S that every oracle path from x0 keeps to, or None.
-
-        S_i >= |sum_j u_j delta^d_j W_ji| for all |u| <= 1 (Cauchy-Schwarz
-        on the enclosures of the fields, their tuple's interval kernel) over a box B.
-        A guess G, the enclosure over the guard box, gives B = x0 +- (G (1 +
-        1e-9) + 1e-9), and the enclosure S over B is proven when S <= G in
-        every coordinate: a path of time t <= 1 whose speeds keep within S
-        stays in x0 +- t S, inside B, so its speeds do keep within S, and
-        every RK4 stage of every move stays in B.  The margins cover the
-        rounding of the steps and of the costs, which may pass 1 by an ulp.
-        An S that is not finite, or exceeds G, proves nothing.
-        """
-
-        def speeds(lo, hi):
-            W_lo, W_hi = (w.reshape(self.sys.r, -1) for w in _kernel("interval", self.sys.vfields())(lo, hi))
-            with np.errstate(all="ignore"):  # 0 * inf is nan, which is not finite
-                return np.sqrt(np.square(np.maximum(np.abs(W_lo), np.abs(W_hi)) * self.factors[:, None]).sum(axis=0))
-
-        box = self.sys.box
-        hw = np.asarray(box.half_widths) * GUARD_FACTOR + 1e-9
-        c = np.asarray(box.center, dtype=float)
-        guess = speeds(c - hw, c + hw)
-        reach = guess * (1.0 + 1e-9) + 1e-9
-        S = speeds(self.x0 - reach, self.x0 + reach)
-        return S * (1.0 + 1e-9) if np.isfinite(S).all() and (S <= guess).all() else None
 
     def contains(self, points: np.ndarray, dilate: int = 0) -> np.ndarray:
         """Membership of points (N, n) in the explored reachable set (cell level).

@@ -11,10 +11,14 @@ plus a stack and a contraction.  The control integrator and the grid
 oracle in `ccmetric` step with `_control_step`, the same arithmetic as
 the tuple's step kernel, which computes the velocity columns that read
 no coordinate once per control rather than at every stage; each caller
-keeps its own guard.  `rk4_flow` keeps numpy on its fast paths, bit for
-bit: a shared flow time steps with one Python-float dt rather than a
-(B, 1) column, and the guard box is tested once per step against
-full-row copies of its centre and guarded half widths.
+keeps its own guard.  `_reach_box` is the one owner of the reach box:
+from the interval kernel of a field tuple it proves the box around a
+point that holds every path of time at most 1, so the oracle runs a
+guard only where that box does not settle it.  `rk4_flow` keeps numpy on
+its fast paths, bit for bit: a shared flow time steps with one
+Python-float dt rather than a (B, 1) column, and the guard box is tested
+once per step against full-row copies of its centre and guarded half
+widths.
 """
 from __future__ import annotations
 
@@ -90,6 +94,37 @@ def _control_step(vfs, a: np.ndarray, dt):
     once, rather than at each stage of each step.  Call the step, as this,
     under np.errstate(all="ignore")."""
     return symexpr._kernel("step", vfs)(a, dt)
+
+
+def _reach_box(sys, x, delta: float):
+    """Proven speeds S and half widths `reach` of the box B = x +- reach that
+    every path of time at most 1 from x keeps to, or None when nothing is proven.
+
+    S_i >= |sum_j u_j delta^d_j W_ji| for all |u| <= 1 (Cauchy-Schwarz on the
+    enclosures of the fields, their tuple's interval kernel) over B.  A guess
+    G, the enclosure over the guard box, gives reach = G (1 + 1e-9) + 1e-9,
+    and the enclosure S over B is proven when S <= G in every coordinate: a
+    path of time t <= 1 whose speeds keep within S stays in x +- t S, inside
+    B, so its speeds do keep within S, and every RK4 stage of every control
+    step stays in B.  The margins cover the rounding of the steps and of the
+    costs, which may pass 1 by an ulp.  An S that is not finite, or exceeds
+    G, proves nothing.
+    """
+    factors = np.array([delta**d for d in sys.degrees])[:, None]
+    bounds = symexpr._kernel("interval", sys.vfields())
+
+    def speeds(lo, hi):
+        W_lo, W_hi = (w.reshape(sys.r, -1) for w in bounds(lo, hi))
+        with np.errstate(all="ignore"):  # 0 * inf is nan, which is not finite
+            return np.sqrt(np.square(np.maximum(np.abs(W_lo), np.abs(W_hi)) * factors).sum(axis=0))
+
+    x = np.asarray(x, dtype=float)
+    hw = np.asarray(sys.box.half_widths) * GUARD_FACTOR + 1e-9
+    c = np.asarray(sys.box.center, dtype=float)
+    guess = speeds(c - hw, c + hw)
+    reach = guess * (1.0 + 1e-9) + 1e-9
+    S = speeds(x - reach, x + reach)
+    return (S * (1.0 + 1e-9), reach) if np.isfinite(S).all() and (S <= guess).all() else None
 
 
 def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:

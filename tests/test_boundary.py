@@ -4,7 +4,6 @@ import pytest
 from ccgeo.boundary import (
     CharacteristicError,
     boundary_metric,
-    bracket_closure_residual,
     build_boundary_system,
     deg_boundary,
     export_scenario,
@@ -189,36 +188,6 @@ def test_weak_equivalence_invariance_of_deg():
 def test_span_floor_positive():
     bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2)
     assert bsys.span_floor > 0.5
-
-
-def test_bracket_closure_residual_small():
-    bsys = build_boundary_system(grushin_straightened(), (0.5, 0.0), m=2)
-    assert bracket_closure_residual(bsys) <= 1e-8
-
-
-def test_bracket_closure_residual_of_commuting_boundary_fields_is_zero():
-    # heisenberg's boundary system at the origin has two boundary fields,
-    # d/dy and d/dt, whose bracket vanishes
-    scn = load_scenario("heisenberg")
-    bsys = build_boundary_system(scn.system(), (0.0, 0.0, 0.0), scn.order)
-    assert len(bsys.v_system.fields) == 2
-    assert bracket_closure_residual(bsys) == 0.0
-
-
-def test_bracket_closure_residual_represents_a_nonzero_bracket():
-    # boundary fields d/dx1 and x1 d/dx2 (degree 1) bracket to d/dx2, which
-    # the degree-2 boundary field spans at every grid point, x1 = 0 included
-    sys = WeightedSystem(
-        fields=(
-            (parse_vfield("0, 0, 1", 3), 1),
-            (parse_vfield("1, 0, 0", 3), 1),
-            (parse_vfield("0, x1, 0", 3), 1),
-        ),
-        box=Box((1.0, 1.0, 1.0), has_boundary=True),
-    )
-    bsys = build_boundary_system(sys, (0.0, 0.0, 0.0), m=2, probe_radius=0.3)
-    assert [d for _, d in bsys.v_system.fields] == [1, 1, 2]
-    assert bracket_closure_residual(bsys) <= 1e-12
 
 
 def test_metric_sandwich_two_sided():

@@ -538,7 +538,7 @@ def test_degree_reduction_containment():
 # -- ReachGraph against a per-arrival dict loop of its rule -------------------
 
 
-def _reference_run(g, target=None, arrival_tol=None):
+def _reference_run(g, target=None, arrival_tol=None, kept=None):
     """ReachGraph.run's rule, one Python step per arrival over dicts.
 
     Each round's arrivals, in (point, direction) order, lower their cell's
@@ -550,8 +550,11 @@ def _reference_run(g, target=None, arrival_tol=None):
     the round and equal to the best after it, and the next frontier is each
     accepted half-cell's least-index arrival, in arrival order.
 
-    Returns (reached, cost, settled) with settled mapping integer cell
-    tuples to (cost, point).
+    Every move is integrated in full and guarded by the chart box and, in
+    intrinsic mode on a chart with boundary, the half-space after each half
+    step.  Returns (reached, cost, settled) with settled mapping integer
+    cell tuples to (cost, point); a list `kept` gets each round's count of
+    kept arrivals.
     """
     target = None if target is None else np.asarray(target, dtype=float)
     tol = float(arrival_tol) if arrival_tol is not None else float(np.linalg.norm(g.res))
@@ -580,6 +583,8 @@ def _reference_run(g, target=None, arrival_tol=None):
             live = (rates > 1e-14) & (remaining > 1e-12)
             f_idx, d_idx = np.nonzero(live)
             if len(f_idx) == 0:
+                if kept is not None:
+                    kept.append(0)
                 break
             tau = np.minimum(1.0 / rates[f_idx, d_idx], remaining[f_idx, 0])
             vel = _control_velocity(vfs, g.dirs[d_idx] * factors)
@@ -593,6 +598,8 @@ def _reference_run(g, target=None, arrival_tol=None):
                     ok &= Y[:, -1] >= -BOUNDARY_TOL
             costs = C[f_idx] + tau
             ok &= costs <= 1.0 + 1e-12
+            if kept is not None:
+                kept.append(int(ok.sum()))
             if target is not None and ok.any():
                 hit = ok & (np.linalg.norm(Y - target, axis=1) <= tol)
                 if hit.any():
@@ -664,7 +671,32 @@ REFERENCE_CASES = [
     (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01)),
     # the reachable set meets the chart edge x1 = 1, so the slot windows grow and are clipped there
     (elliptic_unit_half_plane, (0.9, 0.05), 0.5, "intrinsic", 0.03),
+    # on x1 = 0 the directions +-d/dx2 have rate 0: dead pairs that the final mask drops
+    (grushin_interior, (0.0, 0.0), 0.3, "intrinsic", 0.025),
 ]
+# the guards each case's runs keep, by its reach box: the chart box test when the box
+# leaves the chart, the half-space test when it dips below x_n = -BOUNDARY_TOL
+REFERENCE_GUARDS = [{"halfspace"}, set(), set(), set(), {"halfspace"}, set(), {"halfspace"}, {"halfspace"}, {"box", "halfspace"}, set()]
+
+
+def _guards_kept(g, reach):
+    """The guards ReachGraph.run keeps in its moves, given the proven reach box x0 +- reach."""
+    sys = g.sys
+    c, edge = np.asarray(sys.box.center), np.asarray(sys.box.half_widths) + 1e-9
+    kept = set() if np.all(np.abs(g.x0 - reach - c) <= edge) and np.all(np.abs(g.x0 + reach - c) <= edge) else {"box"}
+    if g.mode == "intrinsic" and sys.box.has_boundary and g.x0[-1] - reach[-1] < -BOUNDARY_TOL:
+        kept.add("halfspace")
+    return kept
+
+
+def test_reference_cases_cover_every_guard_choice():
+    assert len(REFERENCE_GUARDS) == len(REFERENCE_CASES)
+    assert any("box" not in kept for kept in REFERENCE_GUARDS)
+    unit = [i for i, c in enumerate(REFERENCE_CASES) if c[:3] == (elliptic_unit_half_plane, (0.9, 0.05), 0.5)]
+    assert unit and all("box" in REFERENCE_GUARDS[i] for i in unit)
+    for (make, _, _, mode, _), kept in zip(REFERENCE_CASES, REFERENCE_GUARDS):
+        if mode == "intrinsic" and make().box.has_boundary:
+            assert "halfspace" in kept
 
 
 @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
@@ -675,7 +707,8 @@ def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
     def graph():
         return ReachGraph(sys, x, delta, mode, res=res)
 
-    ref_reached, ref_cost, ref = _reference_run(graph())
+    ref_kept = []
+    ref_reached, ref_cost, ref = _reference_run(graph(), kept=ref_kept)
     assert (ref_reached, ref_cost) == (False, math.inf)
     # targeted runs: an interior settled point, a far one, one out of reach
     pts = np.array([p for _, p in ref.values()])
@@ -686,19 +719,48 @@ def test_reach_graph_matches_dict_loop_bit_for_bit(case, monkeypatch):
         for tol in (None, 0.5 * float(np.min(res)))
     ]
 
+    # every run's reach box, each full run's rows integrated and kept arrivals per round
+    proven, rows_in, kept = [], [], []
+    reach_box, control_step, settle = ccmetric._reach_box, ccmetric._control_step, ccmetric._Slots.settle
+
+    def spy_box(*args):
+        proven.append(reach_box(*args))
+        return proven[-1]
+
+    def spy_step(vfs, a, dt):
+        rows_in.append(len(a))
+        return control_step(vfs, a, dt)
+
+    def spy_settle(store, idx, c):
+        if store.n_pts:  # the cells, not the half-cells
+            kept.append(len(c))
+        return settle(store, idx, c)
+
+    monkeypatch.setattr(ccmetric, "_control_step", spy_step)
+    monkeypatch.setattr(ccmetric._Slots, "settle", spy_settle)
     # rounds in blocks of the default size, of one frontier point, of two
-    # points and a spare row, and in one block
+    # points and a spare row, and in one block; then with nothing proven, so every guard runs
     D = len(graph().dirs)
-    for rows in (ccmetric.ROUND_ROWS, D, 2 * D + 1, 10**9):
+    for rows, box in [(ccmetric.ROUND_ROWS, spy_box), (D, spy_box), (2 * D + 1, spy_box), (10**9, spy_box), (ccmetric.ROUND_ROWS, lambda *a: None)]:
         monkeypatch.setattr(ccmetric, "ROUND_ROWS", rows)
+        monkeypatch.setattr(ccmetric, "_reach_box", box)
         g = graph()
+        rows_in.clear()
+        kept.clear()
         assert g.run() == (False, math.inf)
+        assert kept[1:] == ref_kept  # the first settle is the base point's
         got = _settled_as_dict(g)
         assert len(g.settled) == len(ref) and got.keys() == ref.keys()
         for k, (c, p) in ref.items():
             assert got[k][0] == c and np.array_equal(got[k][1], p)
         for target, tol, expected in targeted:
             assert graph().run(target, tol) == expected
+        if box is spy_box and rows == 10**9:
+            dropped = sum(rows_in) - sum(ref_kept)
+    assert proven and all(p is not None for p in proven)
+    assert {frozenset(_guards_kept(g, p[1])) for p in proven} == {frozenset(REFERENCE_GUARDS[case])}
+    if REFERENCE_CASES[case][:2] == (grushin_interior, (0.0, 0.0)):
+        assert not REFERENCE_GUARDS[case] and dropped > 0  # with no guard run, only dead pairs are dropped
 
     rng = np.random.default_rng(case)
     lo, hi = pts.min(axis=0) - 0.05, pts.max(axis=0) + 0.05
@@ -791,8 +853,8 @@ def test_round_blocks_bound_the_oracle_memory(monkeypatch):
 
 
 def test_slot_window_is_clipped_to_the_chart():
-    # the last reference case reaches the chart edge x1 = 1: the window's margin stops there
-    make, x, delta, mode, res = REFERENCE_CASES[-1]
+    # the elliptic_unit_half_plane case reaches the chart edge x1 = 1: the window's margin stops there
+    make, x, delta, mode, res = next(c for c in REFERENCE_CASES if c[0] is elliptic_unit_half_plane)
     g = ReachGraph(make(), x, delta, mode, res=res)
     g.run()
     lo, shape = g._cells

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccgeo import flows, symexpr
@@ -18,7 +19,8 @@ from ccgeo.flows import (
     flow_E,
     map_F,
 )
-from ccgeo.hormander import Box, build_Z_system
+from ccgeo.ccmetric import integrate_controls
+from ccgeo.hormander import Box, WeightedSystem, build_Z_system
 from ccgeo.symexpr import parse_vfield
 
 
@@ -409,3 +411,50 @@ def test_control_velocity_keeps_signed_zero_field_tuples_apart():
                 got = compiled((vf,), a)(pts)
                 assert got.view(np.int64).tolist() == reference(vf)(pts).view(np.int64).tolist()
             assert compiled((field(-0.0),), a)(pts)[0, 1] == -np.inf
+
+
+# -- the reach box ------------------------------------------------------------
+
+_REACH_SYSTEMS = [
+    load_scenario(name).system()
+    for name in [p.stem for p in sorted(fixtures_dir().glob("*.scn"))]
+    + [str(Path(__file__).resolve().parent / "fixtures" / "sine_boundary.scn")]
+]
+
+
+@st.composite
+def _reach_case(draw):
+    """A packaged or test system, a point in its chart, delta <= 0.5 and piecewise-constant
+    controls whose every segment has norm at most 1."""
+    sys = draw(st.sampled_from(_REACH_SYSTEMS))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    x = np.asarray(sys.box.center) + np.array([draw(unit) for _ in range(sys.n)]) * np.asarray(sys.box.half_widths)
+    if sys.box.has_boundary:
+        x[-1] = abs(x[-1])
+    S, K = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    u = np.array(draw(st.lists(unit, min_size=S * K * sys.r, max_size=S * K * sys.r))).reshape(S, K, sys.r)
+    u /= np.maximum(1.0, np.linalg.norm(u, axis=2, keepdims=True))
+    delta = draw(st.floats(0.0, 0.5, allow_nan=False))
+    return sys, x, delta, u, draw(st.sampled_from(["intrinsic", "extrinsic"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reach_case())
+def test_integrate_controls_ends_inside_the_reach_box(case):
+    # every path of time 1 at control norm <= 1 keeps to x +- reach, frozen rows included
+    sys, x, delta, u, mode = case
+    proven = flows._reach_box(sys, x, delta)
+    assume(proven is not None)
+    ends, _, _ = integrate_controls(sys, x, delta, u, mode)
+    assert np.all(np.abs(ends - x) <= proven[1])
+
+
+def test_reach_box_is_unproven_for_a_field_that_grows_fast_across_the_guard_box():
+    # the guess at delta 0.5 is 0.5 e^3.75 = 21 along x1, and over x +- 21 the field is far faster
+    sys = WeightedSystem(
+        fields=((parse_vfield("exp(3*x1), 0", 2), 1), (parse_vfield("0, 1", 2), 1)),
+        box=Box((1.0, 1.0)),
+    )
+    assert flows._reach_box(sys, (0.0, 0.0), 0.5) is None
+    S, reach = flows._reach_box(sys, (0.0, 0.0), 0.01)  # a small scale is proven
+    assert np.all(S <= reach)
