@@ -9,9 +9,11 @@ discretization, and a faster deterministic direct-shooting estimator
 whose lower end is cross-checked against the oracle's upper end.  The
 oracle searches in rounds, and each round settles its concurrent
 arrivals in grid cells by an order-free rule: least cost, exact ties to
-the least arrival index.  Intrinsic mode confines paths to the chart
-(x_n >= 0 when the chart has boundary); extrinsic mode allows the whole
-box.
+the least arrival index.  Cells and half-cells live in dense windows of
+the grid, sized once per search from the proven reach box when there is
+one, and grown with the explored set when there is not.  Intrinsic mode
+confines paths to the chart (x_n >= 0 when the chart has boundary);
+extrinsic mode allows the whole box.
 """
 from __future__ import annotations
 
@@ -326,7 +328,12 @@ class ReachGraph:
     settle in half-cells alike: one below its half-cell's best before the
     round and equal to it after is accepted, and each accepted half-cell's
     least-index arrival joins the next frontier, in arrival order.  Both
-    stores are `_Slots`, settled with `np.minimum.at` and without a sort.
+    stores are `_Slots`, dense windows of the grid settled with
+    `np.minimum.at`, without a sort or a slot lookup.  With a proven speed
+    bound S both windows are sized once per run, to the index range of
+    x0 +- S clipped to the chart's, which holds every arrival; a run with
+    no proven S, or whose window would hold more than MAX_CELLS cells,
+    grows that window with the explored set.
 
     A round integrates its moves in blocks of at most `ROUND_ROWS` arrival
     rows (floor(ROUND_ROWS / D) frontier points for D directions), so its
@@ -372,7 +379,8 @@ class ReachGraph:
         self.settled = np.empty(0, dtype=np.int64)
         self.settled_cost = np.empty(0)
         self.settled_pts = np.empty((0, sys.n))
-        self._window = _Slots(self._cells, sys.n)  # the settled cells' slot map, which `contains` reads
+        # the last full run's cells, which `contains` reads
+        self._window = _Slots(self._cells, sys.n, [np.empty(0, dtype=np.int32)], None)
 
     def _index(self, p: np.ndarray, scale: float):
         """Grid indices (as floats) of points p (N, n) on the 1/scale cell grid,
@@ -399,6 +407,14 @@ class ReachGraph:
             raise ValueError(f"oracle grid of {shape} cells does not fit int64 keys; coarsen the resolution")
         return lo, shape
 
+    def _reach_window(self, speed: np.ndarray, scale: float) -> tuple[list, list]:
+        """Lowest and highest index (float lists) of x0 +- speed on the 1/scale cell grid,
+        clipped to the chart's range: indices are monotone in the point, so every
+        point of x0 +- speed has its index in this range."""
+        g, m = self._cells if scale == 1.0 else self._halves
+        lo, hi = zip(*self._index(np.stack([self.x0 - speed, self.x0 + speed]), scale))
+        return [float(max(a, b)) for a, b in zip(lo, g)], [float(min(a, b + c - 1)) for a, b, c in zip(hi, g, m)]
+
     def run(self, target=None, arrival_tol: float | None = None):
         """Explore within the budget; returns (reached, cost) for a target.
 
@@ -422,6 +438,9 @@ class ReachGraph:
         (False, inf), the full search's answer, at once.  Such a run leaves
         `settled` as it was and does not raise the cell-budget error that
         the full search might have.  Without a proven S the run searches on.
+        A move of time at most 1 - C starts within C S of x0, so every
+        arrival lies in x0 +- S: with S proven, both stores take that box's
+        index range as a fixed window, and no round grows it.
         """
         target = None if target is None else np.asarray(target, dtype=float)
         if target is not None and not np.isfinite(target).all():
@@ -493,9 +512,11 @@ class ReachGraph:
             return Y, costs, tau, costs[near]
 
         x0 = self.x0[None]
-        cells, halves = _Slots(self._cells, self.sys.n), _Slots(self._halves, 0)
-        s, _, _ = cells.settle(list(self._index(x0, 1.0)), np.zeros(1))
-        cells.pts[s] = x0
+        windows = [None, None] if speed is None else [self._reach_window(speed, s) for s in (1.0, 2.0)]
+        scratch = [np.empty(0, dtype=np.int32)]  # the least-index scratch both stores share
+        cells, halves = _Slots(self._cells, self.sys.n, scratch, windows[0]), _Slots(self._halves, 0, scratch, windows[1])
+        k, _, _ = cells.settle(list(self._index(x0, 1.0)), np.zeros(1))
+        cells.pts[k] = x0
         # expansion frontier: (position, cost) arrivals, deduplicated on a
         # half-cell grid; arrivals within one move quantum of their
         # cell's best cost still expand, so well-positioned but slightly
@@ -514,8 +535,8 @@ class ReachGraph:
                 if len(hits):
                     return True, float(hits.min())
 
-                s, best, won = cells.settle(list(self._index(Y, 1.0)), costs)
-                cells.pts[s.take(won)] = Y.take(won, 0)
+                k, best, won = cells.settle(list(self._index(Y, 1.0)), costs)
+                cells.pts[k.take(won)] = Y.take(won, 0)
                 expand = (costs <= best + tau).nonzero()[0]
                 Y, costs = Y.take(expand, 0), costs[expand]
                 _, _, nxt = halves.settle(list(self._index(Y, 2.0)), costs)
@@ -537,7 +558,7 @@ class ReachGraph:
         With dilate=1 a point also counts when any neighboring cell was
         settled, absorbing quantization at the set's surface.  Index, range
         test and key are taken one coordinate column at a time, and the key
-        is read in the last run's slot map of cells.
+        is read in the last run's dense window of cells.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.sys.n:
@@ -558,7 +579,7 @@ class ReachGraph:
         w = self._window
         inside = functools.reduce(np.logical_and, [(i >= a) & (i <= b) for i, a, b in zip(idx, w.lo, w.hi)])
         out = np.zeros(len(inside), dtype=bool)
-        out[inside] = w.slot.take(_ravel([i[inside] for i in idx], w.lo, w.shape)) >= 0
+        out[inside] = w.cost.take(_ravel([i[inside] for i in idx], w.lo, w.shape)) < math.inf
         return out
 
 
@@ -573,94 +594,89 @@ def _ravel(idx, lo: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class _Slots:
-    """Best costs of the grid cells one search has reached, by grid index.
+    """Best costs of the grid cells one search has reached, on a dense window of grid indices.
 
-    An int32 slot map over a window of the grid's indices holds each
-    reached cell's slot (-1 for none) in compact per-slot arrays: its best
-    cost and the n_pts coordinates of one representative point.  The
-    window grows to cover each round's indices, by a margin of about 1/8
-    of its span and at least 2 cells, clipped to the chart's index range,
-    so it spans the explored index box, not the chart's.  A new cell's
-    slot is found without a sort: `np.minimum.at` writes -2 - position
-    into the map, which picks one arrival per new cell.
+    Per window cell: its best cost (inf for a cell not reached) and the
+    n_pts coordinates of one representative point, read only where the
+    cost is finite.  An int32 scratch serves the least-index tie rule; it
+    is written before it is read, so the stores of one search, which
+    settle one after the other, share one (`scratch`, a one-item list),
+    and the memory pages one has touched serve the other.  A store given
+    a window of at most MAX_CELLS cells keeps it: a run sizes it from the
+    proven reach box, which holds every arrival.  Otherwise the window
+    grows to cover each round's indices, by a margin of about 1/8 of its
+    span and at least 2 cells, clipped to the chart's index range, so it
+    spans the explored index box, not the chart's.
     """
 
-    def __init__(self, grid, n_pts: int):
+    def __init__(self, grid, n_pts: int, scratch: list, window):
         self.grid = grid  # the chart's index range (lowest index, shape)
         n = len(grid[1])
+        self.n_pts, self.size, self.scratch = n_pts, 0, scratch
         self.lo, self.hi, self.shape = [math.inf] * n, [-math.inf] * n, (0,) * n
-        self.slot = np.empty(0, dtype=np.int32)
-        self.size, self.n_pts = 0, n_pts
-        self.cost, self.pts, self.scratch = np.empty(0), np.empty((0, n_pts)), np.empty(0, dtype=np.int32)
+        self.cost, self.pts = np.empty(0), np.empty((0, n_pts))
+        self.fixed = window is not None and math.prod(int(b - a) + 1 for a, b in zip(*window)) <= MAX_CELLS
+        if self.fixed:
+            self._resize(*window)
+
+    def _resize(self, lo, hi) -> None:
+        """Take the window lo..hi (float lists), keeping the costs and points of the old one."""
+        shape = tuple(int(b - a) + 1 for a, b in zip(lo, hi))
+        cost, pts = np.full(shape, math.inf), np.empty(shape + (self.n_pts,))
+        if self.cost.size:
+            old = tuple(slice(int(a - b), int(a - b) + m) for a, b, m in zip(self.lo, lo, self.shape))
+            cost[old] = self.cost.reshape(self.shape)
+            pts[old] = self.pts.reshape(self.shape + (self.n_pts,))
+        self.lo, self.hi, self.shape = list(lo), list(hi), shape
+        self.cost, self.pts = cost.reshape(-1), pts.reshape(cost.size, self.n_pts)
+        if len(self.scratch[0]) < cost.size:
+            self.scratch[0] = np.empty(cost.size, dtype=np.int32)
 
     def _cover(self, idx) -> None:
         """Grow the window to cover grid indices idx, one float column per coordinate."""
         need = [(np.minimum.reduce(c, initial=math.inf), np.maximum.reduce(c, initial=-math.inf)) for c in idx]
         if all(lo <= a and b <= hi for (a, b), lo, hi in zip(need, self.lo, self.hi)):
             return
-        old, lo, hi = self.lo, [], []  # a few floats: plain Python beats numpy here
+        lo, hi = [], []  # a few floats: plain Python beats numpy here
         for (a, b), l, h, g, m in zip(need, self.lo, self.hi, *self.grid):
             margin = max(2.0, (max(h, b) - min(l, a) + 1) // 8)
             lo.append(float(max(a - margin, g)) if a < l else l)
             hi.append(float(min(b + margin, g + m - 1)) if b > h else h)
-        shape = tuple(int(b - a) + 1 for a, b in zip(lo, hi))
-        slot = np.full(shape, -1, dtype=np.int32)
-        if self.slot.size:
-            slot[tuple(slice(int(a - b), int(a - b) + m) for a, b, m in zip(old, lo, self.shape))] = self.slot.reshape(self.shape)
-        self.lo, self.hi, self.shape, self.slot = lo, hi, shape, slot.reshape(-1)
-
-    def _slots(self, idx) -> np.ndarray:
-        """Each arrival's slot, from its grid indices as float columns, which it overwrites;
-        cells not reached before get new slots, with cost inf."""
-        self._cover(idx)
-        k = _ravel(idx, self.lo, self.shape)
-        s = self.slot.take(k)
-        new = (s < 0).nonzero()[0]
-        if new.size:
-            k = k.take(new)
-            first = -2 - np.arange(new.size, dtype=np.int32)
-            np.minimum.at(self.slot, k, first)
-            rep = k[self.slot.take(k) == first]
-            end = self.size + rep.size
-            if end > self.cost.size:
-                cap = max(2 * self.cost.size, end, 64)
-                self.cost = np.concatenate([self.cost, np.full(cap - self.cost.size, math.inf)])
-                self.pts = np.concatenate([self.pts, np.empty((cap - len(self.pts), self.n_pts))])
-                self.scratch = np.empty(cap, dtype=np.int32)
-            self.slot[rep] = np.arange(self.size, end, dtype=np.int32)
-            self.size = end
-            s[new] = self.slot.take(k)
-        return s
+        self._resize(lo, hi)
 
     def settle(self, idx, c: np.ndarray):
         """Lower each cell's best cost to the least of its arrivals' costs c.
 
         idx are the arrivals' grid indices (float columns, overwritten).
-        Returns each arrival's slot, its cell's best cost after the round,
-        and the indices, in order, of the arrivals that set a best cost
-        that fell: per such cell the least index with c equal to it, found
-        by a second `np.minimum.at`.  So ties go to the least index, and
-        no result depends on the order in which numpy scatters.
+        Returns each arrival's key in the window, its cell's best cost
+        after the round, and the indices, in order, of the arrivals that
+        set a best cost that fell: per such cell the least index with c
+        equal to it, found by a second `np.minimum.at`.  So ties go to the
+        least index, and no result depends on the order in which numpy
+        scatters.  A cell is new when the winner's cost fell from inf.
         """
-        s = self._slots(idx)
-        before = self.cost.take(s)
-        np.minimum.at(self.cost, s, c)
-        after = self.cost.take(s)
+        if not self.fixed:
+            self._cover(idx)
+        k = _ravel(idx, self.lo, self.shape)
+        before = self.cost.take(k)
+        np.minimum.at(self.cost, k, c)
+        after = self.cost.take(k)
         i = ((c < before) & (c == after)).nonzero()[0]
-        si = s.take(i)
-        self.scratch[si] = c.size
-        np.minimum.at(self.scratch, si, i.astype(np.int32))
-        return s, after, i[self.scratch.take(si) == i]
+        ki, scratch = k.take(i), self.scratch[0]
+        scratch[ki] = c.size
+        np.minimum.at(scratch, ki, i.astype(np.int32))
+        won = i[scratch.take(ki) == i]
+        self.size += np.count_nonzero(before.take(won) == math.inf)
+        return k, after, won
 
     def settled(self):
         """The reached cells' int64 keys on the chart grid, sorted, with their costs and points.
 
         Row-major order is the order of index tuples in any box, so the
-        window's occupied positions come in chart-key order."""
-        w = (self.slot >= 0).nonzero()[0]
-        s = self.slot.take(w)
+        window's reached cells come in chart-key order."""
+        w = (self.cost < math.inf).nonzero()[0]
         keys = _ravel([i + a for i, a in zip(np.unravel_index(w, self.shape), self.lo)], *self.grid)
-        return keys, self.cost.take(s), self.pts.take(s, 0)
+        return keys, self.cost.take(w), self.pts.take(w, 0)
 
 
 def _scale_search(hits, hi: float, width: float) -> tuple[float, float]:

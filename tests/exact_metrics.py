@@ -10,7 +10,8 @@ intrinsic distance is at least it, and equal when the geodesic stays in
 the half space.  The ball
 volumes are those of intrinsic balls that leave the chart only through
 {x_n = 0}, against the fixtures' density 1: at a boundary probe
-(x_n = 0) the half space keeps half the ball.
+(x_n = 0) the half space keeps half the ball.  The `heisenberg` volume is
+that of a ball inside the chart, from Gaveau's sphere profile.
 """
 import math
 
@@ -84,3 +85,40 @@ def heat_volume(x, delta: float) -> float:
     """The `heat` ball B(x, delta): `heat`'s distance is below delta exactly when
     (dx / delta)^2 + (dt / delta^2)^2 < 1, an ellipse of area pi delta^3."""
     return math.pi * delta**3 * _half_at_boundary(x)
+
+
+def heisenberg_ball_constant(nodes: int) -> float:
+    """c_H, the volume of the Heisenberg unit ball, by Gauss-Legendre quadrature with `nodes` nodes.
+
+    Gaveau's unit sphere, rotationally symmetric about the t axis, has the
+    profile r(theta) = sin(theta) / theta, t(theta) = (2 theta - sin 2 theta)
+    / (8 theta^2), theta in (0, pi): the arc turning by 2 theta that has length
+    1 (see `heisenberg_distance`).  r falls from 1 to 0 on (0, pi), so the ball
+    {|t| <= t(r)} has volume c_H = int 4 pi r t |r'| d theta.  The integrand is
+    smooth on [0, pi], so the quadrature converges fast.
+    """
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    theta, w = 0.5 * math.pi * (z + 1.0), 0.5 * math.pi * w
+    r = np.sin(theta) / theta
+    t = (2.0 * theta - np.sin(2.0 * theta)) / (8.0 * theta**2)
+    dr = (theta * np.cos(theta) - np.sin(theta)) / theta**2
+    return float(np.sum(w * 4.0 * math.pi * r * t * np.abs(dr)))
+
+
+#: the volume of the Heisenberg unit ball
+HEISENBERG_BALL = heisenberg_ball_constant(64)
+
+
+def heisenberg_volume(x, delta: float) -> float:
+    """The `heisenberg` ball B(x, delta) inside the chart: c_H delta^4.
+
+    The dilation (x, y, t) -> (delta x, delta y, delta^2 t) maps the unit
+    ball onto the ball of radius delta, left translations preserve volume,
+    and the fixture's coordinates are a linear change of (x, y, t) of
+    determinant 1.  A ball reaches delta along y = -x_3, so it lies in the
+    half space exactly when x_3 >= delta; otherwise ValueError, since the
+    half space cuts it (at x_3 = 0 to at most half of c_H delta^4).
+    """
+    if x[-1] < delta:
+        raise ValueError(f"the ball B(x, {delta}) leaves the half space x_3 >= 0")
+    return HEISENBERG_BALL * delta**4

@@ -129,3 +129,36 @@ def test_compile_has_one_call_site():
 def test_call_counter_sees_plain_and_attribute_calls():
     tree = ast.parse("_compile(a, 'point')\nsymexpr._compile(b, f)\nx = _compile\ny._compile.z()\n")
     assert _calls_of(tree, "_compile") == 2
+
+
+def _scatter_owners(tree: ast.AST) -> list[str]:
+    """The qualified name of the function around each `<anything>.minimum.at(...)` call."""
+    owners = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and isinstance(f, ast.Attribute) and f.attr == "at":
+                if getattr(f.value, "attr", None) == "minimum":
+                    owners.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return owners
+
+
+def test_minimum_at_is_called_only_in_the_oracle_settle():
+    # one owner of the round settle: the order-free least-cost and least-index scatters
+    owners = {p.name: _scatter_owners(ast.parse(p.read_text())) for p in sorted(SRC.rglob("*.py"))}
+    assert {k: v for k, v in owners.items() if v} == {"ccmetric.py": ["_Slots.settle", "_Slots.settle"]}
+
+
+def test_scatter_owners_see_methods_and_module_level_calls():
+    tree = ast.parse(
+        "np.minimum.at(a, k, c)\nclass S:\n    def f(self):\n        def g():\n            numpy.minimum.at(b, k, c)\n"
+        "        np.maximum.at(a, k, c)\n        np.minimum.reduce(a)\n"
+    )
+    assert _scatter_owners(tree) == ["", "S.f.g"]

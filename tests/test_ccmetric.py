@@ -2,11 +2,12 @@ import itertools
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import exact_metrics
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccgeo import ccmetric
@@ -20,7 +21,7 @@ from ccgeo.ccmetric import (
     reach_graph,
     sample_ball,
 )
-from ccgeo.cli import load_scenario
+from ccgeo.cli import fixtures_dir, load_scenario
 from ccgeo.flows import GUARD_FACTOR, _control_velocity, _rk4_step
 from ccgeo.hormander import Box, WeightedSystem, _field_stack
 from ccgeo.symexpr import parse_vfield
@@ -454,6 +455,28 @@ def test_heisenberg_distance_is_left_invariant():
         assert exact_metrics.heisenberg_distance(_heisenberg_mul(g, p), _heisenberg_mul(g, q)) == pytest.approx(d, rel=1e-10)
 
 
+def test_heisenberg_ball_constant_from_gaveaus_profile():
+    # two quadrature resolutions agree, and both give the 0.825876 of exponential-map grids
+    c_H = exact_metrics.HEISENBERG_BALL
+    assert abs(exact_metrics.heisenberg_ball_constant(32) - c_H) <= 1e-13
+    assert abs(c_H - 0.825876) <= 1e-6
+    assert exact_metrics.heisenberg_volume((0.1, -0.2, 0.5), 0.3) == pytest.approx(c_H * 0.3**4, rel=1e-15)
+    with pytest.raises(ValueError, match="leaves the half space"):
+        exact_metrics.heisenberg_volume((0.0, 0.0, 0.2), 0.3)
+
+
+def test_heisenberg_distance_reads_one_on_the_sphere_profile():
+    # the profile point (r cos phi, r sin phi, +-t) in the group coordinates, left-translated
+    # from the origin and two other base points, and dilated by delta to distance delta
+    for theta in (0.05, 0.4, 1.0, 1.9, 2.8, 3.1):
+        r, t = math.sin(theta) / theta, (2.0 * theta - math.sin(2.0 * theta)) / (8.0 * theta**2)
+        for phi, sign, delta in ((0.0, 1.0, 1.0), (1.3, -1.0, 0.3), (4.0, 1.0, 0.05)):
+            q = (delta * r * math.cos(phi), sign * delta**2 * t, -delta * r * math.sin(phi))
+            for g in ((0.0, 0.0, 0.0), (0.3, -0.1, 0.2), (-0.4, 0.25, 0.6)):
+                d = exact_metrics.heisenberg_distance(g, _heisenberg_mul(g, q))
+                assert d == pytest.approx(delta, rel=1e-9)
+
+
 @pytest.mark.parametrize("p, q", [
     ((0.1, -0.05, 0.4), (0.25, 0.03, 0.55)),
     ((-0.2, 0.1, 0.3), (0.1, -0.02, 0.2)),
@@ -669,7 +692,7 @@ REFERENCE_CASES = [
     (heisenberg_frame_half, (0.1, 0.0, 0.05), 0.3, "intrinsic", (0.03, 0.025, 0.03)),
     # unequal degrees, so the per-direction weights dirs * factors differ by axis
     (heat_half_plane, (0.0, 0.05), 0.3, "intrinsic", (0.03, 0.01)),
-    # the reachable set meets the chart edge x1 = 1, so the slot windows grow and are clipped there
+    # the reachable set meets the chart edge x1 = 1, so the windows are clipped there
     (elliptic_unit_half_plane, (0.9, 0.05), 0.5, "intrinsic", 0.03),
     # on x1 = 0 the directions +-d/dx2 have rate 0: dead pairs that the final mask drops
     (grushin_interior, (0.0, 0.0), 0.3, "intrinsic", 0.025),
@@ -852,16 +875,85 @@ def test_round_blocks_bound_the_oracle_memory(monkeypatch):
     assert peak() >= 1.5 * blocked
 
 
-def test_slot_window_is_clipped_to_the_chart():
-    # the elliptic_unit_half_plane case reaches the chart edge x1 = 1: the window's margin stops there
+def test_slot_window_is_clipped_to_the_chart(monkeypatch):
+    # the elliptic_unit_half_plane case reaches the chart edge x1 = 1: the window sized from the
+    # proven box, and without one the grown window's margin, stop there
     make, x, delta, mode, res = next(c for c in REFERENCE_CASES if c[0] is elliptic_unit_half_plane)
-    g = ReachGraph(make(), x, delta, mode, res=res)
-    g.run()
-    lo, shape = g._cells
-    top = lo + np.array(shape) - 1
-    assert np.all(np.array(g._window.lo) >= lo) and np.all(np.array(g._window.hi) <= top)
-    assert g._window.hi[0] == top[0]
-    assert len(g._window.slot) == math.prod(g._window.shape) < math.prod(shape)
+    for proven in (True, False):
+        if not proven:
+            monkeypatch.setattr(ccmetric, "_reach_box", lambda *a: None)
+        g = ReachGraph(make(), x, delta, mode, res=res)
+        g.run()
+        w = g._window
+        lo, shape = g._cells
+        top = lo + np.array(shape) - 1
+        assert w.fixed == proven
+        assert np.all(np.array(w.lo) >= lo) and np.all(np.array(w.hi) <= top)
+        assert w.hi[0] == top[0]
+        assert w.shape == tuple(int(b - a) + 1 for a, b in zip(w.lo, w.hi))
+        assert len(w.cost) == len(w.pts) == math.prod(w.shape) < math.prod(shape)
+        assert np.count_nonzero(w.cost < math.inf) == w.size == len(g.settled)
+
+
+_WINDOW_SYSTEMS = [
+    load_scenario(name).system()
+    for name in [p.stem for p in sorted(fixtures_dir().glob("*.scn"))]
+    + [str(Path(__file__).resolve().parent / "fixtures" / "sine_boundary.scn")]
+]
+
+
+@st.composite
+def _window_case(draw):
+    """A packaged or test system, a point in its chart, 0 < delta <= 0.5, a coarse
+    resolution, a mode, and a target in the chart or none (a full run)."""
+    sys = draw(st.sampled_from(_WINDOW_SYSTEMS))
+    c, hw = np.asarray(sys.box.center), np.asarray(sys.box.half_widths)
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+    def point():
+        return c + np.array([draw(unit) for _ in range(sys.n)]) * hw
+
+    x = point()
+    if sys.box.has_boundary:
+        x[-1] = abs(x[-1])
+    delta = draw(st.floats(0.01, 0.5))
+    res = hw * np.array([draw(st.floats(0.05, 0.2)) for _ in range(sys.n)])
+    target = draw(st.sampled_from([None, point()]))
+    return sys, x, delta, res, draw(st.sampled_from(["intrinsic", "extrinsic"])), target
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_case())
+def test_every_kept_arrival_lies_in_the_proven_window(case):
+    # a move of time at most 1 - C starts within C S of x0, so every kept arrival lies in
+    # x0 +- S, the box both windows are sized from; a run with a proven box never grows them
+    sys, x, delta, res, mode, target = case
+    proven = ccmetric._reach_box(sys, x, delta)
+    assume(proven is not None)
+    assume(target is None or np.linalg.norm(x - target) > np.linalg.norm(res))  # else no round runs
+    S = proven[0]
+    arrivals, outside, grown = [], [], []
+    index, settle = ReachGraph._index, ccmetric._Slots.settle
+
+    def spy_index(g, p, scale):
+        if scale == 1.0:
+            arrivals.append(p.copy())
+        return index(g, p, scale)
+
+    def spy_settle(store, idx, c):
+        outside.extend(np.count_nonzero((i < a) | (i > b)) for i, a, b in zip(idx, store.lo, store.hi))
+        return settle(store, idx, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ReachGraph, "_index", spy_index)
+        mp.setattr(ccmetric._Slots, "settle", spy_settle)
+        mp.setattr(ccmetric._Slots, "_cover", lambda store, idx: grown.append(store))
+        g = ReachGraph(sys, x, delta, mode, res=res)
+        arrivals.clear()  # the run's own: its windows' corners, then every kept arrival
+        g.run(target)
+    assert arrivals and not grown and not any(outside)
+    pts = np.concatenate(arrivals)
+    assert np.all((x - S <= pts) & (pts <= x + S))
 
 
 @st.composite
@@ -879,12 +971,16 @@ def _rounds(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_rounds(), st.sampled_from([0.0, -3.0, 5.0]))
-def test_settle_matches_a_dict_reference(case, lo):
+@given(_rounds(), st.sampled_from([0.0, -3.0, 5.0]), st.booleans())
+def test_settle_matches_a_dict_reference(case, lo, fixed):
     # per round: each cell's best falls to the least of its arrivals' costs, and the arrivals
-    # that set a fallen best are, per cell, the least index with the new best
+    # that set a fallen best are, per cell, the least index with the new best; in a window
+    # fixed to the grid's range and in one grown from the rounds' indices
     shape, rounds = case
-    store = ccmetric._Slots((np.array([lo, -lo]), shape), 0)
+    grid = (np.array([lo, -lo]), shape)
+    window = ([lo, -lo], [lo + shape[0] - 1, -lo + shape[1] - 1]) if fixed else None
+    store = ccmetric._Slots(grid, 0, [np.empty(0, dtype=np.int32)], window)
+    assert store.fixed == fixed
     best = {}
     for cells, costs in rounds:
         before = {k: best.get(k, math.inf) for k in cells}
@@ -902,6 +998,9 @@ def test_settle_matches_a_dict_reference(case, lo):
         assert len(set(zip(s.tolist(), cells))) == len(set(cells)) == len(set(s.tolist()))
         assert store.size == len(best)
         assert np.all(np.array(store.lo) >= (lo, -lo)) and np.all(np.array(store.hi) < np.array((lo, -lo)) + shape)
+        assert len(store.scratch[0]) >= len(store.cost) == math.prod(store.shape)
+    if fixed:
+        assert store.shape == shape
     keys, cost, _ = store.settled()
     order = sorted(best)
     assert keys.tolist() == [np.ravel_multi_index(k, shape) for k in order]
@@ -1018,12 +1117,15 @@ def test_column_keys_match_the_broadcast_formula_on_any_grid(data):
 
 
 def test_reach_graph_cell_budget_error_carries_context(monkeypatch):
-    monkeypatch.setattr(ccmetric, "MAX_CELLS", 50)
+    # windows of more than MAX_CELLS cells grow with the explored set, so the error comes
+    # after the same round, with the same count, as from a store that always grew
     sys = elliptic_half_plane()
-    g = ReachGraph(sys, (0.0, 0.5), 0.3, res=0.02)
-    with pytest.raises(RuntimeError, match=r"cell budget exceeded: \d+ cells settled, max_cells 50, "
-                       r"after \d+ frontier rounds at resolution \[0.02, 0.02\]"):
-        g.run()
+    for cap, cells, rounds in ((50, 81, 4), (500, 529, 11)):
+        monkeypatch.setattr(ccmetric, "MAX_CELLS", cap)
+        g = ReachGraph(sys, (0.0, 0.5), 0.3, res=0.02)
+        with pytest.raises(RuntimeError, match=rf"cell budget exceeded: {cells} cells settled, max_cells {cap}, "
+                           rf"after {rounds} frontier rounds at resolution \[0.02, 0.02\]"):
+            g.run()
 
 
 @pytest.mark.parametrize("estimator", [cc_distance, oracle_distance])
