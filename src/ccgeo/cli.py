@@ -837,7 +837,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, nargs="+", required=True)
     p.add_argument("--mode", choices=("intrinsic", "extrinsic"), default="intrinsic")
     p.add_argument("--tol", type=float, default=0.05)
-    p.add_argument("--K", type=int, default=32, help="control segments for the shooting estimator")
+    p.add_argument(
+        "--K", type=int, default=32,
+        help="control segments of shooting's scale search, which runs only on unequal degrees or where no geodesic is found",
+    )
     p.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
     p.add_argument("--resolution", type=float, default=0.02)
 

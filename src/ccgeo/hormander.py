@@ -5,17 +5,18 @@ chart, optionally restricted to the half space {x_n >= 0}.  Iterated
 right-nested brackets of the generators are enumerated up to a given
 order, and spanning of the tangent space is certified through maximal
 n-column determinants.  Brackets are built only here, once per system
-object and order, and every consumer shares them.
+object and order, and every consumer shares them, as are the normal
+geodesic equations of shooting.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .symexpr import Const, Expr, VField, _kernel, lie_bracket, to_string
+from .symexpr import Const, Expr, Var, VField, _kernel, add, lie_bracket, mul, neg, to_string
 
 __all__ = [
     "Box",
@@ -126,7 +127,7 @@ class WeightedSystem:
             raise ValueError(f"density is not strictly positive on the chart (min {vals.min()})")
 
     @cached_property
-    def _derived(self) -> dict:  # (kind, order) -> brackets or Z system; not a field, so eq and hash ignore it
+    def _derived(self) -> dict:  # (kind, order) -> brackets or Z system, or the geodesic equations; not a field, so eq and hash ignore it
         return {}
 
     def augmented(self, word: tuple[int, ...]) -> "WeightedSystem":
@@ -221,6 +222,31 @@ def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
         fields = tuple((e.field, e.degree) for e in kept)
         sys._derived[key] = WeightedSystem(fields, sys.box, sys.density, words=tuple(e.word for e in kept))
     return sys._derived[key]
+
+
+def _geodesic_equations(sys: WeightedSystem) -> tuple[Expr, ...]:
+    """The 2n right-hand sides of the normal geodesic equations over (x, p), x_i = Var(i) and
+    p_i = Var(n + i): x' = sum_j u_j W_j(x) and p' = -sum_j u_j (DW_j(x))^T p, with
+    u_j = <p, W_j(x)>, the Hamiltonian flow of (1/2) sum_j <p, W_j(x)>^2.  The Jacobians
+    come from `Expr.diff`.  Built once per system object."""
+    key = ("geodesic",)
+    if key not in sys._derived:
+        n = sys.n
+        p = [Var(n + k) for k in range(1, n + 1)]
+        comps = [vf.components for vf in sys.vfields()]
+        u = [_sum(mul(pk, w) for pk, w in zip(p, W)) for W in comps]
+        xdot = [_sum(mul(uj, W[i]) for uj, W in zip(u, comps)) for i in range(n)]
+        pdot = [
+            neg(_sum(mul(uj, _sum(mul(pk, w.diff(i)) for pk, w in zip(p, W))) for uj, W in zip(u, comps)))
+            for i in range(1, n + 1)
+        ]
+        sys._derived[key] = tuple(xdot + pdot)
+    return sys._derived[key]
+
+
+def _sum(terms) -> Expr:
+    """The left-to-right sum of expressions, constant zeros absorbed."""
+    return reduce(add, terms, Const(0.0))
 
 
 def _field_stack(vfs, pts) -> np.ndarray:

@@ -7,7 +7,10 @@ chart's half space {x_n >= 0} is convex, so a segment between two of its
 points stays in it, and the distance is the same in intrinsic and
 extrinsic mode.  The `heisenberg` distance is Gaveau's, extrinsic: an
 intrinsic distance is at least it, and equal when the geodesic stays in
-the half space.  The ball
+the half space.  The `grushin` distance is the least length over its
+normal geodesics, which are closed form; `grushin_straightened` is the
+push-forward of `grushin`, so its extrinsic distance is grushin's
+between the pulled-back points, and its intrinsic one is at least that.  The ball
 volumes are those of intrinsic balls that leave the chart only through
 {x_n = 0}, against the fixtures' density 1: at a boundary probe
 (x_n = 0) the half space keeps half the ball.  The `heisenberg` volume is
@@ -70,6 +73,77 @@ def heisenberg_distance(p, q) -> float:
         else:
             hi = theta
     return theta * r / math.sin(theta)
+
+
+#: Gauss-Legendre nodes and weights on [0, 1] for the Grushin geodesics' integral of x1^2
+_T, _W = np.polynomial.legendre.leggauss(64)
+_T, _W = 0.5 * (_T + 1.0), 0.5 * _W
+
+
+def _grushin_shot(a: float, y1: float, lam):
+    """(p1, x2 gain) of the Grushin normal geodesics from x1 = a with x2 covector lam (an array)
+    whose x1 ends at y1: x1(t) = a cos(lam t) + p1 sin(lam t) / lam, so p1 = (y1 - a cos lam) /
+    (sin lam / lam), and x2 gains lam int_0^1 x1^2 dt.  np.sinc keeps lam = 0 smooth."""
+    lam = np.asarray(lam, dtype=float)
+    p1 = (y1 - a * np.cos(lam)) / np.sinc(lam / np.pi)
+    t = _T[:, None]
+    x1 = a * np.cos(lam * t) + p1 * t * np.sinc(lam * t / np.pi)
+    return p1, lam * (_W @ np.square(x1))
+
+
+def grushin_geodesic(p, q) -> tuple[float, float]:
+    """The covector (p1, lam) at p of a shortest `grushin` normal geodesic to q.
+
+    Along a normal geodesic p2 = lam is constant, x1 is harmonic in time
+    (`_grushin_shot`) and the speed is sqrt(p1^2 + lam^2 x1(0)^2).  The x2
+    gain has the sign of lam, so with dx2 = q2 - p2 the geodesics to q are
+    the roots lam of gain(lam) = dx2 of that sign: each sign change on a
+    fine grid of (0, 2 pi) sign(dx2) is bisected, a pole of p1 (sin lam = 0)
+    is skipped by its residual, which grows without bound there, and the
+    root of least speed wins.  A root near a pole is ill conditioned in
+    lam: from x1 = 0 to x1 = 1e-9 the speed keeps about 7 digits.  At
+    dx2 = 0 the straight segment (q1 - p1, 0) is the geodesic; from x1 = 0
+    to x1 = 0 every geodesic has lam = +-pi and p1 = sqrt(2 pi |dx2|).
+    """
+    (a, x2), (y1, y2) = (np.asarray(v, dtype=float) for v in (p, q))
+    dx2 = y2 - x2
+    if dx2 == 0.0:
+        return float(y1 - a), 0.0
+    sign = math.copysign(1.0, dx2)
+    if a == 0.0 and y1 == 0.0:
+        return math.sqrt(2.0 * math.pi * abs(dx2)), sign * math.pi
+    grid = sign * np.linspace(0.0, 2.0 * math.pi, 4001)[1:-1]
+    g = _grushin_shot(a, y1, grid)[1] - dx2
+    best = (math.inf, math.nan, math.nan)
+    for k in (np.sign(g[:-1]) * np.sign(g[1:]) < 0).nonzero()[0]:
+        lo, hi = grid[k], grid[k + 1]
+        glo = g[k]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            gm = _grushin_shot(a, y1, mid)[1] - dx2
+            lo, hi, glo = (mid, hi, gm) if np.sign(gm) == np.sign(glo) else (lo, mid, glo)
+        lam = 0.5 * (lo + hi)
+        p1, gain = _grushin_shot(a, y1, lam)
+        if abs(gain - dx2) <= 1e-6 * max(1.0, abs(dx2)):
+            best = min(best, (math.hypot(p1, lam * a), float(p1), float(lam)))
+    return best[1], best[2]
+
+
+def grushin_distance(p, q) -> float:
+    """The `grushin` fixture's distance (d/dx1 and x1 d/dx2, both of degree 1): the
+    speed sqrt(p1^2 + lam^2 x1(0)^2) of `grushin_geodesic`, whose time is 1."""
+    p1, lam = grushin_geodesic(p, q)
+    return math.hypot(p1, lam * float(p[0]))
+
+
+def grushin_straightened_distance(p, q) -> float:
+    """The `grushin_straightened` fixture's extrinsic distance: the fixture is the
+    push-forward of `grushin` by Phi(x1, x2) = (x1, x2 - x1^2), so it is grushin's
+    distance between the Phi^-1 images, Phi^-1(x1, x2) = (x1, x2 + x1^2)."""
+    def lift(v):
+        return (float(v[0]), float(v[1]) + float(v[0]) ** 2)
+
+    return grushin_distance(lift(p), lift(q))
 
 
 def _half_at_boundary(x) -> float:

@@ -413,6 +413,144 @@ def test_shooting_interval_holds_the_closed_form(fixture, mode, x, y):
     assert est.lower <= exact * (1 + 1e-12) and exact * (1 - 1e-12) <= est.upper
 
 
+# Every pair of the seed-1 and seed-7919 benchmark `dist` ops on a fixture whose
+# generators share one degree: (fixture, mode, x, y, whether a normal geodesic
+# converges and stays feasible).  dist06 starts on the singular line x1 = 0,
+# where no start converges; the intrinsic dist07 and dist10 geodesics leave the
+# half space; dist09 is the vertical Heisenberg pair, on the cut locus.
+_EQUAL_DEGREE_PAIRS = [
+    ("elliptic", "intrinsic", (-0.070673, 0.470448), (-0.006004, 0.56602), True),  # dist00, seed 1
+    ("elliptic", "extrinsic", (-0.338784, 0.008075), (-0.041309, 0.019601), True),  # dist01, seed 1
+    ("grushin", "intrinsic", (1.0, 0.0), (1.0, 0.05), True),  # dist04, both seeds
+    ("grushin", "intrinsic", (0.531121, 0.151459), (0.278814, 0.235512), True),  # dist05, seed 1
+    ("grushin", "intrinsic", (-0.020774, -0.096908), (0.007727, -0.051875), False),  # dist06, seed 1
+    ("grushin_straightened", "intrinsic", (0.400858, 0.030837), (0.649026, 0.020847), False),  # dist07, seed 1
+    ("grushin_straightened", "extrinsic", (-0.500125, 0.141706), (-0.391827, 0.069278), True),  # dist08, seed 1
+    ("heisenberg", "extrinsic", (-0.09063, 0.0, 0.47932), (-0.09063, 0.01999, 0.47932), False),  # dist09, seed 1
+    ("heisenberg", "intrinsic", (-0.011749, -0.086263, 0.034891), (0.117856, -0.092159, 0.036884), False),  # dist10, seed 1
+    ("elliptic", "intrinsic", (0.398328, 0.300011), (0.328019, 0.250466), True),  # dist11, seed 1
+    ("elliptic", "extrinsic", (0.299147, 0.601025), (0.349971, 0.510559), True),  # dist12, seed 1
+    ("grushin", "intrinsic", (0.501394, 0.000936), (0.550952, 0.0606), True),  # dist15, seed 1
+    ("grushin", "extrinsic", (-0.399599, 0.19915), (-0.329625, 0.159575), True),  # dist16, seed 1
+    ("grushin_straightened", "intrinsic", (-0.400211, 0.051411), (-0.339501, 0.091318), True),  # dist17, seed 1
+    ("grushin_straightened", "extrinsic", (0.298113, 0.199712), (0.247382, 0.259449), True),  # dist18, seed 1
+    ("elliptic", "intrinsic", (-0.070109, 0.471471), (-0.00681, 0.567804), True),  # dist00, seed 7919
+    ("elliptic", "extrinsic", (-0.339936, 0.011649), (-0.042881, 0.024272), True),  # dist01, seed 7919
+    ("grushin", "intrinsic", (0.52855, 0.148194), (0.277494, 0.231994), True),  # dist05, seed 7919
+    ("grushin", "intrinsic", (-0.020544, -0.096393), (0.007583, -0.050903), False),  # dist06, seed 7919
+    ("grushin_straightened", "intrinsic", (0.398132, 0.030163), (0.648487, 0.018167), False),  # dist07, seed 7919
+    ("grushin_straightened", "extrinsic", (-0.500873, 0.141964), (-0.39292, 0.067809), True),  # dist08, seed 7919
+    ("heisenberg", "extrinsic", (-0.090763, 0.0, 0.481355), (-0.090763, 0.020178, 0.481355), False),  # dist09, seed 7919
+    ("heisenberg", "intrinsic", (-0.010547, -0.087763, 0.034173), (0.120361, -0.094242, 0.036187), False),  # dist10, seed 7919
+    ("elliptic", "intrinsic", (0.400849, 0.301629), (0.331043, 0.252524), True),  # dist11, seed 7919
+    ("elliptic", "extrinsic", (0.299907, 0.599719), (0.348889, 0.509553), True),  # dist12, seed 7919
+    ("grushin", "intrinsic", (0.499115, -0.000547), (0.549276, 0.059308), True),  # dist15, seed 7919
+    ("grushin", "extrinsic", (-0.399694, 0.199247), (-0.329931, 0.159971), True),  # dist16, seed 7919
+    ("grushin_straightened", "intrinsic", (-0.401159, 0.051522), (-0.341605, 0.091625), True),  # dist17, seed 7919
+    ("grushin_straightened", "extrinsic", (0.298873, 0.199098), (0.24813, 0.259032), True),  # dist18, seed 7919
+]
+
+# the extrinsic distance of each fixture; a geodesic that stays in the half space
+# is intrinsic too, so a feasible one meets it in either mode
+_REFERENCES = {
+    "elliptic": exact_metrics.elliptic,
+    "grushin": exact_metrics.grushin_distance,
+    "grushin_straightened": exact_metrics.grushin_straightened_distance,
+    "heisenberg": exact_metrics.heisenberg_distance,
+}
+
+
+@pytest.mark.parametrize("fixture, mode, x, y, converges", _EQUAL_DEGREE_PAIRS)
+def test_geodesic_upper_end_meets_the_reference(fixture, mode, x, y, converges):
+    # where the geodesic converges the upper end is its length, within 1e-6 of
+    # the exact distance and not below it but for a 1e-9 allowance for rounding
+    sys = load_scenario(fixture).system()
+    length = ccmetric._geodesic_length(sys, np.asarray(x), np.asarray(y), mode)
+    assert (length is not None) == converges
+    if converges:
+        exact = _REFERENCES[fixture](x, y)
+        est = cc_distance(sys, x, y, mode=mode, tol=0.05, K=4)
+        assert est.upper == length and est.lower == (1 - 0.05) * length
+        assert exact * (1 - 1e-9) <= est.upper <= exact * (1 + 1e-6)
+
+
+# The heat pairs and the pairs where no feasible geodesic converges, of the
+# seed-1 and seed-7919 benchmark `dist` ops, with the intervals (as float.hex)
+# that the scale search gave before the geodesic solve existed
+_FALLBACK_PAIRS = [
+    ("heat", "intrinsic", (0.251812, 0.601258), (-0.046638, 0.451385), '0x1.c0da35478f452p-2', '0x1.d639eeac7db62p-2'),  # dist02, seed 1
+    ("heat", "extrinsic", (0.058843, 0.011175), (-0.040307, 0.00225), '0x1.f0f53fb5e6ad6p-4', '0x1.fdb35509559e3p-4'),  # dist03, seed 1
+    ("grushin", "intrinsic", (-0.020774, -0.096908), (0.007727, -0.051875), '0x1.10ddda0bc8e48p-1', '0x1.1e828b592c898p-1'),  # dist06, seed 1
+    ("grushin_straightened", "intrinsic", (0.400858, 0.030837), (0.649026, 0.020847), '0x1.0e39b7fb72a77p-1', '0x1.162c5b82d7e8ap-1'),  # dist07, seed 1
+    ("heisenberg", "extrinsic", (-0.09063, 0.0, 0.47932), (-0.09063, 0.01999, 0.47932), '0x1.1e939eadd590cp-1', '0x1.28cfbfc6540ccp-1'),  # dist09, seed 1
+    ("heisenberg", "intrinsic", (-0.011749, -0.086263, 0.034891), (0.117856, -0.092159, 0.036884), '0x0.0p+0', 'inf'),  # dist10, seed 1
+    ("heat", "intrinsic", (-0.29822, 0.301204), (-0.21844, 0.351561), '0x1.cae2e23f0bd6cp-3', '0x1.e309c5bba0ac2p-3'),  # dist13, seed 1
+    ("heat", "extrinsic", (0.200472, 0.400805), (0.140963, 0.470044), '0x1.0cc8297751677p-2', '0x1.1877d239b91e0p-2'),  # dist14, seed 1
+    ("heat", "intrinsic", (0.248178, 0.601045), (-0.049669, 0.451518), '0x1.bfeb610c37876p-2', '0x1.d53fbb009bb27p-2'),  # dist02, seed 7919
+    ("heat", "extrinsic", (0.06046, 0.010328), (-0.039624, 0.001308), '0x1.e8c817100f4eap-4', '0x1.0140e3b79c445p-3'),  # dist03, seed 7919
+    ("grushin", "intrinsic", (-0.020544, -0.096393), (0.007583, -0.050903), '0x1.11d5b0be83996p-1', '0x1.1f86c661a3c77p-1'),  # dist06, seed 7919
+    ("grushin_straightened", "intrinsic", (0.398132, 0.030163), (0.648487, 0.018167), '0x1.08ad9e893bc64p-1', '0x1.10b2e1669aad4p-1'),  # dist07, seed 7919
+    ("heisenberg", "extrinsic", (-0.090763, 0.0, 0.481355), (-0.090763, 0.020178, 0.481355), '0x1.2145953586ca9p-1', '0x1.2b9a5a89b951cp-1'),  # dist09, seed 7919
+    ("heisenberg", "intrinsic", (-0.010547, -0.087763, 0.034173), (0.120361, -0.094242, 0.036187), '0x0.0p+0', 'inf'),  # dist10, seed 7919
+    ("heat", "intrinsic", (-0.301295, 0.300139), (-0.221315, 0.351183), '0x1.cd7f8e6349facp-3', '0x1.e5c9a35b0a813p-3'),  # dist13, seed 7919
+    ("heat", "extrinsic", (0.1994, 0.401805), (0.140024, 0.47234), '0x1.0f6f3b0a0e1ecp-2', '0x1.1b3c6a20c0d23p-2'),  # dist14, seed 7919
+]
+
+
+@pytest.mark.parametrize("fixture, mode, x, y, lower, upper", _FALLBACK_PAIRS)
+def test_fallback_pairs_keep_the_scale_search_intervals_bit_for_bit(fixture, mode, x, y, lower, upper):
+    est = cc_distance(load_scenario(fixture).system(), x, y, mode=mode, tol=0.05, K=4)
+    assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
+
+
+def test_a_converged_geodesic_does_not_depend_on_K(monkeypatch):
+    # K shapes only the scale search, which a converged geodesic never runs
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ccmetric, "_scale_search", search)
+    sys = load_scenario("grushin").system()
+    at4, at32 = (cc_distance(sys, (0.5, 0.0), (0.55, 0.06), K=K) for K in (4, 32))
+    assert (at4.lower.hex(), at4.upper.hex()) == (at32.lower.hex(), at32.upper.hex())
+    assert at4.upper == pytest.approx(exact_metrics.grushin_distance((0.5, 0.0), (0.55, 0.06)), rel=1e-6)
+
+
+def _converged_upper(fixture, x, y, mode="extrinsic"):
+    """cc_distance's upper end where a feasible geodesic converges; the test is skipped elsewhere."""
+    sys = load_scenario(fixture).system()
+    assume(ccmetric._geodesic_length(sys, np.asarray(x), np.asarray(y), mode) is not None)
+    return cc_distance(sys, x, y, mode=mode).upper
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.3, 0.3)),
+    st.tuples(st.floats(-0.15, 0.15), st.floats(-0.08, 0.08)),
+    st.floats(0.5, 1.5),
+)
+def test_grushin_dilation_scales_the_upper_end(x, v, lam):
+    # (x1, x2) -> (lam x1, lam^2 x2) maps the grushin fields' paths to paths of lam times the length
+    y = (x[0] + v[0], x[1] + v[1])
+    assume(math.hypot(*v) > 1e-3)
+    d = _converged_upper("grushin", x, y)
+    dilate = lambda p: (lam * p[0], lam**2 * p[1])  # noqa: E731
+    assert _converged_upper("grushin", dilate(x), dilate(y)) == pytest.approx(lam * d, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    st.tuples(st.floats(-0.15, 0.15), st.floats(-0.02, 0.02), st.floats(-0.15, 0.15)),
+    st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+)
+def test_heisenberg_left_translation_keeps_the_upper_end(p, v, g):
+    # the fields are left invariant, so d(g p, g q) = d(p, q), here in extrinsic mode
+    q = tuple(a + b for a, b in zip(p, v))
+    assume(math.hypot(v[0], v[2]) > 1e-2)
+    d = _converged_upper("heisenberg", p, q)
+    assert _converged_upper("heisenberg", _heisenberg_mul(g, p), _heisenberg_mul(g, q)) == pytest.approx(d, rel=1e-6)
+
+
 def test_exact_metrics_closed_forms():
     assert exact_metrics.elliptic((0.0, 0.5), (0.3, 0.9)) == pytest.approx(0.5)
     # heat: a pure x-move costs |dx|, a pure t-move sqrt(|dt|), and a mixed
@@ -499,6 +637,53 @@ def test_heisenberg_distance_is_the_length_of_a_replayed_arc(p, q):
     ends, feasible, _ = integrate_controls(load_scenario("heisenberg").system(), p, d, coeffs, "extrinsic")
     assert feasible[0]
     assert np.abs(ends[0] - np.asarray(q)).max() < 1e-4
+
+
+def _grushin_lift(p):
+    """Phi^-1(x1, x2) = (x1, x2 + x1^2): grushin_straightened points to grushin ones."""
+    return (p[0], p[1] + p[0] ** 2)
+
+
+@pytest.mark.parametrize("p, q", [
+    ((0.5, 0.0), (0.55, 0.06)),
+    ((-0.4, 0.2), (-0.33, 0.16)),
+    ((-0.02, -0.1), (0.01, -0.05)),  # near the singular line: x1 turns by about pi
+    ((0.53, 0.15), (0.28, 0.24)),
+    ((0.0, 0.0), (0.0, 0.1)),  # on it: the closed form sqrt(2 pi |dx2|)
+])
+def test_grushin_distance_is_the_length_of_a_replayed_control(p, q):
+    # the geodesic's control (x1', lam x1) / d, as K constant segments at scale delta = d, so
+    # of length d, ends at q on grushin and at Phi(q) on grushin_straightened, from p and Phi(p)
+    p1, lam = exact_metrics.grushin_geodesic(p, q)
+    d = exact_metrics.grushin_distance(p, q)
+    K = 256
+    t = (np.arange(K) + 0.5) / K
+    x1 = p[0] * np.cos(lam * t) + p1 * t * np.sinc(lam * t / np.pi)
+    dx1 = -p[0] * lam * np.sin(lam * t) + p1 * np.cos(lam * t)
+    coeffs = (np.stack([dx1, lam * x1], axis=1) / d)[None]
+    phi = lambda v: (v[0], v[1] - v[0] ** 2)  # noqa: E731
+    for fixture, a, b in (("grushin", p, q), ("grushin_straightened", phi(p), phi(q))):
+        ends, feasible, _ = integrate_controls(load_scenario(fixture).system(), a, d, coeffs, "extrinsic")
+        assert feasible[0]
+        assert np.abs(ends[0] - np.asarray(b)).max() < 1e-4
+        if fixture == "grushin_straightened":
+            lifted = exact_metrics.grushin_straightened_distance(a, b)
+            assert lifted == pytest.approx(exact_metrics.grushin_distance(_grushin_lift(a), _grushin_lift(b)), rel=1e-15)
+            assert lifted == pytest.approx(d, rel=1e-9)
+
+
+def test_grushin_distance_limits_and_dilation():
+    # along x1 at fixed x2 the segment; on the singular line the closed form; and the
+    # dilation (x1, x2) -> (lam x1, lam^2 x2) scales d by lam
+    assert exact_metrics.grushin_distance((0.3, 0.1), (0.5, 0.1)) == pytest.approx(0.2, rel=1e-15)
+    assert exact_metrics.grushin_distance((0.0, 0.0), (0.0, 0.1)) == pytest.approx(math.sqrt(0.2 * math.pi), rel=1e-15)
+    assert exact_metrics.grushin_distance((0.0, 0.0), (1e-9, 0.1)) == pytest.approx(math.sqrt(0.2 * math.pi), rel=1e-6)
+    for p, q in (((0.5, 0.0), (0.55, 0.06)), ((-0.4, 0.2), (-0.33, 0.16)), ((-0.02, -0.1), (0.01, -0.05))):
+        d = exact_metrics.grushin_distance(p, q)
+        for lam in (0.3, 1.7):
+            dilate = lambda v: (lam * v[0], lam**2 * v[1])  # noqa: E731
+            assert exact_metrics.grushin_distance(dilate(p), dilate(q)) == pytest.approx(lam * d, rel=1e-9)
+        assert exact_metrics.grushin_distance(q, p) == pytest.approx(d, rel=1e-9)
 
 
 @pytest.mark.parametrize("fixture", ["elliptic", "heat"])
@@ -1332,6 +1517,8 @@ def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
 
     monkeypatch.setattr(ccmetric, "integrate_controls", counting)
     monkeypatch.setattr(ccmetric, "_shoot", both)
+    # the scale search runs where no geodesic is found; here it runs on every pair
+    monkeypatch.setattr(ccmetric, "_geodesic_length", lambda *args: None)
     cc_distance(sys, x, y, mode=mode, tol=0.2, K=K)
     assert both_ran and max(both_ran) >= 2  # both seeds stepped together
 

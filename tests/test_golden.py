@@ -42,29 +42,29 @@ GOLDEN = {
     "check degenerate": (
         2, "d3c6e9e60443ee709ba8bab3ddca27b61fa2f285088d2400e99a56b4b99c0d45"),
     "dist grushin --x 0.5 0.0 --y 0.55 0.06 --K 4 --oracle": (
-        2, "8560a02fd02d4725e29d1eaf400c6ac0c16ddb3f115ba1a57052034812d75cc9"),
+        2, "ac1cb7d14f911b9040a781257b6e28acd54d0442ef1d86017c1fe054d8190b4d"),
     # the oracle's upper end, bit for bit, on pairs whose bisections miss at
     # some scales: searches that end on a proven miss must keep it
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4 --oracle --resolution 0.05": (
-        2, "0cbea18bf1e5eacf08005ad07ad3282b0821652cb153de68d4d7fa7ce8fbf150"),
+        0, "044fdeb2cc3f0535603c581439250a967c78cc33f1b292605a8ca805bd114dbf"),
     "dist heat --x -0.298220 0.301204 --y -0.218440 0.351561 --K 4 --oracle --resolution 0.05": (
         2, "b63527809091ae7d0e6443ad5fa884209fca7c44ca48151e545569cb20730cdf"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4 --oracle --resolution 0.05": (
-        2, "7df4606a427afd6f47cb0b4ec0c9a327b146613291bda098766e953254e8f1cc"),
+        2, "756e5d3ee8f6ba405534c5050b560e7cfc57bc3a468d86491648558457ab7401"),
     "dist heisenberg --x -0.011749 -0.086263 0.034891 --y 0.117856 -0.092159 0.036884 --K 4 --oracle --resolution 0.05": (
         2, "62b9e5545ac9078a030d28b0fa2e1472378b3816c615a7bb67c7c8d7129a44d2"),
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4": (
-        0, "b61e499bf6b79769a47b5b64eff35963d61903a983fe6c3112e6ef819b46aea6"),
+        0, "bdde5557ced610a22df5ea24c9a45d898711983a1295e43e6962300d31fdd900"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4": (
-        0, "0e238b96e881d8b9da3276a3ee62a4251920c7457ba55bb9f11b5e0c8a9a3e31"),
+        0, "de656b051ef4af55e18176a5d23e0249251a6753df7df82b7bf36622e847d979"),
     "verify elliptic --suite sandwich": (
         0, "1359f44669b60175fb316d6521d822f2cce8957bf5916621410b36616b0e6848"),
     "verify grushin_straightened --suite sandwich": (
         0, "170495ddb016ec5b157494b05d1af00dcc38983387b8b9092dcd59d5a3145fca"),
     "verify grushin --suite equivalence": (
-        0, "aebf913aee472c842d5ec409da194aa732fc70d87bce1d0307742b4a47873c09"),
+        0, "afba2490663a7cbbbe52c44bfdd3f65ecaa9636738ff3efe02dd9b6114694aed"),
     "verify grushin_straightened --suite boundary-metric": (
-        0, "efebdd71e6d72a3bf75b41b4d9a22c066852b13d9a3d3bfc98bdd831d29a322f"),
+        0, "e5a214b711fefe0533c867e1ababc76742fc2dc8128a0813a4f38107b23bffbb"),
     "verify grushin --suite volume": (
         0, "b3cb4fe976a10fdf556c2672d397ec9524bbc06117657b9bf25bc3985da571fe"),
     "verify heat --suite doubling": (
