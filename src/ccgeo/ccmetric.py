@@ -8,8 +8,9 @@ oracle that bounds the distance only from above, and only up to its
 discretization, and a faster deterministic direct-shooting estimator
 whose lower end is cross-checked against the oracle's upper end; on a
 system whose generators share one degree it shoots one normal geodesic
-on its initial covector, elsewhere it searches over scales.  The
-oracle searches in rounds, and each round settles its concurrent
+on its initial covector, elsewhere it searches over scales and refines
+its seed controls by Gauss-Newton as one batch per step.  The oracle
+searches in rounds, and each round settles its concurrent
 arrivals in grid cells by an order-free rule: least cost, exact ties to
 the least arrival index.  Cells and half-cells live in dense windows of
 the grid, sized once per search from the proven reach box when there is
@@ -773,110 +774,79 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _gauss_newton_polish(y, ctrl, miss_tol):
-    """Local refinement of one control by damped Gauss-Newton on the endpoint.
-
-    The residual carries the boundary-violation depth, weighted by 10, as
-    an extra component, so the iteration (at most six steps) can slide
-    along an active halfspace constraint instead of stalling at it; only
-    feasible iterates count as results.
-
-    A stepper that integrates nothing itself: it yields control rows
-    (S, K, r), is sent back their `integrate_controls` ends, feasibility
-    and violation depths, and returns (best miss, best control).  Each
-    step yields one batch: the five line-search candidates and, ahead of
-    need, each candidate's m + 1 finite-difference rows (m = K r); the
-    next step reads the accepted candidate's rows.  The first batch
-    carries the start control and its rows in the same way.
-    """
-    y = np.asarray(y, dtype=float)
-    K, r = ctrl.shape
-    m = K * r
-    h = 1e-4
-    scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
-
-    def rows(heads):
-        """The controls heads (B, K, r), then each one's projected finite-difference rows."""
-        fd = heads.reshape(len(heads), 1, m).repeat(m + 1, 1)
-        fd[:, 1:] += np.eye(m) * h
-        return np.concatenate([heads, _project_controls(fd.reshape(-1, K, r))])
-
-    def split(B, ends, feas, depth):
-        """The heads' ends, feasibility and residuals, and per head the
-        (m + 1) residuals of its finite-difference rows."""
-        resid = np.concatenate([ends - y, 10.0 * depth[:, None]], axis=1)
-        return ends[:B], feas[:B], resid[:B], resid[B:].reshape(B, m + 1, -1)
-
-    p = _project_controls(np.asarray(ctrl, dtype=float))
-    ends, feas, resid, fd = split(1, *(yield rows(p[None])))
-    best_pen = _norm(resid[0])
-    best_miss = _norm(ends[0] - y) if feas[0] else math.inf
-    best_ctrl, fd = p, fd[0]
-    for _ in range(6):
-        if best_miss <= miss_tol:
-            break
-        jac = (fd[1:] - fd[0]).T / h  # (n+1, m)
-        step, *_ = np.linalg.lstsq(jac, -fd[0], rcond=None)
-        cands = _project_controls((p.reshape(-1) + scales[:, None] * step[None]).reshape(len(scales), K, r))
-        e2, f2, r2, fd2 = split(len(cands), *(yield rows(cands)))
-        pen2 = np.sqrt(_columns(np.add, np.square, r2))  # np.linalg.norm(r2, axis=1)
-        k = int(pen2.argmin())
-        if pen2[k] >= best_pen - 1e-15:
-            break
-        best_pen = float(pen2[k])
-        p, fd = cands[k], fd2[k]
-        miss2 = _norm(e2[k] - y)
-        if f2[k] and miss2 < best_miss:
-            best_miss = miss2
-            best_ctrl = p
-    return best_miss, best_ctrl
-
-
 def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     """Deterministic shooting at one scale; returns the best miss and its control.
 
     The warm start, when given, and then a least-squares constant control
-    each seed a Gauss-Newton refinement; the result is the sequential
-    rule's: the first refinement that lands within miss_tol, else the one
-    with the smallest miss, earlier seeds winning ties.  The refinements
-    run in lockstep, each step's rows of every unfinished seed in one
-    `integrate_controls` call, until that rule's outcome is known.  Rows
-    of a batch are independent, so each seed's result has the bits of a
-    run on its own.  When no refinement reaches a feasible endpoint the
-    miss is inf and the warm start comes back unchanged.
+    each seed a damped Gauss-Newton refinement of the endpoint.  The
+    residual carries the boundary-violation depth, weighted by 10, as an
+    extra component, so a seed can slide along an active halfspace
+    constraint instead of stalling at it; only feasible iterates count as
+    results.  A step solves lstsq on the (n + 1) x m finite-difference
+    Jacobian (m = K r) and keeps the best of five damped candidates; a
+    seed stops within miss_tol, after six steps, or on a step that gains
+    less than 1e-15.  Each call to `integrate_controls` takes, in seed
+    order, every unfinished seed's start control or five candidates, each
+    followed by its m + 1 projected finite-difference rows, which the next
+    step reads for the accepted one.  Rows of a batch are independent, so
+    each seed has the bits of a run on its own.  The result is the
+    sequential rule's: the first seed within miss_tol, else the least
+    miss, earlier seeds winning ties; the calls stop once it is known.
+    When no seed reaches a feasible endpoint the miss is inf and the warm
+    start comes back unchanged.
     """
+    y = np.asarray(y, dtype=float)
     factors = np.array([delta**d for d in sys.degrees])
-    mid = 0.5 * (np.asarray(x) + np.asarray(y))
+    mid = 0.5 * (np.asarray(x) + y)
     cols = _field_columns(sys.vfields(), mid).T * factors
-    a0, *_ = np.linalg.lstsq(cols, np.asarray(y) - np.asarray(x), rcond=None)
+    a0, *_ = np.linalg.lstsq(cols, y - np.asarray(x), rcond=None)
     nrm = np.linalg.norm(a0)
     if nrm > 0.9:
         a0 *= 0.9 / nrm
     informed = a0[None].repeat(K, 0)
     seeds = [informed] if init_ctrl is None else [init_ctrl, informed]
-    steppers = [_gauss_newton_polish(y, seed_ctrl, miss_tol) for seed_ctrl in seeds]
-    batches = [next(g) for g in steppers]
-    results = [None] * len(steppers)
-    while True:
-        best_miss, best_ctrl = math.inf, init_ctrl
-        for res in results:
-            if res is None:  # the outcome waits on this seed
-                break
-            if res[0] < best_miss:
-                best_miss, best_ctrl = res
-            if best_miss <= miss_tol:
-                return best_miss, best_ctrl
-        else:
-            return best_miss, best_ctrl
-        live = [i for i, res in enumerate(results) if res is None]
-        out = integrate_controls(sys, x, delta, np.concatenate([batches[i] for i in live]), mode, SHOOT_STEPS)
-        stop = 0
-        for i in live:
-            start, stop = stop, stop + len(batches[i])
-            try:
-                batches[i] = steppers[i].send([a[start:stop] for a in out])
-            except StopIteration as done:
-                results[i] = done.value
+    S, r, h = len(seeds), sys.r, 1e-4
+    m = K * r
+    scales = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+    # the controls each seed tries next: its start, then five damped candidates
+    heads = _project_controls(np.array(seeds, dtype=float))[:, None]
+    pen, miss = np.full((2, S), math.inf)  # each seed's residual norm at its iterate, least feasible miss
+    best = np.empty((S, K, r))  # and that miss's control
+    live = np.ones(S, dtype=bool)
+    for it in range(7):  # the seventh call stops every seed
+        H = heads[live]
+        L, B = H.shape[:2]
+        fd_rows = H.reshape(L, B, 1, m).repeat(m + 1, 2)
+        fd_rows[:, :, 1:] += np.eye(m) * h
+        fd_rows = _project_controls(fd_rows.reshape(L, -1, K, r)).reshape(L, -1, m)
+        rows = np.concatenate([H.reshape(L, B, m), fd_rows], axis=1).reshape(-1, K, r)
+        ends, feas, depth = integrate_controls(sys, x, delta, rows, mode, SHOOT_STEPS)
+        resid = np.concatenate([ends - y, 10.0 * depth[:, None]], axis=1).reshape(L, B * (m + 2), -1)
+        ends, feas = ends.reshape(L, -1, sys.n), feas.reshape(L, -1)
+        heads = np.empty((S, len(scales), K, r))
+        for j, i in enumerate(live.nonzero()[0]):
+            if it == 0:
+                k, pen[i] = 0, _norm(resid[j, 0])
+            else:
+                pen2 = np.sqrt(_columns(np.add, np.square, resid[j, :B]))  # np.linalg.norm(axis=1)
+                k = int(pen2.argmin())
+                if pen2[k] >= pen[i] - 1e-15:
+                    live[i] = False
+                    continue
+                pen[i] = pen2[k]
+            ctrl, fd = H[j, k], resid[j, B:].reshape(B, m + 1, -1)[k]  # the new iterate, its rows
+            hit = _norm(ends[j, k] - y)
+            if feas[j, k] and hit < miss[i]:
+                miss[i], best[i] = hit, ctrl
+            live[i] = it < 6 and not miss[i] <= miss_tol
+            if live[i]:
+                step, *_ = np.linalg.lstsq((fd[1:] - fd[0]).T / h, -fd[0], rcond=None)
+                heads[i] = _project_controls((ctrl.reshape(-1) + scales[:, None] * step).reshape(-1, K, r))
+        settled = np.logical_and.accumulate(~live)  # no seed up to this one still steps
+        first_hit = settled & (miss <= miss_tol)
+        if first_hit.any() or not live.any():
+            i = int(first_hit.argmax() if first_hit.any() else miss.argmin())
+            return (float(miss[i]), best[i]) if miss[i] < math.inf else (math.inf, init_ctrl)
 
 
 #: RK4 steps of a normal geodesic over its unit time

@@ -300,10 +300,18 @@ def emit(report: dict, out: str | None) -> None:
         lines = [",".join(keys)]
         for row in rows:
             lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
-        path.write_text("\n".join(lines) + "\n", newline="\n")
+        _write(path, "\n".join(lines) + "\n")
     else:
-        path.write_text(text + "\n", newline="\n")
-    print(f"wrote {path}")
+        _write(path, text + "\n")
+
+
+def _write(out: str | Path, text: str) -> None:
+    """Write text to the file out and say so; a path that cannot be written is a ScenarioError."""
+    try:
+        Path(out).write_text(text, newline="\n")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write: {exc}", str(out), 0) from exc
+    print(f"wrote {out}")
 
 
 def _csv_cell(v) -> str:
@@ -717,8 +725,7 @@ def cmd_ball(args) -> int:
     cloud = sample_ball(sys_, tuple(args.x), args.delta, args.samples, K=args.K, seed=seed, mode=args.mode)
     csv_text = cloud.to_csv()
     if args.out:
-        Path(args.out).write_text(csv_text, newline="\n")
-        print(f"wrote {args.out}")
+        _write(args.out, csv_text)
     else:
         _sys.stdout.write(csv_text)
     return 0
@@ -791,8 +798,7 @@ def cmd_boundary(args) -> int:
     ]
     text = export_scenario(bsys, f"{scn.name}_boundary")
     if args.out:
-        Path(args.out).write_text(text, newline="\n")
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         _sys.stdout.write(text)
     report = make_report(scn, "boundary", {"x": list(args.x), "radius": args.radius}, rows, [])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundarySystem
-from .ccmetric import BOUNDARY_TOL, _check_in_chart, reach_graph, sample_ball
+from .ccmetric import BOUNDARY_TOL, _check_in_chart, _newton_steps, reach_graph, sample_ball
 from .flows import FlowConfig, _control_velocity, rk4_flow
 from .hormander import (
     WeightedSystem,
@@ -208,7 +208,11 @@ class ScalingMap:
         return self.jet(u)[1]
 
     def invert(self, y: np.ndarray):
-        """Damped Newton inversion from t = 0; returns (t, converged)."""
+        """Damped Newton inversion from t = 0; returns (t, converged).
+
+        A row whose d psi is singular or not finite stops there, unconverged;
+        the other rows go on.
+        """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         Y = y[None] if single else y
@@ -221,14 +225,16 @@ class ScalingMap:
             active = ok & (norms > 1e-12)
             if not active.any():
                 break
-            try:
-                if it == 0:  # every row sits at t = 0: one dpsi(0) serves them all
-                    J = np.broadcast_to(self.jacobian(T[:1]), (int(active.sum()), n, n))
-                else:
-                    J = self.jacobian(T[active])
-                step = np.linalg.solve(J, (-res[active])[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                ok[active] = False
+            if it == 0:  # every row sits at t = 0: one dpsi(0) serves them all
+                J = np.broadcast_to(self.jacobian(T[:1]), (int(active.sum()), n, n))
+            else:
+                J = self.jacobian(T[active])
+            step = _newton_steps(J, res[active])
+            solved = ~np.isnan(step).any(axis=1)  # a singular or non-finite dpsi fails its row only
+            ok[active] = solved
+            active &= ok
+            step = step[solved]
+            if not active.any():
                 break
             scale = np.ones(step.shape[0])
             tact = T[active]

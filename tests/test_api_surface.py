@@ -162,3 +162,37 @@ def test_scatter_owners_see_methods_and_module_level_calls():
         "        np.maximum.at(a, k, c)\n        np.minimum.reduce(a)\n"
     )
     assert _scatter_owners(tree) == ["", "S.f.g"]
+
+
+def _call_sites(tree: ast.Module, name: str) -> dict[str, int]:
+    """Calls of `name` (by `_calls_of`) per top-level function and per method,
+    a nested function's counting in its own; "" keys those outside every function."""
+    defs = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+    defs += [
+        (f"{c.name}.{d.name}", d)
+        for c in tree.body if isinstance(c, ast.ClassDef)
+        for d in c.body if isinstance(d, ast.FunctionDef)
+    ]
+    sites = {q: k for q, d in defs if (k := _calls_of(d, name))}
+    outside = _calls_of(tree, name) - sum(sites.values())
+    return {"": outside, **sites} if outside else sites
+
+
+def _src_call_sites(name: str) -> dict[str, dict[str, int]]:
+    return {p.name: s for p in sorted(SRC.rglob("*.py")) if (s := _call_sites(ast.parse(p.read_text()), name))}
+
+
+def test_call_sites_count_nested_calls_in_their_function_or_method():
+    tree = ast.parse("f(1)\ndef g():\n    def h():\n        m.f()\n    f()\nclass C:\n    def k(self):\n        f()\n")
+    assert _call_sites(tree, "f") == {"": 1, "g": 2, "C.k": 1}
+
+
+def test_integrate_controls_is_called_only_by_sampling_and_shooting():
+    # shooting integrates the rows of every seed still stepping in one call per step
+    assert _src_call_sites("integrate_controls") == {"ccmetric.py": {"sample_ball": 1, "_shoot": 1}}
+
+
+def test_linalg_solve_is_called_only_by_the_batched_newton_solve_and_pullback():
+    # one nan-safe batched Newton solve, ccmetric._newton_steps, serves the
+    # geodesic solve and ScalingMap.invert
+    assert _src_call_sites("solve") == {"ccmetric.py": {"_newton_steps": 1}, "scaling.py": {"pullback": 1}}

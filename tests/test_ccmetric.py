@@ -1523,6 +1523,41 @@ def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
     assert both_ran and max(both_ran) >= 2  # both seeds stepped together
 
 
+@pytest.mark.parametrize("case", range(len(POLISH_PAIRS)))
+def test_shooting_integrates_only_unfinished_seeds(case, monkeypatch):
+    # per _shoot call: its first integrate_controls call carries each seed's
+    # start and its m + 1 finite-difference rows, every later call five
+    # candidates with theirs per seed still stepping; a seed that stopped is
+    # not integrated, and none resumes
+    fixture, mode, x, y = POLISH_PAIRS[case]
+    sys = load_scenario(fixture).system()
+    K = 4
+    m = K * sys.r
+    shoot, integrate = ccmetric._shoot, ccmetric.integrate_controls
+    runs = []  # (seeds, rows of each call) per _shoot call
+
+    def counting(sys, x, delta, coeffs, *args):
+        runs[-1][1].append(len(coeffs))
+        return integrate(sys, x, delta, coeffs, *args)
+
+    def recording(*args, init_ctrl=None):
+        runs.append((1 if init_ctrl is None else 2, []))
+        return shoot(*args, init_ctrl=init_ctrl)
+
+    monkeypatch.setattr(ccmetric, "integrate_controls", counting)
+    monkeypatch.setattr(ccmetric, "_shoot", recording)
+    monkeypatch.setattr(ccmetric, "_geodesic_length", lambda *args: None)
+    cc_distance(sys, x, y, mode=mode, K=K)
+    one_of_two = 0  # calls of a two-seed run that carry one seed's rows
+    for seeds, rows in runs:
+        assert rows[0] == seeds * (m + 2)
+        stepping = [c // (5 * (m + 2)) for c in rows[1:]]
+        assert [5 * (m + 2) * s for s in stepping] == rows[1:]
+        assert all(seeds >= a >= b >= 1 for a, b in zip([seeds] + stepping, stepping))
+        one_of_two += stepping.count(1) if seeds == 2 else 0
+    assert one_of_two
+
+
 def _uncached_oracle(sys, x, y, mode, resolution):
     """oracle_distance's upper end with a grid search at every probe, repeats included."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

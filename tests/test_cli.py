@@ -304,6 +304,25 @@ def test_boundary_export_round_trips(tmp_path, capsys):
     assert sys_.box.center == (0.5,)
 
 
+@pytest.mark.parametrize(
+    "args, opt, name",
+    [
+        (["check", "elliptic"], "--out", "r.json"),  # emit's JSON report
+        (["check", "elliptic"], "--out", "r.csv"),  # emit's CSV rows
+        (["ball", "elliptic", "--x", "0", "0.5", "--delta", "0.1", "--samples", "10"], "--out", "b.csv"),
+        (["boundary", "grushin_straightened", "--x", "0.5", "0"], "--out", "v.scn"),
+        (["boundary", "grushin_straightened", "--x", "0.5", "0"], "--report", "r.json"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(args, opt, name, tmp_path, capsys):
+    # a path in a missing directory exits 1 with one error line, not a traceback
+    path = tmp_path / "missing" / name
+    assert main(args + [opt, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:0: cannot write: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_boundary_characteristic_is_numeric_error(capsys):
     assert main(["boundary", "grushin_straightened", "--x", "0", "0"]) == 3
     # the point prints as plain floats, not numpy scalar reprs

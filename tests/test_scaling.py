@@ -323,6 +323,27 @@ def test_invert_round_trip():
     np.testing.assert_allclose(T2, T, atol=1e-7)
 
 
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_invert_fails_only_the_row_with_a_singular_jacobian(bad, monkeypatch):
+    # the first Newton step shares dpsi(0) among the rows; from the second on,
+    # row 0's dpsi is singular (or nan) and only row 0 may fail
+    smap = build_scaling_map((grushin(), 2), (0.5, 0.0), 0.1)
+    T = np.array([[0.1, 0.05], [-0.1, 0.08], [0.05, -0.1]])
+    pts = smap(T)
+    jacobian = scaling.ScalingMap.jacobian
+
+    def broken(self, u):
+        J = jacobian(self, u)
+        if len(u) == len(T):
+            J[0] = bad
+        return J
+
+    monkeypatch.setattr(scaling.ScalingMap, "jacobian", broken)
+    T2, ok = smap.invert(pts)
+    assert ok.tolist() == [False, True, True]
+    np.testing.assert_allclose(T2[1:], T[1:], atol=1e-7)
+
+
 @pytest.mark.parametrize("kind", ["interior", "near_boundary"])
 def test_maps_take_an_empty_batch(kind):
     # the near-boundary map's distinguished flow gets an empty array of per-row times
