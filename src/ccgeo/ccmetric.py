@@ -6,10 +6,11 @@ sup-in-time L2 norm strictly below one, against the scaled fields
 delta^{d_j} W_j.  Two estimators are provided: a brute-force grid-graph
 oracle that bounds the distance only from above, and only up to its
 discretization, and a faster deterministic direct-shooting estimator
-whose lower end is cross-checked against the oracle's upper end; on a
-system whose generators share one degree it shoots one normal geodesic
-on its initial covector, elsewhere it searches over scales and refines
-its seed controls by Gauss-Newton as one batch per step.  The oracle
+whose lower end is cross-checked against the oracle's upper end: it
+shoots one normal geodesic, on its initial covector when the generators
+share one degree and on its covector and scale together when they do
+not, and where none is found it searches over scales and refines its
+seed controls by Gauss-Newton as one batch per step.  The oracle
 searches in rounds, and each round settles its concurrent
 arrivals in grid cells by an order-free rule: least cost, exact ties to
 the least arrival index.  Cells and half-cells live in dense windows of
@@ -800,7 +801,11 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     mid = 0.5 * (np.asarray(x) + y)
     cols = _field_columns(sys.vfields(), mid).T * factors
     a0, *_ = np.linalg.lstsq(cols, y - np.asarray(x), rcond=None)
-    nrm = np.linalg.norm(a0)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(a0)
+    if nrm == math.inf:  # too large to square: clip its direction
+        a0 /= np.abs(a0).max()
+        nrm = np.linalg.norm(a0)
     if nrm > 0.9:
         a0 *= 0.9 / nrm
     informed = a0[None].repeat(K, 0)
@@ -857,6 +862,8 @@ SEARCH_STEPS = 4
 GEODESIC_ITERS = 10
 #: residual, relative to max(1, |y|), within which a start counts as near y
 GEODESIC_NEAR = 1e-3
+#: relative change of the upper end under the next Newton step within which a start converges
+GEODESIC_RTOL = 3e-10
 #: finite-difference step in the covector of the geodesic solve's Jacobian
 GEODESIC_FD_STEP = 1e-7
 #: multiples of each unit bracket direction at x added to the least-squares covector as starts
@@ -873,94 +880,165 @@ def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _geodesic_length(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str) -> float | None:
-    """Length of the shortest normal geodesic from x to y found by shooting on its covector,
-    or None when none is found or the shortest leaves the feasible set.
+def _geodesic_upper(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str) -> float | None:
+    """The upper end that the shortest normal geodesic from x to y found by shooting on its
+    covector gives, or None when none is found or the shortest leaves the feasible set.
 
-    The unknown is p0 in R^n: (x, p0) flows for unit time under the normal
-    geodesic equations (`hormander._geodesic_equations`, one point kernel),
-    stepped by `flows._rk4_step`, and damped Newton with finite-difference
-    Jacobians moves p0 until x(1) lies within 1e-9 max(1, |y|) of y.  Every
-    start's trial covector and its n perturbed rows go in one batch per
-    iteration, at most GEODESIC_ITERS of them.  A trial that lowers its
-    start's residual is accepted and takes a full Newton step next; one that
-    does not halves the step, and a start ends when a quarter step fails too,
-    or on a step that is not finite.  The starts are the least-squares
-    covector of y - x under sum_j W_j(x) W_j(x)^T, and that covector plus
-    BRACKET_SEEDS multiples of each unit degree-2 bracket direction at x.
+    On equal degrees d the unknown is z = p0 in R^n: (x, p0) flows for unit
+    time under the normal geodesic equations of the generators W_j, and the
+    upper end is l^(1/d) for the geodesic's length l = |(<p0, W_j(x)>)_j|,
+    its constant speed.  On unequal degrees the unknown is z = (p0, log delta):
+    (x, p0, delta) flows under the equations of the scaled frame
+    V_j = delta^{d_j} W_j, the residual gains |u(0)| - 1 for
+    u_j(0) = delta^{d_j} <p0, W_j(x)>, and a unit-speed geodesic of that
+    frame reaches y at scale delta, the upper end.  Either way the equations
+    are `hormander._geodesic_equations`' (one point kernel), stepped by
+    `flows._rk4_step`, and damped Newton moves z.  Its Jacobian is a forward
+    difference: a step of GEODESIC_FD_STEP in each unknown, times
+    max(1, |p0|) in the covector when scaled, where p0 grows like
+    delta^(-d_j).  Every start's trial z and its perturbed rows go in one
+    batch per iteration, at most GEODESIC_ITERS of them.  A trial that lowers
+    its start's residual is accepted and takes a full Newton step next; one
+    that does not halves the step, and a start ends when a quarter step fails
+    too, or on a step that is not finite.  The starts are the least-squares
+    covector of y - x under sum_j V_j(x) V_j(x)^T, and that covector plus
+    BRACKET_SEEDS multiples of each unit degree-2 bracket direction at x;
+    scaled, the frame is taken at the scale delta0 where the least-norm
+    constant control of y - x in it has norm 1 (read off a log grid around
+    |y - x| and |y - x|^(1/max d), then one Newton step), and log delta0 is
+    their last unknown.
     The batches take SEARCH_STEPS steps until some start comes within
-    GEODESIC_NEAR max(1, |y|) of y; then only the starts that near go on, at
-    GEODESIC_STEPS steps, and only at those steps does a start converge.
-    Once one has, only starts that near go on.  A converged geodesic whose
-    det(dx(t)/dp0) changes sign at some node has passed a conjugate point,
-    so does not minimize, and is dropped.  The length is |(<p0, W_j(x)>)_j|,
-    the geodesic's constant speed; it carries the error of GEODESIC_STEPS
-    RK4 steps, which grows with the turn of the arc: 1.3e-5 relative on a
-    Heisenberg arc that turns by 5.3 rad.  The shortest converged geodesic
-    counts only when every RK4 node lies in the chart box and, intrinsic on
-    a chart with boundary, at x_n >= -BOUNDARY_TOL.
+    GEODESIC_NEAR max(1, |y|) of its target; then only the starts that near
+    go on, at GEODESIC_STEPS steps, and only at those steps does a start
+    converge: when its residual is at most 1e-9 max(1, |y|) and 1e-7 |y - x|,
+    and its upper end's error estimate is at most GEODESIC_RTOL of it.  The
+    estimate is the end's change under the next Newton step plus its change,
+    through du/dy = grad u J^-1, when x(1) is off by GEODESIC_STEPS half-ulps
+    of the largest coordinate in each, the most that the steps' sums round
+    by: that rounding swamps a short offset in a bracket direction far from
+    the origin.  Once one start has converged, only starts that near go on.
+    A converged geodesic whose det(dx(t)/dp0) changes sign at some node has
+    passed a conjugate point, so does not minimize, and is dropped.  The
+    upper end carries the error of GEODESIC_STEPS RK4 steps, which grows
+    with the turn of the arc: 1.3e-5 relative on a Heisenberg arc that turns
+    by 5.3 rad.  The least converged upper end counts only when every RK4
+    node of its geodesic lies in the chart box and, intrinsic on a chart
+    with boundary, at x_n >= -BOUNDARY_TOL.
     """
-    n = sys.n
+    n, degrees = sys.n, np.array(sys.degrees, dtype=float)
+    scaled = len(set(sys.degrees)) > 1
+    m = n + scaled  # unknowns: p0, then log delta when scaled
     W = _field_stack(sys.vfields(), x)  # (r, n)
     if not np.isfinite(W).all():
         return None
-    p_ls, *_ = np.linalg.lstsq(W.T @ W, y - x, rcond=None)
+    d_eu = _norm(y - x)
+    V = W
+    if scaled:  # at the scale where the least-norm constant control of y - x in the frame at x has norm 1
+
+        def log_norms(s):  # that control's log norm at the scales e^s, falling as s grows
+            return np.log(np.linalg.norm(np.linalg.pinv(W.T * np.exp(s[:, None, None] * degrees)) @ (y - x), axis=1))
+
+        with np.errstate(all="ignore"):
+            lo, hi = sorted((d_eu, d_eu ** (1.0 / sys.max_degree)))
+            s = np.linspace(math.log(lo) - 3.0, math.log(hi) + 3.0, 64)
+            log_delta0 = float(np.interp(0.0, log_norms(s)[::-1], s[::-1]))
+            f0, fm, fp = log_norms(log_delta0 + np.array([0.0, -1e-4, 1e-4]))
+            if fp < fm:  # one Newton step from the interpolated root
+                log_delta0 -= f0 * 2e-4 / (fp - fm)
+        V = W * np.exp(log_delta0 * degrees)[:, None]
+    p_ls, *_ = np.linalg.lstsq(V.T @ V, y - x, rcond=None)
     brackets = [e.field for e in enumerate_commutators(sys, 2) if len(e.word) == 2 and not e.is_zero]
     starts = [p_ls]
     for b in _field_stack(brackets, x) if brackets else ():
         nb = _norm(b)
         if math.isfinite(nb) and nb > 0:
             starts += [p_ls + c / nb * b for c in BRACKET_SEEDS]
-    kernel = symexpr._kernel("point", _geodesic_equations(sys))
+    kernel = symexpr._kernel("point", _geodesic_equations(sys, scaled))
+
+    def upper_ends(Z):  # the upper end each z gives: delta, or the length to the power 1/d
+        return np.exp(Z[:, n]) if scaled else np.array([_norm(W @ p) ** (1.0 / sys.degrees[0]) for p in Z])
+
+    def upper_grads(Z, u):  # their gradients in z
+        if scaled:
+            return np.eye(m)[n] * u[:, None]
+        Wp = Z @ W.T  # u = |W p|^(1/d)
+        return (u / (sys.degrees[0] * np.square(Wp).sum(axis=1)))[:, None] * (Wp @ W)
+
     box = sys.box
     c, edge = np.asarray(box.center), np.asarray(box.half_widths) + 1e-9
     scale = max(1.0, _norm(y))
+    tol = min(1e-9 * scale, 1e-7 * d_eu)
+    # the rounding of x(1): each RK4 step's sum rounds by at most half an ulp of the coordinate
+    rounding = 0.5 * GEODESIC_STEPS * np.finfo(float).eps * max(np.abs(x).max(), np.abs(y).max())
+    target = np.append(y, 1.0) if scaled else y  # (x(1), |u(0)|) or x(1)
     steps = SEARCH_STEPS
-    P = np.array(starts)  # each start's trial covector
-    base, base_res = P, np.full(len(P), math.inf)  # its accepted covector and residual
-    step, damp = np.zeros_like(P), np.ones(len(P))  # its Newton step from base, and the share taken
-    found = []  # (length, whether every node is feasible) of the converged minimizing candidates
+    Z = np.array(starts)
+    if scaled:
+        Z = np.column_stack([Z, np.full(len(Z), log_delta0)])
+    base, base_res = Z, np.full(len(Z), math.inf)  # each start's accepted z and residual
+    step, damp = np.zeros_like(Z), np.ones(len(Z))  # its Newton step from base, and the share taken
+    found = []  # (upper end, whether every node is feasible) of the converged minimizing candidates
     with np.errstate(all="ignore"):
         for _ in range(GEODESIC_ITERS):
-            S = len(P)
-            rows = P[:, None, :].repeat(n + 1, 1)
-            rows[:, 1:] += np.eye(n) * GEODESIC_FD_STEP
-            Y = np.concatenate([np.broadcast_to(x, (S * (n + 1), n)), rows.reshape(-1, n)], axis=1)
+            S = len(Z)
+            h = np.full((S, m), GEODESIC_FD_STEP)  # each unknown's step; scaled, the covector's
+            if scaled:  # is relative to |p0|, which grows like delta^(-d_j)
+                h[:, :n] *= np.maximum(1.0, np.sqrt(np.square(Z[:, :n]).sum(axis=1)))[:, None]
+            rows = Z[:, None, :].repeat(m + 1, 1)
+            rows[:, 1:] += np.eye(m) * h[:, None, :]
+            rows = rows.reshape(-1, m)
+            state = rows.copy()  # each row's p0, and its delta when scaled
+            if scaled:
+                state[:, n] = np.exp(rows[:, n])
+            Y = np.concatenate([np.broadcast_to(x, (S * (m + 1), n)), state], axis=1)
             nodes = []  # every row's x at every node
             for _ in range(steps):
                 Y = _rk4_step(kernel, Y, 1.0 / steps)
                 nodes.append(Y[:, :n])
-            ends = Y[:, :n].reshape(S, n + 1, n)
-            F = ends[:, 0] - y
+            G = Y[:, :n]
+            if scaled:  # with the speed |u(0)| of each row
+                speed = np.sqrt(np.square(state[:, n, None] ** degrees * (rows[:, :n] @ W.T)).sum(axis=1))
+                G = np.column_stack([G, speed])
+            G = G.reshape(S, m + 1, -1)
+            F = G[:, 0] - target
             res = np.sqrt(np.square(F).sum(axis=1))
-            done = (res <= 1e-9 * scale) & (steps == GEODESIC_STEPS)
+            J = (G[:, 1:] - G[:, :1]).transpose(0, 2, 1) / h[:, None, :]
+            newton = _newton_steps(J, F)
+            done = (res <= tol) & (steps == GEODESIC_STEPS)
+            if done.any():  # the upper end's error: its change under the next Newton step, and
+                # under x(1) off by `rounding` in each coordinate, through du/dy = grad u J^-1
+                i = done.nonzero()[0]
+                uppers = upper_ends(Z[i])
+                du_dy = _newton_steps(J[i].transpose(0, 2, 1), -upper_grads(Z[i], uppers))[:, :n]
+                err = np.abs(upper_ends(Z[i] + newton[i]) - uppers) + np.abs(du_dy).sum(axis=1) * rounding
+                close = err <= GEODESIC_RTOL * uppers
+                done[i], uppers = close, uppers[close]
             if done.any():
-                X = np.stack(nodes, axis=1).reshape(S, n + 1, steps, n)[done]
-                dets = np.linalg.det((X[:, 1:] - X[:, :1]).transpose(0, 2, 1, 3))  # (converged, steps)
+                X = np.stack(nodes, axis=1).reshape(S, m + 1, steps, n)[done]
+                dets = np.linalg.det((X[:, 1 : n + 1] - X[:, :1]).transpose(0, 2, 1, 3))  # (converged, steps)
                 X = X[:, 0]
                 ok = np.all(np.abs(X - c) <= edge, axis=(1, 2))
                 if mode == "intrinsic" and box.has_boundary:
                     ok &= np.all(X[..., -1] >= -BOUNDARY_TOL, axis=1)
-                found += [(_norm(W @ p), bool(f)) for p, f, d in zip(P[done], ok, dets) if np.all(d * d[-1] > 0)]
+                found += [(float(u), bool(f)) for u, f, d in zip(uppers, ok, dets) if np.all(d * d[-1] > 0)]
             better = res < base_res
-            newton = _newton_steps((ends[:, 1:] - ends[:, :1]).transpose(0, 2, 1) / GEODESIC_FD_STEP, F)
-            base, base_res = np.where(better[:, None], P, base), np.where(better, res, base_res)
+            base, base_res = np.where(better[:, None], Z, base), np.where(better, res, base_res)
             step, damp = np.where(better[:, None], newton, step), np.where(better, 1.0, 0.5 * damp)
-            P = base + damp[:, None] * step
-            keep = ~done & (damp >= 0.25) & np.isfinite(P).all(axis=1)
+            Z = base + damp[:, None] * step
+            keep = ~done & (damp >= 0.25) & np.isfinite(Z).all(axis=1)
             near = base_res <= GEODESIC_NEAR * scale
             search = steps < GEODESIC_STEPS and (keep & near).any()
             if found or search:
                 keep &= near
             if not keep.any():
                 break
-            P, base, base_res, step, damp = P[keep], base[keep], base_res[keep], step[keep], damp[keep]
+            Z, base, base_res, step, damp = Z[keep], base[keep], base_res[keep], step[keep], damp[keep]
             if search:  # on to the full steps, from the near starts' trials
-                steps, base_res = GEODESIC_STEPS, np.full(len(P), math.inf)
+                steps, base_res = GEODESIC_STEPS, np.full(len(Z), math.inf)
     if not found:
         return None
-    length, feasible = min(found)
-    return length if feasible else None
+    upper, feasible = min(found)
+    return upper if feasible else None
 
 
 def cc_distance(
@@ -973,22 +1051,26 @@ def cc_distance(
 ) -> MetricEstimate:
     """Direct-shooting estimate of the CC distance.
 
-    When every generator has one degree d, the distance is l^(1/d) for
-    the length l of a shortest normal geodesic from x to y at scale 1,
-    which `_geodesic_length` solves for by Newton on its initial
-    covector; a feasible one that converges gives the upper end
-    u = l^(1/d) and the interval [(1 - tol) u, u], whatever K is.
-    Unequal degrees, and pairs where no feasible geodesic is found (the
-    vertical Heisenberg pair on the cut locus, a geodesic that leaves the
-    half space in intrinsic mode), run the scale search: at each trial
-    scale `_shoot` refines K-segment controls toward y, warm-started
-    from the previous scale's control; the scale doubles from |x - y|
-    until a control lands and is then bisected to relative width `tol`.
-    There the upper end is a scale at which a feasible control reached y
-    within the miss tolerance, and the lower end the largest scale at
-    which the optimizer failed.  Either way shooting is deterministic,
-    with no random draw, and its lower end is heuristic, not a
-    certificate; on regression scenarios it is cross-checked against
+    First `_geodesic_upper` solves by Newton for a shortest normal
+    geodesic from x to y: on equal degrees d, one of the generators at
+    scale 1, whose length l gives the upper end u = l^(1/d); on unequal
+    degrees, a unit-speed one of the scaled frame delta^{d_j} W_j, solved
+    for its covector and log delta together, whose scale gives u = delta.
+    A feasible one that converges gives the interval [(1 - tol) u, u],
+    whatever K is.  Pairs where no feasible geodesic is found (the vertical
+    Heisenberg pair on the cut locus, a geodesic that leaves the half space
+    in intrinsic mode, a start on the singular line of Grushin) run the
+    scale search: at each trial scale `_shoot` refines K-segment controls
+    toward y, warm-started from the previous scale's control; the scale
+    doubles from |x - y| until a control lands and is then bisected to
+    relative width `tol`.  There the upper end is a scale at which a
+    feasible control reached y within the miss tolerance
+    max(5e-4, 0.005 |x - y|), and the lower end the largest scale at which
+    the optimizer failed.  When x itself lies within that tolerance of y,
+    every scale would hit, so the interval is the unresolved [0, inf], as
+    the oracle's is within its arrival tolerance.  Either way shooting is
+    deterministic, with no random draw, and its lower end is heuristic,
+    not a certificate; on regression scenarios it is cross-checked against
     oracle_distance's upper end.  No hit up to scale DELTA_MAX gives
     [0, inf].  A tol outside (0, 0.5), K < 1, non-finite endpoints and
     endpoints outside the chart (or below {x_n = 0} in intrinsic mode)
@@ -1001,13 +1083,13 @@ def cc_distance(
     x, y = _check_endpoints(sys, x, y, mode)
     if np.array_equal(x, y):
         return MetricEstimate(0.0, 0.0, "shooting")
-    if len(set(sys.degrees)) == 1:
-        length = _geodesic_length(sys, x, y, mode)
-        upper = math.inf if length is None else length ** (1.0 / sys.degrees[0])
-        if upper <= DELTA_MAX:
-            return MetricEstimate((1.0 - tol) * upper, upper, "shooting")
+    upper = _geodesic_upper(sys, x, y, mode)
+    if upper is not None and upper <= DELTA_MAX:
+        return MetricEstimate((1.0 - tol) * upper, upper, "shooting")
     d_eu = float(np.linalg.norm(y - x))
     miss_tol = max(5e-4, 0.005 * d_eu)
+    if d_eu <= miss_tol:  # x itself hits y: every scale would, down to underflow
+        return MetricEstimate(0.0, math.inf, "shooting")
     warm = None
 
     def hits(delta):

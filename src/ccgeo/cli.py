@@ -845,7 +845,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.05)
     p.add_argument(
         "--K", type=int, default=32,
-        help="control segments of shooting's scale search, which runs only on unequal degrees or where no geodesic is found",
+        help="control segments of shooting's scale search, which runs only where no feasible geodesic is found",
     )
     p.add_argument("--oracle", action="store_true", help="cross-check against the grid oracle")
     p.add_argument("--resolution", type=float, default=0.02)

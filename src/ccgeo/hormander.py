@@ -6,7 +6,8 @@ right-nested brackets of the generators are enumerated up to a given
 order, and spanning of the tangent space is certified through maximal
 n-column determinants.  Brackets are built only here, once per system
 object and order, and every consumer shares them, as are the normal
-geodesic equations of shooting.
+geodesic equations of shooting, of the generators and of the frame
+scaled by delta^{d_j}.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .symexpr import Const, Expr, Var, VField, _kernel, add, lie_bracket, mul, neg, to_string
+from .symexpr import Const, Expr, Var, VField, _kernel, add, lie_bracket, mul, neg, pow_int, to_string
 
 __all__ = [
     "Box",
@@ -127,7 +128,7 @@ class WeightedSystem:
             raise ValueError(f"density is not strictly positive on the chart (min {vals.min()})")
 
     @cached_property
-    def _derived(self) -> dict:  # (kind, order) -> brackets or Z system, or the geodesic equations; not a field, so eq and hash ignore it
+    def _derived(self) -> dict:  # (kind, order) -> brackets or Z system, or (kind, scaled) -> the geodesic equations; not a field, so eq and hash ignore it
         return {}
 
     def augmented(self, word: tuple[int, ...]) -> "WeightedSystem":
@@ -224,23 +225,27 @@ def build_Z_system(sys: WeightedSystem, m: int) -> WeightedSystem:
     return sys._derived[key]
 
 
-def _geodesic_equations(sys: WeightedSystem) -> tuple[Expr, ...]:
-    """The 2n right-hand sides of the normal geodesic equations over (x, p), x_i = Var(i) and
-    p_i = Var(n + i): x' = sum_j u_j W_j(x) and p' = -sum_j u_j (DW_j(x))^T p, with
-    u_j = <p, W_j(x)>, the Hamiltonian flow of (1/2) sum_j <p, W_j(x)>^2.  The Jacobians
-    come from `Expr.diff`.  Built once per system object."""
-    key = ("geodesic",)
+def _geodesic_equations(sys: WeightedSystem, scaled: bool) -> tuple[Expr, ...]:
+    """The right-hand sides of the normal geodesic equations of a frame V_j over (x, p),
+    x_i = Var(i) and p_i = Var(n + i): x' = sum_j u_j V_j(x) and p' = -sum_j u_j (DV_j(x))^T p,
+    with u_j = <p, V_j(x)>, the Hamiltonian flow of (1/2) sum_j <p, V_j(x)>^2.  Unscaled, the
+    2n equations of the generators V_j = W_j; scaled, the 2n + 1 equations over (x, p, delta),
+    delta = Var(2n + 1), of the scaled frame V_j = delta^{d_j} W_j, with delta' = 0.  The
+    Jacobians come from `Expr.diff`.  Built once per system object and form."""
+    key = ("geodesic", scaled)
     if key not in sys._derived:
         n = sys.n
         p = [Var(n + k) for k in range(1, n + 1)]
         comps = [vf.components for vf in sys.vfields()]
+        if scaled:
+            comps = [[mul(pow_int(Var(2 * n + 1), d), w) for w in W] for W, d in zip(comps, sys.degrees)]
         u = [_sum(mul(pk, w) for pk, w in zip(p, W)) for W in comps]
         xdot = [_sum(mul(uj, W[i]) for uj, W in zip(u, comps)) for i in range(n)]
         pdot = [
             neg(_sum(mul(uj, _sum(mul(pk, w.diff(i)) for pk, w in zip(p, W))) for uj, W in zip(u, comps)))
             for i in range(1, n + 1)
         ]
-        sys._derived[key] = tuple(xdot + pdot)
+        sys._derived[key] = tuple(xdot + pdot + [Const(0.0)] * scaled)
     return sys._derived[key]
 
 

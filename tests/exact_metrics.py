@@ -98,9 +98,10 @@ def grushin_geodesic(p, q) -> tuple[float, float]:
     (`_grushin_shot`) and the speed is sqrt(p1^2 + lam^2 x1(0)^2).  The x2
     gain has the sign of lam, so with dx2 = q2 - p2 the geodesics to q are
     the roots lam of gain(lam) = dx2 of that sign: each sign change on a
-    fine grid of (0, 2 pi) sign(dx2) is bisected, a pole of p1 (sin lam = 0)
-    is skipped by its residual, which grows without bound there, and the
-    root of least speed wins.  A root near a pole is ill conditioned in
+    fine grid of [0, 2 pi) sign(dx2) is bisected (the grid starts at
+    lam = 0, where the gain is 0, so a root below its first step is found
+    too), a pole of p1 (sin lam = 0) is skipped by its residual, which
+    grows without bound there, and the root of least speed wins.  A root near a pole is ill conditioned in
     lam: from x1 = 0 to x1 = 1e-9 the speed keeps about 7 digits.  At
     dx2 = 0 the straight segment (q1 - p1, 0) is the geodesic; from x1 = 0
     to x1 = 0 every geodesic has lam = +-pi and p1 = sqrt(2 pi |dx2|).
@@ -112,7 +113,7 @@ def grushin_geodesic(p, q) -> tuple[float, float]:
     sign = math.copysign(1.0, dx2)
     if a == 0.0 and y1 == 0.0:
         return math.sqrt(2.0 * math.pi * abs(dx2)), sign * math.pi
-    grid = sign * np.linspace(0.0, 2.0 * math.pi, 4001)[1:-1]
+    grid = sign * np.linspace(0.0, 2.0 * math.pi, 4001)[:-1]
     g = _grushin_shot(a, y1, grid)[1] - dx2
     best = (math.inf, math.nan, math.nan)
     for k in (np.sign(g[:-1]) * np.sign(g[1:]) < 0).nonzero()[0]:

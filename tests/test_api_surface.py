@@ -196,3 +196,15 @@ def test_linalg_solve_is_called_only_by_the_batched_newton_solve_and_pullback():
     # one nan-safe batched Newton solve, ccmetric._newton_steps, serves the
     # geodesic solve and ScalingMap.invert
     assert _src_call_sites("solve") == {"ccmetric.py": {"_newton_steps": 1}, "scaling.py": {"pullback": 1}}
+
+
+def _defined_functions(tree: ast.AST) -> set[str]:
+    return {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_geodesic_equations_have_one_builder_and_one_caller():
+    # the normal geodesic equations, of the generators and of the scaled frame, are built
+    # once per system in hormander and read only by the one geodesic solve
+    defined = {p.name: _defined_functions(ast.parse(p.read_text())) for p in sorted(SRC.rglob("*.py"))}
+    assert {k for k, names in defined.items() if any("geodesic" in f and "equation" in f for f in names)} == {"hormander.py"}
+    assert _src_call_sites("_geodesic_equations") == {"ccmetric.py": {"_geodesic_upper": 1}}

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import exact_metrics
@@ -454,6 +455,7 @@ _EQUAL_DEGREE_PAIRS = [
 # is intrinsic too, so a feasible one meets it in either mode
 _REFERENCES = {
     "elliptic": exact_metrics.elliptic,
+    "heat": exact_metrics.heat,
     "grushin": exact_metrics.grushin_distance,
     "grushin_straightened": exact_metrics.grushin_straightened_distance,
     "heisenberg": exact_metrics.heisenberg_distance,
@@ -465,35 +467,44 @@ def test_geodesic_upper_end_meets_the_reference(fixture, mode, x, y, converges):
     # where the geodesic converges the upper end is its length, within 1e-6 of
     # the exact distance and not below it but for a 1e-9 allowance for rounding
     sys = load_scenario(fixture).system()
-    length = ccmetric._geodesic_length(sys, np.asarray(x), np.asarray(y), mode)
-    assert (length is not None) == converges
+    upper = ccmetric._geodesic_upper(sys, np.asarray(x), np.asarray(y), mode)
+    assert (upper is not None) == converges
     if converges:
         exact = _REFERENCES[fixture](x, y)
         est = cc_distance(sys, x, y, mode=mode, tol=0.05, K=4)
-        assert est.upper == length and est.lower == (1 - 0.05) * length
+        assert est.upper == upper and est.lower == (1 - 0.05) * upper
         assert exact * (1 - 1e-9) <= est.upper <= exact * (1 + 1e-6)
 
 
-# The heat pairs and the pairs where no feasible geodesic converges, of the
-# seed-1 and seed-7919 benchmark `dist` ops, with the intervals (as float.hex)
-# that the scale search gave before the geodesic solve existed
+# the heat pairs of the seed-1 and seed-7919 benchmark `dist` ops
+@pytest.mark.parametrize("fixture, mode, x, y", [p for p in _CLOSED_FORM_PAIRS if p[0] == "heat"])
+def test_heat_geodesic_meets_the_closed_form(fixture, mode, x, y, monkeypatch):
+    # unequal degrees: one Newton solve on (p0, log delta) reaches y with a unit
+    # speed geodesic of the frame delta^{d_j} W_j, and the upper end is delta
+    def search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ccmetric, "_scale_search", search)
+    sys = load_scenario(fixture).system()
+    upper = ccmetric._geodesic_upper(sys, np.asarray(x), np.asarray(y), mode)
+    exact = exact_metrics.heat(x, y)
+    assert upper is not None and exact * (1 - 1e-9) <= upper <= exact * (1 + 1e-6)
+    est = cc_distance(sys, x, y, mode=mode, tol=0.05, K=4)
+    assert (est.lower, est.upper) == ((1 - 0.05) * upper, upper)
+
+
+# The pairs where no feasible geodesic converges, of the seed-1 and seed-7919
+# benchmark `dist` ops, with the intervals (as float.hex) that the scale search
+# gave before the geodesic solve existed
 _FALLBACK_PAIRS = [
-    ("heat", "intrinsic", (0.251812, 0.601258), (-0.046638, 0.451385), '0x1.c0da35478f452p-2', '0x1.d639eeac7db62p-2'),  # dist02, seed 1
-    ("heat", "extrinsic", (0.058843, 0.011175), (-0.040307, 0.00225), '0x1.f0f53fb5e6ad6p-4', '0x1.fdb35509559e3p-4'),  # dist03, seed 1
     ("grushin", "intrinsic", (-0.020774, -0.096908), (0.007727, -0.051875), '0x1.10ddda0bc8e48p-1', '0x1.1e828b592c898p-1'),  # dist06, seed 1
     ("grushin_straightened", "intrinsic", (0.400858, 0.030837), (0.649026, 0.020847), '0x1.0e39b7fb72a77p-1', '0x1.162c5b82d7e8ap-1'),  # dist07, seed 1
     ("heisenberg", "extrinsic", (-0.09063, 0.0, 0.47932), (-0.09063, 0.01999, 0.47932), '0x1.1e939eadd590cp-1', '0x1.28cfbfc6540ccp-1'),  # dist09, seed 1
     ("heisenberg", "intrinsic", (-0.011749, -0.086263, 0.034891), (0.117856, -0.092159, 0.036884), '0x0.0p+0', 'inf'),  # dist10, seed 1
-    ("heat", "intrinsic", (-0.29822, 0.301204), (-0.21844, 0.351561), '0x1.cae2e23f0bd6cp-3', '0x1.e309c5bba0ac2p-3'),  # dist13, seed 1
-    ("heat", "extrinsic", (0.200472, 0.400805), (0.140963, 0.470044), '0x1.0cc8297751677p-2', '0x1.1877d239b91e0p-2'),  # dist14, seed 1
-    ("heat", "intrinsic", (0.248178, 0.601045), (-0.049669, 0.451518), '0x1.bfeb610c37876p-2', '0x1.d53fbb009bb27p-2'),  # dist02, seed 7919
-    ("heat", "extrinsic", (0.06046, 0.010328), (-0.039624, 0.001308), '0x1.e8c817100f4eap-4', '0x1.0140e3b79c445p-3'),  # dist03, seed 7919
     ("grushin", "intrinsic", (-0.020544, -0.096393), (0.007583, -0.050903), '0x1.11d5b0be83996p-1', '0x1.1f86c661a3c77p-1'),  # dist06, seed 7919
     ("grushin_straightened", "intrinsic", (0.398132, 0.030163), (0.648487, 0.018167), '0x1.08ad9e893bc64p-1', '0x1.10b2e1669aad4p-1'),  # dist07, seed 7919
     ("heisenberg", "extrinsic", (-0.090763, 0.0, 0.481355), (-0.090763, 0.020178, 0.481355), '0x1.2145953586ca9p-1', '0x1.2b9a5a89b951cp-1'),  # dist09, seed 7919
     ("heisenberg", "intrinsic", (-0.010547, -0.087763, 0.034173), (0.120361, -0.094242, 0.036187), '0x0.0p+0', 'inf'),  # dist10, seed 7919
-    ("heat", "intrinsic", (-0.301295, 0.300139), (-0.221315, 0.351183), '0x1.cd7f8e6349facp-3', '0x1.e5c9a35b0a813p-3'),  # dist13, seed 7919
-    ("heat", "extrinsic", (0.1994, 0.401805), (0.140024, 0.47234), '0x1.0f6f3b0a0e1ecp-2', '0x1.1b3c6a20c0d23p-2'),  # dist14, seed 7919
 ]
 
 
@@ -518,7 +529,7 @@ def test_a_converged_geodesic_does_not_depend_on_K(monkeypatch):
 def _converged_upper(fixture, x, y, mode="extrinsic"):
     """cc_distance's upper end where a feasible geodesic converges; the test is skipped elsewhere."""
     sys = load_scenario(fixture).system()
-    assume(ccmetric._geodesic_length(sys, np.asarray(x), np.asarray(y), mode) is not None)
+    assume(ccmetric._geodesic_upper(sys, np.asarray(x), np.asarray(y), mode) is not None)
     return cc_distance(sys, x, y, mode=mode).upper
 
 
@@ -549,6 +560,89 @@ def test_heisenberg_left_translation_keeps_the_upper_end(p, v, g):
     assume(math.hypot(v[0], v[2]) > 1e-2)
     d = _converged_upper("heisenberg", p, q)
     assert _converged_upper("heisenberg", _heisenberg_mul(g, p), _heisenberg_mul(g, q)) == pytest.approx(d, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    st.tuples(st.floats(-0.15, 0.15), st.floats(-0.1, 0.1)),
+    st.floats(0.5, 1.5),
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+)
+def test_heat_dilation_and_translation_move_the_upper_end(x, v, lam, g):
+    # the heat fields are constant, so translations keep d, and (dx, dt) -> (lam dx, lam^2 dt)
+    # scales it by lam; every such pair's geodesic converges (below |y - x| = 2e-3 the dt
+    # column of the finite-difference Jacobian can drown in rounding, and the solve fails)
+    assume(math.hypot(*v) > 1e-2)
+    sys = load_scenario("heat").system()
+
+    def upper(a, w):
+        a = np.asarray(a)
+        u = ccmetric._geodesic_upper(sys, a, a + w, "extrinsic")
+        assert u is not None
+        return u
+
+    d = upper(x, v)
+    assert upper(x, (lam * v[0], lam**2 * v[1])) == pytest.approx(lam * d, rel=1e-6)
+    assert upper((x[0] + g[0], x[1] + g[1]), v) == pytest.approx(d, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(p.stem for p in fixtures_dir().glob("*.scn"))),
+    st.sampled_from(["intrinsic", "extrinsic"]),
+    st.lists(st.floats(-0.45, 0.45), min_size=3, max_size=3),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    st.floats(-7.0, -1.0),
+)
+def test_distinct_close_pairs_never_get_a_zero_interval(fixture, mode, x, v, exponent):
+    # down to offsets of 1e-7: an interval with upper end 0 would claim x = y, and a
+    # numpy warning would mean an overflow in some seed; where a geodesic converges its
+    # upper end is not below the reference
+    sys = load_scenario(fixture).system()
+    x, v = np.array(x[: sys.n]), np.array(v[: sys.n])
+    assume(np.linalg.norm(v) > 1e-3)
+    y = x + 10.0**exponent * v / np.linalg.norm(v)
+    if sys.box.has_boundary:
+        x[-1], y[-1] = abs(x[-1]), abs(y[-1])
+    assume(not np.array_equal(x, y))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = cc_distance(sys, x, y, mode=mode, K=4)
+        upper = ccmetric._geodesic_upper(sys, x, y, mode)
+    assert est.upper > 0
+    reference = _REFERENCES.get(fixture)
+    if upper is not None and reference is not None:
+        assert est.upper == upper >= reference(tuple(x), tuple(y)) * (1 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "fixture, mode, x, y",
+    [
+        ("heat", "intrinsic", (0.1, 0.2), (0.1000001, 0.2)),
+        ("heisenberg", "intrinsic", (0.0, 0.0, 0.5), (0.0, 0.0000001, 0.5)),
+        ("heisenberg", "extrinsic", (0.1, 0.05, 0.3), (0.10001, 0.05, 0.30001)),
+    ],
+)
+def test_a_pair_within_the_miss_tolerance_is_unresolved(fixture, mode, x, y, monkeypatch):
+    # x itself lies within shooting's miss tolerance of y, so every scale would hit;
+    # with no converged geodesic the interval is [0, inf], before any _shoot call
+    def shoot(*args):
+        raise AssertionError("shot")
+
+    monkeypatch.setattr(ccmetric, "_shoot", shoot)
+    sys = load_scenario(fixture).system()
+    assert ccmetric._geodesic_upper(sys, np.asarray(x), np.asarray(y), mode) is None
+    est = cc_distance(sys, x, y, mode=mode)
+    assert (est.lower, est.upper) == (0.0, math.inf)
+
+
+def test_a_close_pair_converges_to_the_reference():
+    # the residual must also be small against |y - x|: at 1e-9 alone this pair read 9.9958e-8
+    x, y = (0.0, 0.0, 0.0), (1e-7, 0.0, 0.0)
+    est = cc_distance(load_scenario("heisenberg").system(), x, y, mode="extrinsic")
+    exact = exact_metrics.heisenberg_distance(x, y)
+    assert exact * (1 - 1e-9) <= est.upper <= exact * (1 + 1e-6)
 
 
 def test_exact_metrics_closed_forms():
@@ -670,6 +764,14 @@ def test_grushin_distance_is_the_length_of_a_replayed_control(p, q):
             lifted = exact_metrics.grushin_straightened_distance(a, b)
             assert lifted == pytest.approx(exact_metrics.grushin_distance(_grushin_lift(a), _grushin_lift(b)), rel=1e-15)
             assert lifted == pytest.approx(d, rel=1e-9)
+
+
+def test_grushin_distance_finds_a_root_below_its_grid():
+    # the root lam lies below 2 pi / 4000, the grid's first step after 0; shooting agrees
+    p, q = (0.5, 0.0), (0.50001, 1e-5)
+    d = exact_metrics.grushin_distance(p, q)
+    assert d == pytest.approx(2.23605e-5, rel=1e-5)
+    assert cc_distance(load_scenario("grushin").system(), p, q).upper == pytest.approx(d, rel=1e-6)
 
 
 def test_grushin_distance_limits_and_dilation():
@@ -1518,7 +1620,7 @@ def test_polish_matches_two_call_reference_bit_for_bit(case, K, monkeypatch):
     monkeypatch.setattr(ccmetric, "integrate_controls", counting)
     monkeypatch.setattr(ccmetric, "_shoot", both)
     # the scale search runs where no geodesic is found; here it runs on every pair
-    monkeypatch.setattr(ccmetric, "_geodesic_length", lambda *args: None)
+    monkeypatch.setattr(ccmetric, "_geodesic_upper", lambda *args: None)
     cc_distance(sys, x, y, mode=mode, tol=0.2, K=K)
     assert both_ran and max(both_ran) >= 2  # both seeds stepped together
 
@@ -1546,7 +1648,7 @@ def test_shooting_integrates_only_unfinished_seeds(case, monkeypatch):
 
     monkeypatch.setattr(ccmetric, "integrate_controls", counting)
     monkeypatch.setattr(ccmetric, "_shoot", recording)
-    monkeypatch.setattr(ccmetric, "_geodesic_length", lambda *args: None)
+    monkeypatch.setattr(ccmetric, "_geodesic_upper", lambda *args: None)
     cc_distance(sys, x, y, mode=mode, K=K)
     one_of_two = 0  # calls of a two-seed run that carry one seed's rows
     for seeds, rows in runs:

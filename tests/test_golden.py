@@ -47,8 +47,10 @@ GOLDEN = {
     # some scales: searches that end on a proven miss must keep it
     "dist elliptic --x -0.338784 0.008075 --y -0.041309 0.019601 --mode extrinsic --K 4 --oracle --resolution 0.05": (
         0, "044fdeb2cc3f0535603c581439250a967c78cc33f1b292605a8ca805bd114dbf"),
+    # shooting's interval is the scaled geodesic's [(1 - tol) u, u], u the closed form
+    # 0.231603 to 1e-15, where the scale search gave [0.224066, 0.235858]
     "dist heat --x -0.298220 0.301204 --y -0.218440 0.351561 --K 4 --oracle --resolution 0.05": (
-        2, "b63527809091ae7d0e6443ad5fa884209fca7c44ca48151e545569cb20730cdf"),
+        2, "6353b4129672236327f4fd57a7b609b2e2cc4406c4b6489d4c2d900eb9ba3947"),
     "dist grushin_straightened --x -0.400211 0.051411 --y -0.339501 0.091318 --K 4 --oracle --resolution 0.05": (
         2, "756e5d3ee8f6ba405534c5050b560e7cfc57bc3a468d86491648558457ab7401"),
     "dist heisenberg --x -0.011749 -0.086263 0.034891 --y 0.117856 -0.092159 0.036884 --K 4 --oracle --resolution 0.05": (
@@ -61,8 +63,9 @@ GOLDEN = {
         0, "1359f44669b60175fb316d6521d822f2cce8957bf5916621410b36616b0e6848"),
     "verify grushin_straightened --suite sandwich": (
         0, "170495ddb016ec5b157494b05d1af00dcc38983387b8b9092dcd59d5a3145fca"),
+    # the augmented system (degrees 1, 1, 2) is solved by the scaled geodesic: fitted C 1.2176 -> 1.2601
     "verify grushin --suite equivalence": (
-        0, "afba2490663a7cbbbe52c44bfdd3f65ecaa9636738ff3efe02dd9b6114694aed"),
+        0, "55ddf535ea01ec09ce69b0ba73020ddfc90c37cced38dd040c96bfbdbb0e5b3f"),
     "verify grushin_straightened --suite boundary-metric": (
         0, "e5a214b711fefe0533c867e1ababc76742fc2dc8128a0813a4f38107b23bffbb"),
     "verify grushin --suite volume": (
