@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symexpr
-from .flows import GUARD_FACTOR, _control_step, _reach_box, _rk4_step
+from .flows import GUARD_FACTOR, _control_step, _reach_box, _unit_flow
 from .hormander import WeightedSystem, _field_columns, _field_stack, _geodesic_equations, enumerate_commutators
 
 __all__ = [
@@ -892,11 +891,11 @@ def _geodesic_upper(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str
     V_j = delta^{d_j} W_j, the residual gains |u(0)| - 1 for
     u_j(0) = delta^{d_j} <p0, W_j(x)>, and a unit-speed geodesic of that
     frame reaches y at scale delta, the upper end.  Either way the equations
-    are `hormander._geodesic_equations`' (one point kernel), stepped by
-    `flows._rk4_step`, and damped Newton moves z.  Its Jacobian is a forward
-    difference: a step of GEODESIC_FD_STEP in each unknown, times
-    max(1, |p0|) in the covector when scaled, where p0 grows like
-    delta^(-d_j).  Every start's trial z and its perturbed rows go in one
+    are `hormander._geodesic_equations`', integrated by `flows._unit_flow`
+    (RK4 on their point values, one call per batch, every node kept), and
+    damped Newton moves z.  Its Jacobian is a forward difference: a step of
+    GEODESIC_FD_STEP in each unknown, times max(1, |p0|) in the covector
+    when scaled, where p0 grows like delta^(-d_j).  Every start's trial z and its perturbed rows go in one
     batch per iteration, at most GEODESIC_ITERS of them.  A trial that lowers
     its start's residual is accepted and takes a full Newton step next; one
     that does not halves the step, and a start ends when a quarter step fails
@@ -953,7 +952,7 @@ def _geodesic_upper(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str
         nb = _norm(b)
         if math.isfinite(nb) and nb > 0:
             starts += [p_ls + c / nb * b for c in BRACKET_SEEDS]
-    kernel = symexpr._kernel("point", _geodesic_equations(sys, scaled))
+    equations = _geodesic_equations(sys, scaled)
 
     def upper_ends(Z):  # the upper end each z gives: delta, or the length to the power 1/d
         return np.exp(Z[:, n]) if scaled else np.array([_norm(W @ p) ** (1.0 / sys.degrees[0]) for p in Z])
@@ -991,10 +990,7 @@ def _geodesic_upper(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str
             if scaled:
                 state[:, n] = np.exp(rows[:, n])
             Y = np.concatenate([np.broadcast_to(x, (S * (m + 1), n)), state], axis=1)
-            nodes = []  # every row's x at every node
-            for _ in range(steps):
-                Y = _rk4_step(kernel, Y, 1.0 / steps)
-                nodes.append(Y[:, :n])
+            Y, nodes = _unit_flow(equations, Y, steps)  # and every row's state at every node
             G = Y[:, :n]
             if scaled:  # with the speed |u(0)| of each row
                 speed = np.sqrt(np.square(state[:, n, None] ** degrees * (rows[:, :n] @ W.T)).sum(axis=1))
@@ -1014,7 +1010,7 @@ def _geodesic_upper(sys: WeightedSystem, x: np.ndarray, y: np.ndarray, mode: str
                 close = err <= GEODESIC_RTOL * uppers
                 done[i], uppers = close, uppers[close]
             if done.any():
-                X = np.stack(nodes, axis=1).reshape(S, m + 1, steps, n)[done]
+                X = nodes[..., :n].reshape(S, m + 1, steps, n)[done]
                 dets = np.linalg.det((X[:, 1 : n + 1] - X[:, :1]).transpose(0, 2, 1, 3))  # (converged, steps)
                 X = X[:, 0]
                 ok = np.all(np.abs(X - c) <= edge, axis=(1, 2))

@@ -7,11 +7,14 @@ chart (the domain box inflated by 25%) abort with FlowExcursionError.
 `rk4_flow` and the scaling maps step with `_rk4_step` over a velocity
 such as `_control_velocity`, the weighted kernel of a field tuple from
 `symexpr._kernel`, so an RK4 stage makes one call, not one per field
-plus a stack and a contraction.  The control integrator and the grid
-oracle in `ccmetric` step with `_control_step`, the same arithmetic as
-the tuple's step kernel, which computes the velocity columns that read
-no coordinate once per control rather than at every stage; each caller
-keeps its own guard.  `_reach_box` is the one owner of the reach box:
+plus a stack and a contraction.  The geodesic solve in `ccmetric`
+integrates with `_unit_flow`, the flow kernel of its equations: the same
+steps on Python floats, one call per batch, since on its few dozen rows
+numpy's cost per call would be most of a step's time.  The control
+integrator and the grid oracle in `ccmetric` step with `_control_step`,
+the same arithmetic as the tuple's step kernel, which computes the
+velocity columns that read no coordinate once per control rather than at
+every stage; each caller keeps its own guard.  `_reach_box` is the one owner of the reach box:
 from the interval kernel of a field tuple it proves the box around a
 point that holds every path of time at most 1, so the oracle runs a
 guard only where that box does not settle it.  `rk4_flow` keeps numpy on
@@ -94,6 +97,17 @@ def _control_step(vfs, a: np.ndarray, dt):
     once, rather than at each stage of each step.  Call the step, as this,
     under np.errstate(all="ignore")."""
     return symexpr._kernel("step", vfs)(a, dt)
+
+
+def _unit_flow(fields, Y: np.ndarray, steps: int):
+    """The end states (B, n) and every node (B, steps, n) of y' = F(y) from the rows
+    of Y (B, n) over unit time in `steps` RK4 steps, F the n expressions `fields`.
+
+    symexpr's flow kernel of the expressions: bit for bit `steps` calls of
+    _rk4_step over their point kernel at dt = 1.0 / steps but for the sign of
+    a nan, on Python floats, as suits the geodesic solve's batches of a few
+    dozen rows, where numpy's cost per call is most of a step's time."""
+    return symexpr._kernel("flow", fields)(Y, steps)
 
 
 def _reach_box(sys, x, delta: float):

@@ -8,8 +8,9 @@ compiled numpy kernel in float64: a domain error (division by zero,
 sqrt of a negative, overflow) gives inf or nan and never raises.  This
 module owns every kernel: `_kernel(form, fields)` compiles a tuple of
 fields once per form (point values, interval enclosures, the control
-velocity sum_j a_j W_j or its RK4 step) into one bounded cache, keyed on
-the fields as printed.
+velocity sum_j a_j W_j or its RK4 step, and the RK4 flow of the point
+values over unit time, on Python floats for small batches) into one
+bounded cache, keyed on the fields as printed.
 
 Simplification is limited to constant folding and 0/1 absorption; no
 general rewriting is attempted, so brackets stay exact without risking
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -205,16 +207,16 @@ def func(name: str, arg: Expr) -> Expr:
 
 def _kernel(form: str, fields):
     """The kernel of a tuple of fields (VFields, or expressions as one-component
-    fields) in `form`, compiled by `_compile` on first use: the point and interval
-    forms over every component of every field in turn, the weighted and step forms
-    over the fields as the control velocity's terms.  The one cache keeps at most
+    fields) in `form`, compiled by `_compile` on first use: the point, interval and
+    flow forms over every component of every field in turn, the weighted and step
+    forms over the fields as the control velocity's terms.  The one cache keeps at most
     _KERNEL_CACHE_SIZE kernels, the oldest dropped first, keyed on the form and the
     fields as printed, which, unlike their equality, tell Const(0.0) from Const(-0.0)."""
     key = (form, tuple([f._text for f in fields]))
     kernel = _KERNELS.get(key)
     if kernel is None:
         comps = tuple([f.components if isinstance(f, VField) else (f,) for f in fields])
-        kernel = _KERNELS[key] = _compile(sum(comps, ()) if form in ("point", "interval") else comps, form)
+        kernel = _KERNELS[key] = _compile(comps if form in ("weighted", "step") else sum(comps, ()), form)
         if len(_KERNELS) > _KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]  # the oldest
     return kernel
@@ -250,6 +252,19 @@ def _compile(exprs, form):
     RK4 loops and leave that to their caller, which enters np.errstate
     once per integration rather than once per stage.
 
+    With form="flow" the point kernel's expressions over N = len(exprs)
+    state variables drive classical RK4 over unit time: kernel(Y, steps)
+    returns the end states (B, N) of the rows Y (B, N) after `steps` steps,
+    and every node (B, steps, N), the state after each step.  It gives the
+    bits of `steps` calls of flows._rk4_step over the point kernel at
+    dt = 1.0 / steps (a nan's sign aside), on Python floats, row by row: on a
+    small batch numpy's cost per call is most of a step's time.  The
+    constant-only locals are computed once per call in numpy, as the point
+    kernel computes them, and the others keep numpy's bits: a zero divisor
+    goes to numpy (Python raises), ^2 is a * a (numpy's square), and every
+    other power, sin, cos, exp and sqrt run numpy's loop on a one-element
+    array.  The flow kernel ignores numpy's floating-point errors itself.
+
     With form="interval" the kernel (L, H) -> (lo, hi) encloses each
     expression over the boxes [L, H] (..., n): every local is a pair
     (lo, hi) of arrays and every node an interval operation of `_INTERVAL`
@@ -264,7 +279,12 @@ def _compile(exprs, form):
     keeps the kernels."""
     interval = form == "interval"
     env, lines, names = {"np": np, **(_INTERVAL if interval else _NP_FUNCS)}, [], {}
+    if form == "flow":
+        env.update(_FLOAT_OPS)
     varying = set()  # the locals that read the point
+
+    def floats(*args):  # whether a node over these locals is computed on Python floats
+        return form == "flow" and not varying.isdisjoint(args)
 
     def emit(e):  # -> local name
         code = None
@@ -276,13 +296,20 @@ def _compile(exprs, form):
         elif isinstance(e, Unary):
             a = emit(e.arg)
             key, code = (e.op, a), f"{e.op}({a})" if interval or e.op != "neg" else f"-{a}"
+            if floats(a) and e.op != "neg":
+                code = f"_{e.op}({a})"
         elif isinstance(e, Binary):
             a, b = emit(e.lhs), emit(e.rhs)
             key, code = (e.op, a, b), f"{_INTERVAL_OPS[e.op]}({a}, {b})" if interval else f"{a} {e.op} {b}"
+            known = isinstance(e.rhs, Const) and e.rhs.value != 0.0  # a divisor that is not zero
+            if floats(a, b) and e.op == "/" and not known:  # Python raises on a zero divisor
+                code = f"({a} / {b} if {b} else _div({a}, {b}))"
         elif isinstance(e, Power):
             a = emit(e.base)
             key = ("^", a, e.exponent)
             code = f"power({a}, {e.exponent!r})" if interval else f"{a} ** ({e.exponent!r})"
+            if floats(a):  # numpy squares by a * a
+                code = f"{a} * {a}" if e.exponent == 2 else f"_power({a}, {e.exponent!r})"
         else:
             raise TypeError(f"not an expression node: {e!r}")
         if key not in names:
@@ -305,6 +332,9 @@ def _compile(exprs, form):
 
     if form == "step":
         src = _step_source(len(exprs), [velocity(comps) for comps in zip(*exprs)], lines, varying)
+    elif form == "flow":
+        outs = [emit(e) for e in exprs]
+        src = _flow_source(outs, lines, varying, [name for name in names.values() if name not in varying])
     elif interval:
         for k, e in enumerate(exprs):
             lines.append((f"lo[..., {k}], hi[..., {k}]", emit(e)))
@@ -373,6 +403,72 @@ def _step_source(r: int, cols, lines, varying) -> str:
     step += [f"np.add(y{k}, w * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k}), out=out[..., {k}])" for k in moving]
     make += ["def step(Y):"] + [f"    {line}" for line in step] + ["    return out", "return step"]
     return "def kernel(A, dt):\n" + "".join(f"    {line}\n" for line in make)
+
+
+def _flow_source(outs, lines, varying, fixed) -> str:
+    """Source of the flow kernel(Y, steps) -> (ends, nodes) of the expressions whose
+    locals are outs, as `_compile`'s docstring gives it.
+
+    lines holds the value-numbered locals (name, code), varying the names of
+    those that read the point, whose code is on Python floats, and fixed the
+    rest, constants included, which constants() computes in numpy as the point
+    kernel does and returns as Python floats.  The stage arithmetic is
+    flows._rk4_step's at dt = 1.0 / steps, in the read columns of the stage
+    points.  Each stage's locals carry its number, so a stage's velocity is
+    its locals, not a copy; a column that reads no coordinate has its offsets
+    h·v and dt·v and its increment computed once per call.
+    """
+    width = len(outs)
+    coords = sorted(int(name[1:]) - 1 for name, _ in lines if name.startswith("x"))  # the columns read
+    body = [(name, code) for name, code in lines if name in varying and not name.startswith("x")]
+    constant = [k for k in range(width) if outs[k] not in varying]
+    head = ["h = 0.5 * dt", "w = dt / 6.0"]
+    for k in constant:
+        head += [f"hv{k} = h * {outs[k]}", f"dtv{k} = dt * {outs[k]}"] if k in coords else []
+        head.append(f"i{k} = w * ({outs[k]} + 2.0 * {outs[k]} + 2.0 * {outs[k]} + {outs[k]})")
+    step, ks = [], []  # the loop's lines, and each stage's velocity by column
+    for s, offset in enumerate((None, "h", "h", "dt"), 1):
+        at = {f"x{c + 1}": f"y{c}" for c in coords} if s == 1 else {}
+        for c in coords if s > 1 else ():
+            x = f"x{c + 1}_{s}"
+            if c not in constant:
+                step.append(f"{x} = y{c} + {offset} * {ks[-1][c]}")
+            elif s != 3:
+                step.append(f"{x} = y{c} + {offset}v{c}")
+            else:  # y + h·v, as at stage 2
+                x = f"x{c + 1}_2"
+            at[f"x{c + 1}"] = x
+        for name, code in body:
+            at[name] = f"{name}_{s}"
+            step.append(f"{name}_{s} = " + re.sub(r"\b[tx]\d+\b", lambda m: at.get(m[0], m[0]), code))
+        ks.append([at.get(out, out) for out in outs])
+    ends = [f"y{k} + i{k}" if k in constant else f"y{k} + w * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+            for k, (k1, k2, k3, k4) in enumerate(zip(*ks))]
+    ys = "".join(f"y{k}, " for k in range(width))
+    step += [f"{ys}= " + "".join(f"{end}, " for end in ends), f"nodes += ({ys})"]  # at once: a k1 may be a y
+    src = ["def constants():", '    with np.errstate(all="ignore"):']
+    src += [f"        {name} = {code}" for name, code in lines if name not in varying]
+    src += ["        return (" + "".join(f"float({name}), " for name in fixed) + ")", "def kernel(Y, steps):"]
+    src += ["    " + "".join(f"{name}, " for name in fixed) + "= constants()"] if fixed else []
+    src += ["    dt = 1.0 / steps"] + [f"    {line}" for line in head]
+    src += ["    nodes = []", '    with np.errstate(all="ignore"):', f"        for {ys}in Y.tolist():",
+            "            for _ in range(steps):"]
+    src += [f"                {line}" for line in step]
+    src += [f"    nodes = np.array(nodes, dtype=float).reshape(len(Y), steps, {width})",
+            "    return nodes[:, -1].copy(), nodes"]
+    return "".join(f"{line}\n" for line in src)
+
+
+def _on_one(f):
+    """f on a one-element array, back as a Python float: the bits of f's array loop."""
+    return lambda a, *rest: float(f(np.array([a]), *rest)[0])
+
+
+#: the flow kernel's operations on Python floats that Python's own would not
+#: give numpy's bits for: a zero divisor (Python raises), powers but squares,
+#: and sin, cos, exp and sqrt, each through numpy's loop on one element
+_FLOAT_OPS = {"_div": _on_one(operator.truediv), "_power": _on_one(operator.pow)}
+_FLOAT_OPS.update({f"_{name}": _on_one(f) for name, f in _NP_FUNCS.items()})
 
 
 # -- interval operations --------------------------------------------------

@@ -208,3 +208,15 @@ def test_geodesic_equations_have_one_builder_and_one_caller():
     defined = {p.name: _defined_functions(ast.parse(p.read_text())) for p in sorted(SRC.rglob("*.py"))}
     assert {k for k, names in defined.items() if any("geodesic" in f and "equation" in f for f in names)} == {"hormander.py"}
     assert _src_call_sites("_geodesic_equations") == {"ccmetric.py": {"_geodesic_upper": 1}}
+
+
+def test_rk4_step_is_called_only_by_rk4_flow():
+    # the geodesic solve integrates with symexpr's flow kernel, and the control
+    # integrator and the oracle with its step kernel, each pinned to _rk4_step's
+    # bits by a property test in tests/test_symexpr.py
+    assert _src_call_sites("_rk4_step") == {"flows.py": {"rk4_flow": 1}}
+
+
+def test_unit_flow_is_called_only_by_the_geodesic_solve():
+    # one flow call per Newton iteration integrates the solve's whole batch
+    assert _src_call_sites("_unit_flow") == {"ccmetric.py": {"_geodesic_upper": 1}}

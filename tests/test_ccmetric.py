@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ccgeo import ccmetric
+from ccgeo import ccmetric, flows
 from ccgeo.ccmetric import (
     BOUNDARY_TOL,
+    MetricEstimate,
     ReachGraph,
     ball_volume,
     cc_distance,
@@ -512,6 +513,27 @@ _FALLBACK_PAIRS = [
 def test_fallback_pairs_keep_the_scale_search_intervals_bit_for_bit(fixture, mode, x, y, lower, upper):
     est = cc_distance(load_scenario(fixture).system(), x, y, mode=mode, tol=0.05, K=4)
     assert (est.lower.hex(), est.upper.hex()) == (lower, upper)
+
+
+@pytest.mark.parametrize("fixture, mode, x, y, lower, upper", [
+    # equal degrees: dist10 of seed 1, extrinsic
+    ("heisenberg", "extrinsic", (-0.011749, -0.086263, 0.034891), (0.117856, -0.092159, 0.036884),
+     "0x1.bb1287141a272p-3", "0x1.d264584b0e0e4p-3"),
+    # unequal degrees: the scaled geodesic on (p0, log delta)
+    ("heat", "intrinsic", (-0.29822, 0.301204), (-0.21844, 0.351561), "0x1.c29b4509da0cap-3", "0x1.da529983a2284p-3"),
+])
+def test_geodesic_solve_integrates_each_newton_iteration_in_one_flow_call(fixture, mode, x, y, lower, upper, monkeypatch):
+    # the interval (as float.hex) is the one the solve gave when it stepped flows._rk4_step
+    # over the point kernel itself; now each iteration's batch is one flows._unit_flow call,
+    # and its Newton solve follows (a second one gives a converged start's error estimate)
+    calls = []
+    flow, newton_steps = ccmetric._unit_flow, ccmetric._newton_steps
+    monkeypatch.setattr(flows, "_rk4_step", lambda *args: calls.append("R"))
+    monkeypatch.setattr(ccmetric, "_unit_flow", lambda *args: calls.append("F") or flow(*args))
+    monkeypatch.setattr(ccmetric, "_newton_steps", lambda *args: calls.append("N") or newton_steps(*args))
+    est = cc_distance(load_scenario(fixture).system(), x, y, mode=mode, tol=0.05, K=4)
+    assert est == MetricEstimate(float.fromhex(lower), float.fromhex(upper), "shooting")
+    assert re.fullmatch("(FNN?)+", "".join(calls)), "".join(calls)
 
 
 def test_a_converged_geodesic_does_not_depend_on_K(monkeypatch):

@@ -412,6 +412,34 @@ def test_compiled_step_matches_rk4_over_the_weighted_kernel_bit_for_bit(data):
     _assert_bit_identical_but_nan_payloads(got, want)
 
 
+# -- the flow kernel against steps of _rk4_step over the point kernel --------
+
+# divisions by zero, by a constant zero and near zero, squares, cubes and each function
+_FLOW_EXPRS = [
+    parse_expr(text, _N)
+    for text in ("x1/x2", "x1/0", "(x2-x3)/(x1-x1)", "x3/(x1*1e-300)", "1/(x2-1e-12)", "x1^2", "x2^3",
+                 "(x1+x3)^-3", "sin(x2)", "cos(x1*x3)", "exp(x3)", "sqrt(x1-x2)", "x2")
+]
+# rows holding both signed zeros, infinities and nan as well
+_flow_coords = _coords | st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_exprs | st.sampled_from(_FLOW_EXPRS), min_size=_N, max_size=_N), st.data())
+def test_flow_kernel_matches_rk4_steps_over_the_point_kernel_bit_for_bit(exprs, data):
+    B, steps = data.draw(st.sampled_from([0, 1, 5, 35])), data.draw(st.sampled_from([1, 4, 32]))
+    Y = np.array(data.draw(st.lists(_flow_coords, min_size=B * _N, max_size=B * _N)), dtype=float).reshape(B, _N)
+    with np.errstate(all="raise"):  # the flow kernel ignores numpy's errors itself
+        ends, nodes = flows._unit_flow(tuple(exprs), Y, steps)
+    point, y, want = symexpr._kernel("point", tuple(exprs)), Y, []
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            y = flows._rk4_step(point, y, 1.0 / steps)
+            want.append(y)
+    _assert_bit_identical_but_nan_payloads(ends, y)
+    _assert_bit_identical_but_nan_payloads(nodes, np.stack(want, axis=1))
+
+
 # -- interval kernels --------------------------------------------------------
 
 _SCENARIOS = [p.stem for p in sorted(cli.fixtures_dir().glob("*.scn"))] + [
