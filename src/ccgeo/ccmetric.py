@@ -31,6 +31,7 @@ import numpy as np
 
 from .flows import GUARD_FACTOR, _control_step, _reach_box, _unit_flow
 from .hormander import WeightedSystem, _field_columns, _field_stack, _geodesic_equations, enumerate_commutators
+from .symexpr import _kernel
 
 __all__ = [
     "ReachSample",
@@ -352,12 +353,14 @@ class ReachGraph:
     independent and nothing is settled before the round ends, so the
     blocks, the dead rows and the elided guards change no bit.  A round's
     fixed cost is its count of numpy and Python calls, kept few with the
-    same bits: one field kernel call, column-by-column folds over the
-    n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost per
+    same bits: one call of the field tuple's compiled move rates (the
+    rates form of `symexpr._compile`, made once per run, which evaluates
+    only the components that read the point), column-by-column folds over
+    the n = 2 or 3 coordinates, and the compiled RK4 step.  Its cost per
     arrival avoids numpy's slow broadcast of a length-n vector over (N, n)
     rows: grid indices, membership and the move rates, laid out (D, F)
-    with the F frontier points contiguous, go one coordinate column at a
-    time.
+    with the F frontier points contiguous (or one (D, 1) row where no rate
+    reads the point), go one coordinate column at a time.
 
     A negative or non-finite scale delta and a base point outside the
     chart (or below {x_n = 0} in intrinsic mode) raise ValueError, as do a
@@ -374,7 +377,7 @@ class ReachGraph:
         self.mode = _check_mode(mode)
         self.res = _check_resolution(res, sys.n)
         _check_in_chart(sys.box, self.x0, mode == "intrinsic")
-        self.factors = np.array([delta**d for d in sys.degrees])
+        self.factors = np.array([self.delta**d for d in sys.degrees])  # finite: a float power raises on overflow
         self.dirs = _move_directions(sys.r)
         # arrivals pass Box.contains, so their indices lie in the box's range
         c = np.asarray(sys.box.center, dtype=float)
@@ -453,8 +456,6 @@ class ReachGraph:
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"arrival tolerance must be finite and non-negative, got arrival_tol = {arrival_tol}")
         vfs = self.sys.vfields()
-        factors, res = self.factors[:, None, None], self.res.tolist()
-        dir_cols = self.dirs.T[:, :, None]  # (r, D, 1): per control j the column dirs[:, j]
         weights = self.dirs * self.factors  # (D, r) control coefficients per direction
         box = self.sys.box
         # Box.contains from |y - c|, one coordinate at a time; a nan or inf coordinate fails it
@@ -467,6 +468,7 @@ class ReachGraph:
         speed, reach = _reach_box(self.sys, self.x0, self.delta) or (None, np.full(self.sys.n, math.inf))
         boxed = all(np.all(np.abs(b - c) <= edge) for b in (self.x0 - reach, self.x0 + reach))
         halfspace = self.mode == "intrinsic" and box.has_boundary and self.x0[-1] - reach[-1] < -BOUNDARY_TOL
+        move_rates = _kernel("rates", vfs)(self.dirs, self.factors, self.res)
 
         def unreachable(P, C) -> bool:
             """Whether no descendant of frontier points P at costs C can land within tol of
@@ -479,26 +481,14 @@ class ReachGraph:
         def moves(P, C):
             """The kept arrivals (Y, cost, tau) of frontier points P at costs C,
             in (point, direction) order, and the costs of those that hit the target."""
-            # move rates, per coordinate i the (D, F) rows |V_i| / res_i with the F points
-            # contiguous, V_i[d, f] = sum_j dirs[d, j] (delta^d_j W_j)_i(P_f) summed left
-            # to right in j, then their maximum left to right in i; up to the sign of a
-            # zero, which abs drops, V is einsum("dr,rfn->fdn") bit for bit
-            W = _field_stack(vfs, P)  # (r, F, n)
-            W *= factors
-            rates = None
-            for i, res_i in enumerate(res):
-                v = dir_cols[0] * W[0, :, i]
-                for j in range(1, len(dir_cols)):
-                    v += dir_cols[j] * W[j, :, i]
-                np.abs(v, out=v)
-                v /= res_i
-                rates = v if rates is None else np.maximum(rates, v, out=rates)
+            # move rates max_i |V_i| / res_i, V_i[d, f] = sum_j dirs[d, j] (delta^d_j W_j)_i(P_f):
+            # (D, F) with the F points contiguous, or a (D, 1) row where no rate reads the point
+            rates = move_rates(P)
             remaining = 1.0 - C
-            live = rates > 1e-14
-            live &= remaining > 1e-12
+            live = (rates > 1e-14) & (remaining > 1e-12)
             # every (point, direction) row, dead ones included: the mask below drops them
             F, D = len(P), len(weights)
-            tau = np.minimum(1.0 / rates.T.ravel(), remaining.repeat(D))
+            tau = np.minimum(1.0 / rates, remaining).T.ravel()
             step = _control_step(vfs, np.tile(weights, (F, 1)), tau / 2.0)
             Y, ok = P.repeat(D, 0), live.T.ravel()  # ok: and-ed with each guard after each step
             for _ in range(2):
@@ -1113,7 +1103,9 @@ def ball_volume(
     resolution at 1/32 of its extent (1/22 above dimension 2); the oracle's
     reachable set then provides both the bounding box (its own extents
     plus a one-cell margin, inflated by 1.2) and the membership test for
-    uniform box samples, over which the density is averaged.
+    uniform box samples, over which the density is averaged.  A delta so
+    small that this resolution's grid of the chart does not fit int64 cell
+    keys raises ValueError naming delta and the resolution.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got delta = {delta}")
@@ -1124,7 +1116,14 @@ def ball_volume(
     pts = np.vstack([cloud.feasible_endpoints(), x[None]])
     spread = np.abs(pts - x).max(axis=0)
     res = np.maximum(2.0 * spread / (32 if sys.n <= 2 else 22), delta * 1e-4)
-    graph = reach_graph(sys, x, delta, mode, res=res)
+    try:
+        graph = ReachGraph(sys, x, delta, mode, res=res)
+    except ValueError as exc:  # past the checks above, only the grid's: res is derived from delta
+        raise ValueError(
+            f"ball volume at delta = {delta}: the oracle resolution derived from it, {res.tolist()}, "
+            "makes a grid of the chart too fine for int64 cell keys; use a larger delta"
+        ) from exc
+    graph.run()
     reached = graph.settled_pts
     lo, hi = reached.min(axis=0) - res, reached.max(axis=0) + res
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

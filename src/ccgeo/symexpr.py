@@ -8,9 +8,10 @@ compiled numpy kernel in float64: a domain error (division by zero,
 sqrt of a negative, overflow) gives inf or nan and never raises.  This
 module owns every kernel: `_kernel(form, fields)` compiles a tuple of
 fields once per form (point values, interval enclosures, the control
-velocity sum_j a_j W_j or its RK4 step, and the RK4 flow of the point
-values over unit time, on Python floats for small batches) into one
-bounded cache, keyed on the fields as printed.
+velocity sum_j a_j W_j or its RK4 step, the grid oracle's move rates,
+and the RK4 flow of the point values over unit time, on Python floats
+for small batches) into one bounded cache, keyed on the fields as
+printed.
 
 Simplification is limited to constant folding and 0/1 absorption; no
 general rewriting is attempted, so brackets stay exact without risking
@@ -208,15 +209,15 @@ def func(name: str, arg: Expr) -> Expr:
 def _kernel(form: str, fields):
     """The kernel of a tuple of fields (VFields, or expressions as one-component
     fields) in `form`, compiled by `_compile` on first use: the point, interval and
-    flow forms over every component of every field in turn, the weighted and step
-    forms over the fields as the control velocity's terms.  The one cache keeps at most
+    flow forms over every component of every field in turn, the weighted, step and
+    rates forms over the fields as the control velocity's terms.  The one cache keeps at most
     _KERNEL_CACHE_SIZE kernels, the oldest dropped first, keyed on the form and the
     fields as printed, which, unlike their equality, tell Const(0.0) from Const(-0.0)."""
     key = (form, tuple([f._text for f in fields]))
     kernel = _KERNELS.get(key)
     if kernel is None:
         comps = tuple([f.components if isinstance(f, VField) else (f,) for f in fields])
-        kernel = _KERNELS[key] = _compile(comps if form in ("weighted", "step") else sum(comps, ()), form)
+        kernel = _KERNELS[key] = _compile(comps if form in ("weighted", "step", "rates") else sum(comps, ()), form)
         if len(_KERNELS) > _KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]  # the oldest
     return kernel
@@ -244,13 +245,29 @@ def _compile(exprs, form):
     Stage points are written into one (B, n) array, so every coordinate
     column that the expressions read is laid out as in the weighted kernel.
 
+    With form="rates" the fields give the grid oracle's move rates:
+    make(dirs, factors, res) returns rates(P) for control directions dirs
+    (D, r), finite scale factors (r,) and cell sizes res (n,), and rates(P)
+    gives max_i |sum_j dirs[:, j] * (W_ji(P) * factors[j])| / res_i (D, F)
+    for points P (F, n), with the bits of that loop over the point kernel:
+    each term dirs[:, j] * (W_ji * factors[j]), summed left to right in j,
+    the first term alone, then abs, / res_i, and np.maximum left to right
+    in i.  A term whose component is the constant 0 is skipped (it adds a
+    signed zero, which abs drops; finite factors keep it from being nan).
+    make computes the terms of the constant components, the sum of a
+    coordinate's leading run of them, a coordinate whose terms are all
+    constant as a (D, 1) rate row, and the leading maximum of such rows; rates(P)
+    evaluates only the components that read the point.  Where no rate reads
+    it, rates(P) returns make's one read-only (D, 1) row.
+
     Each distinct subtree (signed zeros kept apart), across all the
     expressions, is one local, computed once in float64: constants are
     bound as np.float64, so constant-only subtrees follow numpy too, and
     domain errors give inf/nan.  The plain kernel ignores numpy's
     floating-point errors itself; the weighted and step forms run inside
     RK4 loops and leave that to their caller, which enters np.errstate
-    once per integration rather than once per stage.
+    once per integration rather than once per stage, and so do the rates
+    of the rates form, whose make ignores them itself.
 
     With form="flow" the point kernel's expressions over N = len(exprs)
     state variables drive classical RK4 over unit time: kernel(Y, steps)
@@ -332,6 +349,9 @@ def _compile(exprs, form):
 
     if form == "step":
         src = _step_source(len(exprs), [velocity(comps) for comps in zip(*exprs)], lines, varying)
+    elif form == "rates":
+        cols = [[(j, emit(e)) for j, e in enumerate(comps) if not _is_const(e, 0.0)] for comps in zip(*exprs)]
+        src = _rates_source(len(exprs), cols, lines, varying)
     elif form == "flow":
         outs = [emit(e) for e in exprs]
         src = _flow_source(outs, lines, varying, [name for name in names.values() if name not in varying])
@@ -403,6 +423,47 @@ def _step_source(r: int, cols, lines, varying) -> str:
     step += [f"np.add(y{k}, w * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k}), out=out[..., {k}])" for k in moving]
     make += ["def step(Y):"] + [f"    {line}" for line in step] + ["    return out", "return step"]
     return "def kernel(A, dt):\n" + "".join(f"    {line}\n" for line in make)
+
+
+def _rates_source(r: int, cols, lines, varying) -> str:
+    """Source of the move-rates factory make(dirs, factors, res) -> rates(P) of r
+    fields, as `_compile`'s docstring gives it: make computes all that reads no
+    coordinate, rates(P) the rest.
+
+    cols holds per coordinate i the (j, local) of each component W_ji that is
+    not the constant 0, in j order; lines the value-numbered locals (name,
+    code) and varying the names of those that read the point.
+    """
+    make = [f"d{j} = dirs[:, {j}:{j + 1}]" for j in range(r)] + [f"f{j} = factors[{j}]" for j in range(r)]
+    make += [f"{name} = {code}" for name, code in lines if name not in varying]
+    body = [f"{name} = {code}" for name, code in lines if name in varying]
+    top, fixed = None, True  # the running maximum's local, and whether make computes it
+    for i, terms in enumerate(cols):
+        sums = [(f"d{j} * ({t} * f{j})", t in varying) for j, t in terms]
+        lead = next((k for k, (_, reads) in enumerate(sums) if reads), len(sums))  # the leading constant terms
+        make += [f"s{i} = {s}" if k == 0 else f"s{i} = s{i} + {s}" for k, (s, _) in enumerate(sums[:lead])]
+        make.append(f"q{i} = float(res[{i}])")
+        row = lead == len(sums)
+        if row:
+            make.append(f"v{i} = np.abs(s{i}) / q{i}" if sums else f"v{i} = np.zeros((len(dirs), 1))")
+        else:
+            body.append(f"v{i} = " + (f"s{i} + " if lead else "") + sums[lead][0])
+            for k, (s, reads) in enumerate(sums[lead + 1 :], lead + 1):
+                if not reads:
+                    make.append(f"k{i}_{k} = {s}")
+                body.append(f"v{i} += " + (s if reads else f"k{i}_{k}"))
+            body += [f"np.abs(v{i}, out=v{i})", f"v{i} /= q{i}"]
+        if top is not None:  # left to right in i, in make while every rate so far is a row
+            into = f"v{i}" if fixed else top
+            (make if fixed and row else body).append(f"np.maximum({top}, v{i}, out={into})")
+        if top is None or fixed:
+            top, fixed = f"v{i}", row
+    if fixed:
+        make.append(f"{top}.setflags(write=False)")
+    src = ["def kernel(dirs, factors, res):", '    with np.errstate(all="ignore"):']
+    src += [f"        {line}" for line in make] + ["    def rates(P):"]
+    src += [f"        {line}" for line in body] + [f"        return {top}", "    return rates"]
+    return "".join(f"{line}\n" for line in src)
 
 
 def _flow_source(outs, lines, varying, fixed) -> str:

@@ -111,10 +111,12 @@ def test_packaged_fixtures_are_pinned():
     assert tuple(sorted(p.name for p in (SRC / "fixtures").glob("*.scn"))) == PACKAGED_FIXTURES
 
 
-def _calls_of(tree: ast.AST, name: str) -> int:
-    """Calls of `name` or of `<anything>.name` in a syntax tree."""
+def _calls_of(tree: ast.AST, name: str, first=None) -> int:
+    """Calls of `name` or of `<anything>.name` in a syntax tree; with `first`, only
+    those whose first argument is that constant."""
     return sum(
         isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and (first is None or bool(node.args) and getattr(node.args[0], "value", None) == first)
         for node in ast.walk(tree)
     )
 
@@ -129,6 +131,8 @@ def test_compile_has_one_call_site():
 def test_call_counter_sees_plain_and_attribute_calls():
     tree = ast.parse("_compile(a, 'point')\nsymexpr._compile(b, f)\nx = _compile\ny._compile.z()\n")
     assert _calls_of(tree, "_compile") == 2
+    tree = ast.parse("_kernel('rates', v)(d)\nsymexpr._kernel('point', v)\n_kernel(form, v)\n_kernel()\n")
+    assert (_calls_of(tree, "_kernel", "rates"), _calls_of(tree, "_kernel", "point"), _calls_of(tree, "_kernel")) == (1, 1, 4)
 
 
 def _scatter_owners(tree: ast.AST) -> list[str]:
@@ -164,7 +168,7 @@ def test_scatter_owners_see_methods_and_module_level_calls():
     assert _scatter_owners(tree) == ["", "S.f.g"]
 
 
-def _call_sites(tree: ast.Module, name: str) -> dict[str, int]:
+def _call_sites(tree: ast.Module, name: str, first=None) -> dict[str, int]:
     """Calls of `name` (by `_calls_of`) per top-level function and per method,
     a nested function's counting in its own; "" keys those outside every function."""
     defs = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
@@ -173,13 +177,13 @@ def _call_sites(tree: ast.Module, name: str) -> dict[str, int]:
         for c in tree.body if isinstance(c, ast.ClassDef)
         for d in c.body if isinstance(d, ast.FunctionDef)
     ]
-    sites = {q: k for q, d in defs if (k := _calls_of(d, name))}
-    outside = _calls_of(tree, name) - sum(sites.values())
+    sites = {q: k for q, d in defs if (k := _calls_of(d, name, first))}
+    outside = _calls_of(tree, name, first) - sum(sites.values())
     return {"": outside, **sites} if outside else sites
 
 
-def _src_call_sites(name: str) -> dict[str, dict[str, int]]:
-    return {p.name: s for p in sorted(SRC.rglob("*.py")) if (s := _call_sites(ast.parse(p.read_text()), name))}
+def _src_call_sites(name: str, first=None) -> dict[str, dict[str, int]]:
+    return {p.name: s for p in sorted(SRC.rglob("*.py")) if (s := _call_sites(ast.parse(p.read_text()), name, first))}
 
 
 def test_call_sites_count_nested_calls_in_their_function_or_method():
@@ -220,3 +224,10 @@ def test_rk4_step_is_called_only_by_rk4_flow():
 def test_unit_flow_is_called_only_by_the_geodesic_solve():
     # one flow call per Newton iteration integrates the solve's whole batch
     assert _src_call_sites("_unit_flow") == {"ccmetric.py": {"_geodesic_upper": 1}}
+
+
+def test_move_rates_come_from_one_rates_kernel_in_the_oracle_run():
+    # every oracle round takes its move rates from symexpr's rates form, pinned to the
+    # field-stack loop it replaced by a property test in tests/test_symexpr.py
+    assert _src_call_sites("_kernel", "rates") == {"ccmetric.py": {"ReachGraph.run": 1}}
+    assert "ReachGraph.run" not in _src_call_sites("_field_stack").get("ccmetric.py", {})

@@ -59,6 +59,22 @@ def heat_half_plane():
     )
 
 
+def degenerate_interior():
+    # x1 d/dx1 and x1 d/dx2, like the degenerate fixture: every component reads x1 or is 0
+    return WeightedSystem(
+        fields=((parse_vfield("x1, 0", 2), 1), (parse_vfield("0, x1", 2), 1)),
+        box=Box((1.0, 1.0)),
+    )
+
+
+def scaled_half_plane():
+    # constant components that are neither 0 nor 1, and mixed degrees
+    return WeightedSystem(
+        fields=((parse_vfield("2, 0", 2), 1), (parse_vfield("0.5, x1", 2), 2)),
+        box=Box((1.0, 1.0), has_boundary=True),
+    )
+
+
 def heisenberg_half():
     # coordinates (y, t, x); boundary {x = 0}; W1 = d/dx - (y/2) d/dt
     return WeightedSystem(
@@ -1005,10 +1021,17 @@ REFERENCE_CASES = [
     (elliptic_unit_half_plane, (0.9, 0.05), 0.5, "intrinsic", 0.03),
     # on x1 = 0 the directions +-d/dx2 have rate 0: dead pairs that the final mask drops
     (grushin_interior, (0.0, 0.0), 0.3, "intrinsic", 0.025),
+    # no coordinate's move rate is constant, and each field has one zero component
+    (degenerate_interior, (0.5, 0.0), 0.3, "intrinsic", 0.01),
+    # a constant rate row (2 and 0.5 in x1) before a rate that reads x1
+    (scaled_half_plane, (0.2, 0.05), 0.3, "intrinsic", (0.02, 0.01)),
 ]
 # the guards each case's runs keep, by its reach box: the chart box test when the box
 # leaves the chart, the half-space test when it dips below x_n = -BOUNDARY_TOL
-REFERENCE_GUARDS = [{"halfspace"}, set(), set(), set(), {"halfspace"}, set(), {"halfspace"}, {"halfspace"}, {"box", "halfspace"}, set()]
+REFERENCE_GUARDS = [
+    {"halfspace"}, set(), set(), set(), {"halfspace"}, set(), {"halfspace"}, {"halfspace"}, {"box", "halfspace"}, set(),
+    set(), {"halfspace"},
+]
 
 
 def _guards_kept(g, reach):
@@ -1118,15 +1141,19 @@ PROVEN_MISS_CASES = [
 def test_proven_miss_returns_the_dict_loop_answer_in_fewer_rounds(case, monkeypatch):
     make, x, delta, mode, res, target = PROVEN_MISS_CASES[case]
     tol = 0.5 * float(np.min(res))
-    rounds, stack = [], _field_stack
+    rounds, stack, control_step = [], _field_stack, ccmetric._control_step
 
-    def counted(vfs, P):  # one field stack per round, as every round fits one block
+    def counted(vfs, P):  # the reference's one field stack per round
         rounds[-1] += 1
         return stack(vfs, P)
 
+    def counted_step(vfs, a, dt):  # one compiled step per round, as every round fits one block
+        rounds[-1] += 1
+        return control_step(vfs, a, dt)
+
     monkeypatch.setattr(ccmetric, "ROUND_ROWS", 10**9)
-    monkeypatch.setattr(ccmetric, "_field_stack", counted)
-    monkeypatch.setitem(globals(), "_field_stack", counted)  # the reference's
+    monkeypatch.setattr(ccmetric, "_control_step", counted_step)
+    monkeypatch.setitem(globals(), "_field_stack", counted)
     runs = []
     for run in (_reference_run, ReachGraph.run):
         rounds.append(0)
@@ -1503,7 +1530,7 @@ def test_reach_graph_rejects_a_bad_scale(delta, monkeypatch):
 ])
 def test_reach_graph_run_rejects_a_bad_target_or_tolerance(target, tol, what, monkeypatch):
     # each used to explore the whole budget and return (False, inf)
-    monkeypatch.setattr(ccmetric, "_field_stack", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(ccmetric, "_control_step", lambda *args: pytest.fail("searched"))
     with pytest.raises(ValueError, match=what):
         ReachGraph(elliptic_half_plane(), (0.0, 0.5), 0.3, res=0.02).run(target, tol)
 

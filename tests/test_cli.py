@@ -182,6 +182,16 @@ def test_dist_oracle_rejects_bad_resolution(resolution, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_volume_at_a_tiny_delta_names_delta_and_its_derived_resolution(capsys):
+    # volume has no --resolution: the error used to end "coarsen the resolution"
+    assert main(["volume", "grushin", "--x", "0.5", "0", "--delta", "1e-9"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert re.fullmatch(
+        r"numeric error: ball volume at delta = 1e-09: the oracle resolution derived from it, \[\S+, \S+\], "
+        r"makes a grid of the chart too fine for int64 cell keys; use a larger delta\n", err)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgeo import cli, flows, symexpr
+from ccgeo import ccmetric, cli, flows, symexpr
 from ccgeo.hormander import _field_columns, _field_stack, build_Z_system, enumerate_commutators
 from ccgeo.symexpr import (
     UNARY_FUNCS,
@@ -438,6 +438,73 @@ def test_flow_kernel_matches_rk4_steps_over_the_point_kernel_bit_for_bit(exprs, 
             want.append(y)
     _assert_bit_identical_but_nan_payloads(ends, y)
     _assert_bit_identical_but_nan_payloads(nodes, np.stack(want, axis=1))
+
+
+# -- the oracle's move rates against the field-stack loop -------------------
+
+def _rates_loop(vfs, dirs, factors, res, P):
+    """max_i |sum_j dirs[:, j] (factors_j W_j)_i(P)| / res_i (D, F), as ReachGraph.run's
+    moves computed it from the point kernel before the rates form."""
+    W = _field_stack(vfs, P)  # (r, F, n)
+    W *= factors[:, None, None]
+    dir_cols = dirs.T[:, :, None]
+    rates = None
+    for i, res_i in enumerate(res.tolist()):
+        v = dir_cols[0] * W[0, :, i]
+        for j in range(1, len(dir_cols)):
+            v += dir_cols[j] * W[j, :, i]
+        np.abs(v, out=v)
+        v /= res_i
+        rates = v if rates is None else np.maximum(rates, v, out=rates)
+    return rates
+
+
+# constant components besides 0, -0 and 1, so that whole rate rows read no coordinate
+_rate_components = _components | st.sampled_from([Const(2.0), Const(-0.5), Const(1e-300), Const(3.0)])
+_deltas = st.sampled_from([0.0, 1e-3, 0.3, 1.0, 2.0]) | st.floats(0.0, 2.0)
+_resolutions = st.sampled_from([0.01, 0.025, 1.0, 3e-5]) | st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rates_kernel_matches_the_field_stack_loop_bit_for_bit(data):
+    r = data.draw(st.integers(1, 3))
+    vfs = tuple(VField(f) for f in data.draw(st.lists(st.lists(_rate_components, min_size=_N, max_size=_N).map(tuple), min_size=r, max_size=r)))
+    dirs, delta = ccmetric._move_directions(r), data.draw(_deltas)
+    factors = np.array([delta**d for d in data.draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))])
+    res = np.array(data.draw(st.lists(_resolutions, min_size=_N, max_size=_N)))
+    F = data.draw(st.sampled_from([0, 1, 5, 35]))
+    P = np.array(data.draw(st.lists(_flow_coords, min_size=F * _N, max_size=F * _N)), dtype=float).reshape(F, _N)
+    with np.errstate(all="raise"):  # make ignores numpy's errors itself
+        rates = symexpr._kernel("rates", vfs)(dirs, factors, res)
+    with np.errstate(all="ignore"):  # rates(P), like the step form, leaves them to its caller
+        got = rates(P)
+        want = _rates_loop(vfs, dirs, factors, res, P)
+    assert got.shape in (want.shape, (len(dirs), 1))  # a (D, 1) row where no rate reads the point
+    _assert_bit_identical(np.broadcast_to(got, want.shape), want)
+
+
+def test_rates_kernel_folds_constant_rows_and_skips_zero_terms(monkeypatch):
+    # heisenberg: the x1 and x3 rates read no coordinate, and each field has a zero term;
+    # the frame's x3 rate adds a constant term after two that read the point; elliptic:
+    # every rate is one (D, 1) row, computed once per make
+    heisenberg = (parse_vfield("0, 0-x1/2, 1", 3), parse_vfield("1, x3/2, 0", 3))
+    frame = (parse_vfield("1, 0, x2/2", 3), parse_vfield("0, 1, 0-x1/2", 3), parse_vfield("0, 0, 1", 3))
+    elliptic = (parse_vfield("1, 0, 0", 3), parse_vfield("0, 1, 0", 3), parse_vfield("0, 0, 1", 3))
+    sources, rates_source = [], symexpr._rates_source
+    monkeypatch.setattr(symexpr, "_KERNELS", {})
+    monkeypatch.setattr(symexpr, "_rates_source", lambda *args: sources.append(rates_source(*args)) or sources[-1])
+    P = np.random.default_rng(5).uniform(-1.0, 1.0, size=(7, _N))
+    for vfs in (heisenberg, frame, elliptic):
+        dirs, factors, res = ccmetric._move_directions(len(vfs)), np.array([0.3, 0.09, 0.3][: len(vfs)]), np.array([0.02, 0.01, 0.03])
+        rates = symexpr._kernel("rates", vfs)(dirs, factors, res)
+        # one term per component that is not the constant 0
+        assert len(re.findall(r"\bd\d \* \(", sources[-1])) == sum(not symexpr._is_const(c, 0.0) for vf in vfs for c in vf.components)
+        with np.errstate(all="ignore"):
+            got, want = rates(P), _rates_loop(vfs, dirs, factors, res, P)
+        _assert_bit_identical(np.broadcast_to(got, want.shape), want)
+        assert got.shape == ((len(dirs), 1) if vfs is elliptic else want.shape)
+    assert rates(P) is rates(P[:2]) and not rates(P).flags.writeable  # the one row, read-only
 
 
 # -- interval kernels --------------------------------------------------------
