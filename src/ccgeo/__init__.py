@@ -1,5 +1,5 @@
 """Numerical toolkit for Carnot-Caratheodory geometry of weighted
 Hormander vector-field systems on half-space charts: balls, metrics,
-commutator flows, boundary restriction, and scaling maps."""
+boundary restriction, and scaling maps."""
 
 __version__ = "0.1.0"

@@ -112,6 +112,14 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _delta_powers(sys: WeightedSystem, delta: float) -> np.ndarray:
+    """delta**d per degree d; a power too large for a float raises ValueError naming it."""
+    try:
+        return np.array([delta**d for d in sys.degrees])
+    except OverflowError:
+        raise ValueError(f"scale delta = {delta} overflows delta^{max(sys.degrees)} as a float") from None
+
+
 def _check_in_chart(box, p, halfspace: bool, point: str = "base") -> None:
     """ValueError unless p is one point of the chart's dimension that lies in
     the chart box (so is finite) and, with `halfspace` on a chart with
@@ -191,7 +199,7 @@ def integrate_controls(
     n = sys.n
     x = np.asarray(x, dtype=float)
     y = x[None].repeat(S, 0)
-    weights = coeffs * np.array([delta**d for d in sys.degrees])
+    weights = coeffs * _delta_powers(sys, delta)
     vfs = sys.vfields()
     box = sys.box
     # Box.contains against guard and box from one |y - c| per step (nan or inf fails both); c and
@@ -377,7 +385,7 @@ class ReachGraph:
         self.mode = _check_mode(mode)
         self.res = _check_resolution(res, sys.n)
         _check_in_chart(sys.box, self.x0, mode == "intrinsic")
-        self.factors = np.array([self.delta**d for d in sys.degrees])  # finite: a float power raises on overflow
+        self.factors = _delta_powers(sys, self.delta)  # finite: an overflow raises
         self.dirs = _move_directions(sys.r)
         # arrivals pass Box.contains, so their indices lie in the box's range
         c = np.asarray(sys.box.center, dtype=float)
@@ -786,7 +794,7 @@ def _shoot(sys, x, y, delta, mode, K, miss_tol, init_ctrl=None):
     start comes back unchanged.
     """
     y = np.asarray(y, dtype=float)
-    factors = np.array([delta**d for d in sys.degrees])
+    factors = _delta_powers(sys, delta)
     mid = 0.5 * (np.asarray(x) + y)
     cols = _field_columns(sys.vfields(), mid).T * factors
     a0, *_ = np.linalg.lstsq(cols, y - np.asarray(x), rcond=None)
@@ -1105,7 +1113,7 @@ def ball_volume(
     plus a one-cell margin, inflated by 1.2) and the membership test for
     uniform box samples, over which the density is averaged.  A delta so
     small that this resolution's grid of the chart does not fit int64 cell
-    keys raises ValueError naming delta and the resolution.
+    keys, or so large that its norm overflows, raises ValueError naming both.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got delta = {delta}")
@@ -1116,6 +1124,9 @@ def ball_volume(
     pts = np.vstack([cloud.feasible_endpoints(), x[None]])
     spread = np.abs(pts - x).max(axis=0)
     res = np.maximum(2.0 * spread / (32 if sys.n <= 2 else 22), delta * 1e-4)
+    with np.errstate(over="ignore"):  # the norm is the oracle run's default arrival tolerance
+        if np.linalg.norm(res) == math.inf:
+            raise ValueError(f"ball volume at delta = {delta}: the norm of the resolution derived from it, {res.tolist()}, overflows")
     try:
         graph = ReachGraph(sys, x, delta, mode, res=res)
     except ValueError as exc:  # past the checks above, only the grid's: res is derived from delta

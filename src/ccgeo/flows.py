@@ -1,4 +1,4 @@
-"""ODE flow maps of vector fields and composite commutator flows.
+"""ODE flow maps of vector fields.
 
 All integration is fixed-step RK4 so that repeated runs produce
 byte-identical output; the error budget of the toolkit is dominated by
@@ -32,18 +32,11 @@ import numpy as np
 
 from . import symexpr
 from .hormander import Box
-from .symexpr import VField
 
 __all__ = [
     "FlowConfig",
     "FlowExcursionError",
-    "BracketWordFlow",
     "rk4_flow",
-    "exp_flow",
-    "commutator_flow_C",
-    "flow_D",
-    "flow_E",
-    "map_F",
 ]
 
 #: guarded integration domain: the chart box inflated by this factor
@@ -63,7 +56,7 @@ class FlowConfig:
     """Fixed-step RK4 configuration with a guarded integration domain."""
 
     box: Box
-    steps_per_unit: int = 256
+    steps_per_unit: int
 
     def __post_init__(self):
         if self.steps_per_unit < 16:
@@ -181,114 +174,3 @@ def rk4_flow(velocity, p0: np.ndarray, times, cfg: FlowConfig) -> np.ndarray:
                 raise FlowExcursionError(f"trajectory left guarded domain at {tuple(y[bad].tolist())}", y[bad])
     return y[0] if single else y
 
-
-def exp_flow(X: VField, t: float, p, cfg: FlowConfig) -> np.ndarray:
-    """Endpoint of the flow e^{tX} p."""
-    return rk4_flow(X.eval_many, np.asarray(p, dtype=float), t, cfg)
-
-
-def commutator_flow_C(l: int, t: float, S, p, cfg: FlowConfig) -> np.ndarray:
-    """Composite flow whose leading behavior is the iterated bracket.
-
-    C_1(t, S1) = e^{t S1} and recursively
-    C_l(t) = e^{-t S_l} o C_{l-1}^{-1} o e^{t S_l} o C_{l-1},
-    so that C_l(t) x = x + t^l [S_1,[S_2,[...,[S_{l-1},S_l]]]](x) + O(t^{l+1}).
-    """
-    S = list(S)
-    if l < 1 or len(S) < l:
-        raise ValueError("need l >= 1 fields")
-    return _apply_C(l, t, S, np.asarray(p, dtype=float), cfg)
-
-
-def _apply_C(l: int, t: float, S, p: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    if l == 1:
-        return exp_flow(S[0], t, p, cfg)
-    q = _apply_C(l - 1, t, S, p, cfg)
-    q = exp_flow(S[l - 1], t, q, cfg)
-    q = _apply_C_inv(l - 1, t, S, q, cfg)
-    return exp_flow(S[l - 1], -t, q, cfg)
-
-
-def _apply_C_inv(l: int, t: float, S, p: np.ndarray, cfg: FlowConfig) -> np.ndarray:
-    if l == 1:
-        return exp_flow(S[0], -t, p, cfg)
-    q = exp_flow(S[l - 1], t, p, cfg)
-    q = _apply_C(l - 1, t, S, q, cfg)
-    q = exp_flow(S[l - 1], -t, q, cfg)
-    return _apply_C_inv(l - 1, t, S, q, cfg)
-
-
-@dataclass(frozen=True)
-class BracketWordFlow:
-    """A bracket word over an extended generator list with flow machinery.
-
-    `generators[0]` is the distinguished transversal field; `word` indexes
-    into `generators` and `target` is the iterated bracket
-    [g_{w_1},[g_{w_2},[...]]].  The sign-reversed flow variant flips the
-    generator at `flip_pos`, which must not be the distinguished one.
-    """
-
-    generators: tuple[VField, ...]
-    word: tuple[int, ...]
-    target: VField
-    flip_pos: int
-
-    @property
-    def k(self) -> int:
-        return len(self.word)
-
-    @classmethod
-    def make(cls, generators, word, flip_pos: int | None = None) -> "BracketWordFlow":
-        generators = tuple(generators)
-        word = tuple(int(i) for i in word)
-        if not word:
-            raise ValueError("empty word")
-        f = generators[word[-1]]
-        for j in reversed(word[:-1]):
-            f = generators[j].bracket(f)
-        if flip_pos is None:
-            nondist = [i for i, g in enumerate(word) if g != 0]
-            flip_pos = nondist[0] if nondist else -1
-        if flip_pos >= 0 and word[flip_pos] == 0:
-            raise ValueError("cannot flip the distinguished generator")
-        return cls(generators, word, f, flip_pos)
-
-
-def flow_D(bwf: BracketWordFlow, sign: int, t: float, p, cfg: FlowConfig) -> np.ndarray:
-    """D^+(t) = C_k(t, g_{w_1}, ..., g_{w_k}); D^- flips one non-distinguished slot.
-
-    Leading behavior: D^{+/-}(t) p = p +/- t^k * target(p) + O(t^{k+1}).
-    """
-    if t < 0:
-        raise ValueError("flow_D takes t >= 0; use flow_E for signed arguments")
-    fields = [bwf.generators[i] for i in bwf.word]
-    if sign < 0:
-        if bwf.flip_pos < 0:
-            raise ValueError("word has no non-distinguished generator to flip")
-        fields[bwf.flip_pos] = fields[bwf.flip_pos].negated()
-    return commutator_flow_C(bwf.k, t, fields, p, cfg)
-
-
-def flow_E(bwf: BracketWordFlow, t: float, p, cfg: FlowConfig) -> np.ndarray:
-    """C^1 reparametrization with d/dt|_0 E(t) p = target(p)."""
-    if t == 0.0:
-        return np.asarray(p, dtype=float).copy()
-    return flow_D(bwf, 1 if t > 0 else -1, abs(t) ** (1.0 / bwf.k), p, cfg)
-
-
-def map_F(y, basis, t, cfg: FlowConfig) -> np.ndarray:
-    """F_y(t) = e^{t_1 g_0} E_2(t_2) ... E_n(t_n) y.
-
-    basis[0] must be the length-one word of the distinguished generator;
-    the Jacobian of F_y at t = 0 is the column matrix of the targets.
-    """
-    basis = list(basis)
-    t = np.asarray(t, dtype=float)
-    if len(basis) != len(t):
-        raise ValueError("need one bracket word per coordinate")
-    if basis[0].word != (0,):
-        raise ValueError("basis[0] must be the distinguished generator word (0,)")
-    p = np.asarray(y, dtype=float)
-    for j in range(len(basis) - 1, 0, -1):
-        p = flow_E(basis[j], float(t[j]), p, cfg)
-    return exp_flow(basis[0].generators[0], float(t[0]), p, cfg)

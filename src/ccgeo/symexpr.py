@@ -874,9 +874,6 @@ class VField:
     def negated(self) -> "VField":
         return VField(tuple(neg(c) for c in self.components))
 
-    def bracket(self, other: "VField") -> "VField":
-        return lie_bracket(self, other)
-
     def __str__(self) -> str:
         return ", ".join(to_string(c) for c in self.components)
 

@@ -19,15 +19,14 @@ from ccgeo.cli import (
     suite_sandwich,
     suite_volume,
 )
-from ccgeo.flows import BracketWordFlow, FlowConfig, commutator_flow_C, flow_E
-from ccgeo.hormander import Box, check_hormander
+from ccgeo.hormander import check_hormander
 from ccgeo.scaling import (
     build_scaling_map,
     compute_lambda,
     pullback,
     verify_uniform_hormander,
 )
-from ccgeo.symexpr import Const, lie_bracket, parse_expr, parse_vfield
+from ccgeo.symexpr import Const, lie_bracket, parse_expr
 
 
 def _report(num, name, ok):
@@ -84,30 +83,6 @@ def test_criterion_02_hormander_certification():
     rep_d = check_hormander(degenerate, 3)
     ok &= not rep_d.ok
     _report(2, "Grushin m=2 gamma0=1, elliptic m=1, degenerate rejected", ok)
-
-
-def test_criterion_03_flow_commutator_limits():
-    cfg = FlowConfig(Box((4.0, 4.0)))
-    dx = parse_vfield("1, 0", 2)
-    x_dy = parse_vfield("0, x1", 2)
-    p = np.zeros(2)
-
-    def coeff(t):
-        return (commutator_flow_C(2, t, [dx, x_dy], p, cfg) - p) / t**2
-
-    rich = 2.0 * coeff(0.05) - coeff(0.1)
-    target = np.array([0.0, 1.0])
-    ok = np.linalg.norm(rich - target) <= 1e-2 * np.linalg.norm(target)
-
-    g0 = parse_vfield("0, 1", 2)
-    g1 = parse_vfield("x2, 0", 2)
-    word = BracketWordFlow.make((g0, g1), (1, 0))
-    q = np.array([0.3, 0.1])
-    y = word.target.eval_many(q)
-    for t in (2.0**-10, -(2.0**-10)):
-        quot = (flow_E(word, t, q, cfg) - q) / t
-        ok &= np.linalg.norm(quot - y) <= 0.05 * max(1.0, np.linalg.norm(y))
-    _report(3, "C_2 Richardson direction within 1e-2, E one-sided within 5%", ok)
 
 
 def test_criterion_04_elliptic_metric_identity():

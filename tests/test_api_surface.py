@@ -10,14 +10,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ccgeo"
 
-#: settable values in src/ccgeo; 51 since symexpr._compile's form lost its
-#: default (its one caller, symexpr._kernel, always passes the form), after
-#: ReachGraph's res lost its default (keyword-only and required, like
-#: reach_graph's: every caller passes it), verify_uniform_hormander lost jets
-#: (its one caller passing precomputed jets went with check_scaling_map), and
-#: Box.grid's per_axis, reach_graph's res and MetricEstimate.intersects's slack
-#: their defaults
-SETTABLE_VALUES = 51
+#: settable values in src/ccgeo; 49 since the commutator flows went with two:
+#: FlowConfig.steps_per_unit's default of 256 (only they relied on it; the
+#: scaling maps pass 128) and BracketWordFlow.make's flip_pos.  51 before,
+#: since symexpr._compile's form lost its default (its one caller,
+#: symexpr._kernel, always passes the form), after ReachGraph's res lost its
+#: default (keyword-only and required, like reach_graph's: every caller passes
+#: it), verify_uniform_hormander lost jets (its one caller passing precomputed
+#: jets went with check_scaling_map), and Box.grid's per_axis, reach_graph's
+#: res and MetricEstimate.intersects's slack their defaults
+SETTABLE_VALUES = 49
 
 #: the packaged scenarios: perfbench builds its reach and scale op lists from
 #: every .scn file in src/ccgeo/fixtures, so a new one there changes them
@@ -104,6 +106,42 @@ def test_exports_are_defined_in_their_module():
 def test_export_check_sees_a_stale_name():
     tree = ast.parse("from x import y\n__all__ = ['f', 'C', 'K', 'y', 'gone']\ndef f(): pass\nclass C: pass\nK = 1\n")
     assert set(_exports(tree)) - _top_level_names(tree) == {"y", "gone"}  # an import is not a definition
+
+
+def _read_names(node: ast.AST):
+    """Names read under a node, as a Name or an Attribute."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def _unread_exports(trees: dict[str, ast.Module]) -> dict[str, list[str]]:
+    """Per module, the __all__ names that no module reads outside their own
+    top-level definition; an import is not a read."""
+    reads = [(stmt, set(_read_names(stmt))) for tree in trees.values() for stmt in tree.body]
+    unread = {}
+    for mod, tree in trees.items():
+        for name in _exports(tree):
+            own = {stmt for stmt in tree.body if name in _top_level_names(ast.Module([stmt], []))}
+            if not any(name in names for stmt, names in reads if stmt not in own):
+                unread.setdefault(mod, []).append(name)
+    return unread
+
+
+def test_every_export_is_read_in_the_package():
+    # an export that nothing in src/ccgeo reads is API that no command, suite or workload runs
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.rglob("*.py"))}
+    assert _unread_exports(trees) == {}
+
+
+def test_unread_export_check_skips_own_definitions_and_imports():
+    trees = {
+        "a.py": ast.parse("__all__ = ['f', 'g', 'h', 'K']\nK = 1\ndef f(): return f()\ndef g(): pass\ndef h(): return K\n"),
+        "b.py": ast.parse("from a import f, g\nimport a\n__all__ = ['C']\nclass C:\n    x = a.h\n"),
+    }
+    assert _unread_exports(trees) == {"a.py": ["f", "g"], "b.py": ["C"]}
 
 
 def test_packaged_fixtures_are_pinned():

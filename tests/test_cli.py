@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,27 @@ def test_volume_at_a_tiny_delta_names_delta_and_its_derived_resolution(capsys):
     assert re.fullmatch(
         r"numeric error: ball volume at delta = 1e-09: the oracle resolution derived from it, \[\S+, \S+\], "
         r"makes a grid of the chart too fine for int64 cell keys; use a larger delta\n", err)
+
+
+@pytest.mark.parametrize("command", ["volume", "ball"])
+def test_a_delta_whose_power_overflows_is_a_numeric_error(command, capsys):
+    # delta^2 for the heat fixture's degree-2 field is too large for a float
+    assert main([command, "heat", "--x", "0", "0.5", "--delta", "1e200"]) == 3
+    assert capsys.readouterr() == ("", "numeric error: scale delta = 1e+200 overflows delta^2 as a float\n")
+
+
+def test_volume_at_a_huge_delta_names_delta_and_its_derived_resolution(capsys):
+    # the norm of the derived resolution, the oracle's default arrival tolerance,
+    # overflows: the error names delta and that resolution, with no RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["volume", "grushin", "--x", "0.5", "0", "--delta", "1e200"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not caught and "RuntimeWarning" not in err
+    assert err == (
+        "numeric error: ball volume at delta = 1e+200: the norm of the resolution derived from it, [1e+196, 1e+196], "
+        "overflows\n"
+    )
 
 
 @pytest.mark.parametrize(
