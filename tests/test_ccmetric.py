@@ -1543,6 +1543,34 @@ def test_reach_graph_contains_rejects_points_of_the_wrong_shape(points):
         g.contains(points)
 
 
+def test_integrate_controls_rejects_a_delta_whose_power_overflows():
+    # 1e200 is a finite scale, but its square, the degree-2 field's weight, is not
+    with pytest.raises(ValueError, match=r"^scale delta = 1e\+200 overflows delta\^2 as a float$"):
+        integrate_controls(heat_half_plane(), (0.0, 0.5), 1e200, np.zeros((1, 1, 2)))
+
+
+def test_sample_ball_rejects_a_delta_whose_power_overflows():
+    with pytest.raises(ValueError, match=r"^scale delta = 1e\+200 overflows delta\^2 as a float$"):
+        sample_ball(heat_half_plane(), (0.0, 0.5), 1e200, 10, K=4, seed=0)
+
+
+def test_reach_graph_rejects_a_delta_whose_power_overflows(monkeypatch):
+    monkeypatch.setattr(ReachGraph, "run", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=r"^scale delta = 1e\+200 overflows delta\^2 as a float$"):
+        reach_graph(heat_half_plane(), (0.0, 0.5), 1e200, res=0.02)
+
+
+def test_ball_volume_rejects_a_resolution_whose_norm_overflows_without_a_warning(monkeypatch):
+    # three axes of 1e196: the norm, the oracle's default arrival tolerance, squares past the float range
+    monkeypatch.setattr(ReachGraph, "run", lambda *args: pytest.fail("searched"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+            "ball volume at delta = 1e+200: the norm of the resolution derived from it, [1e+196, 1e+196, 1e+196], overflows"
+        )):
+            ball_volume(heisenberg_half(), (0.0, 0.0, 0.5), 1e200)
+
+
 # 1e-10: the half-cell grid over the 4 x 4 chart would need more than 2^63 keys
 @pytest.mark.parametrize("res", [0.0, -0.02, math.nan, math.inf, (0.02, 0.0), 1e-10])
 def test_reach_graph_rejects_bad_resolution(res):

@@ -214,6 +214,19 @@ def test_volume_at_a_huge_delta_names_delta_and_its_derived_resolution(capsys):
     )
 
 
+def test_volume_at_a_huge_delta_on_three_axes_names_each_axis_of_the_resolution(capsys):
+    # heisenberg's chart is 3-D: its derived resolution has three equal axes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["volume", "heisenberg", "--x", "0", "0", "0", "--delta", "1e200"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not caught
+    assert err == (
+        "numeric error: ball volume at delta = 1e+200: the norm of the resolution derived from it, "
+        "[1e+196, 1e+196, 1e+196], overflows\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args",
     [

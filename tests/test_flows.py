@@ -181,6 +181,81 @@ def test_step_halving_convergence_order():
     assert order >= 3.5
 
 
+def test_flow_config_needs_an_explicit_step_rate_of_at_least_16():
+    with pytest.raises(TypeError, match="steps_per_unit"):
+        FlowConfig(Box((1.0,)))
+    with pytest.raises(ValueError, match=r"^steps_per_unit must be >= 16$"):
+        FlowConfig(Box((1.0,)), steps_per_unit=15)
+
+
+# -- group commutators of rk4 flows against symexpr.lie_bracket ----------
+
+
+def _flow_pair(X, t, cfg):
+    """The maps e^{tX} and its inverse e^{-tX}."""
+    return (lambda p: flows.rk4_flow(X.eval_many, p, t, cfg), lambda p: flows.rk4_flow(X.eval_many, p, -t, cfg))
+
+
+def _commutator(a, b):
+    """The group commutator b^-1 a^-1 b a (a applied first) of two map pairs, with its inverse."""
+    fa, ia = a
+    fb, ib = b
+    return (lambda p: ib(ia(fb(fa(p)))), lambda p: ia(ib(fa(fb(p)))))
+
+
+def test_rk4_flows_of_commuting_fields_commute():
+    # [x1 d1, x2 d2] = 0: the flows scale each coordinate on its own
+    a, b = parse_vfield("x1, 0", 2), parse_vfield("0, x2", 2)
+    p = np.array([0.3, -0.7])
+    q = _commutator(_flow_pair(a, 0.5, CFG2), _flow_pair(b, 0.5, CFG2))[0](p)
+    np.testing.assert_allclose(q, p, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "fields, n, p",
+    [
+        (("1, 0", "0, x1"), 2, (0.2, -0.3)),  # the Grushin pair: [d1, x1 d2] = d2
+        (("0, 0-x1/2, 1", "1, x3/2, 0"), 3, (0.1, 0.2, 0.5)),  # the Heisenberg fixture's pair
+    ],
+)
+def test_rk4_flow_commutator_of_a_step_two_pair_is_exactly_its_bracket(fields, n, p):
+    # on a step-two nilpotent pair the group commutator moves by t^2 [X, Y] with no remainder
+    X, Y = (parse_vfield(f, n) for f in fields)
+    cfg = FlowConfig(Box((4.0,) * n), steps_per_unit=256)
+    p, t = np.array(p), 0.3
+    q = _commutator(_flow_pair(X, t, cfg), _flow_pair(Y, t, cfg))[0](p)
+    np.testing.assert_allclose((q - p) / t**2, symexpr.lie_bracket(X, Y).eval_many(p), atol=1e-12)
+
+
+def test_rk4_flow_commutator_tends_to_the_bracket_at_second_order():
+    # (commutator(t) p - p) / t^2 = [X, Y](p) + O(t); Richardson over t and t/2
+    # leaves O(t^2), which the halving ladder shows
+    X, Y = parse_vfield("x2, 0-x1", 2), parse_vfield("x1*x2, 1", 2)
+    p = np.array([0.3, 0.2])
+    want = symexpr.lie_bracket(X, Y).eval_many(p)
+
+    def coeff(t):
+        return (_commutator(_flow_pair(X, t, CFG2), _flow_pair(Y, t, CFG2))[0](p) - p) / t**2
+
+    errs = [np.linalg.norm(2.0 * coeff(t / 2) - coeff(t) - want) for t in (0.1, 0.05)]
+    assert errs[1] <= 1e-2 * np.linalg.norm(want)
+    assert math.log2(errs[0] / errs[1]) >= 1.8
+
+
+def test_rk4_flow_nested_commutator_of_a_step_three_triple_is_exactly_its_bracket():
+    # S = (d1, x1 d2, x2 d3): the commutator of [e^{tS1}, e^{tS2}] with e^{tS3}
+    # moves by t^3 [[S1, S2], S3] = t^3 d3, and its inverse map undoes it
+    s1, s2, s3 = (parse_vfield(f, 3) for f in ("1, 0, 0", "0, x1, 0", "0, 0, x2"))
+    cfg = FlowConfig(Box((4.0, 4.0, 4.0)), steps_per_unit=256)
+    p, t = np.array([0.1, -0.2, 0.3]), 0.3
+    forward, inverse = _commutator(_commutator(_flow_pair(s1, t, cfg), _flow_pair(s2, t, cfg)), _flow_pair(s3, t, cfg))
+    q = forward(p)
+    want = symexpr.lie_bracket(symexpr.lie_bracket(s1, s2), s3).eval_many(p)
+    np.testing.assert_allclose(want, [0.0, 0.0, 1.0])
+    np.testing.assert_allclose((q - p) / t**3, want, atol=1e-12)
+    np.testing.assert_allclose(inverse(q), p, atol=1e-14)
+
+
 # -- the fused control velocity against einsum over the stacked fields ---
 
 
